@@ -26,16 +26,17 @@ Status Poll(const Cancellation* cancel) {
 /// Early-abandon filter that never changes an answer: proves
 /// d(a,b) >= cutoff (returns +inf) or computes the *exact* normalized ED
 /// through the same NormalizedEuclidean the oracles call — so accelerated
-/// and naive paths agree bit for bit. The cutoff is inflated by a relative
-/// slack before the squared-space scan, which makes an abandonment prove
-/// d strictly greater than cutoff: candidates tied exactly at the cutoff
-/// always reach the exact comparison, keeping canonical tie-breaks intact.
+/// and naive paths agree bit for bit. The cutoff is inflated by the
+/// StrictCutoffSq slack before the squared-space scan, which makes an
+/// abandonment prove d strictly greater than cutoff: candidates tied exactly
+/// at the cutoff always reach the exact comparison, keeping canonical
+/// tie-breaks intact.
 double FilteredDistance(std::span<const double> a, std::span<const double> b,
                         double cutoff, std::size_t* evals,
                         std::size_t* abandoned) {
   if (std::isfinite(cutoff)) {
     const double n = static_cast<double>(a.size());
-    const double cutoff_sq = cutoff * cutoff * n * (1.0 + 1e-9) + 1e-12;
+    const double cutoff_sq = StrictCutoffSq(cutoff * cutoff * n);
     const double sq = SquaredEuclideanEarlyAbandon(a, b, cutoff_sq);
     if (!(sq < cutoff_sq)) {
       ++*abandoned;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -46,6 +47,40 @@ struct StatsAcc {
   }
 };
 
+/// Squared cost of the stretched-diagonal warping path: step t of
+/// L = max(n, m) aligns a[t(n-1)/(L-1)] with b[t(m-1)/(L-1)]. Each step
+/// advances the longer side by one and the shorter by zero or one, and the
+/// path never leaves the |n - m| band every effective window admits, so the
+/// cost bounds the squared DTW from above at O(L). Equal lengths reduce to
+/// the lock-step (squared Euclidean) path.
+double DiagonalPathCostSq(std::span<const double> a,
+                          std::span<const double> b) {
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  if (n == m) {
+    return ActiveKernel().squared_euclidean(a.data(), b.data(), n);
+  }
+  // Walk the longer side one point per step; the shorter side's index
+  // floor(t(s-1)/(L-1)) advances Bresenham-style, without a division.
+  const std::span<const double> lng = n > m ? a : b;
+  const std::span<const double> sht = n > m ? b : a;
+  const std::size_t run = lng.size() - 1;
+  const std::size_t rise = sht.size() - 1;
+  double acc = 0.0;
+  std::size_t j = 0;
+  std::size_t err = 0;
+  for (std::size_t t = 0; t < lng.size(); ++t) {
+    const double d = lng[t] - sht[j];
+    acc += d * d;
+    err += rise;
+    if (err >= run) {
+      err -= run;
+      ++j;
+    }
+  }
+  return acc;
+}
+
 /// Below this many items a per-group fan-out costs more than it buys;
 /// gating on size is safe because partitioning never affects results.
 constexpr std::size_t kMinItemsForFanOut = 16;
@@ -53,15 +88,9 @@ constexpr std::size_t kMinItemsForFanOut = 16;
 }  // namespace
 
 std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
-    std::span<const double> query, const QueryOptions& options,
-    QueryStats* stats) const {
+    std::span<const double> query, const Envelope& query_env,
+    const QueryOptions& options, QueryStats* stats) const {
   const std::size_t qn = query.size();
-  // Keogh envelope of the query, reused for every same-length group. Its
-  // band must match the query window to stay admissible.
-  const Envelope query_env = ComputeKeoghEnvelope(
-      query, options.window < 0 ? -1
-                                : EffectiveWindow(qn, qn, options.window));
-
   // Admissible (class, group) pairs, in deterministic class-major order.
   // The columnar store makes the per-class portion of this scan a linear
   // walk over one centroid matrix.
@@ -217,7 +246,15 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
   if (options.cancel != nullptr) {
     ONEX_RETURN_IF_ERROR(options.cancel->Check());
   }
-  const std::vector<RankedGroup> ranked = RankGroups(query, options, stats);
+  const std::size_t qn = query.size();
+  // Keogh envelope of the query, shared by ranking and refinement for every
+  // same-length candidate. Its band must match the query window to stay
+  // admissible.
+  const Envelope query_env = ComputeKeoghEnvelope(
+      query, options.window < 0 ? -1
+                                : EffectiveWindow(qn, qn, options.window));
+  const std::vector<RankedGroup> ranked =
+      RankGroups(query, query_env, options, stats);
   if (ranked.empty()) {
     return Status::NotFound(
         "no groups to search (length restrictions exclude every class)");
@@ -228,11 +265,7 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
   }
 
   const Dataset& ds = base_->dataset();
-  const std::size_t qn = query.size();
   const double st = base_->options().st;
-  const Envelope query_env = ComputeKeoghEnvelope(
-      query, options.window < 0 ? -1
-                                : EffectiveWindow(qn, qn, options.window));
 
   // Candidate answers, kept sorted ascending by normalized DTW; the k-th
   // value is the pruning horizon.
@@ -249,7 +282,14 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
       std::max<std::size_t>(std::max<std::size_t>(1, options.explore_top_groups), k);
 
   StatsAcc acc;
-  std::vector<double> dist;  // per-member distances, reused across groups
+  // Per-member scratch, reused across groups: raw DTW (+inf = pruned or
+  // abandoned), diagonal-path cost, seed flags, seed indices, and the
+  // candidate values for the seeded horizon.
+  std::vector<double> dist;
+  std::vector<double> diag;
+  std::vector<char> is_seed;
+  std::vector<std::size_t> seeds;
+  std::vector<double> kth;
   for (std::size_t r = 0; r < ranked.size(); ++r) {
     const RankedGroup& rg = ranked[r];
     if (r >= must_explore &&
@@ -280,44 +320,84 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     }
 
     // Refine this group in two deterministic phases. Phase 1 scores every
-    // member against the horizon as it stood when the group was entered
-    // (fixed, so the member scan parallelizes with bit-identical outcomes);
-    // phase 2 merges the survivors into the top-k sequentially in member
-    // order, exactly as a serial scan would.
+    // member against one horizon fixed when the group was entered (so the
+    // member scan parallelizes with bit-identical outcomes); phase 2 merges
+    // the survivors into the top-k sequentially in member order, exactly as
+    // a serial scan would.
     const std::span<const SubseqRef> members = store.members(rg.group_index);
-    const double entry_horizon = worst_kth();
-    const bool have_k = best.size() >= k;
-    dist.assign(members.size(), kInf);
     const std::size_t scan_threads =
         members.size() >= kMinItemsForFanOut ? options.threads : 1;
+    dist.assign(members.size(), kInf);
+    is_seed.assign(members.size(), 0);
+    double horizon = worst_kth();
+    if (best.size() < k) {
+      // Seeded horizon: with fewer than k answers there is no k-th distance
+      // to prune against, and every member would run a full, unabandoned
+      // DTW. Instead take the exact DTW of the min(k, size) members whose
+      // diagonal path is cheapest (likely near the optimum), and scan the
+      // rest against the k-th smallest of the answers so far and those
+      // seeds. Only the choice of seeds depends on the diagonal cost.
+      const std::size_t num_seeds = std::min(k, members.size());
+      seeds.resize(members.size());
+      std::iota(seeds.begin(), seeds.end(), std::size_t{0});
+      if (num_seeds < members.size()) {
+        diag.resize(members.size());
+        ForEach(members.size(), scan_threads, [&](std::size_t i) {
+          diag[i] = DiagonalPathCostSq(query, members[i].Resolve(ds));
+        });
+        std::nth_element(seeds.begin(), seeds.begin() + (num_seeds - 1),
+                         seeds.end(), [&](std::size_t a, std::size_t b) {
+                           return diag[a] != diag[b] ? diag[a] < diag[b]
+                                                     : a < b;
+                         });
+      }
+      seeds.resize(num_seeds);
+      acc.member_dtw_evaluations.fetch_add(num_seeds);
+      ForEach(num_seeds, options.threads, [&](std::size_t s) {
+        const std::size_t i = seeds[s];
+        dist[i] = DtwDistanceEarlyAbandon(query, members[i].Resolve(ds),
+                                          /*cutoff=*/-1.0, options.window);
+      });
+      kth.clear();
+      for (const BestMatch& m : best) kth.push_back(m.normalized_dtw);
+      for (const std::size_t i : seeds) {
+        is_seed[i] = 1;
+        kth.push_back(dist[i] / nf);
+      }
+      if (kth.size() >= k) {
+        std::nth_element(kth.begin(), kth.begin() + (k - 1), kth.end());
+        horizon = kth[k - 1];
+      }
+    }
+
+    // Every prune and abandon below must prove its member strictly worse
+    // than the horizon (StrictCutoffSq): a member tied with it — an earlier
+    // answer, or a seed later in this group — still reaches the in-order
+    // merge, so the answers and tie-breaks are those of a full scan.
+    const double cutoff =
+        std::sqrt(StrictCutoffSq((horizon * nf) * (horizon * nf)));
+    const double abandon_at = options.use_early_abandon ? cutoff : -1.0;
     ForEach(members.size(), scan_threads, [&](std::size_t i) {
+      if (is_seed[i]) return;
       const std::span<const double> vals = members[i].Resolve(ds);
       if (options.use_lower_bounds) {
         // LB_Kim → LB_Keogh cascade: each stage runs only when the previous
         // one failed to prune, and LB_Keogh abandons once it proves the
-        // member can't beat the horizon. The prune set equals the old
-        // max(kim, keogh) >= horizon test, so results are unchanged; only
-        // the work (and the per-stage attribution) differs.
-        if (LbKim(query, vals) / nf >= entry_horizon) {
+        // member can't beat the horizon.
+        if (LbKim(query, vals) > cutoff) {
           acc.members_pruned_lb.fetch_add(1);
           acc.pruned_kim.fetch_add(1);
           return;
         }
-        if (cls.length == qn) {
-          const double lb_cutoff =
-              options.use_early_abandon && have_k ? entry_horizon * nf : -1.0;
-          if (LbKeogh(query_env, vals, lb_cutoff) / nf >= entry_horizon) {
-            acc.members_pruned_lb.fetch_add(1);
-            acc.pruned_keogh.fetch_add(1);
-            return;
-          }
+        if (cls.length == qn && LbKeogh(query_env, vals, abandon_at) > cutoff) {
+          acc.members_pruned_lb.fetch_add(1);
+          acc.pruned_keogh.fetch_add(1);
+          return;
         }
       }
-      const double cutoff =
-          options.use_early_abandon && have_k ? entry_horizon * nf : -1.0;
       acc.member_dtw_evaluations.fetch_add(1);
       const double raw =
-          DtwDistanceEarlyAbandon(query, vals, cutoff, options.window);
+          DtwDistanceEarlyAbandon(query, vals, abandon_at, options.window);
       if (!std::isinf(raw)) dist[i] = raw;
     });
 

@@ -10,6 +10,7 @@
 #include "onex/common/task_pool.h"
 #include "onex/core/onex_base.h"
 #include "onex/distance/dtw.h"
+#include "onex/distance/envelope.h"
 #include "onex/distance/warping_path.h"
 
 namespace onex {
@@ -136,8 +137,11 @@ class QueryProcessor {
   /// ascending. Pruning runs against a fixed horizon — the exact
   /// representative DTW of the group with the smallest lower bound — so the
   /// scored list, the stats and all tie-breaks are independent of how the
-  /// scan is partitioned over threads (DESIGN.md §6).
+  /// scan is partitioned over threads (DESIGN.md §6). `query_env` is the
+  /// query's Keogh envelope under options.window, built once per query and
+  /// shared with refinement.
   std::vector<RankedGroup> RankGroups(std::span<const double> query,
+                                      const Envelope& query_env,
                                       const QueryOptions& options,
                                       QueryStats* stats) const;
 

@@ -176,6 +176,17 @@ double LbKeoghGroup(const Envelope& query_envelope,
 double LbKeoghGroup(const Envelope& query_envelope,
                     const EnvelopeView& group_envelope);
 
+/// The strict-with-slack pruning rule: the squared threshold a filter must
+/// exceed before it may drop a candidate compared against `cutoff_sq`. The
+/// relative 1e-9 and absolute 1e-12 slack sit far above the rounding gaps
+/// between a bound, an abandoning kernel and the exact distance (the AVX2
+/// DTW scan included), so every drop proves the candidate strictly worse
+/// than the cutoff: candidates tied with it always reach the exact
+/// comparison and its canonical tie-break (DESIGN.md §7.6).
+inline double StrictCutoffSq(double cutoff_sq) {
+  return cutoff_sq * (1.0 + 1e-9) + 1e-12;
+}
+
 /// True when an envelope precomputed with band half-width `stored_window`
 /// may lower-bound DTW at `query_window` (both already effective; negative
 /// means unconstrained): the stored band must contain the query band, so a

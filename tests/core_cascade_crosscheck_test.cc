@@ -5,9 +5,11 @@
 /// bit-level distances — must be identical with the cascade on, off, or
 /// partially on, across windows including 0 and full. The suite also pins
 /// the QueryStats attribution invariants, the degenerate inputs (lengths
-/// 1–3, constant series) and scalar-vs-SIMD kernel-table agreement.
+/// 1–3, constant series) and scalar-vs-SIMD kernel-table agreement, and,
+/// with every group refined, equality with a brute-force DTW oracle.
 #include "onex/core/query_processor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -159,6 +161,104 @@ TEST_P(CascadeCrosscheckTest, ScalarAndSimdTablesAgreeOnMatches) {
   }
 }
 
+/// One candidate of the brute-force oracle.
+struct OracleHit {
+  SubseqRef ref;
+  double dtw;
+  double normalized_dtw;
+};
+
+/// Exact DTW from `q` to every member of every group, ascending by
+/// normalized distance — what KnnQuery must return when every group is
+/// refined.
+std::vector<OracleHit> BruteForce(const OnexBase& base,
+                                  std::span<const double> q, int window) {
+  std::vector<OracleHit> hits;
+  for (const LengthClass& cls : base.length_classes()) {
+    const double nf =
+        std::sqrt(static_cast<double>(std::max(q.size(), cls.length)));
+    for (std::size_t g = 0; g < cls.store->num_groups(); ++g) {
+      for (const SubseqRef& ref : cls.store->members(g)) {
+        const double d = DtwDistance(q, ref.Resolve(base.dataset()), window);
+        hits.push_back({ref, d, d / nf});
+      }
+    }
+  }
+  std::sort(hits.begin(), hits.end(),
+            [](const OracleHit& a, const OracleHit& b) {
+              return a.normalized_dtw < b.normalized_dtw;
+            });
+  return hits;
+}
+
+TEST_P(CascadeCrosscheckTest, FullRefinementEqualsBruteForceOracle) {
+  // With explore_top_groups >= groups_total every group is refined, so the
+  // cascade — the seeded refinement horizon included — may only skip
+  // members it proves cannot enter the top k: the answer is the exact top k
+  // of a DTW scan over the whole base. The noisy sines are tie-free, which
+  // the oracle re-checks at the k-th boundary.
+  const Fixture f = MakeFixture(GetParam());
+  QueryProcessor qp(f.base.get());
+  std::size_t groups_total = 0;
+  std::size_t members_total = 0;
+  for (const LengthClass& cls : f.base->length_classes()) {
+    groups_total += cls.store->num_groups();
+    members_total += cls.total_members;
+  }
+  Rng rng(GetParam() * 7 + 1);
+
+  for (int trial = 0; trial < 3; ++trial) {
+    const std::size_t series = rng.UniformIndex(f.dataset->size());
+    const std::size_t qlen = 6 + rng.UniformIndex(8);
+    const std::size_t start =
+        rng.UniformIndex((*f.dataset)[series].length() - qlen + 1);
+    const std::span<const double> vals =
+        (*f.dataset)[series].Slice(start, qlen);
+    std::vector<double> q(vals.begin(), vals.end());
+    for (double& v : q) v += rng.Gaussian(0.0, 0.05);
+
+    for (const int window : {kNoWindow, 0, 3}) {
+      const std::vector<OracleHit> oracle = BruteForce(*f.base, q, window);
+      for (const std::size_t k : {1u, 3u, 5u, 8u}) {
+        ASSERT_LT(oracle[k - 1].normalized_dtw, oracle[k].normalized_dtw)
+            << "fixture must be tie-free at the k-th answer";
+        for (const std::size_t threads : {1u, 4u}) {
+          for (const bool lb : {true, false}) {
+            QueryOptions opt;
+            opt.window = window;
+            opt.explore_top_groups = groups_total;
+            opt.compute_path = false;
+            opt.threads = threads;
+            opt.use_lower_bounds = lb;
+            QueryStats stats;
+            Result<std::vector<BestMatch>> got =
+                qp.KnnQuery(q, k, opt, &stats);
+            ASSERT_TRUE(got.ok()) << got.status();
+            CheckStatsInvariants(stats, opt);
+            ASSERT_EQ(got->size(), k);
+            for (std::size_t i = 0; i < k; ++i) {
+              EXPECT_EQ((*got)[i].ref, oracle[i].ref)
+                  << "window=" << window << " k=" << k << " rank=" << i;
+              EXPECT_EQ((*got)[i].dtw, oracle[i].dtw);
+              EXPECT_EQ((*got)[i].normalized_dtw, oracle[i].normalized_dtw);
+            }
+            // Seeds count as member DTW evaluations, exactly once each:
+            // without lower bounds every member is evaluated once; with
+            // them each member is evaluated or pruned at most once.
+            EXPECT_EQ(stats.groups_total, groups_total);
+            if (lb) {
+              EXPECT_LE(stats.member_dtw_evaluations + stats.members_pruned_lb,
+                        members_total);
+            } else {
+              EXPECT_EQ(stats.member_dtw_evaluations, members_total);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CascadeCrosscheckTest,
                          ::testing::Values(3, 17, 29, 41));
 
@@ -188,6 +288,42 @@ TEST(CascadeDegenerateTest, TinyQueriesAndValidation) {
       CheckStatsInvariants(soff, off);
       EXPECT_EQ(a->dtw, b->dtw) << "qlen=" << qlen << " window=" << window;
       EXPECT_EQ(a->normalized_dtw, b->normalized_dtw);
+    }
+  }
+}
+
+TEST(CascadeDegenerateTest, MemberTiedWithTheSeedKeepsItsTieBreak) {
+  // Two members of one group tie at DTW 0 with the query: `warped` is a
+  // time-warped copy (lock-step cost 1) and comes first in member order;
+  // `exact` equals the query (lock-step cost 0), so it is the one seeded.
+  // The seeded horizon is then 0, and a prune that is not strict would drop
+  // `warped` — yet a full scan merges it first and answers with it.
+  const std::vector<double> warped{0.0, 1.0, 2.0, 2.0, 3.0};
+  const std::vector<double> exact{0.0, 1.0, 1.0, 2.0, 3.0};
+  Dataset raw;
+  raw.Add(TimeSeries("warped", warped));
+  raw.Add(TimeSeries("exact", exact));
+  auto ds = std::make_shared<const Dataset>(std::move(raw));
+  BaseBuildOptions bopt;
+  bopt.st = 10.0;  // one group
+  bopt.min_length = 5;
+  bopt.max_length = 5;
+  Result<OnexBase> base = OnexBase::Build(ds, bopt);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_EQ(base->length_classes().at(0).store->num_groups(), 1u);
+  QueryProcessor qp(&*base);
+
+  for (const bool lb : {true, false}) {
+    for (const bool ea : {true, false}) {
+      QueryOptions opt;
+      opt.use_lower_bounds = lb;
+      opt.use_early_abandon = ea;
+      QueryStats stats;
+      Result<BestMatch> got = qp.BestMatchQuery(exact, opt, &stats);
+      ASSERT_TRUE(got.ok()) << got.status();
+      CheckStatsInvariants(stats, opt);
+      EXPECT_EQ(got->ref.series, 0u) << "lb=" << lb << " ea=" << ea;
+      EXPECT_EQ(got->dtw, 0.0);
     }
   }
 }
