@@ -1,12 +1,11 @@
 /// onexd — the ONEX analytics server (the demo's server tier). Clients speak
 /// the newline-delimited command protocol (single-line JSON responses) and
 /// may upgrade to the ONEXB binary frame with BIN; METRICS reports serving
-/// statistics. The default serving path is the epoll reactor (DESIGN.md
-/// §15) — thousands of connections on one thread; --legacy-threads selects
-/// the original thread-per-connection server instead.
+/// statistics. Serving runs on the epoll reactor (DESIGN.md §15) —
+/// thousands of connections on one thread.
 ///
 ///   $ ./onexd [port] [--data-dir=DIR] [--checkpoint-every=N] [--no-fsync]
-///            [--budget=BYTES] [--no-mmap-tier] [--legacy-threads]
+///            [--budget=BYTES] [--no-mmap-tier]
 ///            [--cluster-nodes=host:port,host:port,...] [--cluster-self=N]
 ///
 /// --budget bounds resident prepared bases (0 = unlimited); with durability
@@ -45,7 +44,6 @@
 #include "onex/engine/engine.h"
 #include "onex/net/cluster.h"
 #include "onex/net/reactor.h"
-#include "onex/net/server.h"
 
 namespace {
 std::atomic<bool> g_stop{false};
@@ -69,7 +67,6 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 
 int main(int argc, char** argv) {
   std::uint16_t port = 0;
-  bool legacy_threads = false;
   onex::DurabilityOptions durability;
   durability.checkpoint_every = 256;
   onex::DatasetRegistryOptions registry_options;
@@ -78,9 +75,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--legacy-threads") {
-      legacy_threads = true;
-    } else if (arg.rfind("--data-dir=", 0) == 0) {
+    if (arg.rfind("--data-dir=", 0) == 0) {
       durability.dir = arg.substr(std::strlen("--data-dir="));
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
       const long long every =
@@ -113,8 +108,7 @@ int main(int argc, char** argv) {
                    "onexd: unknown flag '%s'\nusage: onexd [port] "
                    "[--data-dir=DIR] [--checkpoint-every=N] [--no-fsync] "
                    "[--budget=BYTES] [--no-mmap-tier] "
-                   "[--legacy-threads] [--cluster-nodes=h:p,...] "
-                   "[--cluster-self=N]\n",
+                   "[--cluster-nodes=h:p,...] [--cluster-self=N]\n",
                    arg.c_str());
       return 2;
     }
@@ -133,12 +127,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "onexd: cluster mode requires --data-dir (replication "
                    "ships the write-ahead log)\n");
-      return 2;
-    }
-    if (legacy_threads) {
-      std::fprintf(stderr,
-                   "onexd: cluster mode needs the reactor server (drop "
-                   "--legacy-threads)\n");
       return 2;
     }
     // Replica catch-up replays the primary's WAL from its first record; a
@@ -172,22 +160,11 @@ int main(int argc, char** argv) {
     cluster = std::make_unique<onex::net::ClusterNode>(&engine, copt);
   }
 
-  onex::net::OnexServer legacy_server(&engine);
-  onex::net::ReactorServer reactor_server(&engine);
-  if (cluster != nullptr) reactor_server.SetCluster(cluster.get());
-  std::uint16_t bound_port = 0;
-  if (legacy_threads) {
-    if (onex::Status s = legacy_server.Start(port); !s.ok()) {
-      std::fprintf(stderr, "onexd: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    bound_port = legacy_server.port();
-  } else {
-    if (onex::Status s = reactor_server.Start(port); !s.ok()) {
-      std::fprintf(stderr, "onexd: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    bound_port = reactor_server.port();
+  onex::net::ReactorServer server(&engine);
+  if (cluster != nullptr) server.SetCluster(cluster.get());
+  if (onex::Status s = server.Start(port); !s.ok()) {
+    std::fprintf(stderr, "onexd: %s\n", s.ToString().c_str());
+    return 1;
   }
   if (cluster != nullptr) {
     // After the listener is up: peers dial in for replication as soon as
@@ -199,22 +176,19 @@ int main(int argc, char** argv) {
     std::printf("onexd: cluster node %lld of %zu\n", cluster_self,
                 cluster_nodes.size());
   }
-  std::printf("onexd listening on 127.0.0.1:%u (%s)\n", bound_port,
-              legacy_threads ? "thread-per-connection" : "epoll reactor");
+  std::printf("onexd listening on 127.0.0.1:%u (epoll reactor)\n",
+              server.port());
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
-  while (!g_stop.load() &&
-         (legacy_threads ? legacy_server.running()
-                         : reactor_server.running())) {
-    // Serving runs on its own thread(s); park cheaply here.
+  while (!g_stop.load() && server.running()) {
+    // Serving runs on its own thread; park cheaply here.
     struct timespec ts = {0, 100 * 1000 * 1000};
     nanosleep(&ts, nullptr);
   }
   std::printf("onexd: shutting down\n");
-  legacy_server.Stop();
-  reactor_server.Stop();
+  server.Stop();
   // The hub's WAL sink is uninstalled only here, after the server stopped
   // executing commands that could fire it.
   if (cluster != nullptr) cluster->Stop();

@@ -1,7 +1,6 @@
 #include "onex/net/cluster.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "onex/common/string_utils.h"
@@ -11,67 +10,12 @@
 namespace onex::net {
 namespace {
 
-/// Mutators that reach the registry journal: the coordinator pins them to
-/// the owner, never auto-retries them, and (on the owner) holds the
+/// Owner-routed mutators reach the registry journal: the coordinator pins
+/// them to the owner, never auto-retries them, and (on the owner) holds the
 /// response until every live replica acked the append.
-bool IsReplicatedMutator(const std::string& verb) {
-  return verb == "GEN" || verb == "LOAD" || verb == "PREPARE" ||
-         verb == "APPEND" || verb == "EXTEND";
-}
-
-/// Verbs the coordinator routes by dataset. Everything else either runs
-/// locally, scatters, or is blocked in cluster mode.
-bool IsDatasetScoped(const std::string& verb) {
-  return IsReplicatedMutator(verb) || verb == "USE" || verb == "DRIFT" ||
-         verb == "STATS" || verb == "CATALOG" || verb == "OVERVIEW" ||
-         verb == "MATCH" || verb == "KNN" || verb == "BATCH" ||
-         verb == "SEASONAL" || verb == "THRESHOLD" || verb == "ANOMALY" ||
-         verb == "CHANGEPOINT" || verb == "MOTIF" || verb == "FORECAST";
-}
-
-/// Node-local durability and lifecycle controls make no sense through a
-/// coordinator: a checkpoint would truncate the WAL replicas catch up from,
-/// and a DROP on one shard could not be undone on its replicas.
-bool IsBlockedInCluster(const std::string& verb) {
-  return verb == "PERSIST" || verb == "CHECKPOINT" || verb == "BUDGET" ||
-         verb == "DROP" || verb == "SAVEBASE" || verb == "LOADBASE" ||
-         verb == "TIER";
-}
-
-/// Verbs that must answer from this node even in cluster mode.
-bool IsAlwaysLocal(const std::string& verb) {
-  return verb == "PING" || verb == "QUIT" || verb == "REPLHELLO" ||
-         verb == "REPLAPPLY" || verb == "REPLSTATUS";
-}
-
-/// Mirror of the executor's per-verb dataset resolution (protocol.cc), so
-/// the coordinator routes exactly the dataset the owner will act on. A
-/// resolution failure is not an error here — the command runs locally and
-/// the executor produces its canonical message.
-Result<std::string> RouteDataset(const Command& cmd, const Session& session) {
-  if (cmd.verb == "GEN") {
-    if (cmd.args.empty()) return Status::InvalidArgument("unroutable");
-    return cmd.args[0];
-  }
-  if (cmd.verb == "LOAD") {
-    if (!cmd.args.empty()) return cmd.args[0];
-    const auto it = cmd.options.find("name");
-    if (it != cmd.options.end() && !it->second.empty()) return it->second;
-    return Status::InvalidArgument("unroutable");
-  }
-  if (cmd.verb == "USE") {
-    if (!cmd.args.empty()) return cmd.args[0];
-    for (const char* key : {"name", "dataset"}) {
-      const auto it = cmd.options.find(key);
-      if (it != cmd.options.end()) return it->second;
-    }
-    return Status::InvalidArgument("unroutable");
-  }
-  if (!cmd.args.empty()) return cmd.args[0];
-  const auto it = cmd.options.find("dataset");
-  if (it != cmd.options.end()) return it->second;
-  if (!session.dataset.empty()) return session.dataset;
-  return Status::InvalidArgument("unroutable");
+bool IsReplicatedMutator(const VerbSpec* spec) {
+  return spec != nullptr && spec->exec == ExecClass::kMutator &&
+         spec->route == ClusterRoute::kOwner;
 }
 
 /// Re-serializes a command for the owning shard: same verb, args and
@@ -346,12 +290,12 @@ json::Value ClusterNode::ExecuteLocal(Engine* engine, Session* session,
   ExecContext local = ctx;
   local.cluster = nullptr;
   json::Value body = ExecuteCommand(engine, session, cmd, local);
-  if (hub_ != nullptr && IsReplicatedMutator(cmd.verb) &&
+  if (hub_ != nullptr && IsReplicatedMutator(ctx.verb) &&
       body["ok"].as_bool()) {
     // Sync replication: the ack floor this write reaches before we answer
     // is exactly what promotion relies on — an acked write exists, bit for
     // bit, on every live peer.
-    const Result<std::string> dataset = RouteDataset(cmd, *session);
+    const Result<std::string> dataset = ctx.verb->dataset(cmd, *session);
     if (dataset.ok()) {
       const Result<SlotDurability> d = engine->registry().Durability(*dataset);
       if (d.ok() && d->durable && d->last_seq > 0) {
@@ -376,6 +320,7 @@ WireResponse ClusterNode::ExecuteLocalWire(Engine* engine,
   ExecContext local = ctx;
   local.cluster = nullptr;
   local.out_values = &out.values;
+  local.verb = FindVerb(cmd.verb);
   Session scratch;  // Shard-side requests always carry dataset= explicitly.
   out.body = ExecuteLocal(engine, &scratch, cmd, local);
   return out;
@@ -385,7 +330,7 @@ json::Value ClusterNode::RouteSingle(Engine* engine, Session* session,
                                      const std::string& dataset,
                                      const Command& cmd,
                                      const ExecContext& ctx) {
-  const bool mutator = IsReplicatedMutator(cmd.verb);
+  const bool mutator = IsReplicatedMutator(ctx.verb);
   for (std::size_t attempt = 0; attempt <= options_.nodes.size(); ++attempt) {
     const std::size_t owner = OwnerOf(dataset);
     if (owner == kNoNode) {
@@ -650,52 +595,28 @@ json::Value ClusterNode::ScatterMulti(Engine* engine, const Command& cmd,
   return v;
 }
 
-json::Value ClusterNode::ScatterList(Engine* engine) {
-  std::set<std::string> names;
-  for (const std::string& name : engine->ListDatasets()) names.insert(name);
-  WireRequest list_req;
-  list_req.command = "LIST";
-  for (std::size_t j = 0; j < options_.nodes.size(); ++j) {
-    if (j == options_.self || !IsAlive(j)) continue;
-    const Result<WireResponse> r = CallNode(j, list_req);
-    if (!r.ok()) {
-      HandleNodeFailure(j);
-      continue;
-    }
-    if (!r->body["ok"].as_bool()) continue;
-    for (const json::Value& name : r->body["datasets"].as_array()) {
-      names.insert(name.as_string());
-    }
-  }
-  json::Value v = Ok();
-  json::Value arr = json::Value::MakeArray();
-  for (const std::string& name : names) arr.Append(json::Value(name));
-  v.Set("datasets", std::move(arr));
-  return v;
-}
-
-json::Value ClusterNode::ScatterDatasets(Engine* engine) {
-  Command cmd;
-  cmd.verb = "DATASETS";
+json::Value ClusterNode::Scatter(Engine* engine, const Command& cmd,
+                                 const ExecContext& ctx) {
   Session scratch;
-  ExecContext local;
-  local.cluster = nullptr;
-  const json::Value self_body = ExecuteCommand(engine, &scratch, cmd, local);
+  json::Value v = ExecuteLocal(engine, &scratch, cmd, ctx);
 
-  // Row per dataset, taken from its owner when reachable (the owner's
-  // prepared/evicted flags are the authoritative ones), else from whichever
-  // replica answered.
+  // One "datasets" entry per dataset (a LIST name or a DATASETS row), taken
+  // from its owner when reachable (the owner's prepared/evicted flags are
+  // the authoritative ones), else from whichever node answered.
   std::map<std::string, json::Value> rows;
   const auto absorb = [&](std::size_t node, const json::Value& body) {
     if (!body["ok"].as_bool()) return;
     for (const json::Value& row : body["datasets"].as_array()) {
-      const std::string& name = row["name"].as_string();
+      const std::string& name =
+          row.is_string() ? row.as_string() : row["name"].as_string();
       if (node == OwnerOf(name) || rows.count(name) == 0) rows[name] = row;
     }
   };
-  absorb(options_.self, self_body);
+  absorb(options_.self, v);
+  // fwd=1 makes each peer answer from its own registry; without it the peer
+  // would coordinate the scatter again and wait on this node in turn.
   WireRequest req;
-  req.command = "DATASETS";
+  req.command = cmd.verb + " fwd=1";
   for (std::size_t j = 0; j < options_.nodes.size(); ++j) {
     if (j == options_.self || !IsAlive(j)) continue;
     const Result<WireResponse> r = CallNode(j, req);
@@ -706,7 +627,8 @@ json::Value ClusterNode::ScatterDatasets(Engine* engine) {
     absorb(j, r->body);
   }
 
-  json::Value v = self_body;  // Keeps the local budget/durability summary.
+  // The local body keeps its node-level fields (DATASETS' budget and
+  // durability summary); its rows become the merged ones.
   json::Value arr = json::Value::MakeArray();
   for (auto& [name, row] : rows) arr.Append(std::move(row));
   v.Set("datasets", std::move(arr));
@@ -753,36 +675,44 @@ json::Value ClusterNode::StatusReport(Engine* engine) {
 json::Value ClusterNode::Execute(Engine* engine, Session* session,
                                  const Command& cmd, const ExecContext& ctx) {
   // fwd=1 pins execution here: the sending coordinator already routed.
-  if (cmd.options.count("fwd") != 0) {
+  // Verbs not in the table answer locally, as on a single node.
+  if (cmd.options.count("fwd") != 0 || ctx.verb == nullptr) {
     return ExecuteLocal(engine, session, cmd, ctx);
   }
-  if (IsAlwaysLocal(cmd.verb)) return ExecuteLocal(engine, session, cmd, ctx);
-  if (cmd.verb == "CLUSTER") return StatusReport(engine);
-  if (IsBlockedInCluster(cmd.verb)) {
-    return ErrorResponse(Status::FailedPrecondition(
-        cmd.verb +
-        " is node-local state and is disabled in cluster mode (durability is "
-        "fixed at startup; checkpointing would truncate the replicated WAL)"));
+  switch (ctx.verb->route) {
+    case ClusterRoute::kLocal:
+      return ExecuteLocal(engine, session, cmd, ctx);
+    case ClusterRoute::kStatus:
+      return StatusReport(engine);
+    case ClusterRoute::kBlocked:
+      // A checkpoint would truncate the WAL replicas catch up from, and a
+      // DROP on one shard could not be undone on its replicas.
+      return ErrorResponse(Status::FailedPrecondition(
+          cmd.verb +
+          " is node-local state and is disabled in cluster mode (durability "
+          "is fixed at startup; checkpointing would truncate the replicated "
+          "WAL)"));
+    case ClusterRoute::kScatter:
+      return Scatter(engine, cmd, ctx);
+    case ClusterRoute::kOwner:
+    case ClusterRoute::kSelect:
+      break;
   }
-  if (cmd.verb == "LIST") return ScatterList(engine);
-  if (cmd.verb == "DATASETS") return ScatterDatasets(engine);
   if ((cmd.verb == "MATCH" || cmd.verb == "KNN" || cmd.verb == "BATCH") &&
       cmd.options.count("datasets") != 0) {
     return ScatterMulti(engine, cmd, ctx);
   }
-  if (IsDatasetScoped(cmd.verb)) {
-    const Result<std::string> dataset = RouteDataset(cmd, *session);
-    if (!dataset.ok()) {
-      // Let the local executor produce its canonical resolution error.
-      return ExecuteLocal(engine, session, cmd, ctx);
-    }
-    json::Value body = RouteSingle(engine, session, *dataset, cmd, ctx);
-    // USE is validated on the owner; the session it changes is this one.
-    if (cmd.verb == "USE" && body["ok"].as_bool()) session->dataset = *dataset;
-    return body;
+  const Result<std::string> dataset = ctx.verb->dataset(cmd, *session);
+  if (!dataset.ok()) {
+    // Let the local executor produce its canonical resolution error.
+    return ExecuteLocal(engine, session, cmd, ctx);
   }
-  // Unknown verbs (and anything new) answer locally, same as single-node.
-  return ExecuteLocal(engine, session, cmd, ctx);
+  json::Value body = RouteSingle(engine, session, *dataset, cmd, ctx);
+  // USE is validated on the owner; the session it changes is this one.
+  if (ctx.verb->route == ClusterRoute::kSelect && body["ok"].as_bool()) {
+    session->dataset = *dataset;
+  }
+  return body;
 }
 
 }  // namespace onex::net

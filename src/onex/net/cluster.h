@@ -134,8 +134,9 @@ class ClusterNode {
   json::Value ScatterMulti(Engine* engine, const Command& cmd,
                            const ExecContext& ctx);
 
-  json::Value ScatterList(Engine* engine);
-  json::Value ScatterDatasets(Engine* engine);
+  /// LIST/DATASETS: ask every live node, merge the per-dataset rows.
+  json::Value Scatter(Engine* engine, const Command& cmd,
+                      const ExecContext& ctx);
   /// CLUSTER verb: probe every node (dead ones get promoted away) and
   /// report topology, overrides and replication floors.
   json::Value StatusReport(Engine* engine);

@@ -7,35 +7,8 @@
 #include <string>
 
 namespace onex::net {
-namespace {
 
-/// The fixed verb table. Order is the wire-protocol table order
-/// (protocol.h) plus the serving-layer verbs; the last entry absorbs
-/// everything unrecognized (typos, fuzz noise).
-constexpr const char* kMetricVerbs[] = {
-    "PING",     "LIST",    "DATASETS", "USE",       "BUDGET",  "TIER",
-    "GEN",      "LOAD",    "DROP",     "PREPARE",   "APPEND",  "EXTEND",
-    "DRIFT",    "SAVEBASE", "LOADBASE", "PERSIST", "CHECKPOINT", "STATS",
-    "CATALOG",  "OVERVIEW", "MATCH",   "KNN",      "BATCH",   "SEASONAL",
-    "THRESHOLD", "ANOMALY", "CHANGEPOINT", "MOTIF", "FORECAST",
-    "BIN",      "METRICS", "QUIT",     "OTHER",
-};
-constexpr std::size_t kNumVerbs =
-    sizeof(kMetricVerbs) / sizeof(kMetricVerbs[0]);
-
-}  // namespace
-
-ServerMetrics::ServerMetrics() : start_(std::chrono::steady_clock::now()) {
-  static_assert(kNumVerbs <= kMaxVerbs,
-                "grow kMaxVerbs alongside the verb table");
-}
-
-std::size_t ServerMetrics::VerbIndex(const std::string& verb) {
-  for (std::size_t i = 0; i < kNumVerbs - 1; ++i) {
-    if (verb == kMetricVerbs[i]) return i;
-  }
-  return kNumVerbs - 1;  // OTHER
-}
+ServerMetrics::ServerMetrics() : start_(std::chrono::steady_clock::now()) {}
 
 std::size_t ServerMetrics::HistBucket(double latency_ms) {
   const double us = latency_ms * 1000.0;
@@ -57,10 +30,9 @@ std::int64_t ServerMetrics::UptimeSeconds() const {
       .count();
 }
 
-void ServerMetrics::RecordRequest(std::size_t verb_index, double latency_ms,
+void ServerMetrics::RecordRequest(std::size_t verb_slot, double latency_ms,
                                   bool deadline_expired) {
-  if (verb_index >= kNumVerbs) verb_index = kNumVerbs - 1;
-  VerbStats& vs = verbs_[verb_index];
+  VerbStats& vs = verbs_[std::min(verb_slot, kNumVerbs)];
   vs.count.fetch_add(1, kRelaxed);
   vs.hist[HistBucket(latency_ms)].fetch_add(1, kRelaxed);
   requests_.fetch_add(1, kRelaxed);
@@ -120,7 +92,7 @@ json::Value ServerMetrics::ToJson() const {
   v.Set("qps", static_cast<double>(in_window) / static_cast<double>(window));
 
   json::Value verbs = json::Value::MakeObject();
-  for (std::size_t i = 0; i < kNumVerbs; ++i) {
+  for (std::size_t i = 0; i < verbs_.size(); ++i) {
     const VerbStats& vs = verbs_[i];
     const std::uint64_t count = vs.count.load(kRelaxed);
     if (count == 0) continue;  // keep the response proportional to traffic
@@ -147,7 +119,8 @@ json::Value ServerMetrics::ToJson() const {
       }
       row.Set(names[t], value);
     }
-    verbs.Set(kMetricVerbs[i], std::move(row));
+    verbs.Set(i < kNumVerbs ? std::string(Verbs()[i].name) : "OTHER",
+              std::move(row));
   }
   v.Set("verbs", std::move(verbs));
   return v;

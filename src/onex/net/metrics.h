@@ -9,6 +9,7 @@
 #include <string>
 
 #include "onex/json/json.h"
+#include "onex/net/protocol.h"
 
 namespace onex::net {
 
@@ -19,17 +20,17 @@ namespace onex::net {
 /// snapshot, never blocks the serving path.
 ///
 /// Latencies land in log-scale buckets (4 per octave of microseconds, so
-/// ~19% worst-case quantile error) and p50/p95/p99 are interpolated from
-/// the histogram at METRICS time. qps comes from a ring of per-second
-/// counters over the last completed 10 seconds.
+/// ~19% worst-case quantile error); p50/p95/p99 are the midpoints of the
+/// buckets holding the nearest-rank samples at METRICS time. qps comes from
+/// a ring of per-second counters over the last completed 10 seconds.
+///
+/// Per-verb rows are indexed by verb-table slot (VerbSlot, protocol.h):
+/// one per table row plus a final "OTHER" for names not in the table.
 class ServerMetrics {
  public:
   ServerMetrics();
 
-  /// Fixed verb table index; unknown verbs collapse into "OTHER".
-  static std::size_t VerbIndex(const std::string& verb);
-
-  void RecordRequest(std::size_t verb_index, double latency_ms,
+  void RecordRequest(std::size_t verb_slot, double latency_ms,
                      bool deadline_expired);
   void AddBytesIn(std::uint64_t n) { bytes_in_.fetch_add(n, kRelaxed); }
   void AddBytesOut(std::uint64_t n) { bytes_out_.fetch_add(n, kRelaxed); }
@@ -74,14 +75,12 @@ class ServerMetrics {
   };
 
   static std::size_t HistBucket(double latency_ms);
-  /// Representative latency (ms) for a bucket, used when interpolating.
+  /// Representative latency (ms) for a bucket: its geometric midpoint.
   static double BucketMidMs(std::size_t bucket);
   std::int64_t UptimeSeconds() const;
 
   std::chrono::steady_clock::time_point start_;
-  // One VerbStats per kMetricVerbs entry; sized in the .cc against the table.
-  static constexpr std::size_t kMaxVerbs = 40;
-  std::array<VerbStats, kMaxVerbs> verbs_;
+  std::array<VerbStats, kNumVerbs + 1> verbs_;  ///< + the "OTHER" slot.
   std::array<QpsSlot, kQpsSlots> qps_;
 
   std::atomic<std::uint64_t> requests_{0};

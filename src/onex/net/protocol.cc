@@ -5,8 +5,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -104,8 +107,11 @@ constexpr long long kMaxChangepointRun = 100'000;
 /// normalized units).
 constexpr long long kMaxForecastHorizon = 100'000;
 
-/// Resolves the dataset a command targets: positional name, then
-/// `dataset=<name>`, then the session's USE default.
+// Dataset resolvers (VerbSpec::dataset): the executor's handlers and the
+// cluster coordinator's router both resolve through these.
+
+/// The common rule: positional name, then `dataset=<name>`, then the
+/// session's USE default.
 Result<std::string> DatasetArg(const Command& cmd, const Session& session) {
   if (!cmd.args.empty()) return cmd.args[0];
   const auto it = cmd.options.find("dataset");
@@ -118,7 +124,7 @@ Result<std::string> DatasetArg(const Command& cmd, const Session& session) {
 
 /// Name argument for verbs that must not fall back to the session default
 /// (DROP, USE): positional or name=/dataset= only.
-Result<std::string> ExplicitNameArg(const Command& cmd) {
+Result<std::string> ExplicitNameArg(const Command& cmd, const Session&) {
   if (!cmd.args.empty()) return cmd.args[0];
   for (const char* key : {"name", "dataset"}) {
     const auto it = cmd.options.find(key);
@@ -127,6 +133,16 @@ Result<std::string> ExplicitNameArg(const Command& cmd) {
   return Status::InvalidArgument(cmd.verb +
                                  " needs a dataset name (positional or "
                                  "name=<name>)");
+}
+
+/// The dataset a GEN or LOAD creates: positional, then a non-empty name=.
+Result<std::string> NewNameArg(const Command& cmd, const Session&) {
+  if (!cmd.args.empty()) return cmd.args[0];
+  const std::string name = OptString(cmd, "name", "");
+  if (name.empty()) {
+    return Status::InvalidArgument(cmd.verb + " needs a dataset name");
+  }
+  return name;
 }
 
 json::Value Ok() {
@@ -193,7 +209,8 @@ json::Value MatchToJson(const MatchResult& r) {
   return m;
 }
 
-Result<json::Value> DoGen(Engine* engine, const Command& cmd) {
+Result<json::Value> DoGen(Engine* engine, Session*, const Command& cmd,
+                          const ExecContext&) {
   ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
   const std::string& name = cmd.args[0];
   const std::string kind = ToLower(cmd.args[1]);
@@ -249,9 +266,9 @@ Result<json::Value> DoGen(Engine* engine, const Command& cmd) {
   return v;
 }
 
-Result<json::Value> DoPrepare(Engine* engine, const Session& session,
-                              const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoPrepare(Engine* engine, Session* session,
+                              const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   BaseBuildOptions opt;
   ONEX_ASSIGN_OR_RETURN(opt.st, OptDouble(cmd, "st", opt.st));
   ONEX_ASSIGN_OR_RETURN(long long minlen, OptInt(cmd, "minlen", 4));
@@ -303,9 +320,9 @@ Result<json::Value> DoPrepare(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoStats(Engine* engine, const Session& session,
-                            const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoStats(Engine* engine, Session* session,
+                            const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
                         engine->Get(name));
   json::Value v = Ok();
@@ -349,7 +366,8 @@ Result<json::Value> DoStats(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoPersist(Engine* engine, const Command& cmd) {
+Result<json::Value> DoPersist(Engine* engine, Session*, const Command& cmd,
+                              const ExecContext&) {
   const auto dit = cmd.options.find("dir");
   if (dit != cmd.options.end()) {
     DurabilityOptions opt;
@@ -370,9 +388,9 @@ Result<json::Value> DoPersist(Engine* engine, const Command& cmd) {
   return v;
 }
 
-Result<json::Value> DoCheckpoint(Engine* engine, const Session& session,
-                                 const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoCheckpoint(Engine* engine, Session* session,
+                                 const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(CheckpointInfo info,
                         engine->registry().Checkpoint(name));
   json::Value v = Ok();
@@ -497,13 +515,14 @@ Result<json::Value> DoMatchMulti(Engine* engine, const Command& cmd, bool knn,
   return v;
 }
 
-Result<json::Value> DoMatch(Engine* engine, const Session& session,
-                            const Command& cmd, bool knn,
-                            const ExecContext& ctx) {
+/// MATCH (knn=false) and KNN (knn=true).
+template <bool knn>
+Result<json::Value> DoMatch(Engine* engine, Session* session,
+                            const Command& cmd, const ExecContext& ctx) {
   if (cmd.options.count("datasets") != 0) {
     return DoMatchMulti(engine, cmd, knn, ctx);
   }
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   const auto qit = cmd.options.find("q");
   if (qit == cmd.options.end()) {
     return Status::InvalidArgument("missing q=<series>:<start>:<len>");
@@ -625,12 +644,12 @@ Result<json::Value> DoBatchMulti(Engine* engine, const Command& cmd,
   return v;
 }
 
-Result<json::Value> DoBatch(Engine* engine, const Session& session,
+Result<json::Value> DoBatch(Engine* engine, Session* session,
                             const Command& cmd, const ExecContext& ctx) {
   if (cmd.options.count("datasets") != 0) {
     return DoBatchMulti(engine, cmd, ctx);
   }
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   const auto qit = cmd.options.find("q");
   if (qit == cmd.options.end()) {
     return Status::InvalidArgument(
@@ -682,9 +701,9 @@ Result<json::Value> DoBatch(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoSeasonal(Engine* engine, const Session& session,
-                               const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoSeasonal(Engine* engine, Session* session,
+                               const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(long long series, OptInt(cmd, "series", 0));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long minocc, OptInt(cmd, "minocc", 2));
@@ -716,9 +735,9 @@ Result<json::Value> DoSeasonal(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoOverview(Engine* engine, const Session& session,
-                               const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoOverview(Engine* engine, Session* session,
+                               const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 12));
   if (length < 0 || top < 0) {
@@ -734,9 +753,9 @@ Result<json::Value> DoOverview(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoThreshold(Engine* engine, const Session& session,
-                                const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoThreshold(Engine* engine, Session* session,
+                                const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ThresholdAdvisorOptions opt;
   ONEX_ASSIGN_OR_RETURN(long long pairs, OptInt(cmd, "pairs", 2000));
   ONEX_ASSIGN_OR_RETURN(long long minlen, OptInt(cmd, "minlen", 4));
@@ -763,9 +782,9 @@ Result<json::Value> DoThreshold(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoAppend(Engine* engine, const Session& session,
-                             const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoAppend(Engine* engine, Session* session,
+                             const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   std::vector<double> values;
   const auto vit = cmd.options.find("v");
   if (vit != cmd.options.end()) {
@@ -833,9 +852,9 @@ json::Value RefToJson(const SubseqRef& ref) {
   return v;
 }
 
-Result<json::Value> DoAnomaly(Engine* engine, const Session& session,
+Result<json::Value> DoAnomaly(Engine* engine, Session* session,
                               const Command& cmd, const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 10));
   ONEX_ASSIGN_OR_RETURN(long long minpts, OptInt(cmd, "minpts", 2));
@@ -877,10 +896,9 @@ Result<json::Value> DoAnomaly(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoChangepoint(Engine* engine, const Session& session,
-                                  const Command& cmd,
-                                  const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoChangepoint(Engine* engine, Session* session,
+                                  const Command& cmd, const ExecContext& ctx) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
                         ResolveSeriesOption(engine, name, cmd));
   ONEX_ASSIGN_OR_RETURN(double hazard, OptDouble(cmd, "hazard", 0.01));
@@ -925,9 +943,9 @@ Result<json::Value> DoChangepoint(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoMotif(Engine* engine, const Session& session,
+Result<json::Value> DoMotif(Engine* engine, Session* session,
                             const Command& cmd, const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 5));
   ONEX_ASSIGN_OR_RETURN(long long discords, OptInt(cmd, "discords", 3));
@@ -983,9 +1001,9 @@ Result<json::Value> DoMotif(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoForecast(Engine* engine, const Session& session,
+Result<json::Value> DoForecast(Engine* engine, Session* session,
                                const Command& cmd, const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
                         ResolveSeriesOption(engine, name, cmd));
   ONEX_ASSIGN_OR_RETURN(long long horizon, OptInt(cmd, "horizon", 8));
@@ -1045,9 +1063,9 @@ Result<json::Value> DoForecast(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoExtend(Engine* engine, const Session& session,
-                             const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoExtend(Engine* engine, Session* session,
+                             const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   std::vector<double> points;
   const auto pit = cmd.options.find("points");
   if (pit != cmd.options.end()) {
@@ -1098,9 +1116,9 @@ Result<json::Value> DoExtend(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoDrift(Engine* engine, const Session& session,
-                            const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoDrift(Engine* engine, Session* session,
+                            const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   // Validate everything before committing the (registry-wide) threshold, so
   // a failed command leaves no side effect behind.
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
@@ -1138,7 +1156,8 @@ Result<json::Value> DoDrift(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoDatasets(Engine* engine) {
+Result<json::Value> DoDatasets(Engine* engine, Session*, const Command&,
+                               const ExecContext&) {
   json::Value v = Ok();
   json::Value arr = json::Value::MakeArray();
   for (const DatasetSlotInfo& info : engine->registry().Describe()) {
@@ -1170,8 +1189,8 @@ Result<json::Value> DoDatasets(Engine* engine) {
 }
 
 Result<json::Value> DoUse(Engine* engine, Session* session,
-                          const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, ExplicitNameArg(cmd));
+                          const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, ExplicitNameArg(cmd, *session));
   // Validate before committing so a typo does not poison the session.
   ONEX_RETURN_IF_ERROR(engine->Get(name).status());
   session->dataset = name;
@@ -1180,7 +1199,8 @@ Result<json::Value> DoUse(Engine* engine, Session* session,
   return v;
 }
 
-Result<json::Value> DoBudget(Engine* engine, const Command& cmd) {
+Result<json::Value> DoBudget(Engine* engine, Session*, const Command& cmd,
+                             const ExecContext&) {
   const auto it = cmd.options.find("bytes");
   if (it != cmd.options.end()) {
     ONEX_ASSIGN_OR_RETURN(long long bytes, ParseInt(it->second));
@@ -1195,9 +1215,9 @@ Result<json::Value> DoBudget(Engine* engine, const Command& cmd) {
   return v;
 }
 
-Result<json::Value> DoTier(Engine* engine, const Session& session,
-                           const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+Result<json::Value> DoTier(Engine* engine, Session* session,
+                           const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   if (const auto it = cmd.options.find("pin"); it != cmd.options.end()) {
     ONEX_ASSIGN_OR_RETURN(long long pin, ParseInt(it->second));
     if (pin != 0 && pin != 1) {
@@ -1227,20 +1247,20 @@ Result<json::Value> DoTier(Engine* engine, const Session& session,
   return v;
 }
 
-Result<json::Value> DoLoad(Engine* engine, const Command& cmd) {
+Result<json::Value> DoLoad(Engine* engine, Session* session,
+                           const Command& cmd, const ExecContext&) {
   // Positionals win over options, independently per field, so the mixed
   // forms ("LOAD foo path=/x") behave like every other verb's resolution.
-  const std::string name =
-      !cmd.args.empty() ? cmd.args[0] : OptString(cmd, "name", "");
+  const Result<std::string> name = NewNameArg(cmd, *session);
   const std::string path =
       cmd.args.size() >= 2 ? cmd.args[1] : OptString(cmd, "path", "");
-  if (name.empty() || path.empty()) {
+  if (!name.ok() || path.empty()) {
     return Status::InvalidArgument(
         "LOAD needs <name> <path> (or name=<n> path=<p>)");
   }
-  ONEX_RETURN_IF_ERROR(engine->LoadUcrFile(name, path));
+  ONEX_RETURN_IF_ERROR(engine->LoadUcrFile(*name, path));
   json::Value v = Ok();
-  v.Set("dataset", name);
+  v.Set("dataset", *name);
   return v;
 }
 
@@ -1275,7 +1295,8 @@ Result<std::string> ReplDatasetArg(const Command& cmd) {
   return it->second;
 }
 
-Result<json::Value> DoReplHello(Engine* engine, const Command& cmd) {
+Result<json::Value> DoReplHello(Engine* engine, Session*, const Command& cmd,
+                                const ExecContext&) {
   ONEX_ASSIGN_OR_RETURN(std::string name, ReplDatasetArg(cmd));
   json::Value v = Ok();
   v.Set("dataset", name);
@@ -1295,7 +1316,8 @@ Result<json::Value> DoReplHello(Engine* engine, const Command& cmd) {
   return v;
 }
 
-Result<json::Value> DoReplApply(Engine* engine, const Command& cmd) {
+Result<json::Value> DoReplApply(Engine* engine, Session*, const Command& cmd,
+                                const ExecContext&) {
   if (cmd.blob.empty()) {
     return Status::InvalidArgument(
         "REPLAPPLY carries WAL lines after the command line and is only "
@@ -1324,7 +1346,8 @@ Result<json::Value> DoReplApply(Engine* engine, const Command& cmd) {
   return v;
 }
 
-Result<json::Value> DoReplStatus(Engine* engine) {
+Result<json::Value> DoReplStatus(Engine* engine, Session*, const Command&,
+                                 const ExecContext&) {
   json::Value v = Ok();
   json::Value floors = json::Value::MakeObject();
   for (const std::string& name : engine->ListDatasets()) {
@@ -1335,111 +1358,139 @@ Result<json::Value> DoReplStatus(Engine* engine) {
   return v;
 }
 
-Result<json::Value> Dispatch(Engine* engine, Session* session,
-                             const Command& cmd, const ExecContext& ctx) {
-  if (cmd.verb == "PING") {
-    json::Value v = Ok();
-    v.Set("pong", true);
-    return v;
-  }
-  if (cmd.verb == "LIST") {
-    json::Value v = Ok();
-    json::Value arr = json::Value::MakeArray();
-    for (const std::string& name : engine->ListDatasets()) {
-      arr.Append(json::Value(name));
-    }
-    v.Set("datasets", std::move(arr));
-    return v;
-  }
-  if (cmd.verb == "DATASETS") return DoDatasets(engine);
-  if (cmd.verb == "USE") return DoUse(engine, session, cmd);
-  if (cmd.verb == "BUDGET") return DoBudget(engine, cmd);
-  if (cmd.verb == "TIER") return DoTier(engine, *session, cmd);
-  if (cmd.verb == "GEN") return DoGen(engine, cmd);
-  if (cmd.verb == "LOAD") return DoLoad(engine, cmd);
-  if (cmd.verb == "DROP") {
-    ONEX_ASSIGN_OR_RETURN(std::string name, ExplicitNameArg(cmd));
-    ONEX_RETURN_IF_ERROR(engine->DropDataset(name));
-    if (session->dataset == name) session->dataset.clear();
-    return Ok();
-  }
-  if (cmd.verb == "PREPARE") return DoPrepare(engine, *session, cmd);
-  if (cmd.verb == "APPEND") return DoAppend(engine, *session, cmd);
-  if (cmd.verb == "EXTEND") return DoExtend(engine, *session, cmd);
-  if (cmd.verb == "DRIFT") return DoDrift(engine, *session, cmd);
-  if (cmd.verb == "SAVEBASE") {
-    ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
-    ONEX_RETURN_IF_ERROR(engine->SavePrepared(cmd.args[0], cmd.args[1]));
-    json::Value v = Ok();
-    v.Set("path", cmd.args[1]);
-    return v;
-  }
-  if (cmd.verb == "LOADBASE") {
-    ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
-    ONEX_RETURN_IF_ERROR(engine->LoadPrepared(cmd.args[0], cmd.args[1]));
-    json::Value v = Ok();
-    v.Set("dataset", cmd.args[0]);
-    return v;
-  }
-  if (cmd.verb == "PERSIST") return DoPersist(engine, cmd);
-  if (cmd.verb == "CHECKPOINT") return DoCheckpoint(engine, *session, cmd);
-  if (cmd.verb == "CATALOG") {
-    ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-    ONEX_ASSIGN_OR_RETURN(long long points, OptInt(cmd, "points", 24));
-    if (points < 1 || points > kMaxCatalogPoints) {
-      return Status::InvalidArgument(
-          StrFormat("points must be in [1, %lld]", kMaxCatalogPoints));
-    }
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<Engine::CatalogEntry> entries,
-        engine->Catalog(name, static_cast<std::size_t>(points)));
-    json::Value v = Ok();
-    json::Value arr = json::Value::MakeArray();
-    for (const Engine::CatalogEntry& e : entries) {
-      json::Value row = json::Value::MakeObject();
-      row.Set("name", e.series_name);
-      row.Set("label", e.label);
-      row.Set("length", e.length);
-      row.Set("preview", json::Value::NumberArray(e.preview));
-      arr.Append(std::move(row));
-    }
-    v.Set("series", std::move(arr));
-    return v;
-  }
-  if (cmd.verb == "STATS") return DoStats(engine, *session, cmd);
-  if (cmd.verb == "OVERVIEW") return DoOverview(engine, *session, cmd);
-  if (cmd.verb == "MATCH") {
-    return DoMatch(engine, *session, cmd, /*knn=*/false, ctx);
-  }
-  if (cmd.verb == "KNN") {
-    return DoMatch(engine, *session, cmd, /*knn=*/true, ctx);
-  }
-  if (cmd.verb == "BATCH") return DoBatch(engine, *session, cmd, ctx);
-  if (cmd.verb == "SEASONAL") return DoSeasonal(engine, *session, cmd);
-  if (cmd.verb == "THRESHOLD") return DoThreshold(engine, *session, cmd);
-  if (cmd.verb == "ANOMALY") return DoAnomaly(engine, *session, cmd, ctx);
-  if (cmd.verb == "CHANGEPOINT") {
-    return DoChangepoint(engine, *session, cmd, ctx);
-  }
-  if (cmd.verb == "MOTIF") return DoMotif(engine, *session, cmd, ctx);
-  if (cmd.verb == "FORECAST") return DoForecast(engine, *session, cmd, ctx);
-  if (cmd.verb == "QUIT") {
-    json::Value v = Ok();
-    v.Set("bye", true);
-    return v;
-  }
-  if (cmd.verb == "REPLHELLO") return DoReplHello(engine, cmd);
-  if (cmd.verb == "REPLAPPLY") return DoReplApply(engine, cmd);
-  if (cmd.verb == "REPLSTATUS") return DoReplStatus(engine);
-  if (cmd.verb == "CLUSTER") {
-    // Single-node answer; a cluster coordinator intercepts this verb in
-    // ExecuteCommand before Dispatch ever sees it.
-    json::Value v = Ok();
-    v.Set("enabled", false);
-    return v;
-  }
-  return Status::InvalidArgument("unknown command: '" + cmd.verb + "'");
+Result<json::Value> DoPing(Engine*, Session*, const Command&,
+                           const ExecContext&) {
+  json::Value v = Ok();
+  v.Set("pong", true);
+  return v;
 }
+
+Result<json::Value> DoList(Engine* engine, Session*, const Command&,
+                           const ExecContext&) {
+  json::Value v = Ok();
+  json::Value arr = json::Value::MakeArray();
+  for (const std::string& name : engine->ListDatasets()) {
+    arr.Append(json::Value(name));
+  }
+  v.Set("datasets", std::move(arr));
+  return v;
+}
+
+Result<json::Value> DoDrop(Engine* engine, Session* session,
+                           const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, ExplicitNameArg(cmd, *session));
+  ONEX_RETURN_IF_ERROR(engine->DropDataset(name));
+  if (session->dataset == name) session->dataset.clear();
+  return Ok();
+}
+
+Result<json::Value> DoSaveBase(Engine* engine, Session*, const Command& cmd,
+                               const ExecContext&) {
+  ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
+  ONEX_RETURN_IF_ERROR(engine->SavePrepared(cmd.args[0], cmd.args[1]));
+  json::Value v = Ok();
+  v.Set("path", cmd.args[1]);
+  return v;
+}
+
+Result<json::Value> DoLoadBase(Engine* engine, Session*, const Command& cmd,
+                               const ExecContext&) {
+  ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
+  ONEX_RETURN_IF_ERROR(engine->LoadPrepared(cmd.args[0], cmd.args[1]));
+  json::Value v = Ok();
+  v.Set("dataset", cmd.args[0]);
+  return v;
+}
+
+Result<json::Value> DoCatalog(Engine* engine, Session* session,
+                              const Command& cmd, const ExecContext&) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
+  ONEX_ASSIGN_OR_RETURN(long long points, OptInt(cmd, "points", 24));
+  if (points < 1 || points > kMaxCatalogPoints) {
+    return Status::InvalidArgument(
+        StrFormat("points must be in [1, %lld]", kMaxCatalogPoints));
+  }
+  ONEX_ASSIGN_OR_RETURN(
+      std::vector<Engine::CatalogEntry> entries,
+      engine->Catalog(name, static_cast<std::size_t>(points)));
+  json::Value v = Ok();
+  json::Value arr = json::Value::MakeArray();
+  for (const Engine::CatalogEntry& e : entries) {
+    json::Value row = json::Value::MakeObject();
+    row.Set("name", e.series_name);
+    row.Set("label", e.label);
+    row.Set("length", e.length);
+    row.Set("preview", json::Value::NumberArray(e.preview));
+    arr.Append(std::move(row));
+  }
+  v.Set("series", std::move(arr));
+  return v;
+}
+
+Result<json::Value> DoQuit(Engine*, Session*, const Command&,
+                           const ExecContext&) {
+  json::Value v = Ok();
+  v.Set("bye", true);
+  return v;
+}
+
+/// Single-node answer; a cluster coordinator answers CLUSTER with its own
+/// status report before the executor ever sees it.
+Result<json::Value> DoCluster(Engine*, Session*, const Command&,
+                              const ExecContext&) {
+  json::Value v = Ok();
+  v.Set("enabled", false);
+  return v;
+}
+
+using EC = ExecClass;
+using CR = ClusterRoute;
+
+/// The verb table. A verb in it is dispatched, pipelined, routed and
+/// counted by its row; a verb missing from it is none of those.
+constexpr VerbSpec kVerbTable[] = {
+    {"PING", DoPing, EC::kInline, CR::kLocal, nullptr},
+    {"LIST", DoList, EC::kReadOnly, CR::kScatter, nullptr},
+    {"DATASETS", DoDatasets, EC::kReadOnly, CR::kScatter, nullptr},
+    {"USE", DoUse, EC::kMutator, CR::kSelect, ExplicitNameArg},
+    {"BUDGET", DoBudget, EC::kMutator, CR::kBlocked, nullptr},
+    {"TIER", DoTier, EC::kMutator, CR::kBlocked, DatasetArg},
+    {"GEN", DoGen, EC::kMutator, CR::kOwner, NewNameArg},
+    {"LOAD", DoLoad, EC::kMutator, CR::kOwner, NewNameArg},
+    {"DROP", DoDrop, EC::kMutator, CR::kBlocked, ExplicitNameArg},
+    {"PREPARE", DoPrepare, EC::kMutator, CR::kOwner, DatasetArg},
+    {"APPEND", DoAppend, EC::kMutator, CR::kOwner, DatasetArg},
+    {"EXTEND", DoExtend, EC::kMutator, CR::kOwner, DatasetArg},
+    {"DRIFT", DoDrift, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"SAVEBASE", DoSaveBase, EC::kMutator, CR::kBlocked, nullptr},
+    {"LOADBASE", DoLoadBase, EC::kMutator, CR::kBlocked, nullptr},
+    {"PERSIST", DoPersist, EC::kMutator, CR::kBlocked, nullptr},
+    {"CHECKPOINT", DoCheckpoint, EC::kMutator, CR::kBlocked, DatasetArg},
+    {"STATS", DoStats, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"CATALOG", DoCatalog, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"OVERVIEW", DoOverview, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"MATCH", DoMatch<false>, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"KNN", DoMatch<true>, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"BATCH", DoBatch, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"SEASONAL", DoSeasonal, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"THRESHOLD", DoThreshold, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"ANOMALY", DoAnomaly, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"CHANGEPOINT", DoChangepoint, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"MOTIF", DoMotif, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"FORECAST", DoForecast, EC::kReadOnly, CR::kOwner, DatasetArg},
+    {"QUIT", DoQuit, EC::kInline, CR::kLocal, nullptr},
+    // Inline for liveness, not latency: a forwarded mutator parks its pool
+    // thread until this node acks the shipped batch, so WAL application
+    // runs on the reactor thread, the one thread that is always live.
+    {"REPLHELLO", DoReplHello, EC::kInline, CR::kLocal, nullptr},
+    {"REPLAPPLY", DoReplApply, EC::kInline, CR::kLocal, nullptr},
+    {"REPLSTATUS", DoReplStatus, EC::kInline, CR::kLocal, nullptr},
+    {"CLUSTER", DoCluster, EC::kReadOnly, CR::kStatus, nullptr},
+    {"BIN", nullptr, EC::kInline, CR::kLocal, nullptr},
+    {"METRICS", nullptr, EC::kInline, CR::kLocal, nullptr},
+};
+static_assert(std::size(kVerbTable) == kNumVerbs,
+              "kNumVerbs (protocol.h) must match the verb table");
 
 }  // namespace
 
@@ -1471,14 +1522,34 @@ json::Value ErrorResponse(const Status& status) {
   return v;
 }
 
+std::span<const VerbSpec> Verbs() { return kVerbTable; }
+
+const VerbSpec* FindVerb(std::string_view verb) {
+  for (const VerbSpec& spec : kVerbTable) {
+    if (spec.name == verb) return &spec;
+  }
+  return nullptr;
+}
+
+std::size_t VerbSlot(const VerbSpec* spec) {
+  return spec == nullptr ? kNumVerbs
+                         : static_cast<std::size_t>(spec - kVerbTable);
+}
+
 json::Value ExecuteCommand(Engine* engine, Session* session,
                            const Command& command, const ExecContext& context) {
-  if (context.cluster != nullptr) {
+  ExecContext ctx = context;
+  if (ctx.verb == nullptr) ctx.verb = FindVerb(command.verb);
+  if (ctx.cluster != nullptr) {
     // Cluster mode: the coordinator routes the command — forwarding it to
     // the owning shard or re-entering this executor with cluster cleared.
-    return context.cluster->Execute(engine, session, command, context);
+    return ctx.cluster->Execute(engine, session, command, ctx);
   }
-  Result<json::Value> result = Dispatch(engine, session, command, context);
+  if (ctx.verb == nullptr || ctx.verb->handler == nullptr) {
+    return ErrorResponse(Status::InvalidArgument("unknown command: '" +
+                                                 command.verb + "'"));
+  }
+  Result<json::Value> result = ctx.verb->handler(engine, session, command, ctx);
   if (!result.ok()) return ErrorResponse(result.status());
   return std::move(result).value();
 }

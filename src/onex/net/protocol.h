@@ -3,8 +3,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "onex/common/result.h"
@@ -143,11 +147,12 @@ namespace onex::net {
 /// stages and an expired query answers {"ok":false,"code":
 /// "DeadlineExceeded"} instead of holding its connection's pipeline.
 ///
-/// The reactor front end (reactor.h) adds two verbs of its own — BIN, which
+/// The reactor front end (reactor.h) serves two verbs itself — BIN, which
 /// upgrades a connection to the ONEXB binary frame (frame.h), and METRICS,
-/// which reports serving statistics. Both live in the serving layer, not
-/// here: they concern a *connection* and a *server*, which this executor
-/// deliberately knows nothing about.
+/// which reports serving statistics. They concern a *connection* and a
+/// *server*, which this executor deliberately knows nothing about, so their
+/// VerbSpec rows carry no handler and ExecuteCommand answers them as unknown
+/// commands.
 ///
 /// Responses: {"ok":true, ...payload...} or {"ok":false,"error":"...",
 /// "code":"..."} — always a single line. Size-driving options (GEN
@@ -184,9 +189,11 @@ struct Session {
 /// Splits a protocol line; ParseError on empty input or malformed k=v.
 Result<Command> ParseCommandLine(const std::string& line);
 
+struct VerbSpec;
+
 /// Serving-layer context threaded into one command execution. The plain
-/// ExecuteCommand overloads pass defaults, so the text server and in-process
-/// callers are unaffected; the reactor fills it in per request.
+/// ExecuteCommand overloads pass defaults, so in-process callers are
+/// unaffected; the reactor fills it in per request.
 struct ExecContext {
   /// When the request came off the wire; deadline_ms counts from here, so a
   /// request that sat queued behind a deep pipeline pays for the wait.
@@ -204,7 +211,64 @@ struct ExecContext {
   /// owning shard or re-enters the executor locally with this pointer
   /// cleared. Single-node servers leave it null and nothing changes.
   class ClusterNode* cluster = nullptr;
+  /// The command's verb-table row, when the caller already looked it up
+  /// (the reactor does, once per request). Null: ExecuteCommand looks it up.
+  const VerbSpec* verb = nullptr;
 };
+
+/// How a verb interacts with its connection's pipeline (reactor.h).
+enum class ExecClass : std::uint8_t {
+  kInline,    ///< Answered on the reactor thread, after everything before it.
+  kReadOnly,  ///< Reads only: concurrent with its neighbours on binary links.
+  kMutator,   ///< Writes the engine or the session: a barrier, runs alone.
+};
+
+/// Where a cluster coordinator sends a verb (cluster.h, DESIGN.md §16).
+enum class ClusterRoute : std::uint8_t {
+  kLocal,    ///< Answered by the node that received it.
+  kOwner,    ///< Forwarded to its dataset's owner; owner-routed mutators
+             ///< reach the journal and replicate before the ack.
+  kSelect,   ///< USE: the owner validates the name, the coordinator's
+             ///< session adopts it.
+  kScatter,  ///< Asked of every live node; per-dataset rows merged.
+  kBlocked,  ///< Node-local state: FailedPrecondition in cluster mode.
+  kStatus,   ///< CLUSTER: the coordinator's own topology report.
+};
+
+/// One verb's handler, run with the engine, the caller's session, the
+/// command and its serving context.
+using VerbHandler = Result<json::Value> (*)(Engine*, Session*, const Command&,
+                                            const ExecContext&);
+
+/// How a verb finds the dataset it acts on. The executor and the cluster
+/// coordinator call the same function, so a command is routed to exactly
+/// the dataset its owner will act on.
+using DatasetResolver = Result<std::string> (*)(const Command&,
+                                                const Session&);
+
+/// Everything the serving layers know about one verb: the executor calls
+/// its handler, the reactor pipelines it by its class, the coordinator
+/// routes it, and METRICS counts it in the slot at its table index.
+struct VerbSpec {
+  std::string_view name;
+  VerbHandler handler;      ///< Null: served by the reactor (BIN, METRICS).
+  ExecClass exec;
+  ClusterRoute route;
+  DatasetResolver dataset;  ///< Null: the verb names no single dataset.
+};
+
+/// Rows in the verb table. METRICS has one slot per row plus a final
+/// "OTHER" slot (index kNumVerbs) for names not in the table.
+inline constexpr std::size_t kNumVerbs = 36;
+
+/// The verb table, in protocol order.
+std::span<const VerbSpec> Verbs();
+
+/// The row for an upper-cased verb, or null for names not in the table.
+const VerbSpec* FindVerb(std::string_view verb);
+
+/// METRICS slot of a row returned by FindVerb; kNumVerbs for null.
+std::size_t VerbSlot(const VerbSpec* spec);
 
 /// Runs one command against the engine, reading and updating the session's
 /// current dataset. Never fails — errors become {"ok":false,...} payloads,

@@ -31,37 +31,6 @@ ReactorServer::ReactorServer(Engine* engine, ReactorOptions options)
 
 ReactorServer::~ReactorServer() { Stop(); }
 
-ReactorServer::VerbKind ReactorServer::ClassifyVerb(const std::string& verb) {
-  // PING rides inline too: a stateless no-op answered on the reactor
-  // thread, so a pipelined burst never pays the executor handoff per ping.
-  //
-  // The replication verbs are inline for liveness, not latency: the
-  // executor pool can be saturated by commands that are themselves blocked
-  // waiting for replication acks (a forwarded mutator parks its pool
-  // thread in a network call whose reply depends on this node applying a
-  // shipped batch — on a one-core pool that is a guaranteed deadlock until
-  // the ack timeout falsely kills the link). The reactor thread is the one
-  // thread that is always live, so applying on it keeps WAL shipping
-  // independent of executor availability. Inline requests still wait for
-  // the connection's in-flight requests, and the hub uses a dedicated
-  // connection, so shipped batches apply strictly in order.
-  if (verb == "BIN" || verb == "METRICS" || verb == "QUIT" ||
-      verb == "PING" || verb == "REPLHELLO" || verb == "REPLAPPLY" ||
-      verb == "REPLSTATUS") {
-    return VerbKind::kInline;
-  }
-  // Everything that writes the engine or the session runs as a barrier.
-  if (verb == "GEN" || verb == "LOAD" || verb == "DROP" || verb == "PREPARE" ||
-      verb == "APPEND" || verb == "EXTEND" || verb == "SAVEBASE" ||
-      verb == "LOADBASE" || verb == "PERSIST" || verb == "CHECKPOINT" ||
-      verb == "BUDGET" || verb == "USE" || verb == "TIER") {
-    return VerbKind::kMutator;
-  }
-  // Queries, reports, and unknown verbs (whose error responses are
-  // order-independent) may run concurrently on binary connections.
-  return VerbKind::kReadOnly;
-}
-
 Status ReactorServer::Start(std::uint16_t port) {
   if (running_.load()) {
     return Status::FailedPrecondition("reactor already running");
@@ -268,8 +237,8 @@ void ReactorServer::OnReadable(const std::shared_ptr<Conn>& conn) {
     }
   }
 
-  // EOF counts as a disconnect even with requests still queued: the text
-  // server's sessions end at EOF, responses to a gone peer are waste, and a
+  // EOF counts as a disconnect even with requests still queued: a text
+  // session ends at EOF, responses to a gone peer are waste, and a
   // half-closing pipeliner would deadlock itself against backpressure
   // anyway. Clients must keep the socket open until all responses arrive.
   if (close_now || peer_eof || read_error) CloseConn(conn);
@@ -310,12 +279,8 @@ bool ReactorServer::ParseInputLocked(const std::shared_ptr<Conn>& conn) {
           req.cmd.blob = r.frame.text.substr(nl + 1);
         }
         req.cmd.payload = std::move(r.frame.values);
-        req.verb_index = ServerMetrics::VerbIndex(req.cmd.verb);
-        req.kind = ClassifyVerb(req.cmd.verb);
       } else {
         req.parse_error = parsed.status();
-        req.verb_index = ServerMetrics::VerbIndex("OTHER");
-        req.kind = VerbKind::kInline;
       }
     } else {
       const std::size_t pos = conn->inbuf.find('\n', conn->text_scan);
@@ -337,18 +302,21 @@ bool ReactorServer::ParseInputLocked(const std::shared_ptr<Conn>& conn) {
       Result<Command> parsed = ParseCommandLine(line);
       if (parsed.ok()) {
         req.cmd = std::move(parsed).value();
-        req.verb_index = ServerMetrics::VerbIndex(req.cmd.verb);
-        req.kind = ClassifyVerb(req.cmd.verb);
-        // The BIN upgrade takes effect at the parse boundary: every byte
-        // after this line decodes as ONEXB frames. The acknowledgement
-        // (written when the request reaches the queue front) is still a
-        // text line — the last one on the connection.
-        if (req.cmd.verb == "BIN") conn->binary_in = true;
       } else {
         req.parse_error = parsed.status();
-        req.verb_index = ServerMetrics::VerbIndex("OTHER");
-        req.kind = VerbKind::kInline;
       }
+      // The BIN upgrade takes effect at the parse boundary: every byte
+      // after this line decodes as ONEXB frames. The acknowledgement
+      // (written when the request reaches the queue front) is still a
+      // text line — the last one on the connection.
+      if (req.cmd.verb == "BIN") conn->binary_in = true;
+    }
+    // The verb's table row and pipeline class, resolved once per request.
+    if (req.parse_error.ok()) {
+      req.spec = FindVerb(req.cmd.verb);
+      if (req.spec != nullptr) req.exec = req.spec->exec;
+    } else {
+      req.exec = ExecClass::kInline;
     }
     conn->queue.push_back(std::move(req));
     metrics_.QueueEnter();
@@ -367,7 +335,7 @@ void ReactorServer::PumpLocked(const std::shared_ptr<Conn>& conn) {
     if (conn->outbox_bytes > options_.outbox_high_bytes) break;
     PendingRequest& front = conn->queue.front();
     const bool concurrent =
-        front.binary && front.kind == VerbKind::kReadOnly;
+        front.binary && front.exec == ExecClass::kReadOnly;
     if (concurrent) {
       if (conn->barrier_inflight) break;
     } else {
@@ -375,7 +343,7 @@ void ReactorServer::PumpLocked(const std::shared_ptr<Conn>& conn) {
     }
     PendingRequest req = std::move(front);
     conn->queue.pop_front();
-    if (req.kind == VerbKind::kInline) {
+    if (req.exec == ExecClass::kInline) {
       ExecuteInlineLocked(conn, std::move(req));
     } else {
       DispatchLocked(conn, std::move(req));
@@ -396,33 +364,30 @@ void ReactorServer::ExecuteInlineLocked(const std::shared_ptr<Conn>& conn,
     metrics_.BinaryUpgrade();
   } else if (req.cmd.verb == "METRICS") {
     resp = metrics_.ToJson();
-  } else if (req.cmd.verb == "PING" || req.cmd.verb == "REPLHELLO" ||
-             req.cmd.verb == "REPLAPPLY" || req.cmd.verb == "REPLSTATUS") {
-    // Through the real executor so the bodies stay byte-identical with the
-    // dispatched path. PING touches neither the engine nor the session;
-    // the replication verbs run here so WAL application never waits on
-    // executor-pool availability (see ClassifyVerb) — a shipped kPrepare
-    // does stall the loop for its rebuild, the documented cost of keeping
-    // the ack path deadlock-free.
+  } else {
+    // PING, QUIT and the replication verbs go through the real executor so
+    // the bodies stay byte-identical with the dispatched path. A shipped
+    // kPrepare does stall the loop for its rebuild, the documented cost of
+    // keeping the replication ack path deadlock-free (protocol.cc).
     ExecContext ctx;
     ctx.arrival = req.arrival;
     ctx.disconnected = &conn->disconnected;
     ctx.cluster = cluster_;
+    ctx.verb = req.spec;
     resp = ExecuteCommand(engine_, &conn->session, req.cmd, ctx);
-  } else {  // QUIT — same body ExecuteCommand produces for it.
-    resp = json::Value::MakeObject();
-    resp.Set("ok", true);
-    resp.Set("bye", true);
-    conn->close_after_flush = true;
-    // Pipelined requests behind a QUIT are discarded, like bytes the text
-    // server never reads after shutting the session down.
-    for (std::size_t i = 0; i < conn->queue.size(); ++i) metrics_.QueueLeave();
-    conn->queue.clear();
+    if (req.cmd.verb == "QUIT") {
+      conn->close_after_flush = true;
+      // Pipelined requests behind a QUIT are discarded, unread.
+      for (std::size_t i = 0; i < conn->queue.size(); ++i) {
+        metrics_.QueueLeave();
+      }
+      conn->queue.clear();
+    }
   }
   AppendResponseLocked(conn.get(), req, resp, {});
   const bool deadline_expired = !resp["ok"].as_bool() &&
                                 resp["code"].as_string() == "DeadlineExceeded";
-  metrics_.RecordRequest(req.verb_index, ElapsedMs(req.arrival),
+  metrics_.RecordRequest(VerbSlot(req.spec), ElapsedMs(req.arrival),
                          deadline_expired);
   metrics_.QueueLeave();
 }
@@ -430,7 +395,7 @@ void ReactorServer::ExecuteInlineLocked(const std::shared_ptr<Conn>& conn,
 void ReactorServer::DispatchLocked(const std::shared_ptr<Conn>& conn,
                                    PendingRequest req) {
   conn->inflight += 1;
-  const bool barrier = req.kind == VerbKind::kMutator || !req.binary;
+  const bool barrier = req.exec == ExecClass::kMutator || !req.binary;
   if (barrier) conn->barrier_inflight = true;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
@@ -448,6 +413,7 @@ void ReactorServer::DispatchLocked(const std::shared_ptr<Conn>& conn,
         ctx.disconnected = &conn->disconnected;
         ctx.out_values = req.binary ? &values : nullptr;
         ctx.cluster = cluster_;
+        ctx.verb = req.spec;
         json::Value resp = ExecuteCommand(engine_, &session, req.cmd, ctx);
         CompleteRequest(conn, req, std::move(resp), std::move(values),
                         std::move(session));
@@ -466,12 +432,12 @@ void ReactorServer::CompleteRequest(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     conn->inflight -= 1;
-    const bool barrier = req.kind == VerbKind::kMutator || !req.binary;
+    const bool barrier = req.exec == ExecClass::kMutator || !req.binary;
     if (barrier) {
       conn->barrier_inflight = false;
       conn->session = std::move(session_after);
     }
-    metrics_.RecordRequest(req.verb_index, ElapsedMs(req.arrival),
+    metrics_.RecordRequest(VerbSlot(req.spec), ElapsedMs(req.arrival),
                            deadline_expired);
     metrics_.QueueLeave();
     if (!conn->closed) {

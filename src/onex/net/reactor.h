@@ -51,7 +51,7 @@ struct ReactorOptions {
 
   /// Kernel accept queue. Sized for load ramps: a generator opening
   /// thousands of connections can land more SYNs between two accept sweeps
-  /// than the text server's interactive default would hold.
+  /// than ServerSocket's interactive default would hold.
   int listen_backlog = 1024;
 };
 
@@ -73,17 +73,19 @@ struct ReactorOptions {
 ///     and nudge the reactor through an eventfd; the reactor flushes.
 ///
 /// Ordering: text connections execute strictly serially in arrival order
-/// (legacy clients match responses by position). Binary connections execute
+/// (text clients match responses by position). Binary connections execute
 /// contiguous runs of read-only verbs (MATCH/KNN/BATCH/...) concurrently
 /// and may complete them out of order — the echoed frame request id matches
 /// them up — while mutators (GEN/PREPARE/APPEND/USE/...) act as barriers:
 /// they run alone, after everything before them and before everything after
 /// them, so PREPARE-then-MATCH pipelines read naturally.
 ///
-/// Serving-layer verbs handled here, on the reactor thread, without a pool
-/// round-trip: BIN (upgrade this connection's input to ONEXB frames; the
-/// acknowledgement is the last text line), METRICS (ServerMetrics snapshot)
-/// and QUIT. Everything else goes to ExecuteCommand with an ExecContext
+/// A verb's pipeline class is its VerbSpec::exec (protocol.h). Inline verbs
+/// are answered here, on the reactor thread, without a pool round-trip:
+/// BIN (upgrade this connection's input to ONEXB frames; the
+/// acknowledgement is the last text line), METRICS (ServerMetrics snapshot),
+/// QUIT, PING and the replication verbs. Everything else goes to
+/// ExecuteCommand on the TaskPool with an ExecContext
 /// carrying the arrival time (deadline_ms= budgets count queue time) and
 /// the connection's disconnect flag (a vanished caller cancels its queries
 /// at the next cascade stage boundary).
@@ -121,14 +123,6 @@ class ReactorServer {
   void SetCluster(ClusterNode* cluster) { cluster_ = cluster; }
 
  private:
-  /// How a verb interacts with its connection's pipeline.
-  enum class VerbKind {
-    kInline,    ///< BIN/METRICS/QUIT (+ parse errors): reactor-thread reply.
-    kMutator,   ///< Engine/session writers: barrier, runs alone.
-    kReadOnly,  ///< Queries and reports: concurrent on binary connections.
-  };
-  static VerbKind ClassifyVerb(const std::string& verb);
-
   /// One decoded, not-yet-answered request.
   struct PendingRequest {
     Command cmd;
@@ -136,8 +130,12 @@ class ReactorServer {
     bool binary = false;
     std::uint64_t request_id = 0;
     std::chrono::steady_clock::time_point arrival;
-    std::size_t verb_index = 0;
-    VerbKind kind = VerbKind::kReadOnly;
+    /// The verb's table row, looked up once at parse time; null for parse
+    /// errors and unknown verbs (METRICS counts both under "OTHER").
+    const VerbSpec* spec = nullptr;
+    /// Parse errors answer inline; unknown verbs, whose error responses are
+    /// order-independent, run like reads.
+    ExecClass exec = ExecClass::kReadOnly;
   };
 
   /// Per-connection state. Buffers and parse cursors belong to the reactor

@@ -99,9 +99,9 @@ Result<Socket> ConnectTcp(const std::string& host, std::uint16_t port);
 /// readable via port() — tests rely on this.
 ///
 /// The fd is atomic because Shutdown() is the documented cross-thread
-/// unblock for a server's accept loop (OnexServer::Stop shuts down from
-/// another thread while AcceptLoop sits in Accept); exchange-based Close
-/// also makes concurrent double-closes harmless.
+/// unblock for a blocking accept loop (one thread shuts down while another
+/// sits in Accept); exchange-based Close also makes concurrent
+/// double-closes harmless.
 class ServerSocket {
  public:
   /// `backlog` sizes the kernel accept queue. The default suits a handful of

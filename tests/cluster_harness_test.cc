@@ -284,6 +284,15 @@ void RunSeededSchedule(std::uint64_t seed) {
     diff.Step("PREPARE " + ds + " st=0.2 maxlen=16");
     ++step;
   }
+  // The scatter and select routes: LIST merges every node's names; USE is
+  // validated on the owner and adopted by this coordinator's session.
+  diff.Step("LIST");
+  diff.Step("USE " + datasets[1]);
+  diff.Step("KNN q=0:0:12 k=2");
+  Result<json::Value> described = client->Call("DATASETS");
+  ASSERT_TRUE(described.ok()) << described.status();
+  EXPECT_EQ((*described)["datasets"].as_array().size(), datasets.size())
+      << described->Dump();
   for (int i = 0; i < 8; ++i) {
     diff.Step(RandomOp(&rng, datasets, step++));
     if (::testing::Test::HasFatalFailure()) return;

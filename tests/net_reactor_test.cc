@@ -1,5 +1,5 @@
 /// ReactorServer: the epoll serving path end-to-end over real sockets —
-/// text-session parity with the legacy thread-per-connection server, BIN
+/// text-session parity with the in-process executor, BIN
 /// negotiation and text/binary response equivalence, pipelined out-of-order
 /// completion by request id, deadline-expired queries, slow-reader
 /// backpressure disconnects, mid-request disconnects, and METRICS sanity.
@@ -21,7 +21,6 @@
 #include "onex/net/client.h"
 #include "onex/net/frame.h"
 #include "onex/net/metrics.h"
-#include "onex/net/server.h"
 #include "onex/net/socket.h"
 
 namespace onex::net {
@@ -99,25 +98,23 @@ class ReactorTest : public ::testing::Test {
   std::unique_ptr<ReactorServer> server_;
 };
 
-TEST_F(ReactorTest, TextSessionMatchesLegacyServerByteForByte) {
+/// The oracle is what a text session is by definition: each line parsed
+/// and executed in process, in order, over one Session.
+TEST_F(ReactorTest, TextSessionMatchesInProcessExecutorByteForByte) {
   StartServer();
-  Engine legacy_engine;
-  OnexServer legacy(&legacy_engine);
-  ASSERT_TRUE(legacy.Start(0).ok());
+  Engine oracle_engine;
+  Session oracle_session;
 
   OnexClient reactor_client = Connect();
-  Result<OnexClient> legacy_client =
-      OnexClient::Connect("127.0.0.1", legacy.port());
-  ASSERT_TRUE(legacy_client.ok());
-
   for (const std::string& line : SessionScript()) {
     Result<json::Value> a = reactor_client.Call(line);
-    Result<json::Value> b = legacy_client->Call(line);
     ASSERT_TRUE(a.ok()) << line << ": " << a.status();
-    ASSERT_TRUE(b.ok()) << line << ": " << b.status();
-    EXPECT_EQ(Scrubbed(*a), Scrubbed(*b)) << line;
+    Result<Command> cmd = ParseCommandLine(line);
+    ASSERT_TRUE(cmd.ok()) << line;
+    const json::Value b =
+        ExecuteCommand(&oracle_engine, &oracle_session, *cmd);
+    EXPECT_EQ(Scrubbed(*a), Scrubbed(b)) << line;
   }
-  legacy.Stop();
 }
 
 TEST_F(ReactorTest, BinaryResponsesAreByteIdenticalToText) {
@@ -456,7 +453,7 @@ TEST_F(ReactorTest, MetricsCountVerbsAndLatencies) {
 /// bucket and a latency spike was invisible in METRICS.
 TEST(ServerMetricsTest, TailPercentilesUseNearestRank) {
   ServerMetrics metrics;
-  const std::size_t ping = ServerMetrics::VerbIndex("PING");
+  const std::size_t ping = VerbSlot(FindVerb("PING"));
   for (int i = 0; i < 10; ++i) {
     metrics.RecordRequest(ping, 0.002, /*deadline_expired=*/false);
   }

@@ -1,4 +1,4 @@
-#include "onex/net/server.h"
+#include "onex/net/reactor.h"
 
 #include <sys/socket.h>
 
@@ -23,7 +23,7 @@ namespace {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    server_ = std::make_unique<OnexServer>(&engine_);
+    server_ = std::make_unique<ReactorServer>(&engine_);
     ASSERT_TRUE(server_->Start(0).ok());
     ASSERT_NE(server_->port(), 0);
   }
@@ -38,7 +38,7 @@ class ServerTest : public ::testing::Test {
   }
 
   Engine engine_;
-  std::unique_ptr<OnexServer> server_;
+  std::unique_ptr<ReactorServer> server_;
 };
 
 TEST_F(ServerTest, PingRoundTrip) {
@@ -302,14 +302,14 @@ TEST_F(ServerTest, DoubleStartFails) {
 
 TEST(ServerLifecycleTest, StopWithoutStartIsSafe) {
   Engine engine;
-  OnexServer server(&engine);
+  ReactorServer server(&engine);
   server.Stop();  // no-op
   SUCCEED();
 }
 
 TEST(ServerLifecycleTest, RestartAfterStop) {
   Engine engine;
-  OnexServer server(&engine);
+  ReactorServer server(&engine);
   ASSERT_TRUE(server.Start(0).ok());
   const std::uint16_t old_port = server.port();
   server.Stop();
@@ -411,7 +411,7 @@ TEST(ServerRestartTest, DurableServerAnswersIdenticallyAfterRestart) {
   {
     Engine engine;
     ASSERT_TRUE(engine.EnableDurability(durability).ok());
-    OnexServer server(&engine);
+    ReactorServer server(&engine);
     ASSERT_TRUE(server.Start(0).ok());
     Result<OnexClient> client =
         OnexClient::Connect("127.0.0.1", server.port());
@@ -440,7 +440,7 @@ TEST(ServerRestartTest, DurableServerAnswersIdenticallyAfterRestart) {
   {
     Engine engine;
     ASSERT_TRUE(engine.EnableDurability(durability).ok());
-    OnexServer server(&engine);
+    ReactorServer server(&engine);
     ASSERT_TRUE(server.Start(0).ok());
     Result<OnexClient> client =
         OnexClient::Connect("127.0.0.1", server.port());
