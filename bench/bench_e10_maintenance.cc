@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   auto data = MakeData(40, 3);
   onex::json::Value record = onex::json::Value::MakeObject();
   record.Set("bench", "e10_maintenance");
+  record.Set("host", onex::bench::HostBlock());
 
   std::printf("\n-- parallel construction (N=40, L=96, 15 length classes) --\n");
   {

@@ -199,6 +199,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     onex::json::Value root = onex::json::Value::MakeObject();
     root.Set("bench", "e11_kernel_sweep");
+    root.Set("host", onex::bench::HostBlock());
     root.Set("scalar_kernel", std::string(onex::ScalarKernel().name));
     root.Set("simd_kernel", std::string(onex::SimdKernel().name));
     root.Set("simd_dispatch_available", onex::SimdDispatchAvailable());

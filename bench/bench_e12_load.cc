@@ -283,10 +283,7 @@ int main(int argc, char** argv) {
       "pipelined-binary throughput at 64 clients; text/binary dialect "
       "equivalence");
 
-  const std::size_t hardware_threads =
-      std::thread::hardware_concurrency() == 0
-          ? 1
-          : std::thread::hardware_concurrency();
+  const std::size_t hardware_threads = onex::bench::HardwareThreads();
   const bool single_core = hardware_threads <= 1;
   std::printf("hardware_threads: %zu\n", hardware_threads);
   std::printf("mode: %s\n\n", smoke ? "smoke" : "full");
@@ -359,7 +356,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     onex::json::Value root = onex::json::Value::MakeObject();
     root.Set("bench", "e12_load");
-    root.Set("hardware_threads", hardware_threads);
+    root.Set("host", onex::bench::HostBlock());
     root.Set("thread_speedups_valid", !single_core);
     root.Set("smoke", smoke);
     onex::json::Value idle_json = onex::json::Value::MakeObject();

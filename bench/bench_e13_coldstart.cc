@@ -234,6 +234,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     onex::json::Value doc = onex::json::Value::MakeObject();
     doc.Set("bench", "e13_coldstart");
+    doc.Set("host", onex::bench::HostBlock());
     doc.Set("smoke", smoke);
     onex::json::Value rows = onex::json::Value::MakeArray();
     for (const ScaleResult& r : results) {

@@ -62,10 +62,7 @@ int main(int argc, char** argv) {
       "and forecast queries exactly, faster than scans that ignore the "
       "index; BOCPD truncation trades bounded error for linear time");
 
-  const std::size_t hardware_threads =
-      std::thread::hardware_concurrency() == 0
-          ? 1
-          : std::thread::hardware_concurrency();
+  const std::size_t hardware_threads = onex::bench::HardwareThreads();
   const bool single_core = hardware_threads <= 1;
   std::printf("hardware_threads: %zu%s\n", hardware_threads,
               single_core
@@ -92,7 +89,7 @@ int main(int argc, char** argv) {
 
   onex::json::Value record = onex::json::Value::MakeObject();
   record.Set("bench", "e14_analytics");
-  record.Set("hardware_threads", hardware_threads);
+  record.Set("host", onex::bench::HostBlock());
   record.Set("members", total_members);
 
   std::printf("\n-- ANOMALY: EA-filtered centroid scan vs exhaustive --\n");

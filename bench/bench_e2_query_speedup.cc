@@ -19,7 +19,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -104,10 +103,7 @@ int main(int argc, char** argv) {
   // The thread-scaling numbers are only meaningful with real cores behind
   // them; state the machine width up front so a reader (or a regression
   // diff across machines) never misreads a 1-core ~1x as a regression.
-  const std::size_t hardware_threads =
-      std::thread::hardware_concurrency() == 0
-          ? 1
-          : std::thread::hardware_concurrency();
+  const std::size_t hardware_threads = onex::bench::HardwareThreads();
   const bool single_core = hardware_threads <= 1;
   std::printf("hardware_threads: %zu%s\n\n", hardware_threads,
               single_core
@@ -291,7 +287,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     onex::json::Value root = onex::json::Value::MakeObject();
     root.Set("bench", "e2_query_speedup");
-    root.Set("hardware_threads", hardware_threads);
+    root.Set("host", onex::bench::HostBlock());
     root.Set("thread_speedups_valid", !single_core);
     onex::json::Value sweep_arr = onex::json::Value::MakeArray();
     for (const std::size_t t : sweep) {

@@ -7,10 +7,57 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "onex/distance/kernels.h"
+#include "onex/json/json.h"
+
 namespace onex::bench {
+
+/// std::thread::hardware_concurrency(), with its "unknown" 0 read as 1.
+inline std::size_t HardwareThreads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
+/// First line of a shell command's stdout, or "" when it prints nothing.
+inline std::string FirstLineOf(const char* command) {
+  std::string line;
+  if (FILE* pipe = ::popen(command, "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) line = buf;
+    ::pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// The "host" block every BENCH_*.json carries, so a figure is never read
+/// without the machine and program that produced it: hardware threads, the
+/// active distance-kernel table, the source tree's git commit ("-dirty"
+/// when tracked files differ from it, "none" outside a git checkout) and
+/// the CMake build type.
+inline json::Value HostBlock() {
+  const std::string git = std::string("git -C '") + ONEX_SOURCE_DIR + "' ";
+  std::string commit = FirstLineOf((git + "rev-parse HEAD 2>/dev/null").c_str());
+  if (commit.empty()) {
+    commit = "none";
+  } else if (!FirstLineOf((git + "status --porcelain --untracked-files=no "
+                                 "2>/dev/null").c_str())
+                  .empty()) {
+    commit += "-dirty";
+  }
+  json::Value host = json::Value::MakeObject();
+  host.Set("hardware_threads", HardwareThreads());
+  host.Set("kernel", std::string(ActiveKernel().name));
+  host.Set("git_commit", commit);
+  host.Set("build_type", ONEX_BUILD_TYPE);
+  return host;
+}
 
 /// Milliseconds elapsed running fn once.
 inline double TimeOnceMs(const std::function<void()>& fn) {

@@ -1,10 +1,12 @@
 #include "onex/json/json.h"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -102,9 +104,21 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    Result<double> d = ParseDouble(text_.substr(start, pos_ - start));
-    if (!d.ok()) return Err("invalid number");
-    *out = Value(*d);
+    std::string_view token = text_.substr(start, pos_ - start);
+    // The scan above admits strtod's leading '+', which this parser has
+    // always accepted.
+    if (token.size() > 1 && token[0] == '+' && token[1] != '-') {
+      token.remove_prefix(1);
+    }
+    // from_chars reads every finite double, subnormals included, and
+    // reports overflow (1e999) and underflow to zero as out of range.
+    double d = 0.0;
+    const std::from_chars_result r =
+        std::from_chars(token.data(), token.data() + token.size(), d);
+    if (r.ec != std::errc() || r.ptr != token.data() + token.size()) {
+      return Err("invalid number");
+    }
+    *out = Value(d);
     return Status::OK();
   }
 
@@ -232,95 +246,129 @@ const Value& Value::operator[](std::size_t index) const {
   return array_[index];
 }
 
+namespace {
+
+/// Appends `s` JSON-escaped, copying runs of plain bytes whole. Control
+/// bytes without a short form become lowercase \u00xx; bytes >= 0x7f,
+/// UTF-8 included, pass through unchanged.
+void AppendEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out->append("\\\"", 2); break;
+      case '\\': out->append("\\\\", 2); break;
+      case '\b': out->append("\\b", 2); break;
+      case '\f': out->append("\\f", 2); break;
+      case '\n': out->append("\\n", 2); break;
+      case '\r': out->append("\\r", 2); break;
+      case '\t': out->append("\\t", 2); break;
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out->append(u, sizeof(u));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+/// Appends a finite double as printf's %g (six significant digits) when
+/// that text reads back to the same value, else as %.17g, which always
+/// does. std::to_chars in general format is specified as exactly those
+/// printf conversions. A subnormal always takes 17 digits: the rule
+/// predates this parser accepting subnormals, and the bytes stay as they
+/// were. An integer below 10^6, such as a warping-path index, is %g's own
+/// text and reads back exactly, so it skips the check.
+void AppendNumber(std::string* out, double x) {
+  char buf[32];
+  char* const end = buf + sizeof(buf);
+  if (x == std::trunc(x) && std::fabs(x) < 1e6) {
+    if (x == 0.0) {
+      out->append(std::signbit(x) ? "-0" : "0");
+    } else {
+      out->append(buf, std::to_chars(buf, end, static_cast<long>(x)).ptr);
+    }
+    return;
+  }
+  std::to_chars_result r =
+      std::to_chars(buf, end, x, std::chars_format::general, 6);
+  double back = 0.0;
+  const std::from_chars_result p = std::from_chars(buf, r.ptr, back);
+  if (p.ec != std::errc() || back != x ||
+      std::fpclassify(x) == FP_SUBNORMAL) {
+    r = std::to_chars(buf, end, x, std::chars_format::general, 17);
+  }
+  out->append(buf, r.ptr);
+}
+
+/// Newline plus `indent * depth` spaces; nothing when compact.
+void AppendPad(std::string* out, int indent, int depth) {
+  if (indent <= 0) return;
+  out->push_back('\n');
+  out->append(
+      static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
+}
+
+}  // namespace
+
 std::string EscapeString(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendEscaped(&out, s);
   return out;
 }
 
 void Value::DumpTo(std::string* out, int indent, int depth) const {
-  std::string pad;
-  std::string close_pad;
-  if (indent > 0) {
-    pad.assign(1, '\n');
-    pad.append(static_cast<std::size_t>(indent) *
-                   static_cast<std::size_t>(depth + 1),
-               ' ');
-    close_pad.assign(1, '\n');
-    close_pad.append(
-        static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth),
-        ' ');
-  }
   switch (type_) {
     case Type::kNull:
-      *out += "null";
+      out->append("null");
       break;
     case Type::kBool:
-      *out += bool_ ? "true" : "false";
+      out->append(bool_ ? "true" : "false");
       break;
-    case Type::kNumber: {
+    case Type::kNumber:
       if (std::isfinite(number_)) {
-        // %.17g round-trips doubles; trim to shortest via %g first.
-        std::string num = StrFormat("%.17g", number_);
-        const std::string shorter = StrFormat("%g", number_);
-        Result<double> back = ParseDouble(shorter);
-        if (back.ok() && *back == number_) num = shorter;
-        *out += num;
+        AppendNumber(out, number_);
       } else {
-        *out += "null";  // JSON has no Inf/NaN; emit null like most encoders
+        out->append("null");  // JSON has no Inf/NaN; emit null like most encoders
       }
       break;
-    }
     case Type::kString:
-      *out += '"';
-      *out += EscapeString(string_);
-      *out += '"';
+      out->push_back('"');
+      AppendEscaped(out, string_);
+      out->push_back('"');
       break;
     case Type::kArray: {
-      *out += '[';
+      out->push_back('[');
       bool first = true;
       for (const Value& v : array_) {
-        if (!first) *out += ',';
+        if (!first) out->push_back(',');
         first = false;
-        *out += pad;
+        AppendPad(out, indent, depth + 1);
         v.DumpTo(out, indent, depth + 1);
       }
-      if (!array_.empty()) *out += close_pad;
-      *out += ']';
+      if (!array_.empty()) AppendPad(out, indent, depth);
+      out->push_back(']');
       break;
     }
     case Type::kObject: {
-      *out += '{';
+      out->push_back('{');
       bool first = true;
       for (const auto& [k, v] : object_) {
-        if (!first) *out += ',';
+        if (!first) out->push_back(',');
         first = false;
-        *out += pad;
-        *out += '"';
-        *out += EscapeString(k);
-        *out += "\":";
-        if (indent > 0) *out += ' ';
+        AppendPad(out, indent, depth + 1);
+        out->push_back('"');
+        AppendEscaped(out, k);
+        out->append(indent > 0 ? "\": " : "\":");
         v.DumpTo(out, indent, depth + 1);
       }
-      if (!object_.empty()) *out += close_pad;
-      *out += '}';
+      if (!object_.empty()) AppendPad(out, indent, depth);
+      out->push_back('}');
       break;
     }
   }

@@ -1565,7 +1565,9 @@ json::Value ExecuteCommand(Engine* engine, const Command& command) {
 }
 
 std::string FormatResponse(const json::Value& response) {
-  return response.Dump() + "\n";
+  std::string line = response.Dump();
+  line.push_back('\n');
+  return line;
 }
 
 }  // namespace onex::net

@@ -24,6 +24,11 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+bool DeadlineExpired(const json::Value& response) {
+  return !response["ok"].as_bool() &&
+         response["code"].as_string() == "DeadlineExceeded";
+}
+
 }  // namespace
 
 ReactorServer::ReactorServer(Engine* engine, ReactorOptions options)
@@ -384,12 +389,8 @@ void ReactorServer::ExecuteInlineLocked(const std::shared_ptr<Conn>& conn,
       conn->queue.clear();
     }
   }
-  AppendResponseLocked(conn.get(), req, resp, {});
-  const bool deadline_expired = !resp["ok"].as_bool() &&
-                                resp["code"].as_string() == "DeadlineExceeded";
-  metrics_.RecordRequest(VerbSlot(req.spec), ElapsedMs(req.arrival),
-                         deadline_expired);
-  metrics_.QueueLeave();
+  QueueResponseLocked(conn.get(), req, EncodeResponse(req, resp, {}),
+                      DeadlineExpired(resp));
 }
 
 void ReactorServer::DispatchLocked(const std::shared_ptr<Conn>& conn,
@@ -425,9 +426,10 @@ void ReactorServer::CompleteRequest(const std::shared_ptr<Conn>& conn,
                                     json::Value response,
                                     std::vector<double> values,
                                     Session session_after) {
-  const bool ok = response["ok"].as_bool();
-  const bool deadline_expired =
-      !ok && response["code"].as_string() == "DeadlineExceeded";
+  // Encode before taking the connection lock: the completions of one
+  // pipelined burst contend for it, so it guards only the queueing.
+  const bool deadline_expired = DeadlineExpired(response);
+  std::string bytes = EncodeResponse(req, response, std::move(values));
   bool notify = false;
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
@@ -437,11 +439,8 @@ void ReactorServer::CompleteRequest(const std::shared_ptr<Conn>& conn,
       conn->barrier_inflight = false;
       conn->session = std::move(session_after);
     }
-    metrics_.RecordRequest(VerbSlot(req.spec), ElapsedMs(req.arrival),
-                           deadline_expired);
-    metrics_.QueueLeave();
+    QueueResponseLocked(conn.get(), req, std::move(bytes), deadline_expired);
     if (!conn->closed) {
-      AppendResponseLocked(conn.get(), req, response, std::move(values));
       if (conn->outbox_bytes > options_.outbox_hard_bytes) conn->kill = true;
       PumpLocked(conn);
       notify = true;
@@ -454,24 +453,29 @@ void ReactorServer::CompleteRequest(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void ReactorServer::AppendResponseLocked(Conn* conn,
-                                         const PendingRequest& req,
-                                         const json::Value& response,
-                                         std::vector<double> values) {
-  std::string bytes;
-  if (req.binary) {
-    Frame frame;
-    frame.type = FrameType::kResponse;
-    frame.flags = response["ok"].as_bool() ? 0 : kFrameFlagError;
-    frame.request_id = req.request_id;
-    frame.text = response.Dump();  // Identical to the text line, sans '\n'.
-    frame.values = std::move(values);
-    bytes = EncodeFrame(frame);
-  } else {
-    bytes = FormatResponse(response);
+std::string ReactorServer::EncodeResponse(const PendingRequest& req,
+                                          const json::Value& response,
+                                          std::vector<double> values) {
+  if (!req.binary) return FormatResponse(response);
+  Frame frame;
+  frame.type = FrameType::kResponse;
+  frame.flags = response["ok"].as_bool() ? 0 : kFrameFlagError;
+  frame.request_id = req.request_id;
+  frame.text = response.Dump();  // Identical to the text line, sans '\n'.
+  frame.values = std::move(values);
+  return EncodeFrame(frame);
+}
+
+void ReactorServer::QueueResponseLocked(Conn* conn, const PendingRequest& req,
+                                        std::string bytes,
+                                        bool deadline_expired) {
+  if (!conn->closed) {
+    conn->outbox_bytes += bytes.size();
+    conn->outbox.push_back(std::move(bytes));
   }
-  conn->outbox_bytes += bytes.size();
-  conn->outbox.push_back(std::move(bytes));
+  metrics_.RecordRequest(VerbSlot(req.spec), ElapsedMs(req.arrival),
+                         deadline_expired);
+  metrics_.QueueLeave();
 }
 
 bool ReactorServer::FlushOutboxLocked(const std::shared_ptr<Conn>& conn) {

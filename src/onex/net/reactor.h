@@ -202,9 +202,15 @@ class ReactorServer {
   void CompleteRequest(const std::shared_ptr<Conn>& conn,
                        const PendingRequest& req, json::Value response,
                        std::vector<double> values, Session session_after);
-  void AppendResponseLocked(Conn* conn, const PendingRequest& req,
-                            const json::Value& response,
-                            std::vector<double> values);
+  /// The response's wire bytes: an ONEXB frame for a binary request, else
+  /// the text line. Runs without any lock, on whichever thread answered.
+  static std::string EncodeResponse(const PendingRequest& req,
+                                    const json::Value& response,
+                                    std::vector<double> values);
+  /// Queues already-encoded bytes and records the request in METRICS, whose
+  /// latency therefore runs from arrival until the bytes are queued.
+  void QueueResponseLocked(Conn* conn, const PendingRequest& req,
+                           std::string bytes, bool deadline_expired);
 
   /// Reactor thread only: deregister, close, cancel, drop queued state.
   void CloseConn(const std::shared_ptr<Conn>& conn);

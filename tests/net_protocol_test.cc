@@ -2,15 +2,27 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "onex/common/hash.h"
+#include "onex/common/string_utils.h"
+#include "onex/distance/kernels.h"
+#include "onex/net/frame.h"
+
 namespace onex::net {
 namespace {
+
+constexpr const char* kResponseGolden =
+#include "net_response_golden.inc"
+    ;
 
 TEST(ParseCommandTest, VerbIsUppercased) {
   Result<Command> cmd = ParseCommandLine("ping");
@@ -818,6 +830,82 @@ TEST(ProtocolTest, SaveAndLoadBaseFlow) {
       ExecuteCommand(&engine, *ParseCommandLine("STATS restored"));
   EXPECT_TRUE(stats["prepared"].as_bool());
   std::remove(path.c_str());
+}
+
+/// Zeroes every "elapsed_ms" (wall-clock, the one field that differs run to
+/// run) so the rest of the response can be pinned byte for byte.
+void ZeroElapsed(json::Value* v) {
+  if (v->is_array()) {
+    for (json::Value& e : v->mutable_array()) ZeroElapsed(&e);
+  } else if (v->is_object()) {
+    for (auto& [key, e] : v->mutable_object()) {
+      if (key == "elapsed_ms") e = json::Value(0);
+      ZeroElapsed(&e);
+    }
+  }
+}
+
+/// The exact wire bytes of the read verbs a dashboard serves, on fixed-seed
+/// GEN datasets: each response's text line verbatim, and its binary
+/// response frame (JSON body plus raw float64 section) as length and
+/// FNV-1a. The server and any client-side oracle share json::Value::Dump, so
+/// only a recorded transcript catches a change in the bytes themselves. The
+/// transcript is pinned under the scalar kernel table. On a mismatch the
+/// test writes what it produced to net_response_golden.actual.txt in the
+/// working directory; an intended change is re-recorded by copying that file
+/// over net_response_golden.inc.
+TEST(ProtocolTest, ResponseBytesMatchTheRecordedGolden) {
+  const KernelMode before = GetKernelMode();
+  SetKernelMode(KernelMode::kScalar);
+  Engine engine;
+  for (const char* setup :
+       {"GEN w walk num=12 len=64 seed=7", "PREPARE w st=0.2 maxlen=24",
+        "GEN s sine num=12 len=64 seed=11", "PREPARE s st=0.2 maxlen=24"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  std::ostringstream got;
+  std::uint64_t request_id = 0;
+  for (const char* line :
+       {"STATS w", "CATALOG w points=16", "OVERVIEW w top=8",
+        "FORECAST s series=3 horizon=8", "MATCH w q=2:5:16",
+        "KNN s q=4:10:20 k=3", "BATCH s q=1:0:12;5:20:16;9:30:24",
+        "ANOMALY w length=16 top=5", "MATCH nosuch q=0:0:8",
+        "MATCH w q=\"bad\\ref\""}) {
+    const Command cmd = *ParseCommandLine(line);
+    Session text_session;
+    json::Value text = ExecuteCommand(&engine, &text_session, cmd);
+    ZeroElapsed(&text);
+
+    std::vector<double> values;
+    ExecContext ctx;
+    ctx.out_values = &values;
+    Session frame_session;
+    json::Value body = ExecuteCommand(&engine, &frame_session, cmd, ctx);
+    ZeroElapsed(&body);
+    Frame frame;
+    frame.type = FrameType::kResponse;
+    frame.flags = body["ok"].as_bool() ? 0 : kFrameFlagError;
+    frame.request_id = ++request_id;
+    frame.text = body.Dump();
+    frame.values = std::move(values);
+    const std::string bytes = EncodeFrame(frame);
+
+    got << "> " << line << "\n"
+        << FormatResponse(text)
+        << StrFormat("frame %zu %016llx\n", bytes.size(),
+                     static_cast<unsigned long long>(Fnv1a64(bytes)));
+  }
+  SetKernelMode(before);
+
+  const std::string want = std::string(kResponseGolden).substr(1);
+  if (got.str() != want) {
+    std::ofstream("net_response_golden.actual.txt")
+        << "R\"golden(\n" << got.str() << ")golden\"\n";
+  }
+  EXPECT_EQ(got.str(), want)
+      << "response bytes differ (written to net_response_golden.actual.txt)";
 }
 
 }  // namespace
