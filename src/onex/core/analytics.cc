@@ -79,6 +79,7 @@ Result<AnomalyReport> DetectAnomalies(const OnexBase& base,
   }
 
   const Dataset& ds = base.dataset();
+  const double drift_radius = DriftOutlierRadius(base.options().st);
   AnomalyReport report;
   std::vector<AnomalyFinding> all;
   for (const LengthClass& cls : base.length_classes()) {
@@ -93,6 +94,11 @@ Result<AnomalyReport> DetectAnomalies(const OnexBase& base,
     // Capped so a degenerate base (every member its own group) cannot
     // commit a quadratic table; the scan stays exact without it.
     const std::size_t n_groups = cls.groups.size();
+    // This class's drift (ComputeDrift's count for it) falls out of the
+    // own-centroid distance the scan computes anyway.
+    LengthClassDrift drift;
+    drift.length = cls.length;
+    drift.members = cls.total_members;
     std::vector<double> cdist;
     if (n_groups >= 2 && n_groups <= (std::size_t{1} << 11)) {
       cdist.assign(n_groups * n_groups, 0.0);
@@ -115,6 +121,7 @@ Result<AnomalyReport> DetectAnomalies(const OnexBase& base,
             cls.groups[own].centroid_span(), values);
         ++report.distance_evals;
         const double d_own = score;
+        if (d_own > drift_radius) ++drift.outliers;
         bool clustered = score <= eps && cls.groups[own].size() >=
                                              options.min_pts;
         for (std::size_t gi = 0; gi < cls.groups.size(); ++gi) {
@@ -152,12 +159,7 @@ Result<AnomalyReport> DetectAnomalies(const OnexBase& base,
       }
       ONEX_RETURN_IF_ERROR(Poll(options.cancel));
     }
-  }
-
-  for (const LengthClassDrift& d : ComputeDrift(base)) {
-    if (options.length == 0 || d.length == options.length) {
-      report.drift.push_back(d);
-    }
+    report.drift.push_back(drift);
   }
 
   std::sort(all.begin(), all.end(),

@@ -15,10 +15,6 @@
 namespace onex {
 namespace {
 
-/// Matches the build-time insertion radius with a hair of slack so drift
-/// accounting never flags members over floating-point noise alone.
-constexpr double kRadiusSlack = 1e-9;
-
 /// Thaws one columnar class back into a mutable draft: member lists copied
 /// out of the store's arena, centroids seeded verbatim from the store so
 /// the insertion radius test sees exactly the representatives the base
@@ -78,7 +74,7 @@ void InsertMember(LengthClassDraft* cls, const Dataset& ds,
 }
 
 LengthClassDrift DriftOfClass(const OnexBase& base, const LengthClass& cls) {
-  const double radius = base.options().st / 2.0;
+  const double radius = DriftOutlierRadius(base.options().st);
   LengthClassDrift drift;
   drift.length = cls.length;
   drift.members = cls.total_members;
@@ -86,7 +82,7 @@ LengthClassDrift DriftOfClass(const OnexBase& base, const LengthClass& cls) {
     for (const SubseqRef& ref : g.members()) {
       const double d =
           NormalizedEuclidean(g.centroid_span(), ref.Resolve(base.dataset()));
-      if (d > radius + kRadiusSlack) ++drift.outliers;
+      if (d > radius) ++drift.outliers;
     }
   }
   return drift;

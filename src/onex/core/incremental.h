@@ -61,6 +61,12 @@ struct LengthClassDrift {
   }
 };
 
+/// Distance from its own centroid beyond which a member counts as a drift
+/// outlier: the build-time insertion radius ST/2 plus a hair of slack, so
+/// floating-point noise alone never flags a member. ComputeDrift and the
+/// ANOMALY scan share it.
+inline double DriftOutlierRadius(double st) { return st / 2.0 + 1e-9; }
+
 /// Outcome of ExtendSeries: the grown base plus the maintenance signals the
 /// registry's drift policy consumes.
 struct ExtendResult {

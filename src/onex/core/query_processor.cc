@@ -191,9 +191,27 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
     }
     const double cutoff =
         options.use_early_abandon ? horizon * e.nf : -1.0;
+    const std::span<const double> cent = centroid_of(e);
+    const GroupStore& store = *base_->length_classes()[e.class_index].store;
+    if (options.use_lower_bounds && options.use_early_abandon &&
+        store.centroid_envelope_window() < 0) {
+      // Row-prefix bound at any length (DESIGN.md §7.7), against the
+      // centroid's [min, max] — any column of its unconstrained envelope.
+      // It floors every cell of the DP's last row, so above the strict
+      // cutoff the early-abandoning DP below is certain to return +inf:
+      // skip it and write exactly the abandoned entry it would produce.
+      const EnvelopeView cent_env = store.centroid_envelope(e.group_index);
+      if (LbRowPrefixSq(query, cent, cent_env.lower[0], cent_env.upper[0]) >
+          StrictCutoffSq(cutoff * cutoff)) {
+        acc.groups_pruned_lb.fetch_add(1);
+        acc.pruned_keogh.fetch_add(1);
+        ranked[i] = {horizon, cutoff, e.class_index, e.group_index,
+                     /*exact=*/false};
+        return;
+      }
+    }
     acc.rep_dtw_evaluations.fetch_add(1);
-    double raw =
-        DtwDistanceEarlyAbandon(query, centroid_of(e), cutoff, options.window);
+    double raw = DtwDistanceEarlyAbandon(query, cent, cutoff, options.window);
     double norm = std::isinf(raw) ? kInf : raw / e.nf;
     bool exact = true;
     if (std::isinf(raw)) {
@@ -253,6 +271,9 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
   const Envelope query_env = ComputeKeoghEnvelope(
       query, options.window < 0 ? -1
                                 : EffectiveWindow(qn, qn, options.window));
+  // The query's [min, max]: the full-band envelope the cross-length member
+  // bound measures candidate points against, whatever the window.
+  const auto [q_min, q_max] = std::minmax_element(query.begin(), query.end());
   const std::vector<RankedGroup> ranked =
       RankGroups(query, query_env, options, stats);
   if (ranked.empty()) {
@@ -374,22 +395,31 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     // than the horizon (StrictCutoffSq): a member tied with it — an earlier
     // answer, or a seed later in this group — still reaches the in-order
     // merge, so the answers and tie-breaks are those of a full scan.
-    const double cutoff =
-        std::sqrt(StrictCutoffSq((horizon * nf) * (horizon * nf)));
+    const double cutoff_sq = StrictCutoffSq((horizon * nf) * (horizon * nf));
+    const double cutoff = std::sqrt(cutoff_sq);
     const double abandon_at = options.use_early_abandon ? cutoff : -1.0;
     ForEach(members.size(), scan_threads, [&](std::size_t i) {
       if (is_seed[i]) return;
       const std::span<const double> vals = members[i].Resolve(ds);
       if (options.use_lower_bounds) {
-        // LB_Kim → LB_Keogh cascade: each stage runs only when the previous
-        // one failed to prune, and LB_Keogh abandons once it proves the
-        // member can't beat the horizon.
+        // LB_Kim → LB_Keogh → corner-range cascade: each stage runs only
+        // when the previous one failed to prune, and LB_Keogh abandons once
+        // it proves the member can't beat the horizon. The corner-range
+        // bound holds at every length (DESIGN.md §7.7) and runs both ways,
+        // since DTW is symmetric: the member's interior against the query's
+        // range, then the query's interior against the member's range
+        // (the strong side when the member is the shorter one).
         if (LbKim(query, vals) > cutoff) {
           acc.members_pruned_lb.fetch_add(1);
           acc.pruned_kim.fetch_add(1);
           return;
         }
-        if (cls.length == qn && LbKeogh(query_env, vals, abandon_at) > cutoff) {
+        const auto [v_min, v_max] =
+            std::minmax_element(vals.begin(), vals.end());
+        if ((cls.length == qn &&
+             LbKeogh(query_env, vals, abandon_at) > cutoff) ||
+            LbCornerRangeSq(query, *q_min, *q_max, vals) > cutoff_sq ||
+            LbCornerRangeSq(vals, *v_min, *v_max, query) > cutoff_sq) {
           acc.members_pruned_lb.fetch_add(1);
           acc.pruned_keogh.fetch_add(1);
           return;

@@ -630,6 +630,8 @@ const DistanceKernel& ScalarKernel() { return kScalarTable; }
 
 const DistanceKernel& SimdKernel() { return BestSimdTable(); }
 
+const DistanceKernel& PortableSimdKernel() { return kSimdTable; }
+
 const DistanceKernel& ActiveKernel() {
   const DistanceKernel* k = g_active.load(std::memory_order_acquire);
   if (k == nullptr) {
@@ -655,6 +657,11 @@ double LbKim(std::span<const double> a, std::span<const double> b) {
 }
 
 namespace {
+
+/// Distance from x to the closed range [lo, hi] (0 inside it).
+double RangeGap(double x, double lo, double hi) {
+  return x > hi ? x - hi : x < lo ? lo - x : 0.0;
+}
 
 double LbKeoghImpl(std::span<const double> lo, std::span<const double> up,
                    std::span<const double> cand, double cutoff) {
@@ -698,6 +705,32 @@ double LbKeoghGroup(const Envelope& query_envelope,
                     const EnvelopeView& group_envelope) {
   return LbKeoghGroupImpl(query_envelope, group_envelope.lower,
                           group_envelope.upper);
+}
+
+double LbCornerRangeSq(std::span<const double> a, double a_min, double a_max,
+                       std::span<const double> b) {
+  if (a.empty() || b.empty()) return 0.0;
+  const double df = a.front() - b.front();
+  if (a.size() == 1 && b.size() == 1) return df * df;  // one cell, one corner
+  const double dl = a.back() - b.back();
+  double acc = df * df + dl * dl;
+  for (std::size_t j = 1; j + 1 < b.size(); ++j) {
+    const double g = RangeGap(b[j], a_min, a_max);
+    acc += g * g;
+  }
+  return acc;
+}
+
+double LbRowPrefixSq(std::span<const double> a, std::span<const double> b,
+                     double b_min, double b_max) {
+  if (a.empty() || b.empty()) return 0.0;
+  const double df = a.front() - b.front();
+  double acc = df * df;
+  for (std::size_t i = 1; i < a.size(); ++i) {
+    const double g = RangeGap(a[i], b_min, b_max);
+    acc += g * g;
+  }
+  return acc;
 }
 
 }  // namespace onex

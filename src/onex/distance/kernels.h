@@ -127,6 +127,10 @@ KernelMode GetKernelMode();
 const DistanceKernel& ScalarKernel();
 const DistanceKernel& SimdKernel();
 
+/// The portable vectorized table, even where SimdKernel() picks a wider
+/// ISA; lets a test hold a property under all three tables.
+const DistanceKernel& PortableSimdKernel();
+
 /// The table the mode currently selects; every wrapper routes through it.
 const DistanceKernel& ActiveKernel();
 
@@ -148,6 +152,26 @@ bool SimdDispatchAvailable();
 /// aligns the two first points and the two last points. Returns 0 on empty
 /// input (vacuously admissible).
 double LbKim(std::span<const double> a, std::span<const double> b);
+
+/// Corner-range bound, squared: (a_0 - b_0)^2 + (a_{n-1} - b_{m-1})^2 plus,
+/// for every interior point b_j (0 < j < m-1), its squared distance to the
+/// range [a_min, a_max] of `a`. Lower-bounds the squared DTW for any window
+/// and any pair of lengths: both corner cells lie on every warping path,
+/// and every interior column j is matched to some point of `a` by a cell
+/// other than the corners. This is LB_Keogh of b's interior against a's
+/// full-band envelope, plus LB_Kim's endpoints (DESIGN.md §7.7).
+double LbCornerRangeSq(std::span<const double> a, double a_min, double a_max,
+                       std::span<const double> b);
+
+/// Row-prefix bound, squared: (a_0 - b_0)^2 plus, for every later point a_i
+/// (0 < i < n), its squared distance to the range [b_min, b_max] of `b`.
+/// Lower-bounds every cell of the DTW dynamic program's last row (row i is
+/// a_i), for any window and any pair of lengths: a path to (n-1, j) starts
+/// at (0, 0) and visits each later row at least once. An early-abandoning
+/// DTW (dtw_ea_sq) therefore returns +infinity whenever this bound exceeds
+/// StrictCutoffSq(cutoff_sq) — the DP's last-row minimum does too.
+double LbRowPrefixSq(std::span<const double> a, std::span<const double> b,
+                     double b_min, double b_max);
 
 /// LB_Keogh: given the Keogh envelope of the query computed with band
 /// half-width w (see ComputeKeoghEnvelope), lower-bounds DtwDistance(query,

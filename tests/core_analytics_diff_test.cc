@@ -182,6 +182,34 @@ TEST_P(AnalyticsDiffTest, AnomalyScoresMatchExhaustiveCentroidScanExactly) {
   });
 }
 
+/// ANOMALY counts drift inside its own scan; it must report exactly the
+/// ComputeDrift entries of the classes it scanned — one class, or all.
+TEST_P(AnalyticsDiffTest, AnomalyDriftMatchesComputeDrift) {
+  ForEachSchedule(GetParam(), [](Rng* rng, const OnexBase& base,
+                                 int schedule) {
+    const std::vector<LengthClassDrift> all = ComputeDrift(base);
+    ASSERT_FALSE(all.empty());
+    const std::size_t one = all[rng->UniformIndex(all.size())].length;
+    for (const std::size_t length : {one, std::size_t{0}}) {
+      AnomalyOptions opt;
+      opt.length = length;
+      Result<AnomalyReport> got = DetectAnomalies(base, opt);
+      ASSERT_TRUE(got.ok()) << got.status();
+      std::vector<LengthClassDrift> want;
+      for (const LengthClassDrift& d : all) {
+        if (length == 0 || d.length == length) want.push_back(d);
+      }
+      ASSERT_EQ(got->drift.size(), want.size()) << "length=" << length;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got->drift[i].length, want[i].length);
+        EXPECT_EQ(got->drift[i].members, want[i].members);
+        EXPECT_EQ(got->drift[i].outliers, want[i].outliers)
+            << "schedule=" << schedule << " length=" << want[i].length;
+      }
+    }
+  });
+}
+
 TEST_P(AnalyticsDiffTest, MotifPairAndDiscordsMatchQuadraticScanExactly) {
   ForEachSchedule(GetParam(), [](Rng* rng, const OnexBase& base,
                                  int schedule) {

@@ -2,7 +2,10 @@
 /// answers — ref, group, and the raw, normalized and representative DTW at
 /// full precision — over walk, sine and duplicated-series datasets, with
 /// in-dataset and perturbed queries, k ∈ {1,3,5}, window ∈ {−1,0,8},
-/// exhaustive off/on and threads 1/4. Every pruning device in the cascade,
+/// exhaustive off/on and threads 1/4, plus an explore-shaped transcript
+/// over a base with one class per length from 8 to 40, whose queries meet
+/// dozens of cross-length classes (or only cross-length ones). Every
+/// pruning device in the cascade,
 /// the seeded refinement horizon included, is a pure work saver, so any
 /// change to them must reproduce this transcript bit for bit. The
 /// duplicated-series dataset makes exact distance ties, which pins the
@@ -13,9 +16,9 @@
 /// optimization level), and the datasets are built from integer-seeded
 /// arithmetic only (no libm), so the recorded values do not depend on the
 /// CPU or the platform's math library. On a mismatch the test writes the
-/// transcript it produced to core_refine_golden.actual.txt in the working
-/// directory, in the same raw-string form as core_refine_golden.inc, so an
-/// intended change is re-recorded by copying that file over the .inc.
+/// transcript it produced to <golden>.actual.txt in the working directory,
+/// in the same raw-string form as the .inc, so an intended change is
+/// re-recorded by copying that file over the .inc.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +42,10 @@ namespace {
 
 constexpr const char* kGolden =
 #include "core_refine_golden.inc"
+    ;
+
+constexpr const char* kMultiLengthGolden =
+#include "core_refine_golden_multilength.inc"
     ;
 
 /// splitmix64: a libm-free, platform-independent value stream.
@@ -192,6 +199,68 @@ std::string Transcript(std::size_t threads) {
   return out.str();
 }
 
+/// Explore-shaped transcript: length_step 1 from 8 to 40, so a query of a
+/// class length meets 32 other-length classes for its own one, and queries
+/// of length 6 and 44 meet cross-length classes only. Covers the bounds
+/// that hold across lengths, which the transcript above (four classes)
+/// barely exercises.
+std::string MultiLengthTranscript(std::size_t threads) {
+  std::ostringstream out;
+  for (const std::string kind : {"walk", "sine"}) {
+    Result<Dataset> norm =
+        Normalize(MakeRaw(kind), NormalizationKind::kMinMaxDataset);
+    EXPECT_TRUE(norm.ok()) << norm.status();
+    auto ds = std::make_shared<const Dataset>(std::move(norm).value());
+    BaseBuildOptions bopt;
+    bopt.st = 0.2;
+    bopt.min_length = 8;
+    bopt.max_length = 40;
+    bopt.length_step = 1;
+    Result<OnexBase> base = OnexBase::Build(ds, bopt);
+    EXPECT_TRUE(base.ok()) << base.status();
+    QueryProcessor qp(&*base);
+
+    Mix mix(kind.size() * 131);
+    auto perturbed = [&](const char* name, std::size_t s, std::size_t start,
+                         std::size_t len) {
+      const std::span<const double> v = (*ds)[s].Slice(start, len);
+      Query q{name, std::vector<double>(v.begin(), v.end())};
+      for (double& x : q.values) x += mix.Uniform(-0.03, 0.03);
+      return q;
+    };
+    std::vector<Query> qs;
+    const std::span<const double> in = (*ds)[3].Slice(17, 23);
+    qs.push_back({"in23", std::vector<double>(in.begin(), in.end())});
+    qs.push_back(perturbed("pert31", 1, 50, 31));
+    qs.push_back(perturbed("pert44", 5, 9, 44));  // longer than every class
+    qs.push_back(perturbed("pert6", 2, 70, 6));   // shorter than every class
+
+    for (const Query& q : qs) {
+      for (const int window : {kNoWindow, 8}) {
+        for (const bool exhaustive : {false, true}) {
+          QueryOptions opt;
+          opt.window = window;
+          opt.exhaustive = exhaustive;
+          opt.compute_path = false;
+          opt.threads = threads;
+          const std::string head = kind + " " + q.name +
+                                   " w=" + std::to_string(window) +
+                                   " ex=" + std::to_string(exhaustive);
+          for (const std::size_t k : {1u, 5u}) {
+            Result<std::vector<BestMatch>> knn = qp.KnnQuery(q.values, k, opt);
+            EXPECT_TRUE(knn.ok()) << knn.status();
+            if (!knn.ok()) continue;
+            for (std::size_t i = 0; i < knn->size(); ++i) {
+              Emit(&out, head + " KNN k=" + std::to_string(k), i, (*knn)[i]);
+            }
+          }
+        }
+      }
+    }
+  }
+  return out.str();
+}
+
 /// First line where the two transcripts differ, for a readable failure.
 std::string FirstDiff(const std::string& want, const std::string& got) {
   std::istringstream a(want), b(got);
@@ -207,22 +276,33 @@ std::string FirstDiff(const std::string& want, const std::string& got) {
   }
 }
 
+/// Produces `transcript` under the scalar table and compares it with the
+/// recorded `golden`, writing <name>.actual.txt on a mismatch.
+void ExpectGolden(std::string (*transcript)(std::size_t), std::size_t threads,
+                  const char* golden, const std::string& name) {
+  const KernelMode before = GetKernelMode();
+  SetKernelMode(KernelMode::kScalar);
+  const std::string got = transcript(threads);
+  SetKernelMode(before);
+
+  const std::string want = std::string(golden).substr(1);  // leading '\n'
+  if (got != want) {
+    std::ofstream(name + ".actual.txt")
+        << "R\"golden(\n" << got << ")golden\"\n";
+  }
+  EXPECT_TRUE(got == want) << "transcript differs (written to " << name
+                           << ".actual.txt) at " << FirstDiff(want, got);
+}
+
 class RefineGoldenTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RefineGoldenTest, AnswersMatchTheRecordedTranscript) {
-  const KernelMode before = GetKernelMode();
-  SetKernelMode(KernelMode::kScalar);
-  const std::string got = Transcript(GetParam());
-  SetKernelMode(before);
+  ExpectGolden(&Transcript, GetParam(), kGolden, "core_refine_golden");
+}
 
-  const std::string want = std::string(kGolden).substr(1);  // leading '\n'
-  if (got != want) {
-    std::ofstream("core_refine_golden.actual.txt")
-        << "R\"golden(\n" << got << ")golden\"\n";
-  }
-  EXPECT_TRUE(got == want)
-      << "transcript differs (written to core_refine_golden.actual.txt) at "
-      << FirstDiff(want, got);
+TEST_P(RefineGoldenTest, MultiLengthAnswersMatchTheRecordedTranscript) {
+  ExpectGolden(&MultiLengthTranscript, GetParam(), kMultiLengthGolden,
+               "core_refine_golden_multilength");
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RefineGoldenTest,
