@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   const std::string workdir = argc > 1 ? argv[1] : "/tmp";
   const std::string csv_path = workdir + "/onex_growth_panel.csv";
-  const std::string base_path = workdir + "/onex_growth_panel.onexbase";
+  const std::string base_path = workdir + "/onex_growth_panel.onexarena";
 
   // --- Session 1: ingest a CSV panel, prepare, persist. ---
   {

@@ -77,7 +77,7 @@ std::string Quoted(const std::string& s) {
 }
 
 /// Parses a JSON-quoted string at the start of `text`; returns the remainder
-/// through `rest` (same idiom as base_io.cc).
+/// through `rest`.
 Result<std::string> TakeQuoted(const std::string& text, std::string* rest) {
   if (text.empty() || text.front() != '"') {
     return Status::ParseError("expected quoted string in arena meta");

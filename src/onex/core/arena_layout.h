@@ -112,8 +112,8 @@ struct RealizedArena {
   std::shared_ptr<const OnexBase> base;
 };
 
-/// True when `bytes` starts with the ONEXARENA magic — the cheap sniff the
-/// version-switched readers (checkpoints, LOADBASE) dispatch on.
+/// True when `bytes` starts with the ONEXARENA magic — ParseArena's first
+/// check.
 bool LooksLikeArena(std::span<const std::byte> bytes);
 bool LooksLikeArena(std::string_view bytes);
 

@@ -180,10 +180,9 @@ Result<OnexBase> OnexBase::Restore(std::shared_ptr<const Dataset> dataset,
           "length classes must be strictly increasing");
     }
     prev_length = draft.length;
-    // Build() never materializes a class with zero members, but the ONEXBASE
-    // text format can carry one ("groups 0"). Skip it rather than install a
-    // memberless LengthClass that every later consumer (drift ratios, group
-    // scans) would have to special-case.
+    // Build() never materializes a class with zero members; skip an empty
+    // draft rather than install a memberless LengthClass that every later
+    // consumer (drift ratios, group scans) would have to special-case.
     if (draft.groups.empty()) continue;
     for (GroupBuilder& g : draft.groups) {
       if (g.empty()) {

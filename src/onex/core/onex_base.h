@@ -104,10 +104,11 @@ class OnexBase {
                                 const BaseBuildOptions& options,
                                 TaskPool* pool = nullptr);
 
-  /// Reassembles a base from persisted parts (base_io.h): validates member
-  /// references, recomputes centroids (policy-aware) and envelopes, packs
-  /// each class into its columnar store, and rebuilds stats. `classes`
-  /// entries must be sorted by length and carry their members.
+  /// Reassembles a base from group memberships — the incremental write
+  /// path (core/incremental.h): validates member references, recomputes
+  /// centroids (policy-aware) and envelopes, packs each class into its
+  /// columnar store, and rebuilds stats. `classes` entries must be sorted
+  /// by length and carry their members.
   static Result<OnexBase> Restore(std::shared_ptr<const Dataset> dataset,
                                   const BaseBuildOptions& options,
                                   std::vector<LengthClassDraft> classes,

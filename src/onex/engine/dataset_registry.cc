@@ -183,9 +183,9 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
     if (mapped_tier && scan.records.size() == 1) {
       // The log is just the rotation marker: the checkpoint IS the state,
       // so serve it from the mapping — cold start pays a page-in per
-      // touched page instead of materializing every dataset up front. A
-      // legacy (non-arena) or unmappable checkpoint falls back to the
-      // materialized read below; corruption surfaces there as usual.
+      // touched page instead of materializing every dataset up front. An
+      // unmappable checkpoint falls back to the materialized read below;
+      // corruption surfaces there as usual.
       if (Result<PreparedDataset> mapped = MapCheckpointFile(ckpt_path,
                                                              out.name);
           mapped.ok()) {
@@ -307,11 +307,10 @@ Status DatasetRegistry::Adopt(const std::string& name,
   if (durable_.load()) {
     // Slot birth is a durable event, and the whole birth happens BEFORE
     // the slot becomes findable: an unprepared slot journals its raw
-    // dataset as the first record; a prepared adopt (LOADBASE, whose
-    // state came from an ONEXPREP file and so is already canonical)
-    // writes its bootstrap checkpoint — the replay floor — while still
-    // unpublished. A concurrent Append/Extend therefore can never install
-    // into a journal that has no floor, and a failure here leaves nothing
+    // dataset as the first record; a prepared adopt (LOADBASE) writes its
+    // bootstrap checkpoint — the replay floor — while still unpublished.
+    // A concurrent Append/Extend therefore can never install into a
+    // journal that has no floor, and a failure here leaves nothing
     // visible and no acknowledged write behind. The cheap map pre-check
     // keeps the common collision an AlreadyExists; a racing double-adopt
     // is serialized by the journal directory creation itself.
@@ -667,7 +666,7 @@ void DatasetRegistry::EvictOverBudget(const Slot* keep) {
         // borrowed one over the checkpoint's mapping — the next query is a
         // page-in, not a rebuild, and no WAL record is needed (the live
         // snapshot IS the checkpoint's image, so replay converges either
-        // way). Ineligible or failed: fall through to the legacy strip.
+        // way). Ineligible or failed: fall through to the strip.
         if (std::shared_ptr<const PreparedDataset> mapped =
                 TryDowngradeLocked(victim_name, victim.get())) {
           const std::size_t arena_bytes = mapped->arena->size();
@@ -731,15 +730,15 @@ std::shared_ptr<const PreparedDataset> DatasetRegistry::TryDowngradeLocked(
   const std::shared_ptr<SlotJournal>& journal = slot->journal;
   if (journal == nullptr || !journal->has_floor.load()) return nullptr;
   // The arena on disk is current only when the checkpoint covers every
-  // journaled record; after RunCheckpoint the slot holds the canonical
-  // image the file decodes to, so the swap changes no answer bits.
+  // journaled record; the file decodes to exactly the snapshot the slot
+  // holds, so the swap changes no answer bits.
   if (journal->records_since_ckpt.load() != 0 ||
       journal->last_ckpt_seq.load() == 0) {
     return nullptr;
   }
   Result<PreparedDataset> mapped = MapCheckpointFile(
       CheckpointPath(journal->dir, journal->last_ckpt_seq.load()), name);
-  if (!mapped.ok()) return nullptr;  // legacy/missing/corrupt: caller strips
+  if (!mapped.ok()) return nullptr;  // missing/corrupt: caller strips
   return std::make_shared<const PreparedDataset>(*std::move(mapped));
 }
 
@@ -1021,15 +1020,12 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
           "' has no resident base to checkpoint (prepare it first; an "
           "evicted base is never forced back in by a checkpoint)");
     }
-    // The canonical image — what loading the checkpoint file will
-    // reconstruct — computed and serialized outside every lock, so readers
-    // never stall behind the big file write. Installing it below is the
-    // durability contract: after a checkpoint, live memory and the file
-    // agree bit for bit, so replay from the file converges with the live
-    // path (DESIGN.md §13).
-    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> canonical,
-                          CanonicalizeSnapshot(*current));
-    ONEX_ASSIGN_OR_RETURN(std::string bytes, EncodeCheckpoint(*canonical));
+    // Serialized outside every lock, so readers never stall behind the
+    // big file write. The arena stores the live snapshot exactly (raw and
+    // normalized values, centroids, envelopes), so the file decodes to the
+    // very bits the slot serves and replay from it converges with the live
+    // path (DESIGN.md §13) — the slot itself is left untouched.
+    ONEX_ASSIGN_OR_RETURN(std::string bytes, EncodeCheckpoint(*current));
     const std::string tmp_path =
         journal->dir + "/ckpt.partial-" +
         std::to_string(tmp_counter.fetch_add(1));
@@ -1046,11 +1042,11 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
     }
     const std::uint64_t state_seq = journal->last_seq.load();
     const std::string ckpt_path = CheckpointPath(journal->dir, state_seq);
-    // Only cheap, atomic file ops under the slot lock: the capture rename,
-    // the tiny log restart and the adoption must be one atomic step with
-    // respect to writers. Failure handling is phase-aware: before the log
-    // rotation renames, aborting is safe (the old WAL never references the
-    // new file); once the rotation rename has happened, the checkpoint is
+    // Only cheap, atomic file ops under the slot lock: the capture rename
+    // and the tiny log restart must be one atomic step with respect to
+    // writers. Failure handling is phase-aware: before the log rotation
+    // renames, aborting is safe (the old WAL never references the new
+    // file); once the rotation rename has happened, the checkpoint is
     // the log's replay floor and must never be deleted — an ambiguous
     // outcome (rename done, directory fsync failed) latches the journal
     // fail-stop instead.
@@ -1086,24 +1082,6 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
     journal->last_ckpt_seq.store(state_seq);
     journal->checkpoints_completed.fetch_add(1);
     journal->has_floor.store(true);  // the checkpoint IS the replay floor
-    // Adopt the canonical image: from here on, live answers and a recovery
-    // from this checkpoint are indistinguishable.
-    slot->snapshot = canonical;
-    TouchLocked(slot.get());
-    const std::size_t new_bytes = canonical->base->MemoryUsage();
-    {
-      std::lock_guard<std::mutex> map_lock(map_mutex_);
-      const auto it = slots_.find(name);
-      if (it != slots_.end() && it->second == slot) {
-        total_bytes_ += new_bytes;
-        total_bytes_ -= slot->base_bytes.load();
-        slot->base_bytes.store(new_bytes);
-        // The canonical image owns its storage: a previously mapped slot
-        // is promoted back to resident by the adoption.
-        total_mapped_bytes_ -= slot->mapped_bytes.load();
-        slot->mapped_bytes.store(0);
-      }
-    }
     if (info != nullptr) {
       info->state_seq = state_seq;
       std::error_code ec;
@@ -1113,7 +1091,6 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
     const std::string dir = journal->dir;
     lock.unlock();
     CleanupCheckpoints(dir, state_seq);
-    EvictOverBudget(slot.get());
     return Status::OK();
   }
 }

@@ -171,7 +171,7 @@ struct MaintenanceStatus {
 ///     length classes and installs conditionally like every other writer;
 ///   - optional durability (DESIGN.md §13): once Recover() has run, every
 ///     acknowledged mutation is journaled write-ahead into a per-slot
-///     versioned WAL, checkpoints fold the log into ONEXPREP snapshots, and
+///     versioned WAL, checkpoints fold the log into ONEXARENA files, and
 ///     the next Recover() reconstructs every slot bit-identically to the
 ///     pre-crash in-memory state.
 ///
@@ -296,8 +296,8 @@ class DatasetRegistry {
   /// manual demote). Requires durability on, a checkpoint covering every
   /// journaled record (wal_dirty == 0 — otherwise the arena on disk is
   /// stale), a resident base, and no pin. The swap needs no WAL record:
-  /// with zero records since the checkpoint the live snapshot IS the
-  /// checkpoint's canonical image, so replay converges either way.
+  /// with zero records since the checkpoint the live snapshot is exactly
+  /// what the checkpoint decodes to, so replay converges either way.
   Status Demote(const std::string& name);
 
   /// Bytes of arena-mapped bases currently serving cold slots; accounted
@@ -321,15 +321,15 @@ class DatasetRegistry {
   bool durable() const { return durable_.load(); }
   std::string data_dir() const;
 
-  /// Folds `name`'s journal into a fresh checkpoint file now: serializes
-  /// the current prepared snapshot (ONEXPREP payload plus exact raw
-  /// values), installs the snapshot's canonical image into the live slot
-  /// under the same critical section that restarts the WAL, and deletes
-  /// the superseded log. The adoption is what makes recovery bit-exact:
-  /// after a checkpoint, the live base and the checkpoint file agree down
-  /// to the last centroid ulp (snapshot_ops.h, CanonicalizeSnapshot).
-  /// FailedPrecondition when durability is off or the slot's base is not
-  /// resident (checkpointing never forces an evicted base back in).
+  /// Folds `name`'s journal into a fresh checkpoint file now: encodes the
+  /// current prepared snapshot as an ONEXARENA file outside the slot lock,
+  /// then, under the critical section that restarts the WAL, renames it
+  /// into place and deletes the superseded log. The slot's snapshot is not
+  /// replaced: the arena stores values, centroids and envelopes exactly, so
+  /// the live base and the checkpoint file agree bit for bit and recovery
+  /// is exact. A mapped slot stays mapped. FailedPrecondition when
+  /// durability is off or the slot has no prepared base (checkpointing
+  /// never forces an evicted base back in).
   Result<CheckpointInfo> Checkpoint(const std::string& name);
 
   /// Checkpoint scheduled on the task pool; at most one in flight per slot
@@ -436,7 +436,7 @@ class DatasetRegistry {
   /// map+parse does file I/O) and performs the swap and all byte accounting
   /// itself. Returns null when the slot is ineligible (mapped tier off,
   /// pinned, no journal floor, dirty WAL, no checkpoint, already mapped) or
-  /// the map/parse failed — callers fall back to the legacy strip.
+  /// the map/parse failed — callers fall back to stripping the base.
   std::shared_ptr<const PreparedDataset> TryDowngradeLocked(
       const std::string& name, Slot* slot);
 

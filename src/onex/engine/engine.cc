@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "onex/core/arena_layout.h"
 #include "onex/core/incremental.h"
 #include "onex/distance/dtw.h"
-#include "onex/engine/snapshot_io.h"
 #include "onex/engine/snapshot_ops.h"
 #include "onex/engine/wal.h"
 #include "onex/ts/paa.h"
@@ -138,50 +134,14 @@ Status Engine::SavePrepared(const std::string& name,
                             const std::string& path) const {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
                         GetPrepared(name));
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "' for writing");
-  }
-  return WritePreparedPayload(*ds, out);
+  return WriteCheckpointFile(*ds, path, /*sync=*/true);
 }
 
 Status Engine::LoadPrepared(const std::string& name, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  // Version switch on the magic: ONEXARENA checkpoints load exactly
-  // (materialized — LOADBASE adopts foreign files, which must not stay
-  // mapped after the source path changes or disappears); anything else goes
-  // through the legacy ONEXPREP text reader.
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  const bool is_arena =
-      in.gcount() == sizeof(magic) &&
-      LooksLikeArena(std::string_view(magic, sizeof(magic)));
-  in.clear();
-  in.seekg(0);
-  PreparedDataset loaded;
-  if (is_arena) {
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-      return Status::IoError("cannot read '" + path + "'");
-    }
-    const auto bytes =
-        std::as_bytes(std::span<const char>(content.data(), content.size()));
-    ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(bytes));
-    ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, nullptr));
-    loaded.name = name;
-    loaded.raw = std::move(realized.raw);
-    loaded.normalized = std::move(realized.normalized);
-    loaded.base = std::move(realized.base);
-    loaded.norm_kind = view.norm_kind;
-    loaded.norm_params = view.norm_params;
-    loaded.build_options = view.build_options;
-  } else {
-    ONEX_ASSIGN_OR_RETURN(loaded, ReadPreparedPayload(in, name));
-  }
+  // Materialized, never mapped: LOADBASE adopts a foreign file, which must
+  // not stay mapped after its path changes or disappears.
+  ONEX_ASSIGN_OR_RETURN(PreparedDataset loaded,
+                        ReadCheckpointFile(path, name));
   return registry_.Adopt(
       name, std::make_shared<const PreparedDataset>(std::move(loaded)));
 }

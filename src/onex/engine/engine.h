@@ -149,13 +149,16 @@ class Engine {
   Result<ExtendSummary> ExtendSeries(const std::string& name,
                                      std::vector<ExtendSpec> extensions);
 
-  /// Persists a prepared dataset (normalized values, groups, build options
-  /// and normalization parameters) so later sessions skip preprocessing.
+  /// Persists a prepared dataset as an ONEXARENA checkpoint file (raw and
+  /// normalized values, groups, build options, normalization parameters) so
+  /// later sessions skip preprocessing. Atomic: a failed write leaves no
+  /// file at `path`.
   Status SavePrepared(const std::string& name, const std::string& path) const;
 
-  /// Loads a dataset persisted by SavePrepared and registers it as `name`
-  /// (AlreadyExists on collision). The dataset arrives prepared; the raw
-  /// values are recovered through the stored normalization parameters.
+  /// Loads a dataset persisted by SavePrepared (or any checkpoint file) and
+  /// registers it as `name` (AlreadyExists on collision). The dataset
+  /// arrives prepared and bit-identical to the one saved, raw values
+  /// included.
   Status LoadPrepared(const std::string& name, const std::string& path);
 
   /// Best match for the query across the prepared base (Similarity View).

@@ -179,36 +179,4 @@ Result<std::shared_ptr<const PreparedDataset>> ApplyRegroup(
   return std::shared_ptr<const PreparedDataset>(std::move(next));
 }
 
-Result<std::shared_ptr<const PreparedDataset>> CanonicalizeSnapshot(
-    const PreparedDataset& current) {
-  if (!current.prepared()) {
-    return Status::FailedPrecondition(
-        "cannot canonicalize '" + current.name + "': base is not resident");
-  }
-  std::vector<LengthClassDraft> drafts;
-  drafts.reserve(current.base->length_classes().size());
-  for (const LengthClass& cls : current.base->length_classes()) {
-    LengthClassDraft draft;
-    draft.length = cls.length;
-    draft.groups.reserve(cls.groups.size());
-    for (const SimilarityGroup& g : cls.groups) {
-      GroupBuilder builder(cls.length);
-      builder.SetMembers(
-          std::vector<SubseqRef>(g.members().begin(), g.members().end()));
-      draft.groups.push_back(std::move(builder));
-    }
-    drafts.push_back(std::move(draft));
-  }
-  ONEX_ASSIGN_OR_RETURN(
-      OnexBase restored,
-      OnexBase::Restore(current.base->shared_dataset(), current.base->options(),
-                        std::move(drafts),
-                        current.base->stats().repaired_members));
-  auto next = std::make_shared<PreparedDataset>(current);
-  next->arena.reset();  // The restored base owns its storage again.
-  next->base = std::make_shared<const OnexBase>(std::move(restored));
-  next->normalized = next->base->shared_dataset();
-  return std::shared_ptr<const PreparedDataset>(std::move(next));
-}
-
 }  // namespace onex

@@ -67,18 +67,6 @@ Result<ExtendOutcome> ApplyExtend(
 Result<std::shared_ptr<const PreparedDataset>> ApplyRegroup(
     const PreparedDataset& current, std::span<const std::size_t> lengths);
 
-/// The canonical image of a prepared snapshot: the state a save/load round
-/// trip through the ONEXPREP format produces — same dataset, options and
-/// group membership, centroids and envelopes recomputed from members
-/// (OnexBase::Restore). Under kFixedLeader this is bitwise the input; under
-/// the running-mean policies incremental centroid updates and the restored
-/// member mean can differ in final ulps, which is exactly why a checkpoint
-/// must install this image into the live slot when it truncates the log
-/// (DESIGN.md §13): after adoption, live state and checkpoint file agree
-/// bit for bit. FailedPrecondition when the snapshot is not prepared.
-Result<std::shared_ptr<const PreparedDataset>> CanonicalizeSnapshot(
-    const PreparedDataset& current);
-
 }  // namespace onex
 
 #endif  // ONEX_ENGINE_SNAPSHOT_OPS_H_

@@ -6,18 +6,18 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "onex/common/string_utils.h"
 #include "onex/core/arena_layout.h"
-#include "onex/engine/snapshot_io.h"
 #include "onex/json/json.h"
 
 namespace onex {
@@ -25,8 +25,6 @@ namespace {
 
 constexpr const char* kWalMagic = "ONEXWAL";
 constexpr int kWalVersion = 1;
-constexpr const char* kCkptMagic = "ONEXCKPT";
-constexpr int kCkptVersion = 1;
 
 /// Far above the largest legal record (a 2M-point GEN encodes to ~50 MB);
 /// a line past this is corruption, not data.
@@ -670,7 +668,7 @@ Status WalWriter::Reopen(std::uint64_t next_seq) {
 
 /// Snapshot fields shared by the materialized and mapped arena load paths.
 /// The authoritative dataset name is the caller's (WAL header / slot), not
-/// the one stored in the arena — same contract as the legacy reader.
+/// the one stored in the arena.
 static PreparedDataset AssembleArenaSnapshot(const ArenaView& view,
                                              RealizedArena realized,
                                              const std::string& name) {
@@ -706,8 +704,14 @@ Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
                                            const std::string& name) {
   std::string content;
   {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
+    // A directory opens as a stream whose end lies at INT64_MAX; only a
+    // regular file may size the buffer.
+    std::error_code ec;
+    std::ifstream in;
+    if (std::filesystem::is_regular_file(path, ec)) {
+      in.open(path, std::ios::binary | std::ios::ate);
+    }
+    if (!in.is_open()) {
       return Status::IoError("cannot open checkpoint '" + path + "'");
     }
     const std::streamsize size = in.tellg();
@@ -717,108 +721,19 @@ Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
       return Status::IoError("cannot read checkpoint '" + path + "'");
     }
   }
-  if (LooksLikeArena(content)) {
-    // Arena-era checkpoint: parse + deep-copy into owned storage (the
-    // materialized path; MapCheckpointFile is the zero-copy sibling).
-    const auto bytes =
-        std::as_bytes(std::span<const char>(content.data(), content.size()));
-    ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(bytes));
-    ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, nullptr));
-    return AssembleArenaSnapshot(view, std::move(realized), name);
-  }
-
-  const std::size_t eol = content.find('\n');
-  if (eol == std::string::npos) {
-    return Status::ParseError("checkpoint '" + path + "' has no header");
-  }
-  {
-    TokenCursor cur(std::string_view(content).substr(0, eol));
-    ONEX_ASSIGN_OR_RETURN(std::string_view magic, cur.Next());
-    if (magic != kCkptMagic) {
-      return Status::ParseError("not an ONEX checkpoint file");
-    }
-    ONEX_ASSIGN_OR_RETURN(long long version, cur.NextInt());
-    if (version != kCkptVersion) {
-      return Status::ParseError(
-          StrFormat("unsupported checkpoint version %lld", version));
-    }
-    ONEX_ASSIGN_OR_RETURN(long long bytes, cur.NextInt());
-    ONEX_ASSIGN_OR_RETURN(std::string_view sum_text, cur.Next());
-    ONEX_ASSIGN_OR_RETURN(std::uint64_t expected, ParseHex64(sum_text));
-    if (!cur.Done()) {
-      return Status::ParseError("trailing bytes in checkpoint header");
-    }
-    const std::string_view body =
-        std::string_view(content).substr(eol + 1);
-    if (bytes < 0 || static_cast<std::size_t>(bytes) != body.size()) {
-      return Status::ParseError("checkpoint payload length mismatch");
-    }
-    if (Fnv1a64(body) != expected) {
-      return Status::ParseError("checkpoint checksum mismatch");
-    }
-  }
-
-  // One buffer end to end: the checksum above verified a view, the stream
-  // takes the string by move, and seekg skips the header line — no
-  // payload-sized copies (checkpoints are sized by whole datasets).
-  std::istringstream payload(std::move(content));
-  payload.seekg(static_cast<std::streamoff>(eol + 1));
-  // Raw section: the exact original-unit values (snapshot_io's
-  // denormalization is a display convenience, not a bit-exact inverse).
-  std::string line;
-  if (!std::getline(payload, line)) {
-    return Status::ParseError("checkpoint missing raw section");
-  }
-  Dataset raw;
-  {
-    TokenCursor cur(line);
-    ONEX_ASSIGN_OR_RETURN(std::string_view tag, cur.Next());
-    ONEX_ASSIGN_OR_RETURN(long long count, cur.NextInt());
-    if (tag != "raw" || count < 0 || !cur.Done()) {
-      return Status::ParseError("malformed checkpoint raw header");
-    }
-    for (long long s = 0; s < count; ++s) {
-      if (!std::getline(payload, line)) {
-        return Status::ParseError("checkpoint raw section ends early");
-      }
-      TokenCursor scur(line);
-      ONEX_ASSIGN_OR_RETURN(std::string_view stag, scur.Next());
-      if (stag != "s") {
-        return Status::ParseError("malformed checkpoint raw series line");
-      }
-      ONEX_ASSIGN_OR_RETURN(TimeSeries ts, ParseSeriesText(&scur));
-      if (!scur.Done()) {
-        return Status::ParseError("trailing bytes in checkpoint raw series");
-      }
-      raw.Add(std::move(ts));
-    }
-  }
-
-  ONEX_ASSIGN_OR_RETURN(PreparedDataset ds, ReadPreparedPayload(payload, name));
-  if (raw.size() != ds.normalized->size()) {
-    return Status::ParseError(
-        "checkpoint raw/normalized series count mismatch");
-  }
-  for (std::size_t s = 0; s < raw.size(); ++s) {
-    if (raw[s].length() != (*ds.normalized)[s].length()) {
-      return Status::ParseError(StrFormat(
-          "checkpoint raw/normalized length mismatch in series %zu", s));
-    }
-  }
-  raw.set_name(ds.normalized->name());
-  ds.raw = std::make_shared<const Dataset>(std::move(raw));
-  return ds;
+  // Parse + deep-copy into owned storage (the materialized path;
+  // MapCheckpointFile is the zero-copy sibling).
+  const auto bytes =
+      std::as_bytes(std::span<const char>(content.data(), content.size()));
+  ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(bytes));
+  ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, nullptr));
+  return AssembleArenaSnapshot(view, std::move(realized), name);
 }
 
 Result<PreparedDataset> MapCheckpointFile(const std::string& path,
                                           const std::string& name) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const ArenaMapping> mapping,
                         ArenaMapping::Map(path));
-  if (!LooksLikeArena(mapping->bytes())) {
-    return Status::FailedPrecondition(
-        "checkpoint '" + path +
-        "' is a legacy ONEXCKPT file; it cannot be served in place");
-  }
   ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(mapping->bytes()));
   ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, mapping));
   PreparedDataset ds = AssembleArenaSnapshot(view, std::move(realized), name);

@@ -20,13 +20,12 @@
 namespace onex {
 
 /// The per-slot write-ahead log (DESIGN.md §13). Versioned, line-oriented
-/// text ("ONEXWAL 1", matching the ONEXBASE/ONEXPREP idiom): one header
-/// line naming the dataset, then one line per journaled mutation. Every
-/// record carries a strictly increasing sequence number and a trailing
-/// FNV-1a 64 checksum over its own bytes, so a torn tail (crash mid-append)
-/// and a flipped bit (media corruption) are both detected — the first is
-/// recovered past, the second is a structured error, never a silently
-/// wrong base.
+/// text ("ONEXWAL 1"): one header line naming the dataset, then one line
+/// per journaled mutation. Every record carries a strictly increasing
+/// sequence number and a trailing FNV-1a 64 checksum over its own bytes, so
+/// a torn tail (crash mid-append) and a flipped bit (media corruption) are
+/// both detected — the first is recovered past, the second is a structured
+/// error, never a silently wrong base.
 ///
 ///   ONEXWAL 1 "<dataset name>"
 ///   r <seq> load "<ds>" <n> {"<name>" "<label>" <len> <v...>}*   c=<fnv64>
@@ -180,14 +179,16 @@ class WalWriter {
   bool failed_ = false;
 };
 
-/// Checkpoint files. New checkpoints are written in the ONEXARENA format
-/// (core/arena_layout.h): one relocatable, section-checksummed blob holding
-/// the exact raw values, the normalized values and the full columnar group
-/// state — so a checkpoint can be mmap'd and served in place (the mapped
-/// tier, DESIGN.md §17), not just replayed. ReadCheckpointFile sniffs the
-/// magic and still reads the legacy text format ("ONEXCKPT 1": raw series
-/// plus the ONEXPREP payload, length- and FNV-guarded), so checkpoints
-/// written before the arena era recover unchanged.
+/// Checkpoint files — the one on-disk form of a prepared dataset, shared by
+/// the durability layer and the SAVEBASE/LOADBASE verbs. The format is
+/// ONEXARENA (core/arena_layout.h): one relocatable, section-checksummed
+/// blob holding the exact raw values, the normalized values and the full
+/// columnar group state, so a checkpoint can be mmap'd and served in place
+/// (the mapped tier, DESIGN.md §17), not just replayed. Encode → read is
+/// exact: the file decodes to the bits it was written from.
+/// WriteCheckpointFile writes a temp file and renames it over `path`, so a
+/// failed write never leaves a torn file behind. ReadCheckpointFile
+/// deep-copies into owned storage; nothing stays mapped.
 Status WriteCheckpointFile(const PreparedDataset& ds, const std::string& path,
                            bool sync);
 Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
@@ -195,13 +196,12 @@ Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
 
 /// Maps an arena checkpoint read-only and assembles a snapshot whose base
 /// borrows the mapping (PreparedDataset::arena set, storage pinned via the
-/// base's keepalive). FailedPrecondition when the file is not an arena —
-/// legacy checkpoints cannot be served in place; callers fall back to
-/// ReadCheckpointFile.
+/// base's keepalive). Callers fall back to ReadCheckpointFile (or a
+/// rebuild) when the map or parse fails.
 Result<PreparedDataset> MapCheckpointFile(const std::string& path,
                                           const std::string& name);
 
-/// The checkpoint file's bytes (header + guarded payload) without the file
+/// The checkpoint file's bytes (the arena blob) without the file
 /// write — the registry serializes outside its slot lock and then only
 /// renames inside the critical section.
 Result<std::string> EncodeCheckpoint(const PreparedDataset& ds);

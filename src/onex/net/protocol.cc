@@ -1384,8 +1384,8 @@ Result<json::Value> DoDrop(Engine* engine, Session* session,
   return Ok();
 }
 
-Result<json::Value> DoSaveBase(Engine* engine, Session*, const Command& cmd,
-                               const ExecContext&) {
+Result<json::Value> DoSavePrepared(Engine* engine, Session*,
+                                   const Command& cmd, const ExecContext&) {
   ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
   ONEX_RETURN_IF_ERROR(engine->SavePrepared(cmd.args[0], cmd.args[1]));
   json::Value v = Ok();
@@ -1393,8 +1393,8 @@ Result<json::Value> DoSaveBase(Engine* engine, Session*, const Command& cmd,
   return v;
 }
 
-Result<json::Value> DoLoadBase(Engine* engine, Session*, const Command& cmd,
-                               const ExecContext&) {
+Result<json::Value> DoLoadPrepared(Engine* engine, Session*,
+                                   const Command& cmd, const ExecContext&) {
   ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
   ONEX_RETURN_IF_ERROR(engine->LoadPrepared(cmd.args[0], cmd.args[1]));
   json::Value v = Ok();
@@ -1462,8 +1462,8 @@ constexpr VerbSpec kVerbTable[] = {
     {"APPEND", DoAppend, EC::kMutator, CR::kOwner, DatasetArg},
     {"EXTEND", DoExtend, EC::kMutator, CR::kOwner, DatasetArg},
     {"DRIFT", DoDrift, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"SAVEBASE", DoSaveBase, EC::kMutator, CR::kBlocked, nullptr},
-    {"LOADBASE", DoLoadBase, EC::kMutator, CR::kBlocked, nullptr},
+    {"SAVEBASE", DoSavePrepared, EC::kMutator, CR::kBlocked, nullptr},
+    {"LOADBASE", DoLoadPrepared, EC::kMutator, CR::kBlocked, nullptr},
     {"PERSIST", DoPersist, EC::kMutator, CR::kBlocked, nullptr},
     {"CHECKPOINT", DoCheckpoint, EC::kMutator, CR::kBlocked, DatasetArg},
     {"STATS", DoStats, EC::kReadOnly, CR::kOwner, DatasetArg},

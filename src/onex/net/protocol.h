@@ -61,7 +61,11 @@ namespace onex::net {
 ///       regroup is in flight. threshold= sets the registry-wide trigger
 ///       (0 disables), like BUDGET sets the LRU budget.
 ///   SAVEBASE <name> <path>                           persist prepared state
+///       Writes the prepared dataset as an ONEXARENA checkpoint file
+///       (temp file plus rename: a failed write leaves nothing at <path>).
 ///   LOADBASE <name> <path>                           restore prepared state
+///       Reads an ONEXARENA file (a SAVEBASE output or a checkpoint) into a
+///       new resident slot, bit-identical to the saved state.
 ///   PERSIST [dir=<path>] [every=<records>] [fsync=0|1]
 ///       Durability control (DESIGN.md §13). With dir=, enables the
 ///       write-ahead journal rooted there: existing journals are recovered
@@ -72,10 +76,11 @@ namespace onex::net {
 ///       checkpoint; 0 = manual only). Without dir=, reports the current
 ///       durability state. Enabling twice is FailedPrecondition.
 ///   CHECKPOINT [<name>|dataset=<name>]               checkpoint a slot now
-///       Folds the slot's journal into a fresh ONEXPREP checkpoint file
-///       and restarts its WAL; the live slot adopts the checkpoint's
-///       canonical image, so recovery from it is bit-exact. Reports the
-///       captured log position and file size.
+///       Folds the slot's journal into a fresh ONEXARENA checkpoint file
+///       and restarts its WAL. The file stores the live snapshot exactly,
+///       so recovery from it is bit-exact and the slot is left as it is (a
+///       mapped slot stays mapped). Reports the captured log position and
+///       file size.
 ///   STATS
 ///   CATALOG [points=24]                              series list + previews
 ///   OVERVIEW [length=0] [top=12]

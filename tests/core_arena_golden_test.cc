@@ -5,8 +5,8 @@
 /// bits, borrowed off a mapping or deep-copied), and corruption robustness —
 /// every truncation prefix and 400 rounds of random byte flips must surface
 /// as clean structured errors or realize into a base that still satisfies
-/// its invariants, never UB. Mirror of core_base_io_golden_test.cc for the
-/// binary format; runs under ASan in CI.
+/// its invariants, never UB. ONEXARENA is the one on-disk form of a prepared
+/// dataset (checkpoints, SAVEBASE, LOADBASE); runs under ASan in CI.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -45,9 +45,9 @@ struct GoldenPrepared {
   std::shared_ptr<const OnexBase> base;
 };
 
-GoldenPrepared BuildGolden() {
+GoldenPrepared Prepare(Dataset raw) {
   GoldenPrepared g;
-  g.raw = testing::SmallDataset(/*num=*/5, /*len=*/20, /*seed=*/99);
+  g.raw = std::move(raw);
   Result<Dataset> norm =
       Normalize(g.raw, NormalizationKind::kMinMaxDataset, &g.params);
   EXPECT_TRUE(norm.ok()) << norm.status().ToString();
@@ -56,6 +56,21 @@ GoldenPrepared BuildGolden() {
   EXPECT_TRUE(base.ok()) << base.status().ToString();
   g.base = std::make_shared<const OnexBase>(*std::move(base));
   return g;
+}
+
+GoldenPrepared BuildGolden() {
+  return Prepare(testing::SmallDataset(/*num=*/5, /*len=*/20, /*seed=*/99));
+}
+
+/// Names and labels the meta section must quote: '"', a tab and '\'.
+GoldenPrepared BuildQuotedNames() {
+  Dataset raw("data \"set\" with\ttabs");
+  raw.Add(TimeSeries("series \"x\"", {0.1, 0.2, 0.3, 0.4, 0.5, 0.7},
+                     "l\\bel"));
+  raw.Add(TimeSeries("tab\there", {0.5, 0.4, 0.3, 0.2, 0.1, 0.0},
+                     "\"q\"\t\\"));
+  raw.Add(TimeSeries("plain", {0.3, 0.9, 0.1, 0.6, 0.2, 0.8}));
+  return Prepare(std::move(raw));
 }
 
 std::string Encode(const GoldenPrepared& g) {
@@ -159,25 +174,30 @@ TEST(ArenaGoldenTest, IndependentBuildsEncodeToIdenticalBytes) {
 }
 
 TEST(ArenaGoldenTest, EncodeParseRealizeReencodeIsByteStable) {
-  const GoldenPrepared golden = BuildGolden();
-  const std::string bytes = Encode(golden);
-  Result<RealizedArena> realized = Realize(bytes, nullptr);
-  ASSERT_TRUE(realized.ok()) << realized.status().ToString();
-  CheckInvariants(*realized);
-  ExpectBitIdentical(*realized->base, *golden.base);
-  // Raw and normalized values round-trip exactly (binary doubles, no text).
-  for (std::size_t s = 0; s < golden.raw.size(); ++s) {
-    EXPECT_EQ((*realized->raw)[s].values(), golden.raw[s].values());
-    EXPECT_EQ((*realized->raw)[s].name(), golden.raw[s].name());
-    EXPECT_EQ((*realized->normalized)[s].values(),
-              (*golden.normalized)[s].values());
+  for (const GoldenPrepared& golden : {BuildGolden(), BuildQuotedNames()}) {
+    SCOPED_TRACE(golden.raw.name());
+    const std::string bytes = Encode(golden);
+    Result<RealizedArena> realized = Realize(bytes, nullptr);
+    ASSERT_TRUE(realized.ok()) << realized.status().ToString();
+    CheckInvariants(*realized);
+    ExpectBitIdentical(*realized->base, *golden.base);
+    // Raw and normalized values round-trip exactly (binary doubles, no
+    // text), and so do names and labels, whatever they hold.
+    EXPECT_EQ(realized->raw->name(), golden.raw.name());
+    for (std::size_t s = 0; s < golden.raw.size(); ++s) {
+      EXPECT_EQ((*realized->raw)[s].values(), golden.raw[s].values());
+      EXPECT_EQ((*realized->raw)[s].name(), golden.raw[s].name());
+      EXPECT_EQ((*realized->raw)[s].label(), golden.raw[s].label());
+      EXPECT_EQ((*realized->normalized)[s].values(),
+                (*golden.normalized)[s].values());
+    }
+    // And the realized state encodes back to the very same bytes.
+    Result<std::string> resaved =
+        EncodeArena(*realized->raw, NormalizationKind::kMinMaxDataset,
+                    golden.params, *realized->base);
+    ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+    EXPECT_EQ(bytes, *resaved);
   }
-  // And the realized state encodes back to the very same bytes.
-  Result<std::string> resaved =
-      EncodeArena(*realized->raw, NormalizationKind::kMinMaxDataset,
-                  golden.params, *realized->base);
-  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
-  EXPECT_EQ(bytes, *resaved);
 }
 
 TEST(ArenaGoldenTest, BorrowedRealizeServesTheBufferAndPinsIt) {
@@ -264,7 +284,7 @@ TEST(ArenaGoldenTest, RandomByteFlipsAreRejectedOrInvariantChecked) {
 }
 
 TEST(ArenaGoldenTest, ForeignAndGarbageBytesAreRejected) {
-  EXPECT_FALSE(LooksLikeArena(std::string_view("ONEXPREP 1\n")));
+  EXPECT_FALSE(LooksLikeArena(std::string_view("ONEXWAL 1 \"a\"\n")));
   EXPECT_FALSE(LooksLikeArena(std::string_view("")));
   {
     const std::string junk = "GARBAGE GARBAGE GARBAGE GARBAGE GARBAGE "

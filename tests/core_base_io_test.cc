@@ -1,44 +1,82 @@
-#include "onex/core/base_io.h"
-
+/// Saving and loading an OnexBase. The one on-disk form of a base is the
+/// ONEXARENA blob (core/arena_layout.h), written and read as a file by
+/// WriteCheckpointFile/ReadCheckpointFile (the SAVEBASE/LOADBASE and
+/// checkpoint path). These cases pin what a save/load round trip keeps —
+/// structure, exact values, names, build options and query answers — and
+/// that bad files and paths fail cleanly. Byte stability and the
+/// truncation/flip fuzzing live in core_arena_golden_test.
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "onex/core/incremental.h"
+#include "onex/core/arena_layout.h"
+#include "onex/core/onex_base.h"
 #include "onex/core/query_processor.h"
 #include "onex/distance/euclidean.h"
+#include "onex/engine/dataset_registry.h"
+#include "onex/engine/wal.h"
 #include "onex/gen/generators.h"
 #include "onex/ts/normalization.h"
 
 namespace onex {
 namespace {
 
-OnexBase MakeBase(CentroidPolicy policy = CentroidPolicy::kRunningMean,
-                  std::uint64_t seed = 42) {
-  gen::SineFamilyOptions gopt;
-  gopt.num_series = 6;
-  gopt.length = 20;
-  gopt.seed = seed;
-  Result<Dataset> norm = Normalize(gen::MakeSineFamilies(gopt),
-                                   NormalizationKind::kMinMaxDataset);
-  auto ds = std::make_shared<const Dataset>(std::move(norm).value());
+/// A prepared sine-family dataset: raw values, frozen min-max
+/// normalization and the base built on the normalized copy.
+struct Prepared {
+  Dataset raw;
+  NormalizationParams params;
+  std::shared_ptr<const OnexBase> base;
+};
+
+Prepared MakePrepared(Dataset raw,
+                      CentroidPolicy policy = CentroidPolicy::kRunningMean) {
+  Prepared p;
+  p.raw = std::move(raw);
+  Result<Dataset> norm =
+      Normalize(p.raw, NormalizationKind::kMinMaxDataset, &p.params);
+  EXPECT_TRUE(norm.ok()) << norm.status();
+  auto ds = std::make_shared<const Dataset>(*std::move(norm));
   BaseBuildOptions opt;
   opt.st = 0.2;
   opt.min_length = 4;
   opt.max_length = 10;
   opt.length_step = 2;
   opt.centroid_policy = policy;
-  return std::move(OnexBase::Build(ds, opt)).value();
+  Result<OnexBase> base = OnexBase::Build(ds, opt);
+  EXPECT_TRUE(base.ok()) << base.status();
+  p.base = std::make_shared<const OnexBase>(*std::move(base));
+  return p;
+}
+
+Prepared MakeSines(CentroidPolicy policy = CentroidPolicy::kRunningMean) {
+  gen::SineFamilyOptions gopt;
+  gopt.num_series = 6;
+  gopt.length = 20;
+  gopt.seed = 42;
+  return MakePrepared(gen::MakeSineFamilies(gopt), policy);
+}
+
+std::string Save(const Prepared& p) {
+  Result<std::string> bytes = EncodeArena(
+      p.raw, NormalizationKind::kMinMaxDataset, p.params, *p.base);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return *std::move(bytes);
+}
+
+Result<RealizedArena> Load(const std::string& bytes) {
+  Result<ArenaView> view = ParseArena(
+      std::as_bytes(std::span<const char>(bytes.data(), bytes.size())));
+  if (!view.ok()) return view.status();
+  return RealizeArena(*view, nullptr);
 }
 
 void ExpectBasesEquivalent(const OnexBase& a, const OnexBase& b) {
@@ -53,53 +91,51 @@ void ExpectBasesEquivalent(const OnexBase& a, const OnexBase& b) {
     for (std::size_t g = 0; g < ca.groups.size(); ++g) {
       EXPECT_TRUE(std::ranges::equal(ca.groups[g].members(),
                                      cb.groups[g].members()));
-      ASSERT_EQ(ca.groups[g].centroid().size(), cb.groups[g].centroid().size());
-      for (std::size_t i = 0; i < ca.groups[g].centroid().size(); ++i) {
-        EXPECT_NEAR(ca.groups[g].centroid()[i], cb.groups[g].centroid()[i],
-                    1e-12);
-      }
+      // The arena stores centroids as raw doubles: bit-exact.
+      EXPECT_TRUE(std::ranges::equal(ca.groups[g].centroid_span(),
+                                     cb.groups[g].centroid_span()))
+          << "class " << c << " group " << g;
     }
   }
 }
 
 TEST(BaseIoTest, SaveLoadRoundTripsStructure) {
-  const OnexBase base = MakeBase();
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  Result<OnexBase> back = LoadBase(buf);
+  const Prepared p = MakeSines();
+  Result<RealizedArena> back = Load(Save(p));
   ASSERT_TRUE(back.ok()) << back.status();
-  ExpectBasesEquivalent(base, *back);
-  EXPECT_EQ(back->options().st, base.options().st);
-  EXPECT_EQ(back->options().min_length, base.options().min_length);
-  EXPECT_EQ(back->options().centroid_policy, base.options().centroid_policy);
-  EXPECT_EQ(back->dataset().name(), base.dataset().name());
-  EXPECT_EQ(back->dataset().size(), base.dataset().size());
+  ExpectBasesEquivalent(*p.base, *back->base);
+  EXPECT_EQ(back->base->options().st, p.base->options().st);
+  EXPECT_EQ(back->base->options().min_length, p.base->options().min_length);
+  EXPECT_EQ(back->base->options().max_length, p.base->options().max_length);
+  EXPECT_EQ(back->base->options().length_step, p.base->options().length_step);
+  EXPECT_EQ(back->base->options().centroid_policy,
+            p.base->options().centroid_policy);
+  EXPECT_EQ(back->base->dataset().name(), p.base->dataset().name());
+  EXPECT_EQ(back->base->dataset().size(), p.base->dataset().size());
 }
 
 TEST(BaseIoTest, RoundTripPreservesDatasetValuesExactly) {
-  const OnexBase base = MakeBase();
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  Result<OnexBase> back = LoadBase(buf);
-  ASSERT_TRUE(back.ok());
-  for (std::size_t s = 0; s < base.dataset().size(); ++s) {
-    EXPECT_EQ(base.dataset()[s].values(), back->dataset()[s].values())
-        << "series " << s;
-    EXPECT_EQ(base.dataset()[s].name(), back->dataset()[s].name());
-    EXPECT_EQ(base.dataset()[s].label(), back->dataset()[s].label());
+  const Prepared p = MakeSines();
+  Result<RealizedArena> back = Load(Save(p));
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->raw->size(), p.raw.size());
+  for (std::size_t s = 0; s < p.raw.size(); ++s) {
+    EXPECT_EQ(p.raw[s].values(), (*back->raw)[s].values()) << "series " << s;
+    EXPECT_EQ(p.base->dataset()[s].values(), back->base->dataset()[s].values())
+        << "normalized series " << s;
+    EXPECT_EQ(p.raw[s].name(), (*back->raw)[s].name());
+    EXPECT_EQ(p.raw[s].label(), (*back->raw)[s].label());
   }
 }
 
 TEST(BaseIoTest, RoundTripPreservesQueryAnswers) {
-  const OnexBase base = MakeBase();
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  Result<OnexBase> back = LoadBase(buf);
-  ASSERT_TRUE(back.ok());
+  const Prepared p = MakeSines();
+  Result<RealizedArena> back = Load(Save(p));
+  ASSERT_TRUE(back.ok()) << back.status();
 
-  QueryProcessor before(&base);
-  QueryProcessor after(&*back);
-  const std::span<const double> q = base.dataset()[2].Slice(3, 8);
+  QueryProcessor before(p.base.get());
+  QueryProcessor after(back->base.get());
+  const std::span<const double> q = p.base->dataset()[2].Slice(3, 8);
   QueryOptions opt;
   opt.exhaustive = true;
   Result<BestMatch> m0 = before.BestMatchQuery(q, opt);
@@ -107,197 +143,107 @@ TEST(BaseIoTest, RoundTripPreservesQueryAnswers) {
   ASSERT_TRUE(m0.ok());
   ASSERT_TRUE(m1.ok());
   EXPECT_EQ(m0->ref, m1->ref);
-  EXPECT_NEAR(m0->normalized_dtw, m1->normalized_dtw, 1e-12);
+  EXPECT_EQ(m0->normalized_dtw, m1->normalized_dtw);
 }
 
 TEST(BaseIoTest, FixedLeaderCentroidSurvivesRoundTrip) {
-  const OnexBase base = MakeBase(CentroidPolicy::kFixedLeader);
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  Result<OnexBase> back = LoadBase(buf);
-  ASSERT_TRUE(back.ok());
-  ExpectBasesEquivalent(base, *back);
+  const Prepared p = MakeSines(CentroidPolicy::kFixedLeader);
+  Result<RealizedArena> back = Load(Save(p));
+  ASSERT_TRUE(back.ok()) << back.status();
+  ExpectBasesEquivalent(*p.base, *back->base);
   // The leader invariant holds after restore: members within ST/2.
-  for (const LengthClass& cls : back->length_classes()) {
+  const OnexBase& base = *back->base;
+  for (const LengthClass& cls : base.length_classes()) {
     for (const SimilarityGroup& g : cls.groups) {
       for (const SubseqRef& ref : g.members()) {
         EXPECT_LE(NormalizedEuclidean(g.centroid_span(),
-                                      ref.Resolve(back->dataset())),
-                  back->options().st / 2.0 + 1e-9);
+                                      ref.Resolve(base.dataset())),
+                  base.options().st / 2.0 + 1e-9);
       }
     }
   }
 }
 
 TEST(BaseIoTest, QuotedNamesWithSpecialCharacters) {
-  Dataset ds("data \"set\" with\ttabs");
-  ds.Add(TimeSeries("series \"x\"", {0.1, 0.2, 0.3, 0.4, 0.5}, "l\\bel"));
-  ds.Add(TimeSeries("plain", {0.5, 0.4, 0.3, 0.2, 0.1}));
-  BaseBuildOptions opt;
-  opt.st = 0.3;
-  opt.min_length = 3;
-  Result<OnexBase> base =
-      OnexBase::Build(std::make_shared<const Dataset>(ds), opt);
-  ASSERT_TRUE(base.ok());
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(*base, buf).ok());
-  Result<OnexBase> back = LoadBase(buf);
+  Dataset raw("data \"set\" with\ttabs");
+  raw.Add(TimeSeries("series \"x\"", {0.1, 0.2, 0.3, 0.4, 0.5}, "l\\bel"));
+  raw.Add(TimeSeries("plain", {0.5, 0.4, 0.3, 0.2, 0.1}));
+  const Prepared p = MakePrepared(std::move(raw));
+  Result<RealizedArena> back = Load(Save(p));
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->dataset().name(), "data \"set\" with\ttabs");
-  EXPECT_EQ(back->dataset()[0].name(), "series \"x\"");
-  EXPECT_EQ(back->dataset()[0].label(), "l\\bel");
+  EXPECT_EQ(back->raw->name(), "data \"set\" with\ttabs");
+  EXPECT_EQ((*back->raw)[0].name(), "series \"x\"");
+  EXPECT_EQ((*back->raw)[0].label(), "l\\bel");
+  EXPECT_EQ(back->base->dataset()[0].name(), "series \"x\"");
+}
+
+PreparedDataset AsPrepared(const Prepared& p) {
+  PreparedDataset ds;
+  ds.name = "sines";
+  ds.raw = std::make_shared<const Dataset>(p.raw);
+  ds.normalized = p.base->shared_dataset();
+  ds.norm_params = p.params;
+  ds.norm_kind = NormalizationKind::kMinMaxDataset;
+  ds.base = p.base;
+  ds.build_options = p.base->options();
+  return ds;
 }
 
 TEST(BaseIoTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/onex_base_test.onex";
-  const OnexBase base = MakeBase();
-  ASSERT_TRUE(SaveBaseToFile(base, path).ok());
-  Result<OnexBase> back = LoadBaseFromFile(path);
+  const std::string path =
+      ::testing::TempDir() + "/onex_base_io_test.onexarena";
+  const Prepared p = MakeSines();
+  ASSERT_TRUE(WriteCheckpointFile(AsPrepared(p), path, /*sync=*/false).ok());
+  Result<PreparedDataset> back = ReadCheckpointFile(path, "reloaded");
   ASSERT_TRUE(back.ok()) << back.status();
-  ExpectBasesEquivalent(base, *back);
+  EXPECT_EQ(back->name, "reloaded");
+  ASSERT_TRUE(back->prepared());
+  EXPECT_FALSE(back->mapped());
+  ExpectBasesEquivalent(*p.base, *back->base);
+  ASSERT_EQ(back->raw->size(), p.raw.size());
+  for (std::size_t s = 0; s < p.raw.size(); ++s) {
+    EXPECT_EQ(p.raw[s].values(), (*back->raw)[s].values()) << "series " << s;
+  }
   std::remove(path.c_str());
 }
 
 TEST(BaseIoTest, MissingFileFails) {
-  EXPECT_EQ(LoadBaseFromFile("/no/such/base.onex").status().code(),
+  EXPECT_EQ(ReadCheckpointFile("/no/such/base.onexarena", "x").status().code(),
             StatusCode::kIoError);
-  const OnexBase base = MakeBase();
-  EXPECT_EQ(SaveBaseToFile(base, "/no/such/dir/base.onex").code(),
+  const Prepared p = MakeSines();
+  EXPECT_EQ(WriteCheckpointFile(AsPrepared(p), "/no/such/dir/base.onexarena",
+                                /*sync=*/false)
+                .code(),
             StatusCode::kIoError);
 }
 
 TEST(BaseIoTest, RejectsCorruptedInput) {
-  const OnexBase base = MakeBase();
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  const std::string good = buf.str();
+  const std::string good = Save(MakeSines());
+  ASSERT_GT(good.size(), 16u);
 
   // Wrong magic.
   {
-    std::istringstream in("NOTABASE 1\n" + good.substr(good.find('\n') + 1));
-    EXPECT_EQ(LoadBase(in).status().code(), StatusCode::kParseError);
+    std::string bad = good;
+    std::memcpy(bad.data(), "NOTABASE", 8);
+    EXPECT_EQ(Load(bad).status().code(), StatusCode::kParseError);
   }
   // Unsupported version.
   {
-    std::istringstream in("ONEXBASE 99\n" + good.substr(good.find('\n') + 1));
-    EXPECT_EQ(LoadBase(in).status().code(), StatusCode::kParseError);
+    std::string bad = good;
+    const std::uint32_t version = 99;
+    std::memcpy(bad.data() + 8, &version, sizeof(version));
+    EXPECT_EQ(Load(bad).status().code(), StatusCode::kParseError);
   }
   // Truncated file (cut in the middle).
-  {
-    std::istringstream in(good.substr(0, good.size() / 2));
-    EXPECT_FALSE(LoadBase(in).ok());
-  }
-  // Member reference out of range.
+  EXPECT_FALSE(Load(good.substr(0, good.size() / 2)).ok());
+  // A flipped payload byte breaks the checksum.
   {
     std::string bad = good;
-    const std::size_t pos = bad.find("\ng ");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, 3, "\ng 99:0 ");
-    std::istringstream in(bad);
-    EXPECT_FALSE(LoadBase(in).ok());
+    bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x5a);
+    EXPECT_FALSE(Load(bad).ok());
   }
-  // Garbage member token.
-  {
-    std::string bad = good;
-    const std::size_t pos = bad.find("\ng ");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, 3, "\ng xx ");
-    std::istringstream in(bad);
-    EXPECT_FALSE(LoadBase(in).ok());
-  }
-  // Empty stream.
-  {
-    std::istringstream in("");
-    EXPECT_FALSE(LoadBase(in).ok());
-  }
-}
-
-/// Regression: the ONEXBASE text format accepts a "groups 0" class header,
-/// but Build() never materializes a memberless length class — Restore must
-/// skip such drafts instead of installing a LengthClass every drift ratio
-/// and group scan would have to special-case. Pre-fix, the empty class
-/// leaked through and the loaded base disagreed with the saved one.
-TEST(BaseIoTest, LoadSkipsEmptyLengthClassFromFile) {
-  const OnexBase base = MakeBase();
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  std::string text = buf.str();
-
-  // Splice in a zero-group class between the length-4 and length-6 classes
-  // and bump the class count to match.
-  const std::size_t cls_pos = text.find("\nclass 6 ");
-  ASSERT_NE(cls_pos, std::string::npos);
-  text.insert(cls_pos + 1, "class 5 groups 0\n");
-  const std::size_t count_pos = text.find("classes 4\n");
-  ASSERT_NE(count_pos, std::string::npos);
-  text.replace(count_pos, 9, "classes 5");
-
-  std::istringstream in(text);
-  Result<OnexBase> back = LoadBase(in);
-  ASSERT_TRUE(back.ok()) << back.status();
-  // The empty class is gone: same classes as the saved base, none of
-  // length 5, and every structural total intact.
-  ExpectBasesEquivalent(base, *back);
-  for (const LengthClass& cls : back->length_classes()) {
-    EXPECT_NE(cls.length, 5u);
-    EXPECT_GT(cls.total_members, 0u);
-  }
-  // The maintenance view of the loaded base stays finite everywhere.
-  for (const LengthClassDrift& d : ComputeDrift(*back)) {
-    EXPECT_TRUE(std::isfinite(d.fraction()));
-    EXPECT_GE(d.members, 1u);
-  }
-}
-
-/// A file whose every class is empty cannot restore: there is no group
-/// structure to serve queries from.
-TEST(BaseIoTest, LoadRejectsBaseWithOnlyEmptyClasses) {
-  const OnexBase base = MakeBase();
-  std::stringstream buf;
-  ASSERT_TRUE(SaveBase(base, buf).ok());
-  const std::string good = buf.str();
-
-  const std::size_t classes_pos = good.find("classes 4\n");
-  ASSERT_NE(classes_pos, std::string::npos);
-  const std::size_t footer_pos = good.find("repaired ");
-  ASSERT_NE(footer_pos, std::string::npos);
-  const std::string bad = good.substr(0, classes_pos) +
-                          "classes 1\nclass 4 groups 0\n" +
-                          good.substr(footer_pos);
-  std::istringstream in(bad);
-  EXPECT_FALSE(LoadBase(in).ok());
-}
-
-TEST(BaseIoTest, RestoreValidatesArguments) {
-  const OnexBase base = MakeBase();
-  auto ds = base.shared_dataset();
-  // Null dataset.
-  EXPECT_FALSE(OnexBase::Restore(nullptr, base.options(), {}, 0).ok());
-  // No classes.
-  EXPECT_FALSE(OnexBase::Restore(ds, base.options(), {}, 0).ok());
-  // Unsorted classes.
-  {
-    std::vector<LengthClassDraft> classes(2);
-    classes[0].length = 8;
-    classes[1].length = 4;
-    GroupBuilder g8(8), g4(4);
-    g8.SetMembers({{0, 0, 8}});
-    g4.SetMembers({{0, 0, 4}});
-    classes[0].groups.push_back(g8);
-    classes[1].groups.push_back(g4);
-    EXPECT_FALSE(
-        OnexBase::Restore(ds, base.options(), std::move(classes), 0).ok());
-  }
-  // Member length disagrees with its class.
-  {
-    std::vector<LengthClassDraft> classes(1);
-    classes[0].length = 6;
-    GroupBuilder g(6);
-    g.SetMembers({{0, 0, 4}});
-    classes[0].groups.push_back(g);
-    EXPECT_FALSE(
-        OnexBase::Restore(ds, base.options(), std::move(classes), 0).ok());
-  }
+  // Empty input.
+  EXPECT_FALSE(Load(std::string()).ok());
 }
 
 }  // namespace

@@ -297,6 +297,61 @@ TEST(OnexBaseTest, VariableLengthSeriesAreGrouped) {
   EXPECT_EQ(base->TotalMembers(), ds->CountSubsequences(4, 18));
 }
 
+TEST(OnexBaseTest, RestoreValidatesArguments) {
+  auto ds = NormalizedWalks();
+  const BaseBuildOptions opt = SmallOptions();
+  // Null dataset.
+  EXPECT_FALSE(OnexBase::Restore(nullptr, opt, {}, 0).ok());
+  // No classes.
+  EXPECT_FALSE(OnexBase::Restore(ds, opt, {}, 0).ok());
+  // Unsorted classes.
+  {
+    std::vector<LengthClassDraft> classes(2);
+    classes[0].length = 8;
+    classes[1].length = 4;
+    GroupBuilder g8(8), g4(4);
+    g8.SetMembers({{0, 0, 8}});
+    g4.SetMembers({{0, 0, 4}});
+    classes[0].groups.push_back(g8);
+    classes[1].groups.push_back(g4);
+    EXPECT_FALSE(OnexBase::Restore(ds, opt, std::move(classes), 0).ok());
+  }
+  // Member length disagrees with its class.
+  {
+    std::vector<LengthClassDraft> classes(1);
+    classes[0].length = 6;
+    GroupBuilder g(6);
+    g.SetMembers({{0, 0, 4}});
+    classes[0].groups.push_back(g);
+    EXPECT_FALSE(OnexBase::Restore(ds, opt, std::move(classes), 0).ok());
+  }
+  // Only memberless classes: nothing to serve.
+  {
+    std::vector<LengthClassDraft> classes(1);
+    classes[0].length = 4;
+    EXPECT_FALSE(OnexBase::Restore(ds, opt, std::move(classes), 0).ok());
+  }
+  // A memberless class among real ones is skipped, never installed.
+  {
+    std::vector<LengthClassDraft> classes(3);
+    classes[0].length = 4;
+    classes[1].length = 5;
+    classes[2].length = 6;
+    GroupBuilder g4(4), g6(6);
+    g4.SetMembers({{0, 0, 4}});
+    g6.SetMembers({{1, 2, 6}});
+    classes[0].groups.push_back(g4);
+    classes[2].groups.push_back(g6);
+    Result<OnexBase> base =
+        OnexBase::Restore(ds, opt, std::move(classes), 0);
+    ASSERT_TRUE(base.ok()) << base.status();
+    ASSERT_EQ(base->length_classes().size(), 2u);
+    EXPECT_EQ(base->length_classes()[0].length, 4u);
+    EXPECT_EQ(base->length_classes()[1].length, 6u);
+    EXPECT_EQ(base->TotalMembers(), 2u);
+  }
+}
+
 TEST(CentroidPolicyTest, Names) {
   EXPECT_STREQ(CentroidPolicyToString(CentroidPolicy::kFixedLeader),
                "fixed-leader");

@@ -679,8 +679,8 @@ TEST(EngineRecovery, CrashAtSlotBirthDoesNotWedgeTheName) {
 }
 
 /// Background checkpoints racing live queries and extends: the TSan
-/// acceptance test for the checkpoint's canonical-adoption install. After
-/// the dust settles, a restart still answers identically.
+/// acceptance test for the checkpoint's capture-and-rotate critical
+/// section. After the dust settles, a restart still answers identically.
 TEST(EngineRecovery, CheckpointsRaceQueriesWithoutTornState) {
   const std::string dir = FreshDir("race");
   Battery live;
@@ -720,8 +720,8 @@ TEST(EngineRecovery, CheckpointsRaceQueriesWithoutTornState) {
     for (std::thread& t : readers) t.join();
     EXPECT_GT(queries_ok.load(), 0);
 
-    // Settle on a canonical state (a still-retiring background checkpoint
-    // re-installs the identical canonical image, so this is stable), then
+    // Fold the tail into one last checkpoint (a still-retiring background
+    // checkpoint leaves the slot untouched, so this is stable), then
     // capture what a restart must reproduce.
     ASSERT_TRUE(subject.registry().Checkpoint("A").ok());
     live = Capture(subject, "A");

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -383,12 +384,25 @@ TEST(EngineTest, SaveAndLoadPreparedRoundTrip) {
   Result<std::shared_ptr<const PreparedDataset>> loaded = fresh.Get("b");
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE((*loaded)->prepared());
+  EXPECT_FALSE((*loaded)->mapped()) << "LOADBASE never serves off a mapping";
 
-  // Same groups, same answers as the original engine.
+  // Same groups, same centroids, same answers as the original engine.
   Result<std::shared_ptr<const PreparedDataset>> orig = engine.Get("a");
   ASSERT_TRUE(orig.ok());
   EXPECT_EQ((*loaded)->base->TotalGroups(), (*orig)->base->TotalGroups());
   EXPECT_EQ((*loaded)->base->TotalMembers(), (*orig)->base->TotalMembers());
+  std::size_t centroid_mismatches = 0;
+  for (std::size_t c = 0; c < (*orig)->base->length_classes().size(); ++c) {
+    const LengthClass& want = (*orig)->base->length_classes()[c];
+    const LengthClass& got = (*loaded)->base->length_classes()[c];
+    for (std::size_t g = 0; g < want.groups.size(); ++g) {
+      const std::span<const double> w = want.groups[g].centroid();
+      const std::span<const double> v = got.groups[g].centroid();
+      centroid_mismatches += !std::equal(w.begin(), w.end(), v.begin(),
+                                         v.end());
+    }
+  }
+  EXPECT_EQ(centroid_mismatches, 0u);
 
   QuerySpec spec;
   spec.series = 2;
@@ -401,14 +415,46 @@ TEST(EngineTest, SaveAndLoadPreparedRoundTrip) {
   ASSERT_TRUE(m0.ok());
   ASSERT_TRUE(m1.ok());
   EXPECT_EQ(m0->match.ref, m1->match.ref);
-  EXPECT_NEAR(m0->match.normalized_dtw, m1->match.normalized_dtw, 1e-12);
+  EXPECT_EQ(m0->match.dtw, m1->match.dtw);
+  EXPECT_EQ(m0->match.normalized_dtw, m1->match.normalized_dtw);
 
-  // Raw values are recovered through the stored normalization parameters.
+  // Raw values come back bit for bit (stored, not denormalized).
   const Dataset raw = SmallSines();
-  for (std::size_t i = 0; i < raw[0].length(); ++i) {
-    EXPECT_NEAR((*(*loaded)->raw)[0][i], raw[0][i], 1e-9);
+  ASSERT_EQ((*loaded)->raw->size(), raw.size());
+  std::size_t raw_mismatches = 0;
+  for (std::size_t s = 0; s < raw.size(); ++s) {
+    raw_mismatches += (*(*loaded)->raw)[s].values() != raw[s].values();
   }
+  EXPECT_EQ(raw_mismatches, 0u);
   std::remove(path.c_str());
+}
+
+/// SAVEBASE writes a temp file and renames it into place: a write that
+/// cannot land reports IoError and leaves nothing behind.
+TEST(EngineTest, SavePreparedFailureLeavesNoFile) {
+  namespace fs = std::filesystem;
+  Engine engine;
+  ASSERT_TRUE(engine.LoadDataset("a", SmallSines()).ok());
+  ASSERT_TRUE(engine.Prepare("a", QuickBuild()).ok());
+  const std::string missing_dir = ::testing::TempDir() + "/onex_no_such_dir";
+  fs::remove_all(missing_dir);
+  const std::string path = missing_dir + "/base.onex";
+  EXPECT_EQ(engine.SavePrepared("a", path).code(), StatusCode::kIoError);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_FALSE(fs::exists(missing_dir));
+
+  // A directory in the way of the target: the rename fails, the temp file
+  // is cleaned up and the directory is untouched.
+  const std::string dir_target = ::testing::TempDir() + "/onex_dir_target";
+  fs::remove_all(dir_target);
+  fs::create_directories(dir_target);
+  EXPECT_EQ(engine.SavePrepared("a", dir_target).code(), StatusCode::kIoError);
+  EXPECT_TRUE(fs::is_directory(dir_target));
+  EXPECT_FALSE(fs::exists(dir_target + ".tmp"));
+  // Loading a directory is a clean IoError too, never a giant allocation.
+  EXPECT_EQ(engine.LoadPrepared("d", dir_target).code(), StatusCode::kIoError);
+  fs::remove_all(dir_target);
 }
 
 TEST(EngineTest, SavePreparedRequiresPreparation) {

@@ -5,7 +5,8 @@
 /// cascade toggle combination — bitwise identically to a resident twin
 /// that replayed the same acknowledged history, QueryStats included; a
 /// mutation against a mapped slot promotes it copy-on-write back to the
-/// resident tier and stays oracle-equal from then on; and a crash between
+/// resident tier and stays oracle-equal from then on, while a checkpoint
+/// leaves it mapped; and a crash between
 /// the arena file landing on disk and the WAL rotation that would adopt it
 /// recovers the pre-checkpoint state exactly (the dangling arena is inert).
 /// Runs under ASan and TSan in CI.
@@ -22,12 +23,11 @@
 
 #include <gtest/gtest.h>
 
-#include "onex/common/hash.h"
 #include "onex/common/random.h"
 #include "onex/common/string_utils.h"
 #include "onex/engine/engine.h"
-#include "onex/engine/snapshot_io.h"
 #include "onex/json/json.h"
+#include "onex/net/protocol.h"
 #include "test_util.h"
 
 namespace onex {
@@ -420,58 +420,61 @@ TEST(EngineTierDiff, CrashBetweenArenaWriteAndWalRotationIsInert) {
   fs::remove_all(dir);
 }
 
-/// Legacy data dirs (pre-arena ONEXCKPT checkpoints) keep recovering: the
-/// reader sniffs the format per file, and a mapped-tier restart falls back
-/// to materializing when the checkpoint is not an arena.
-TEST(EngineTierDiff, LegacyCheckpointFallsBackToMaterializedRecovery) {
-  const std::string dir = FreshDir("legacy");
-  std::string transcript;
-  std::string ckpt_path;
+/// A checkpoint writes the live snapshot as it is and installs nothing (the
+/// arena stores centroids and envelopes exactly). Under the default
+/// running-mean policy, after streamed extends whose incremental centroids
+/// a recompute-from-members would move by ulps: the slot keeps the very
+/// snapshot it had, a demoted slot stays mapped across a CHECKPOINT with
+/// the same mapped bytes and answers, and a restart reproduces the live
+/// transcript exactly.
+TEST(EngineTierDiff, CheckpointLeavesTheSlotAsItIs) {
+  const std::string dir = FreshDir("ckpt_in_place");
+  ASSERT_EQ(SmallOptions().centroid_policy, CentroidPolicy::kRunningMean);
+  std::string live_transcript;
   {
     Engine subject;
     ASSERT_TRUE(subject.EnableDurability(TestDurability(dir)).ok());
     ASSERT_TRUE(
-        subject.LoadDataset("A", onex::testing::SmallDataset(4, 16, 17)).ok());
+        subject.LoadDataset("A", onex::testing::SmallDataset(4, 18, 23)).ok());
     ASSERT_TRUE(subject.Prepare("A", SmallOptions()).ok());
     ASSERT_TRUE(subject.registry().Checkpoint("A").ok());
-    transcript = QueryTranscript(subject, "A");
-    for (const auto& entry : fs::directory_iterator(dir + "/A")) {
-      const std::string base = entry.path().filename().string();
-      if (base.rfind("ckpt-", 0) == 0) ckpt_path = entry.path().string();
+    for (std::size_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(
+          subject.ExtendSeries("A", i % 4, {0.13 * i, -0.07 * i, 0.31}).ok());
     }
-    ASSERT_FALSE(ckpt_path.empty());
-  }
-  // Simulate a legacy dir: overwrite the arena with a text "ONEXCKPT 1"
-  // checkpoint of the same state, written exactly as the retired encoder
-  // did (header + raw section + ONEXPREP payload, FNV-guarded body).
-  {
-    Engine writer;
-    ASSERT_TRUE(
-        writer.LoadDataset("A", onex::testing::SmallDataset(4, 16, 17)).ok());
-    ASSERT_TRUE(writer.Prepare("A", SmallOptions()).ok());
-    Result<std::shared_ptr<const PreparedDataset>> snap = writer.Get("A");
-    ASSERT_TRUE(snap.ok());
-    std::ostringstream payload;
-    payload << "raw " << (*snap)->raw->size() << '\n';
-    for (const TimeSeries& ts : (*snap)->raw->series()) {
-      payload << "s \"" << json::EscapeString(ts.name()) << "\" \""
-              << json::EscapeString(ts.label()) << "\" " << ts.length();
-      for (const double v : ts.values()) payload << StrFormat(" %.17g", v);
-      payload << '\n';
-    }
-    ASSERT_TRUE(WritePreparedPayload(**snap, payload).ok());
-    const std::string body = payload.str();
-    std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
-    out << StrFormat("ONEXCKPT 1 %zu %016llx\n", body.size(),
-                     static_cast<unsigned long long>(Fnv1a64(body)))
-        << body;
+
+    Result<std::shared_ptr<const PreparedDataset>> before = subject.Get("A");
+    ASSERT_TRUE(before.ok());
+    live_transcript = QueryTranscript(subject, "A");
+    ASSERT_TRUE(subject.registry().Checkpoint("A").ok());
+    Result<std::shared_ptr<const PreparedDataset>> after = subject.Get("A");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->get(), before->get())
+        << "a checkpoint must not re-install the slot's snapshot";
+    EXPECT_EQ(QueryTranscript(subject, "A"), live_transcript);
+
+    // Demote through the TIER verb, then checkpoint again through the
+    // CHECKPOINT verb: the slot stays on its mapping.
+    const json::Value demoted = net::ExecuteCommand(
+        &subject, *net::ParseCommandLine("TIER A demote=1"));
+    ASSERT_TRUE(demoted["ok"].as_bool()) << demoted.Dump();
+    ASSERT_EQ(demoted["tier"].as_string(), "mapped");
+    const std::size_t mapped_bytes = subject.registry().mapped_bytes();
+    EXPECT_GT(mapped_bytes, 0u);
+    EXPECT_EQ(QueryTranscript(subject, "A"), live_transcript);
+
+    const json::Value ckpt = net::ExecuteCommand(
+        &subject, *net::ParseCommandLine("CHECKPOINT A"));
+    ASSERT_TRUE(ckpt["ok"].as_bool()) << ckpt.Dump();
+    EXPECT_EQ(TierOf(subject, "A"), "mapped")
+        << "a checkpoint must not promote a mapped slot";
+    EXPECT_EQ(subject.registry().mapped_bytes(), mapped_bytes);
+    EXPECT_EQ(QueryTranscript(subject, "A"), live_transcript);
   }
   Engine recovered;
   ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
-  EXPECT_EQ(TierOf(recovered, "A"), "resident")
-      << "legacy checkpoints cannot be served in place";
-  EXPECT_EQ(recovered.registry().mapped_bytes(), 0u);
-  EXPECT_EQ(QueryTranscript(recovered, "A"), transcript);
+  EXPECT_EQ(QueryTranscript(recovered, "A"), live_transcript)
+      << "restart diverged from the live transcript";
   fs::remove_all(dir);
 }
 

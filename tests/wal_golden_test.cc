@@ -5,7 +5,7 @@
 /// different record), duplicated tails rejected as non-monotone history,
 /// and decode-side caps — a record body can declare any count it likes,
 /// but allocation only ever follows bytes actually present. Mirrors
-/// core_base_io_golden_test; run under ASan in CI.
+/// core_arena_golden_test; run under ASan in CI.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
