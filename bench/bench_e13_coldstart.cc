@@ -5,14 +5,16 @@
 ///
 ///   resident          the base is hot in RAM — the floor every other row
 ///                     is compared against.
-///   cold (mmap)       restart with the mapped tier on: recovery mmaps each
-///                     clean arena checkpoint instead of materializing it,
-///                     and the first query pages the base in. Reported as
-///                     both the per-fleet recovery time and the
-///                     first-query latency on a mapped slot.
-///   evicted-rebuild   the pre-arena behavior: the slot's base was stripped
-///                     (LRU eviction with the mapped tier off) and the
-///                     first query pays a full transparent re-preparation.
+///   cold (mmap)       durable restart: recovery mmaps each clean arena
+///                     checkpoint instead of materializing it, and the
+///                     first query pages the base in. Reported as both the
+///                     per-fleet recovery time and the first-query latency
+///                     on a mapped slot.
+///   evicted-rebuild   the pre-arena behavior, on an engine without
+///                     durability: every checkpoint file is read back
+///                     materialized (LoadPrepared), the budget strips each
+///                     base, and the first query pays a full transparent
+///                     re-preparation.
 ///
 /// The headline claim scripts/bench.sh records into BENCH_tier.json: first
 /// query served off the arena is >= 10x faster than the evicted-rebuild
@@ -35,6 +37,7 @@
 
 #include "bench_util.h"
 #include "onex/engine/engine.h"
+#include "onex/engine/wal.h"
 #include "onex/json/json.h"
 #include "tests/test_util.h"
 
@@ -45,8 +48,8 @@ namespace fs = std::filesystem;
 struct ScaleResult {
   std::size_t datasets = 0;
   double build_corpus_ms = 0.0;
-  double recover_mapped_ms = 0.0;       ///< Restart, mapped tier on.
-  double recover_materialize_ms = 0.0;  ///< Restart, mapped tier off.
+  double recover_mapped_ms = 0.0;       ///< Durable restart, mapped.
+  double recover_materialize_ms = 0.0;  ///< LoadPrepared of every file.
   double resident_query_ms = 0.0;
   double mapped_first_query_ms = 0.0;
   double rebuild_first_query_ms = 0.0;
@@ -107,6 +110,7 @@ ScaleResult RunScale(std::size_t n, const std::string& root) {
 
   // The corpus: n prepared, checkpointed datasets with clean WALs — the
   // state a durable server carries into any restart.
+  std::vector<std::string> checkpoint_files;
   result.build_corpus_ms = onex::bench::TimeOnceMs([&] {
     onex::Engine builder;
     if (!builder.EnableDurability(durability).ok()) return;
@@ -116,10 +120,14 @@ ScaleResult RunScale(std::size_t n, const std::string& root) {
                             onex::testing::SmallDataset(
                                 kSeriesPerDataset, kSeriesLength, 1000 + i))
                .ok() ||
-          !builder.Prepare(DatasetName(i), BuildOptions()).ok() ||
-          !builder.registry().Checkpoint(DatasetName(i)).ok()) {
+          !builder.Prepare(DatasetName(i), BuildOptions()).ok()) {
         return;
       }
+      onex::Result<onex::CheckpointInfo> ckpt =
+          builder.registry().Checkpoint(DatasetName(i));
+      if (!ckpt.ok()) return;
+      checkpoint_files.push_back(dir + "/" + onex::SlotDirName(DatasetName(i)) +
+                                 "/ckpt-" + std::to_string(ckpt->state_seq));
     }
   });
   const std::string target = DatasetName(n - 1);
@@ -140,12 +148,14 @@ ScaleResult RunScale(std::size_t n, const std::string& root) {
     if (m.ok()) mapped_answer = AnswerKey(*m);
   });
 
-  // ---- legacy restart + resident floor + evicted-rebuild ----------------
-  onex::DatasetRegistryOptions legacy_options;
-  legacy_options.mapped_tier = false;
-  onex::Engine legacy(legacy_options);
-  result.recover_materialize_ms = onex::bench::TimeOnceMs(
-      [&] { (void)legacy.EnableDurability(durability); });
+  // ---- materialized load + resident floor + evicted-rebuild -------------
+  // Without durability, eviction strips the base instead of mapping it.
+  onex::Engine legacy;
+  result.recover_materialize_ms = onex::bench::TimeOnceMs([&] {
+    for (std::size_t i = 0; i < checkpoint_files.size(); ++i) {
+      (void)legacy.LoadPrepared(DatasetName(i), checkpoint_files[i]);
+    }
+  });
   std::string resident_answer;
   {
     onex::Result<onex::MatchResult> warmup =
@@ -155,8 +165,7 @@ ScaleResult RunScale(std::size_t n, const std::string& root) {
   result.resident_query_ms = onex::bench::MedianMs(
       [&] { (void)legacy.SimilaritySearch(target, spec); });
 
-  // Strip every base (the mapped tier is off, so over-budget slots journal
-  // an evict instead of downgrading), then pay the transparent rebuild.
+  // Strip every base, then pay the transparent rebuild.
   legacy.registry().SetPreparedBudget(1);
   legacy.registry().SetPreparedBudget(0);
   std::string rebuilt_answer;
@@ -223,9 +232,9 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "\nReading the table: recover_mmap is the whole-fleet restart with the "
-      "mapped tier (mmap + checksum walk, no materialization); recover_mat "
-      "is the same restart materializing every base. mapped_first is the "
+      "\nReading the table: recover_mmap is the whole-fleet durable restart "
+      "(mmap + checksum walk, no materialization); recover_mat reads every "
+      "checkpoint file back materialized (LoadPrepared). mapped_first is the "
       "first MATCH on a mapped slot (page-in + query), rebuild_first the "
       "same MATCH after a strip-eviction (full re-preparation + query). "
       "The identical column is the point of the differential battery: all "

@@ -5,13 +5,14 @@
 /// thousands of connections on one thread.
 ///
 ///   $ ./onexd [port] [--data-dir=DIR] [--checkpoint-every=N] [--no-fsync]
-///            [--budget=BYTES] [--no-mmap-tier]
+///            [--budget=BYTES]
 ///            [--cluster-nodes=host:port,host:port,...] [--cluster-self=N]
 ///
-/// --budget bounds resident prepared bases (0 = unlimited); with durability
-/// on, over-budget slots downgrade to their mmap'd arena checkpoints (the
-/// mapped tier, DESIGN.md §17) instead of being stripped — disable with
-/// --no-mmap-tier to get strip-and-rebuild eviction back.
+/// --budget bounds resident prepared bases (0 = unlimited). Without
+/// durability an over-budget base is stripped and rebuilt on its next
+/// query; with it, the slot is checkpointed if its WAL is dirty and then
+/// served from the mmap'd arena checkpoint (the mapped tier, DESIGN.md
+/// §17).
 ///
 /// With --data-dir, the server is durable (DESIGN.md §13): state found in
 /// DIR is recovered before the first client connects, every acknowledged
@@ -23,9 +24,10 @@
 /// With --cluster-nodes, the server joins a cluster (DESIGN.md §16): the
 /// list names every node (identical on all of them), --cluster-self=N is
 /// this node's index into it, and the node's own port comes from the listed
-/// endpoint. Cluster mode requires --data-dir (replication ships the WAL)
-/// and forces --checkpoint-every=0 (replica catch-up replays the log from
-/// its start). See README.md "Running a 3-node cluster".
+/// endpoint. Cluster mode requires --data-dir (replication ships the WAL),
+/// forces --checkpoint-every=0 (replica catch-up replays the log from its
+/// start) and refuses --budget (an eviction checkpoints, which would rotate
+/// that log). See README.md "Running a 3-node cluster".
 ///
 /// Try it with the bundled CLI:
 ///   $ ./onexd 7700 --data-dir=/tmp/onex-data &
@@ -95,8 +97,6 @@ int main(int argc, char** argv) {
       }
       registry_options.prepared_budget_bytes =
           static_cast<std::size_t>(bytes);
-    } else if (arg == "--no-mmap-tier") {
-      registry_options.mapped_tier = false;
     } else if (arg.rfind("--cluster-nodes=", 0) == 0) {
       cluster_nodes = SplitCsv(arg.substr(std::strlen("--cluster-nodes=")));
     } else if (arg.rfind("--cluster-self=", 0) == 0) {
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "onexd: unknown flag '%s'\nusage: onexd [port] "
                    "[--data-dir=DIR] [--checkpoint-every=N] [--no-fsync] "
-                   "[--budget=BYTES] [--no-mmap-tier] "
+                   "[--budget=BYTES] "
                    "[--cluster-nodes=h:p,...] [--cluster-self=N]\n",
                    arg.c_str());
       return 2;
@@ -130,7 +130,15 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Replica catch-up replays the primary's WAL from its first record; a
-    // checkpoint rotation would truncate exactly that (DESIGN.md §16).
+    // checkpoint rotation would truncate exactly that (DESIGN.md §16). A
+    // budget eviction of a durable slot checkpoints, so it is refused too.
+    if (registry_options.prepared_budget_bytes > 0) {
+      std::fprintf(stderr,
+                   "onexd: cluster mode refuses --budget (an eviction "
+                   "checkpoints, and a cluster node never rotates its "
+                   "log)\n");
+      return 2;
+    }
     durability.checkpoint_every = 0;
     const std::string& self =
         cluster_nodes[static_cast<std::size_t>(cluster_self)];

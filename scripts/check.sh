@@ -21,9 +21,9 @@ ctest --output-on-failure -j"$(nproc)"
 # text/binary dialect equivalence. Exits nonzero if any of those fail.
 ./bench_e12_load --smoke
 
-# Cold-restart smoke (DESIGN.md §17): checkpoint a small fleet, restart
-# with the mapped tier on, and demand the first MATCH is served off the
-# mmap'd arena with answers identical to resident and evicted-rebuild.
+# Cold-restart smoke (DESIGN.md §17): checkpoint a small fleet, restart,
+# and demand the first MATCH is served off the mmap'd arena with answers
+# identical to resident and evicted-rebuild.
 ./bench_e13_coldstart --smoke
 
 # Cluster smoke (DESIGN.md §16): boot a real 3-process cluster, route
@@ -33,6 +33,14 @@ ctest --output-on-failure -j"$(nproc)"
 # node index 2 for any 3-node cluster regardless of ports.
 CLUSTER_ROOT="$(mktemp -d)"
 CLUSTER_NODES="127.0.0.1:7741,127.0.0.1:7742,127.0.0.1:7743"
+
+# A cluster node never rotates its log, and a budget eviction checkpoints:
+# onexd must refuse the combination with exit status 2 before serving.
+status=0
+timeout 10 ./onexd --cluster-nodes="$CLUSTER_NODES" --cluster-self=0 \
+  --data-dir="$CLUSTER_ROOT/refused" --budget=1 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "onexd accepted --budget in cluster mode"; exit 1; }
+
 ./onexd --cluster-nodes="$CLUSTER_NODES" --cluster-self=0 \
   --data-dir="$CLUSTER_ROOT/n0" --no-fsync >/dev/null 2>&1 &
 N0=$!

@@ -78,7 +78,6 @@ void CleanupCheckpoints(const std::string& dir, std::uint64_t keep_seq) {
 struct ReplayedSlot {
   std::string name;
   std::shared_ptr<const PreparedDataset> snapshot;
-  bool ever_prepared = false;
   std::uint64_t last_seq = 0;
   std::uint64_t records_since_ckpt = 0;
   std::uint64_t last_ckpt_seq = 0;
@@ -94,7 +93,7 @@ struct ReplayedSlot {
 /// rotation owns it, and both callers reject it in a record stream.
 Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
     const std::string& name, std::shared_ptr<const PreparedDataset> snap,
-    const WalRecord& rec, bool* ever_prepared, TaskPool* pool) {
+    const WalRecord& rec, TaskPool* pool) {
   if (snap == nullptr && rec.type != WalRecordType::kLoad) {
     return Status::ParseError(StrFormat(
         "wal record %llu (%s) arrives before any load or checkpoint",
@@ -125,25 +124,6 @@ Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
     case WalRecordType::kPrepare: {
       ONEX_ASSIGN_OR_RETURN(snap, BuildSnapshot(snap, rec.options, rec.norm,
                                                 /*renormalize=*/true, pool));
-      *ever_prepared = true;
-      break;
-    }
-    case WalRecordType::kRebuild: {
-      if (!*ever_prepared) {
-        return Status::ParseError("rebuild record before any prepare");
-      }
-      ONEX_ASSIGN_OR_RETURN(
-          snap, BuildSnapshot(snap, snap->build_options, snap->norm_kind,
-                              /*renormalize=*/false, pool));
-      break;
-    }
-    case WalRecordType::kEvict: {
-      if (snap->prepared()) {
-        auto stripped = std::make_shared<PreparedDataset>(*snap);
-        stripped->base = nullptr;
-        stripped->arena.reset();
-        snap = std::move(stripped);
-      }
       break;
     }
     case WalRecordType::kRegroup: {
@@ -164,7 +144,7 @@ Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
 /// uses (snapshot_ops.h), which is what makes the recovered slot bit-equal
 /// to the pre-crash in-memory state: same inputs, same code, same order.
 Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
-                               TaskPool* pool, bool mapped_tier) {
+                               TaskPool* pool) {
   ReplayedSlot out;
   out.name = scan.dataset_name;
 
@@ -180,7 +160,7 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
     out.last_ckpt_seq = scan.records.front().checkpoint_seq;
     out.last_seq = scan.records.front().seq;
     const std::string ckpt_path = CheckpointPath(dir, out.last_ckpt_seq);
-    if (mapped_tier && scan.records.size() == 1) {
+    if (scan.records.size() == 1) {
       // The log is just the rotation marker: the checkpoint IS the state,
       // so serve it from the mapping — cold start pays a page-in per
       // touched page instead of materializing every dataset up front. An
@@ -190,22 +170,19 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
                                                              out.name);
           mapped.ok()) {
         snap = std::make_shared<const PreparedDataset>(*std::move(mapped));
-        out.ever_prepared = true;
       }
     }
     if (snap == nullptr) {
       ONEX_ASSIGN_OR_RETURN(PreparedDataset from_ckpt,
                             ReadCheckpointFile(ckpt_path, out.name));
       snap = std::make_shared<const PreparedDataset>(std::move(from_ckpt));
-      out.ever_prepared = true;
     }
   }
 
   for (std::size_t i = start; i < scan.records.size(); ++i) {
     const WalRecord& rec = scan.records[i];
     ONEX_ASSIGN_OR_RETURN(
-        snap, ApplyWalRecordToSnapshot(out.name, std::move(snap), rec,
-                                       &out.ever_prepared, pool));
+        snap, ApplyWalRecordToSnapshot(out.name, std::move(snap), rec, pool));
     out.last_seq = rec.seq;
     ++out.records_since_ckpt;
   }
@@ -214,6 +191,19 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
   }
   out.snapshot = std::move(snap);
   return out;
+}
+
+/// A stripped snapshot keeps its normalized copy, build options and
+/// normalization — the recipe of its rebuild; a never-prepared one has no
+/// normalized copy.
+bool Evicted(const PreparedDataset& snap) {
+  return !snap.prepared() && snap.normalized != nullptr;
+}
+
+/// The serving tier of a slot holding `snap` (DatasetSlotInfo::tier).
+const char* TierName(const PreparedDataset& snap) {
+  if (snap.prepared()) return snap.mapped() ? "mapped" : "resident";
+  return Evicted(snap) ? "evicted" : "raw";
 }
 
 }  // namespace
@@ -230,7 +220,6 @@ DatasetRegistry::DatasetRegistry(TaskPool* pool,
                                  const DatasetRegistryOptions& options)
     : pool_(pool != nullptr ? pool : &TaskPool::Shared()),
       budget_bytes_(options.prepared_budget_bytes),
-      mapped_tier_enabled_(options.mapped_tier),
       drift_threshold_(options.drift_threshold < 0.0
                            ? 0.0
                            : options.drift_threshold) {}
@@ -289,9 +278,6 @@ Status DatasetRegistry::Adopt(const std::string& name,
   auto slot = std::make_shared<Slot>();
   slot->snapshot = std::move(snapshot);
   if (slot->snapshot->prepared()) {
-    slot->has_recipe = true;
-    slot->recipe_options = slot->snapshot->build_options;
-    slot->recipe_norm = slot->snapshot->norm_kind;
     if (slot->snapshot->mapped()) {
       slot->mapped_bytes.store(slot->snapshot->arena->size());
     } else {
@@ -429,17 +415,11 @@ std::vector<DatasetSlotInfo> DatasetRegistry::Describe() const {
     DatasetSlotInfo info;
     info.name = name;
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
-    if (slot->snapshot != nullptr && slot->snapshot->raw != nullptr) {
-      info.series = slot->snapshot->raw->size();
-    }
-    info.prepared = slot->snapshot != nullptr && slot->snapshot->prepared();
-    info.evicted = slot->has_recipe && !info.prepared;
+    info.series = slot->snapshot->raw->size();
+    info.prepared = slot->snapshot->prepared();
+    info.evicted = Evicted(*slot->snapshot);
     info.prepared_bytes = slot->base_bytes.load();
-    if (info.prepared) {
-      info.tier = slot->snapshot->mapped() ? "mapped" : "resident";
-    } else {
-      info.tier = slot->has_recipe ? "evicted" : "raw";
-    }
+    info.tier = TierName(*slot->snapshot);
     info.mapped_bytes = slot->mapped_bytes.load();
     info.pinned = slot->pinned.load();
     info.regrouping = slot->regroup_inflight.load();
@@ -471,43 +451,44 @@ Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::GetPrepared(
       TouchLocked(slot.get());
       return slot->snapshot;
     }
-    if (!slot->has_recipe) {
+    if (!Evicted(*slot->snapshot)) {
       return Status::FailedPrecondition(
           "dataset '" + name + "' has not been prepared; call Prepare first");
     }
   }
 
-  // The base was evicted: replay the remembered recipe. One rebuilder runs;
-  // concurrent callers queue on the slot's reprepare mutex and pick up its
-  // result. Queries on every other slot proceed untouched.
+  // The base was evicted (only a registry without durability strips one):
+  // rebuild it from the build options and normalization the stripped
+  // snapshot kept. One rebuilder runs; concurrent callers queue on the
+  // slot's reprepare mutex and pick up its result. Queries on every other
+  // slot proceed untouched.
   std::lock_guard<std::mutex> rebuild(slot->reprepare_mutex);
   while (true) {
     std::shared_ptr<const PreparedDataset> current;
-    BaseBuildOptions options;
-    NormalizationKind norm;
     {
       std::shared_lock<std::shared_mutex> lock(slot->mutex);
       if (slot->snapshot->prepared()) {  // a racing writer beat us to it
         TouchLocked(slot.get());
         return slot->snapshot;
       }
+      if (slot->journal != nullptr && slot->journal->has_floor.load()) {
+        // Install refuses a record-less swap on a journaled slot, and a
+        // journaled slot leaves memory only through its checkpoint.
+        return Status::Internal("dataset '" + name +
+                                "' is journaled but holds a stripped base");
+      }
       current = slot->snapshot;
-      options = slot->recipe_options;
-      norm = slot->recipe_norm;
     }
 
     ONEX_ASSIGN_OR_RETURN(
         std::shared_ptr<const PreparedDataset> next,
-        BuildSnapshot(current, options, norm, /*renormalize=*/false, pool_));
+        BuildSnapshot(current, current->build_options, current->norm_kind,
+                      /*renormalize=*/false, pool_));
     // Conditional install: a Replace (append) or explicit Prepare that
     // landed while we built must not be clobbered by our rebuild of the
-    // older snapshot — on a lost race, re-read the slot and go again. The
-    // rebuild is journaled: a transparent re-preparation regroups from
-    // scratch, which under running-mean policies is a real state change the
-    // log must replay at the same point (DESIGN.md §13).
-    WalRecord record = WalRebuildRecord();
+    // older snapshot — on a lost race, re-read the slot and go again.
     ONEX_ASSIGN_OR_RETURN(bool installed,
-                          Install(slot, name, next, current.get(), &record));
+                          Install(slot, name, next, current.get()));
     if (installed) return next;
   }
 }
@@ -604,11 +585,6 @@ Result<bool> DatasetRegistry::Install(
       }
     }
     slot->snapshot = std::move(snapshot);
-    if (slot->snapshot->prepared()) {
-      slot->has_recipe = true;
-      slot->recipe_options = slot->snapshot->build_options;
-      slot->recipe_norm = slot->snapshot->norm_kind;
-    }
     TouchLocked(slot.get());
     std::lock_guard<std::mutex> map_lock(map_mutex_);
     const auto it = slots_.find(name);
@@ -639,7 +615,7 @@ void DatasetRegistry::EvictOverBudget(const Slot* keep) {
       std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
       for (const auto& [name, slot] : slots_) {
         if (slot.get() == keep || slot->base_bytes.load() == 0 ||
-            slot->pinned.load()) {
+            slot->pinned.load() || slot->replicated.load()) {
           continue;
         }
         const std::uint64_t used = slot->last_used.load();
@@ -652,103 +628,89 @@ void DatasetRegistry::EvictOverBudget(const Slot* keep) {
       if (victim == nullptr) return;  // only `keep` is resident
       victim_stamp = oldest;
     }
+    std::shared_ptr<SlotJournal> journal;
     {
-      std::unique_lock<std::shared_mutex> lock(victim->mutex);
-      if (victim->last_used.load() != victim_stamp) {
-        // Touched or reinstalled between selection and locking: it is no
-        // longer the LRU slot, so re-run the selection rather than evict a
-        // base someone just paid for.
-        continue;
-      }
-      if (victim->snapshot != nullptr && victim->snapshot->prepared()) {
-        // Mapped tier first (DESIGN.md §17): a clean journaled slot whose
-        // checkpoint covers every record can swap its owned base for a
-        // borrowed one over the checkpoint's mapping — the next query is a
-        // page-in, not a rebuild, and no WAL record is needed (the live
-        // snapshot IS the checkpoint's image, so replay converges either
-        // way). Ineligible or failed: fall through to the strip.
-        if (std::shared_ptr<const PreparedDataset> mapped =
-                TryDowngradeLocked(victim_name, victim.get())) {
-          const std::size_t arena_bytes = mapped->arena->size();
-          const std::shared_ptr<const ArenaMapping> mapping = mapped->arena;
-          victim->snapshot = std::move(mapped);
-          {
-            std::lock_guard<std::mutex> map_lock(map_mutex_);
-            const auto it = slots_.find(victim_name);
-            if (it != slots_.end() && it->second == victim) {
-              total_bytes_ -= victim->base_bytes.load();
-              total_mapped_bytes_ += arena_bytes;
-              total_mapped_bytes_ -= victim->mapped_bytes.load();
-              victim->mapped_bytes.store(arena_bytes);
-            }
-            victim->base_bytes.store(0);
-          }
-          // Parsing faulted the whole file in (checksums); release the
-          // pages — the point of the downgrade is freeing memory, and the
-          // next query faults back only what it touches.
-          mapping->AdviseDontNeed();
-          continue;
-        }
-        if (victim->journal != nullptr && victim->journal->has_floor.load()) {
-          // Evictions are journaled: the transparent rebuild they provoke
-          // regroups from scratch, so replay must strip the base at the
-          // same point to converge with the live path. If the journal
-          // cannot take the record, keep the base resident (over budget
-          // beats a log that diverges from memory).
-          WalRecord record = WalEvictRecord();
-          if (!victim->journal->writer->Append(&record).ok()) return;
-          victim->journal->last_seq.store(record.seq);
-          victim->journal->records_since_ckpt.fetch_add(1);
-          if (auto sink = CurrentSink()) {
-            (*sink)(victim_name, record, EncodeWalRecord(record));
-          }
-        }
-        auto stripped = std::make_shared<PreparedDataset>(*victim->snapshot);
-        stripped->base = nullptr;
-        stripped->arena.reset();
-        victim->snapshot = std::move(stripped);
-      }
-      std::lock_guard<std::mutex> map_lock(map_mutex_);
-      const auto it = slots_.find(victim_name);
-      if (it != slots_.end() && it->second == victim) {
-        total_bytes_ -= victim->base_bytes.load();
-        total_mapped_bytes_ -= victim->mapped_bytes.load();
-      }
-      victim->base_bytes.store(0);
-      victim->mapped_bytes.store(0);
+      std::shared_lock<std::shared_mutex> lock(victim->mutex);
+      journal = victim->journal;
     }
+    if (journal != nullptr && (!journal->has_floor.load() ||
+                               journal->records_since_ckpt.load() != 0)) {
+      // A durable slot leaves memory only through its checkpoint (DESIGN.md
+      // §11): fold a dirty WAL into a fresh one first, with no lock held —
+      // the encode and write cover the whole arena. A checkpoint already in
+      // flight, or a failed one, keeps the victim resident: over budget
+      // beats a slot with no durable image to serve from.
+      if (journal->ckpt_inflight.exchange(true)) return;
+      const Status checkpointed = RunCheckpoint(victim_name, victim, nullptr);
+      journal->ckpt_inflight.store(false);
+      if (!checkpointed.ok()) return;
+    }
+    std::unique_lock<std::shared_mutex> lock(victim->mutex);
+    if (victim->last_used.load() != victim_stamp) {
+      // Touched or reinstalled between selection and locking: it is no
+      // longer the LRU slot, so re-run the selection rather than evict a
+      // base someone just paid for.
+      continue;
+    }
+    if (victim->journal != nullptr) {
+      // The checkpoint covers every record, so the mapping serves the very
+      // bits the slot holds and needs no WAL record.
+      if (!DowngradeLocked(victim_name, victim)) return;
+      continue;
+    }
+    auto stripped = std::make_shared<PreparedDataset>(*victim->snapshot);
+    stripped->base = nullptr;
+    victim->snapshot = std::move(stripped);
+    std::lock_guard<std::mutex> map_lock(map_mutex_);
+    const auto it = slots_.find(victim_name);
+    if (it != slots_.end() && it->second == victim) {
+      total_bytes_ -= victim->base_bytes.load();
+    }
+    victim->base_bytes.store(0);
   }
 }
 
-std::shared_ptr<const PreparedDataset> DatasetRegistry::TryDowngradeLocked(
-    const std::string& name, Slot* slot) {
-  if (!mapped_tier_enabled_ || slot->pinned.load()) return nullptr;
-  if (slot->snapshot == nullptr || !slot->snapshot->prepared() ||
+bool DatasetRegistry::DowngradeLocked(const std::string& name,
+                                      const std::shared_ptr<Slot>& slot) {
+  if (slot->pinned.load() || !slot->snapshot->prepared() ||
       slot->snapshot->mapped()) {
-    return nullptr;
+    return false;
   }
   const std::shared_ptr<SlotJournal>& journal = slot->journal;
-  if (journal == nullptr || !journal->has_floor.load()) return nullptr;
-  // The arena on disk is current only when the checkpoint covers every
-  // journaled record; the file decodes to exactly the snapshot the slot
-  // holds, so the swap changes no answer bits.
-  if (journal->records_since_ckpt.load() != 0 ||
-      journal->last_ckpt_seq.load() == 0) {
-    return nullptr;
+  // The arena on disk is current only when a checkpoint covers every
+  // journaled record; the file then decodes to exactly the snapshot the
+  // slot holds, so the swap changes no answer bits.
+  if (journal == nullptr || !journal->has_floor.load() ||
+      journal->records_since_ckpt.load() != 0) {
+    return false;
   }
   Result<PreparedDataset> mapped = MapCheckpointFile(
       CheckpointPath(journal->dir, journal->last_ckpt_seq.load()), name);
-  if (!mapped.ok()) return nullptr;  // missing/corrupt: caller strips
-  return std::make_shared<const PreparedDataset>(*std::move(mapped));
+  if (!mapped.ok()) return false;
+  const std::shared_ptr<const ArenaMapping> mapping = mapped->arena;
+  slot->snapshot = std::make_shared<const PreparedDataset>(*std::move(mapped));
+  {
+    std::lock_guard<std::mutex> map_lock(map_mutex_);
+    const auto it = slots_.find(name);
+    if (it != slots_.end() && it->second == slot) {
+      total_bytes_ -= slot->base_bytes.load();
+      total_mapped_bytes_ += mapping->size();
+      total_mapped_bytes_ -= slot->mapped_bytes.load();
+      slot->mapped_bytes.store(mapping->size());
+    }
+    slot->base_bytes.store(0);
+  }
+  // Parsing faulted the whole file in (checksums); release the pages — the
+  // point of the downgrade is freeing memory, and the next query faults
+  // back only what it touches.
+  mapping->AdviseDontNeed();
+  return true;
 }
 
 Result<std::string> DatasetRegistry::Tier(const std::string& name) const {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
   std::shared_lock<std::shared_mutex> lock(slot->mutex);
-  if (slot->snapshot != nullptr && slot->snapshot->prepared()) {
-    return std::string(slot->snapshot->mapped() ? "mapped" : "resident");
-  }
-  return std::string(slot->has_recipe ? "evicted" : "raw");
+  return std::string(TierName(*slot->snapshot));
 }
 
 Status DatasetRegistry::SetPinned(const std::string& name, bool pinned) {
@@ -760,7 +722,7 @@ Status DatasetRegistry::SetPinned(const std::string& name, bool pinned) {
 Status DatasetRegistry::Demote(const std::string& name) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
   std::unique_lock<std::shared_mutex> lock(slot->mutex);
-  if (slot->snapshot == nullptr || !slot->snapshot->prepared()) {
+  if (!slot->snapshot->prepared()) {
     return Status::FailedPrecondition(
         "dataset '" + name + "' has no resident base to demote");
   }
@@ -769,29 +731,12 @@ Status DatasetRegistry::Demote(const std::string& name) {
     return Status::FailedPrecondition(
         "dataset '" + name + "' is pinned; unpin it first");
   }
-  std::shared_ptr<const PreparedDataset> mapped =
-      TryDowngradeLocked(name, slot.get());
-  if (mapped == nullptr) {
+  if (!DowngradeLocked(name, slot)) {
     return Status::FailedPrecondition(
         "dataset '" + name +
         "' cannot be demoted: it needs durability on and a checkpoint "
         "covering every journaled record (run CHECKPOINT first)");
   }
-  const std::size_t arena_bytes = mapped->arena->size();
-  const std::shared_ptr<const ArenaMapping> mapping = mapped->arena;
-  slot->snapshot = std::move(mapped);
-  {
-    std::lock_guard<std::mutex> map_lock(map_mutex_);
-    const auto it = slots_.find(name);
-    if (it != slots_.end() && it->second == slot) {
-      total_bytes_ -= slot->base_bytes.load();
-      total_mapped_bytes_ += arena_bytes;
-      total_mapped_bytes_ -= slot->mapped_bytes.load();
-      slot->mapped_bytes.store(arena_bytes);
-    }
-    slot->base_bytes.store(0);
-  }
-  mapping->AdviseDontNeed();
   return Status::OK();
 }
 
@@ -1017,8 +962,7 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
     if (current == nullptr || !current->prepared()) {
       return Status::FailedPrecondition(
           "dataset '" + name +
-          "' has no resident base to checkpoint (prepare it first; an "
-          "evicted base is never forced back in by a checkpoint)");
+          "' has no prepared base to checkpoint (prepare it first)");
     }
     // Serialized outside every lock, so readers never stall behind the
     // big file write. The arena stores the live snapshot exactly (raw and
@@ -1143,9 +1087,9 @@ void DatasetRegistry::MaybeScheduleCheckpoint(
   {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
     journal = slot->journal;
-    // Checkpoints capture resident bases only; an evicted slot stays dirty
-    // until its next transparent rebuild.
-    if (slot->snapshot == nullptr || !slot->snapshot->prepared()) return;
+    // Checkpoints capture prepared bases only; a raw slot stays dirty until
+    // its first PREPARE.
+    if (!slot->snapshot->prepared()) return;
   }
   if (journal == nullptr ||
       journal->records_since_ckpt.load() < durability_.checkpoint_every) {
@@ -1200,8 +1144,7 @@ DatasetRegistry::RecoverSlotDir(const std::string& dir_path) {
     }
   }
 
-  Result<ReplayedSlot> replayed =
-      ReplayWal(dir_path, scan, pool_, mapped_tier_enabled_);
+  Result<ReplayedSlot> replayed = ReplayWal(dir_path, scan, pool_);
   if (!replayed.ok()) {
     return Status(replayed.status().code(),
                   "recovering slot '" + scan.dataset_name + "' from '" +
@@ -1211,11 +1154,6 @@ DatasetRegistry::RecoverSlotDir(const std::string& dir_path) {
 
   auto slot = std::make_shared<Slot>();
   slot->snapshot = rs.snapshot;
-  if (rs.ever_prepared) {
-    slot->has_recipe = true;
-    slot->recipe_options = rs.snapshot->build_options;
-    slot->recipe_norm = rs.snapshot->norm_kind;
-  }
   if (rs.snapshot->prepared()) {
     if (rs.snapshot->mapped()) {
       // Mapped bases cost page cache, not owned heap: they are accounted
@@ -1336,8 +1274,8 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
     {
       std::shared_lock<std::shared_mutex> lock(slot->mutex);
       if (slot->journal != nullptr) continue;  // an earlier failed attempt
-      prepared = slot->snapshot != nullptr && slot->snapshot->prepared();
-      evicted = slot->has_recipe && !prepared;
+      prepared = slot->snapshot->prepared();
+      evicted = Evicted(*slot->snapshot);
     }
     if (evicted) {
       // An evicted slot's incremental history is not reproducible from raw
@@ -1451,13 +1389,12 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
       return Status::InvalidArgument(
           "replicated load record carries no series");
     }
-    bool ever_prepared = false;
     ONEX_ASSIGN_OR_RETURN(
         std::shared_ptr<const PreparedDataset> snap,
-        ApplyWalRecordToSnapshot(name, nullptr, record, &ever_prepared,
-                                 pool_));
+        ApplyWalRecordToSnapshot(name, nullptr, record, pool_));
     auto fresh = std::make_shared<Slot>();
     fresh->snapshot = std::move(snap);
+    fresh->replicated.store(true);
     TouchLocked(fresh.get());
     // Mirrors Adopt: the whole birth — journal dir, WAL, the load record at
     // the primary's seq — happens before the slot becomes findable, under
@@ -1506,17 +1443,16 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
   // is caught by the conditional install below.
   std::shared_ptr<SlotJournal> journal;
   std::shared_ptr<const PreparedDataset> current;
-  bool ever_prepared = false;
   {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
     journal = slot->journal;
     current = slot->snapshot;
-    ever_prepared = slot->has_recipe;
   }
   if (journal == nullptr || !journal->has_floor.load()) {
     return Status::FailedPrecondition(
         "dataset '" + name + "' has no journal floor to replicate onto");
   }
+  slot->replicated.store(true);
   const std::uint64_t floor = journal->last_seq.load();
   if (record.seq <= floor) return Status::OK();  // duplicate delivery
   if (record.seq != floor + 1) {
@@ -1528,7 +1464,7 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
   }
   ONEX_ASSIGN_OR_RETURN(
       std::shared_ptr<const PreparedDataset> next,
-      ApplyWalRecordToSnapshot(name, current, record, &ever_prepared, pool_));
+      ApplyWalRecordToSnapshot(name, current, record, pool_));
   WalRecord copy = record;
   ONEX_ASSIGN_OR_RETURN(
       const bool installed,

@@ -71,19 +71,15 @@ struct DatasetRegistryOptions {
   /// Byte budget for resident prepared bases, measured as the sum of
   /// OnexBase::MemoryUsage() (GroupStore footprints). 0 = unlimited. When a
   /// newly prepared base pushes the total over budget, the least recently
-  /// used other bases are evicted; a single base larger than the whole
-  /// budget stays resident while it is the most recent.
+  /// used other bases are evicted — stripped without durability, mapped
+  /// from their checkpoint with it (DESIGN.md §11); a single base larger
+  /// than the whole budget stays resident while it is the most recent.
   std::size_t prepared_budget_bytes = 0;
   /// Drift fraction (LengthClassDrift::fraction, per length class) above
   /// which an extend schedules a background regroup of the drifted classes
   /// (DESIGN.md §12). 0 disables automatic regrouping; DRIFT/RegroupAsync
   /// still allow manual repair.
   double drift_threshold = 0.0;
-  /// Serve clean over-budget slots from their mmap'd arena checkpoint
-  /// instead of stripping the base (DESIGN.md §17): the first query after
-  /// eviction is a page-in, not a rebuild. Off reverts to strip + rebuild.
-  /// Only effective once durability is on — the arena IS the checkpoint.
-  bool mapped_tier = true;
 };
 
 /// Configuration of the durability layer (DESIGN.md §13): where slot
@@ -123,8 +119,9 @@ struct DatasetSlotInfo {
   std::string name;
   std::size_t series = 0;
   bool prepared = false;
-  /// The base was dropped by the LRU policy; the next query re-prepares it
-  /// transparently from the remembered build recipe.
+  /// The base was dropped by the LRU policy of a registry without
+  /// durability; the next query re-prepares it transparently from the
+  /// snapshot's own build options and normalization.
   bool evicted = false;
   std::size_t prepared_bytes = 0;
   /// A background drift regroup for this slot is in flight.
@@ -138,8 +135,9 @@ struct DatasetSlotInfo {
   std::uint64_t wal_dirty = 0;  ///< Records since the last checkpoint.
   std::uint64_t checkpoints = 0;
   /// Serving tier (DESIGN.md §17): "resident" (owned base in RAM),
-  /// "mapped" (serving from an mmap'd arena checkpoint), "evicted" (recipe
-  /// only, rebuild on next use) or "raw" (never prepared).
+  /// "mapped" (serving from an mmap'd arena checkpoint; durable slots
+  /// only), "evicted" (base stripped, rebuilt on next use; registries
+  /// without durability only) or "raw" (never prepared).
   std::string tier;
   std::size_t mapped_bytes = 0;  ///< Arena bytes backing a mapped base.
   bool pinned = false;           ///< TIER pin: exempt from downgrade/evict.
@@ -161,7 +159,8 @@ struct MaintenanceStatus {
 ///     while dataset B is being prepared, replaced or evicted;
 ///   - an LRU cache over prepared bases bounded by a configurable byte
 ///     budget (cost = GroupStore footprint via OnexBase::MemoryUsage());
-///     evicted bases re-prepare transparently on the next query;
+///     without durability an evicted base re-prepares transparently on the
+///     next query, with it the victim serves from its checkpoint's mapping;
 ///   - preparation jobs schedulable on the shared TaskPool (PrepareAsync),
 ///     so a server session can stage the next dashboard's dataset while the
 ///     current one keeps answering;
@@ -228,9 +227,9 @@ class DatasetRegistry {
       const std::string& name) const;
 
   /// Prepared snapshot for query execution. Touches the slot's LRU stamp;
-  /// if the base was evicted, rebuilds it from the remembered recipe before
-  /// returning (concurrent callers rebuild once). FailedPrecondition when
-  /// the slot was never prepared.
+  /// if the base was evicted, rebuilds it from the snapshot's build options
+  /// and normalization before returning (concurrent callers rebuild once).
+  /// FailedPrecondition when the slot was never prepared.
   Result<std::shared_ptr<const PreparedDataset>> GetPrepared(
       const std::string& name);
 
@@ -328,8 +327,7 @@ class DatasetRegistry {
   /// replaced: the arena stores values, centroids and envelopes exactly, so
   /// the live base and the checkpoint file agree bit for bit and recovery
   /// is exact. A mapped slot stays mapped. FailedPrecondition when
-  /// durability is off or the slot has no prepared base (checkpointing
-  /// never forces an evicted base back in).
+  /// durability is off or the slot has no prepared base.
   Result<CheckpointInfo> Checkpoint(const std::string& name);
 
   /// Checkpoint scheduled on the task pool; at most one in flight per slot
@@ -381,11 +379,6 @@ class DatasetRegistry {
     /// late arrivals wait for its result.
     std::mutex reprepare_mutex;
     std::shared_ptr<const PreparedDataset> snapshot;
-    /// Set once the slot has been prepared: the recipe GetPrepared replays
-    /// after an eviction.
-    bool has_recipe = false;
-    BaseBuildOptions recipe_options;
-    NormalizationKind recipe_norm = NormalizationKind::kMinMaxDataset;
     /// LRU stamp (registry clock value at last prepared use).
     std::atomic<std::uint64_t> last_used{0};
     /// Accounted base bytes while resident; mutated under map_mutex_.
@@ -398,6 +391,10 @@ class DatasetRegistry {
     std::shared_ptr<SlotJournal> journal;
     /// TIER pin: exempt from LRU eviction and mapped-tier downgrade.
     std::atomic<bool> pinned{false};
+    /// Set once ApplyReplicated has installed into this slot. Exempt from
+    /// LRU eviction like a pin: a replica's sequence numbers belong to its
+    /// primary, and the checkpoint an eviction needs would consume one.
+    std::atomic<bool> replicated{false};
     /// Arena bytes backing this slot while mapped; mutated under map_mutex_
     /// (same discipline as base_bytes).
     std::atomic<std::size_t> mapped_bytes{0};
@@ -427,18 +424,21 @@ class DatasetRegistry {
 
   /// Evicts least-recently-used prepared bases until the total fits the
   /// budget. `keep` (may be null) is never evicted — it is the slot whose
-  /// base was just installed for immediate use.
+  /// base was just installed for immediate use. A journaled victim is
+  /// checkpointed first if its WAL is dirty, then downgraded to the
+  /// mapping; if either step fails it stays resident and the pass stops.
+  /// Only a slot without a journal is stripped.
   void EvictOverBudget(const Slot* keep);
 
-  /// Attempts the mapped-tier downgrade (DESIGN.md §17): maps the slot's
-  /// newest arena checkpoint and assembles a snapshot whose base borrows the
-  /// mapping. Caller holds the slot's exclusive lock (NOT map_mutex_ — the
-  /// map+parse does file I/O) and performs the swap and all byte accounting
-  /// itself. Returns null when the slot is ineligible (mapped tier off,
-  /// pinned, no journal floor, dirty WAL, no checkpoint, already mapped) or
-  /// the map/parse failed — callers fall back to stripping the base.
-  std::shared_ptr<const PreparedDataset> TryDowngradeLocked(
-      const std::string& name, Slot* slot);
+  /// The mapped-tier downgrade (DESIGN.md §17) shared by Demote and
+  /// EvictOverBudget: maps the slot's newest arena checkpoint and swaps in
+  /// a snapshot whose base borrows the mapping, moving the slot's bytes
+  /// from the resident to the mapped gauge. Caller holds the slot's
+  /// exclusive lock (NOT map_mutex_ — the map+parse does file I/O). Returns
+  /// false, leaving the slot untouched, when it is pinned, not resident,
+  /// has no journal floor or a dirty WAL, or the map/parse failed.
+  bool DowngradeLocked(const std::string& name,
+                       const std::shared_ptr<Slot>& slot);
 
   /// Enqueues the regroup job for a slot whose regroup_inflight flag the
   /// caller just claimed; the job releases the flag when it retires.
@@ -488,7 +488,6 @@ class DatasetRegistry {
   /// Arena bytes across all mapped slots; guarded by map_mutex_ like
   /// total_bytes_, surfaced by mapped_bytes().
   std::size_t total_mapped_bytes_ = 0;
-  const bool mapped_tier_enabled_;
   std::atomic<double> drift_threshold_{0.0};
   mutable std::atomic<std::uint64_t> clock_{0};
 

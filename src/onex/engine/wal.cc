@@ -128,8 +128,6 @@ Result<WalRecordType> TypeFromString(std::string_view name) {
   if (name == "extend") return WalRecordType::kExtend;
   if (name == "prepare") return WalRecordType::kPrepare;
   if (name == "regroup") return WalRecordType::kRegroup;
-  if (name == "rebuild") return WalRecordType::kRebuild;
-  if (name == "evict") return WalRecordType::kEvict;
   if (name == "ckpt") return WalRecordType::kCheckpoint;
   return Status::ParseError("unknown wal record type '" + std::string(name) +
                             "'");
@@ -207,8 +205,6 @@ const char* WalRecordTypeToString(WalRecordType type) {
     case WalRecordType::kExtend: return "extend";
     case WalRecordType::kPrepare: return "prepare";
     case WalRecordType::kRegroup: return "regroup";
-    case WalRecordType::kRebuild: return "rebuild";
-    case WalRecordType::kEvict: return "evict";
     case WalRecordType::kCheckpoint: return "ckpt";
   }
   return "unknown";
@@ -248,18 +244,6 @@ WalRecord WalRegroupRecord(std::vector<std::size_t> lengths) {
   WalRecord r;
   r.type = WalRecordType::kRegroup;
   r.lengths = std::move(lengths);
-  return r;
-}
-
-WalRecord WalRebuildRecord() {
-  WalRecord r;
-  r.type = WalRecordType::kRebuild;
-  return r;
-}
-
-WalRecord WalEvictRecord() {
-  WalRecord r;
-  r.type = WalRecordType::kEvict;
   return r;
 }
 
@@ -333,9 +317,6 @@ std::string EncodeWalRecord(const WalRecord& record) {
       for (const std::size_t len : record.lengths) {
         body += StrFormat(" %zu", len);
       }
-      break;
-    case WalRecordType::kRebuild:
-    case WalRecordType::kEvict:
       break;
     case WalRecordType::kCheckpoint:
       body += StrFormat(
@@ -444,9 +425,6 @@ Result<WalRecord> DecodeWalRecord(std::string_view line) {
       }
       break;
     }
-    case WalRecordType::kRebuild:
-    case WalRecordType::kEvict:
-      break;
     case WalRecordType::kCheckpoint: {
       ONEX_ASSIGN_OR_RETURN(long long state_seq, cur.NextInt());
       if (state_seq < 0) {

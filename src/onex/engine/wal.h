@@ -33,9 +33,12 @@ namespace onex {
 ///   r <seq> extend <k> {<series> <npoints> <p...>}*              c=<fnv64>
 ///   r <seq> prepare <st> <minlen> <maxlen> <step> <stride> <policy> <norm>
 ///   r <seq> regroup <k> <len...>                                 c=<fnv64>
-///   r <seq> rebuild                                              c=<fnv64>
-///   r <seq> evict                                                c=<fnv64>
 ///   r <seq> ckpt <state_seq>                                     c=<fnv64>
+///
+/// Tier moves are not journaled: a durable slot leaves memory only by
+/// swapping in the mapping of a checkpoint that covers every record, which
+/// changes no state replay could disagree with. A log holding the retired
+/// `rebuild` or `evict` types is refused as an unknown record type.
 ///
 /// Values travel in original (raw) units with full %.17g round-trip
 /// precision; replay renormalizes them through the same shared writers the
@@ -48,8 +51,6 @@ enum class WalRecordType {
   kExtend = 2,    ///< Streaming tail points for existing series (raw units).
   kPrepare = 3,   ///< Explicit (re-)PREPARE: build options + normalization.
   kRegroup = 4,   ///< Drift repair of the named length classes.
-  kRebuild = 5,   ///< Transparent re-preparation of an evicted base.
-  kEvict = 6,     ///< LRU eviction stripped the base (DESIGN.md §11).
   kCheckpoint = 7, ///< State up to seq `checkpoint_seq` lives in ckpt-<seq>.
 };
 
@@ -59,7 +60,7 @@ const char* WalRecordTypeToString(WalRecordType type);
 /// meaningful; the factories below build well-formed records.
 struct WalRecord {
   std::uint64_t seq = 0;  ///< Assigned by WalWriter::Append.
-  WalRecordType type = WalRecordType::kRebuild;
+  WalRecordType type = WalRecordType::kLoad;
   Dataset dataset;                          // kLoad
   TimeSeries series;                        // kAppend
   std::vector<SeriesExtension> extensions;  // kExtend (raw units)
@@ -75,8 +76,6 @@ WalRecord WalExtendRecord(std::vector<SeriesExtension> extensions);
 WalRecord WalPrepareRecord(const BaseBuildOptions& options,
                            NormalizationKind norm);
 WalRecord WalRegroupRecord(std::vector<std::size_t> lengths);
-WalRecord WalRebuildRecord();
-WalRecord WalEvictRecord();
 WalRecord WalCheckpointRecord(std::uint64_t state_seq);
 
 /// Header/record codec. EncodeWalRecord returns the full line including the
@@ -196,8 +195,8 @@ Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
 
 /// Maps an arena checkpoint read-only and assembles a snapshot whose base
 /// borrows the mapping (PreparedDataset::arena set, storage pinned via the
-/// base's keepalive). Callers fall back to ReadCheckpointFile (or a
-/// rebuild) when the map or parse fails.
+/// base's keepalive). When the map or parse fails, recovery falls back to
+/// ReadCheckpointFile and a demote or eviction keeps the base resident.
 Result<PreparedDataset> MapCheckpointFile(const std::string& path,
                                           const std::string& name);
 

@@ -255,11 +255,11 @@ std::vector<Op> ScriptedOps(const std::string& save_path) {
     ASSERT_TRUE(e.SavePrepared("A", save_path).ok());
     ASSERT_TRUE(e.LoadPrepared("C", save_path).ok());
   });
-  add("evict all", [](Engine& e) {
+  add("checkpoint and map all under budget", [](Engine& e) {
     e.registry().SetPreparedBudget(1);
     e.registry().SetPreparedBudget(0);
   });
-  add("rebuild A via query", [](Engine& e) {
+  add("query A off its mapping", [](Engine& e) {
     QuerySpec spec;
     spec.series = 0;
     spec.start = 2;

@@ -6,7 +6,8 @@
 /// that replayed the same acknowledged history, QueryStats included; a
 /// mutation against a mapped slot promotes it copy-on-write back to the
 /// resident tier and stays oracle-equal from then on, while a checkpoint
-/// leaves it mapped; and a crash between
+/// leaves it mapped; budget pressure maps a durable slot (checkpointing it
+/// first if its WAL is dirty) and never strips it; and a crash between
 /// the arena file landing on disk and the WAL rotation that would adopt it
 /// recovers the pre-checkpoint state exactly (the dangling arena is inert).
 /// Runs under ASan and TSan in CI.
@@ -341,6 +342,78 @@ TEST(EngineTierDiff, BudgetEvictionDowngradesToMappedTier) {
   EXPECT_EQ(TierOf(engine, "A"), "resident") << "pinned slots never move";
   ASSERT_TRUE(engine.registry().SetPinned("A", false).ok());
 
+  fs::remove_all(dir);
+}
+
+DatasetSlotInfo SlotInfo(Engine& engine, const std::string& name) {
+  for (const DatasetSlotInfo& info : engine.registry().Describe()) {
+    if (info.name == name) return info;
+  }
+  ADD_FAILURE() << "no slot " << name;
+  return {};
+}
+
+/// A durable slot leaves memory only through its checkpoint: budget
+/// pressure on a slot whose WAL is dirty checkpoints it first, then maps
+/// it — never strips it — and neither the answers nor the restarted state
+/// move.
+TEST(EngineTierDiff, BudgetEvictionCheckpointsADirtySlotThenMapsIt) {
+  const std::string dir = FreshDir("budget_dirty");
+  std::string live_transcript;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.EnableDurability(TestDurability(dir)).ok());
+    for (const auto& op : SeededSchedule(5)) {
+      op(engine);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(engine.ExtendSeries("A", 1, {0.21, -0.4, 0.05}).ok());
+    const DatasetSlotInfo before = SlotInfo(engine, "A");
+    ASSERT_GT(before.wal_dirty, 0u);
+    live_transcript = QueryTranscript(engine, "A");
+
+    engine.registry().SetPreparedBudget(1);
+    const DatasetSlotInfo after = SlotInfo(engine, "A");
+    EXPECT_EQ(after.tier, "mapped") << "a durable slot must never strip";
+    EXPECT_FALSE(after.evicted);
+    EXPECT_EQ(after.wal_dirty, 0u);
+    EXPECT_EQ(after.checkpoints, before.checkpoints + 1);
+    EXPECT_EQ(engine.registry().prepared_bytes(), 0u);
+    EXPECT_EQ(QueryTranscript(engine, "A"), live_transcript);
+  }
+  Engine recovered;
+  ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
+  EXPECT_EQ(TierOf(recovered, "A"), "mapped");
+  EXPECT_EQ(QueryTranscript(recovered, "A"), live_transcript)
+      << "restart diverged from the live transcript";
+  fs::remove_all(dir);
+}
+
+/// A victim whose checkpoint cannot be written has no durable image to
+/// serve from, so it stays resident (over budget) with its WAL intact.
+TEST(EngineTierDiff, VictimWhoseCheckpointFailsStaysResident) {
+  const std::string dir = FreshDir("budget_ckpt_fails");
+  Engine engine;
+  ASSERT_TRUE(engine.EnableDurability(TestDurability(dir)).ok());
+  ASSERT_TRUE(
+      engine.LoadDataset("A", onex::testing::SmallDataset(4, 18, 31)).ok());
+  ASSERT_TRUE(engine.Prepare("A", SmallOptions()).ok());
+  const std::string transcript = QueryTranscript(engine, "A");
+  const DatasetSlotInfo before = SlotInfo(engine, "A");
+  ASSERT_GT(before.wal_dirty, 0u);
+
+  // A regular file where the slot directory was: the checkpoint's temp
+  // file cannot be created.
+  fs::remove_all(dir + "/A");
+  std::ofstream(dir + "/A") << "not a directory";
+  engine.registry().SetPreparedBudget(1);
+
+  const DatasetSlotInfo after = SlotInfo(engine, "A");
+  EXPECT_EQ(after.tier, "resident");
+  EXPECT_EQ(after.wal_dirty, before.wal_dirty);
+  EXPECT_EQ(after.checkpoints, before.checkpoints);
+  EXPECT_GT(engine.registry().prepared_bytes(), 0u);
+  EXPECT_EQ(QueryTranscript(engine, "A"), transcript);
   fs::remove_all(dir);
 }
 

@@ -79,9 +79,9 @@ TEST(WalAppendAtTest, PreservesPrimarySeqAndRejectsGaps) {
   Result<WalWriter> writer = WalWriter::Create(path, "s", /*sync=*/false);
   ASSERT_TRUE(writer.ok()) << writer.status();
 
-  WalRecord r1 = WalRebuildRecord();
+  WalRecord r1 = WalRegroupRecord({4});
   r1.seq = 1;
-  WalRecord r2 = WalEvictRecord();
+  WalRecord r2 = WalRegroupRecord({6});
   r2.seq = 2;
   EXPECT_TRUE(writer->AppendAt(r1).ok());
   EXPECT_TRUE(writer->AppendAt(r2).ok());
@@ -89,14 +89,14 @@ TEST(WalAppendAtTest, PreservesPrimarySeqAndRejectsGaps) {
 
   // A gap means the stream skipped acknowledged history: refuse, do not
   // paper over.
-  WalRecord gap = WalRebuildRecord();
+  WalRecord gap = WalRegroupRecord({4});
   gap.seq = 4;
   const Status s = writer->AppendAt(gap);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   // A replayed duplicate is equally a caller bug at this layer (the
   // duplicate filter lives in ApplyReplicated, above the writer).
-  WalRecord dup = WalRebuildRecord();
+  WalRecord dup = WalRegroupRecord({4});
   dup.seq = 2;
   EXPECT_FALSE(writer->AppendAt(dup).ok());
 
@@ -110,8 +110,8 @@ TEST(WalAppendAtTest, PreservesPrimarySeqAndRejectsGaps) {
 }
 
 TEST(ReplBatchCodecTest, RoundTripsTheExactWalLines) {
-  WalRecord a = WalRebuildRecord();
-  WalRecord b = WalEvictRecord();
+  WalRecord a = WalRegroupRecord({4});
+  WalRecord b = WalRegroupRecord({6});
   WalRecord c = WalRegroupRecord({8, 16});
   a.seq = 7;
   b.seq = 8;
@@ -135,14 +135,15 @@ TEST(ReplBatchCodecTest, RoundTripsTheExactWalLines) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded->size(), 3u);
   EXPECT_EQ((*decoded)[0].seq, 7u);
-  EXPECT_EQ((*decoded)[0].type, WalRecordType::kRebuild);
+  EXPECT_EQ((*decoded)[0].type, WalRecordType::kRegroup);
+  EXPECT_EQ((*decoded)[0].lengths, (std::vector<std::size_t>{4}));
   EXPECT_EQ((*decoded)[2].seq, 9u);
   EXPECT_EQ((*decoded)[2].lengths, (std::vector<std::size_t>{8, 16}));
 }
 
 TEST(ReplBatchCodecTest, RejectsEveryCorruptionWithoutReturningRecords) {
-  WalRecord a = WalRebuildRecord();
-  WalRecord b = WalEvictRecord();
+  WalRecord a = WalRegroupRecord({4});
+  WalRecord b = WalRegroupRecord({6});
   a.seq = 3;
   b.seq = 4;
   const std::string la = EncodeWalRecord(a);
@@ -238,11 +239,73 @@ TEST(ApplyReplicatedTest, ReplicaIsBitIdenticalToPrimaryAtEveryAckedSeq) {
       replica.registry().ApplyReplicated("s", shipped.back().second).ok());
   EXPECT_EQ(ReadFile(WalPath(dir_r, "s")), before);
   // A gap is a resubscribe signal, never a silent skip.
-  WalRecord future = WalRebuildRecord();
+  WalRecord future = WalRegroupRecord({4});
   future.seq = rd->last_seq + 2;
   const Status gap = replica.registry().ApplyReplicated("s", future);
   EXPECT_FALSE(gap.ok());
   EXPECT_EQ(gap.code(), StatusCode::kFailedPrecondition);
+
+  std::filesystem::remove_all(dir_p);
+  std::filesystem::remove_all(dir_r);
+}
+
+/// A replica's sequence numbers belong to its primary. Budget pressure on
+/// the replica must not consume one: a local record or checkpoint marker at
+/// the seq the primary's next write ships at would make that write look
+/// like a duplicate delivery and drop it. A slot that has applied a
+/// replicated record therefore stays resident.
+TEST(ApplyReplicatedTest, ReplicaBudgetNeverSwallowsAShippedWrite) {
+  const std::string dir_p = ::testing::TempDir() + "/onex_repl_budget_p";
+  const std::string dir_r = ::testing::TempDir() + "/onex_repl_budget_r";
+  std::filesystem::remove_all(dir_p);
+  std::filesystem::remove_all(dir_r);
+
+  Engine primary;
+  Engine replica;
+  DurabilityOptions popt;
+  popt.dir = dir_p;
+  popt.fsync = false;
+  DurabilityOptions ropt = popt;
+  ropt.dir = dir_r;
+  ASSERT_TRUE(primary.EnableDurability(popt).ok());
+  ASSERT_TRUE(replica.EnableDurability(ropt).ok());
+  std::vector<Status> applied;
+  primary.registry().SetWalSink(
+      [&replica, &applied](const std::string& dataset, const WalRecord& record,
+                           const std::string& encoded) {
+        (void)encoded;
+        applied.push_back(replica.registry().ApplyReplicated(dataset, record));
+      });
+
+  Session psession;
+  for (const std::string& line :
+       {std::string("GEN D sine num=3 len=24 seed=5"),
+        std::string("PREPARE D st=0.2 maxlen=12")}) {
+    const json::Value v = Exec(&primary, &psession, line);
+    ASSERT_TRUE(v["ok"].as_bool()) << line << ": " << v.Dump();
+  }
+  replica.registry().SetPreparedBudget(1);
+  ASSERT_TRUE(primary.ExtendSeries("D", 0, {0.25, 0.5, 0.75}).ok());
+  primary.registry().SetWalSink(nullptr);
+  for (const Status& s : applied) EXPECT_TRUE(s.ok()) << s;
+
+  Result<std::shared_ptr<const PreparedDataset>> p = primary.registry().Get("D");
+  Result<std::shared_ptr<const PreparedDataset>> r = replica.registry().Get("D");
+  ASSERT_TRUE(p.ok() && r.ok());
+  const Dataset& praw = *(*p)->raw;
+  const Dataset& rraw = *(*r)->raw;
+  ASSERT_EQ(praw.size(), rraw.size());
+  EXPECT_EQ(praw[0].length(), 27u);
+  for (std::size_t s = 0; s < praw.size(); ++s) {
+    EXPECT_EQ(praw[s].values(), rraw[s].values()) << "series " << s;
+  }
+  Result<SlotDurability> pd = primary.registry().Durability("D");
+  Result<SlotDurability> rd = replica.registry().Durability("D");
+  ASSERT_TRUE(pd.ok() && rd.ok());
+  EXPECT_EQ(pd->last_seq, rd->last_seq);
+  Result<std::string> tier = replica.registry().Tier("D");
+  ASSERT_TRUE(tier.ok());
+  EXPECT_EQ(*tier, "resident");
 
   std::filesystem::remove_all(dir_p);
   std::filesystem::remove_all(dir_r);

@@ -57,8 +57,11 @@ std::vector<WalRecord> GoldenRecords() {
   records.push_back(WalPrepareRecord(opt, NormalizationKind::kZScoreSeries));
 
   records.push_back(WalRegroupRecord({4, 6, 10}));
-  records.push_back(WalRebuildRecord());
-  records.push_back(WalEvictRecord());
+  records.push_back(WalRegroupRecord({8}));
+  std::vector<SeriesExtension> tail(1);
+  tail[0].series = 1;
+  tail[0].points = {0.5};
+  records.push_back(WalExtendRecord(std::move(tail)));
   records.push_back(WalCheckpointRecord(41));
 
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -112,9 +115,6 @@ void ExpectRecordsEqual(const WalRecord& a, const WalRecord& b) {
       break;
     case WalRecordType::kRegroup:
       ASSERT_EQ(a.lengths, b.lengths);
-      break;
-    case WalRecordType::kRebuild:
-    case WalRecordType::kEvict:
       break;
     case WalRecordType::kCheckpoint:
       ASSERT_EQ(a.checkpoint_seq, b.checkpoint_seq);
@@ -276,6 +276,31 @@ TEST(WalGolden, DeclaredCountsNeverDriveAllocation) {
                           static_cast<unsigned long long>(Fnv1a64(body)));
   r = DecodeWalRecord(line);
   ASSERT_FALSE(r.ok());
+}
+
+TEST(WalGolden, RetiredRecordTypesAreRefusedByName) {
+  // Tier moves are not journaled: a log holding an evict or rebuild line
+  // is refused with an error naming the type, never replayed.
+  for (const std::string type : {"evict", "rebuild"}) {
+    const std::string body = "r 3 " + type;
+    const std::string line =
+        body + StrFormat(" c=%016llx",
+                         static_cast<unsigned long long>(Fnv1a64(body)));
+    Result<WalRecord> r = DecodeWalRecord(line);
+    ASSERT_FALSE(r.ok()) << type;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find("'" + type + "'"), std::string::npos)
+        << r.status();
+
+    std::istringstream in(EncodeLog("golden", {GoldenRecords()[0]}) + line +
+                          "\n");
+    Result<WalScan> scan = ScanWal(in);
+    ASSERT_FALSE(scan.ok()) << type;
+    EXPECT_EQ(scan.status().code(), StatusCode::kParseError);
+    EXPECT_NE(scan.status().message().find("'" + type + "'"),
+              std::string::npos)
+        << scan.status();
+  }
 }
 
 TEST(WalGolden, WriterAppendsScanBackIdentically) {
