@@ -8,11 +8,10 @@
 ///            [--budget=BYTES]
 ///            [--cluster-nodes=host:port,host:port,...] [--cluster-self=N]
 ///
-/// --budget bounds resident prepared bases (0 = unlimited). Without
-/// durability an over-budget base is stripped and rebuilt on its next
-/// query; with it, the slot is checkpointed if its WAL is dirty and then
-/// served from the mmap'd arena checkpoint (the mapped tier, DESIGN.md
-/// §17).
+/// --budget bounds resident prepared bases (0 = unlimited). An over-budget
+/// slot is checkpointed if its WAL is dirty and then served from the
+/// mmap'd arena checkpoint (the mapped tier, DESIGN.md §17), so a nonzero
+/// --budget requires --data-dir.
 ///
 /// With --data-dir, the server is durable (DESIGN.md §13): state found in
 /// DIR is recovered before the first client connects, every acknowledged
@@ -112,6 +111,16 @@ int main(int argc, char** argv) {
                    arg.c_str());
       return 2;
     }
+  }
+
+  // An evicted base serves from its checkpoint; without a data dir there is
+  // none, so a budget could never be honoured.
+  if (registry_options.prepared_budget_bytes > 0 && durability.dir.empty()) {
+    std::fprintf(stderr,
+                 "onexd: --budget requires --data-dir (an evicted base "
+                 "serves from its checkpoint)\nusage: onexd [port] "
+                 "--data-dir=DIR --budget=BYTES [...]\n");
+    return 2;
   }
 
   const bool cluster_mode = !cluster_nodes.empty();

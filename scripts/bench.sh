@@ -18,7 +18,7 @@
 #                           text/binary dialect equivalence (DESIGN.md §15)
 #   BENCH_tier.json         bench_e13_coldstart — tiered-storage cold
 #                           start: time-to-first-query off an mmap'd arena
-#                           checkpoint vs evicted-rebuild vs resident, at
+#                           checkpoint vs re-preparation vs resident, at
 #                           16/64/256 datasets (DESIGN.md §17)
 #   BENCH_analytics.json    bench_e14_analytics — analytics on the group
 #                           structure: ANOMALY/MOTIF/FORECAST fast paths

@@ -23,7 +23,7 @@ ctest --output-on-failure -j"$(nproc)"
 
 # Cold-restart smoke (DESIGN.md §17): checkpoint a small fleet, restart,
 # and demand the first MATCH is served off the mmap'd arena with answers
-# identical to resident and evicted-rebuild.
+# identical to resident and to an explicit re-preparation.
 ./bench_e13_coldstart --smoke
 
 # Cluster smoke (DESIGN.md §16): boot a real 3-process cluster, route
@@ -40,6 +40,12 @@ status=0
 timeout 10 ./onexd --cluster-nodes="$CLUSTER_NODES" --cluster-self=0 \
   --data-dir="$CLUSTER_ROOT/refused" --budget=1 >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "onexd accepted --budget in cluster mode"; exit 1; }
+
+# An evicted base serves from its checkpoint, so a budget without a data
+# dir could never be honoured: onexd must refuse it with exit status 2.
+status=0
+timeout 10 ./onexd 0 --budget=1 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "onexd accepted --budget without --data-dir"; exit 1; }
 
 ./onexd --cluster-nodes="$CLUSTER_NODES" --cluster-self=0 \
   --data-dir="$CLUSTER_ROOT/n0" --no-fsync >/dev/null 2>&1 &

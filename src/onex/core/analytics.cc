@@ -213,7 +213,7 @@ RunHypothesis Updated(const RunHypothesis& h, double x, double prob) {
 }
 
 /// Conservative allowance for how truncation-dropped mass can be amplified
-/// by later renormalizations. The differential suite validates it across
+/// by later rescalings. The differential suite validates it across
 /// seeded schedules; with nothing dropped the recursion is exact.
 constexpr double kDropAmplification = 8.0;
 
@@ -269,7 +269,7 @@ Result<ChangepointReport> DetectChangepoints(std::span<const double> values,
 
     // Truncate to the max_run most probable hypotheses. Dropped mass is
     // accounted and converted into the report's error bound; the kept
-    // hypotheses are renormalized so the recursion stays a distribution.
+    // hypotheses are rescaled so the recursion stays a distribution.
     if (next.size() > options.max_run) {
       std::sort(next.begin(), next.end(),
                 [](const RunHypothesis& a, const RunHypothesis& b) {

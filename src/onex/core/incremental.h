@@ -80,15 +80,13 @@ struct ExtendResult {
 /// Merges extensions into one pending tail per series (duplicate targets
 /// concatenate in arrival order). InvalidArgument on an out-of-range series
 /// index or an empty point vector. Shared by the core extend below and the
-/// engine's raw/normalized bookkeeping so all three agree on validation and
-/// merge order.
+/// engine's raw-tail bookkeeping so both agree on validation and merge
+/// order.
 Result<std::vector<std::vector<double>>> MergeExtensions(
     std::size_t num_series, std::span<const SeriesExtension> extensions);
 
 /// Returns a copy of `ds` with each series' tail extended by `pending[s]`.
-/// Empty entries leave the series untouched; entries beyond ds.size() are
-/// ignored (the engine's evicted-extend path may hold a pending vector
-/// sized to a raw dataset that is one catch-up ahead of this copy).
+/// Empty or missing entries leave the series untouched.
 Dataset ExtendTails(const Dataset& ds,
                     const std::vector<std::vector<double>>& pending);
 

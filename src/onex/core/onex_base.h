@@ -143,7 +143,7 @@ class OnexBase {
   /// Byte footprint of the grouping structures (sum of every length class's
   /// GroupStore plus the view vectors). This is the cost the engine's
   /// prepared-base LRU cache accounts against its budget (DESIGN.md §11);
-  /// the shared dataset is excluded — it stays resident after eviction.
+  /// the shared dataset is excluded — the budget bounds what grouping adds.
   std::size_t MemoryUsage() const;
 
   /// Non-null when this base serves out of borrowed storage (FromStores

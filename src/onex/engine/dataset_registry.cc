@@ -122,8 +122,8 @@ Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
       break;
     }
     case WalRecordType::kPrepare: {
-      ONEX_ASSIGN_OR_RETURN(snap, BuildSnapshot(snap, rec.options, rec.norm,
-                                                /*renormalize=*/true, pool));
+      ONEX_ASSIGN_OR_RETURN(snap,
+                            BuildSnapshot(snap, rec.options, rec.norm, pool));
       break;
     }
     case WalRecordType::kRegroup: {
@@ -193,17 +193,10 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
   return out;
 }
 
-/// A stripped snapshot keeps its normalized copy, build options and
-/// normalization — the recipe of its rebuild; a never-prepared one has no
-/// normalized copy.
-bool Evicted(const PreparedDataset& snap) {
-  return !snap.prepared() && snap.normalized != nullptr;
-}
-
 /// The serving tier of a slot holding `snap` (DatasetSlotInfo::tier).
 const char* TierName(const PreparedDataset& snap) {
-  if (snap.prepared()) return snap.mapped() ? "mapped" : "resident";
-  return Evicted(snap) ? "evicted" : "raw";
+  if (!snap.prepared()) return "raw";
+  return snap.mapped() ? "mapped" : "resident";
 }
 
 }  // namespace
@@ -417,7 +410,6 @@ std::vector<DatasetSlotInfo> DatasetRegistry::Describe() const {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
     info.series = slot->snapshot->raw->size();
     info.prepared = slot->snapshot->prepared();
-    info.evicted = Evicted(*slot->snapshot);
     info.prepared_bytes = slot->base_bytes.load();
     info.tier = TierName(*slot->snapshot);
     info.mapped_bytes = slot->mapped_bytes.load();
@@ -443,54 +435,15 @@ Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::Get(
 }
 
 Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::GetPrepared(
-    const std::string& name) {
+    const std::string& name) const {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
-  {
-    std::shared_lock<std::shared_mutex> lock(slot->mutex);
-    if (slot->snapshot->prepared()) {
-      TouchLocked(slot.get());
-      return slot->snapshot;
-    }
-    if (!Evicted(*slot->snapshot)) {
-      return Status::FailedPrecondition(
-          "dataset '" + name + "' has not been prepared; call Prepare first");
-    }
+  std::shared_lock<std::shared_mutex> lock(slot->mutex);
+  if (!slot->snapshot->prepared()) {
+    return Status::FailedPrecondition(
+        "dataset '" + name + "' has not been prepared; call Prepare first");
   }
-
-  // The base was evicted (only a registry without durability strips one):
-  // rebuild it from the build options and normalization the stripped
-  // snapshot kept. One rebuilder runs; concurrent callers queue on the
-  // slot's reprepare mutex and pick up its result. Queries on every other
-  // slot proceed untouched.
-  std::lock_guard<std::mutex> rebuild(slot->reprepare_mutex);
-  while (true) {
-    std::shared_ptr<const PreparedDataset> current;
-    {
-      std::shared_lock<std::shared_mutex> lock(slot->mutex);
-      if (slot->snapshot->prepared()) {  // a racing writer beat us to it
-        TouchLocked(slot.get());
-        return slot->snapshot;
-      }
-      if (slot->journal != nullptr && slot->journal->has_floor.load()) {
-        // Install refuses a record-less swap on a journaled slot, and a
-        // journaled slot leaves memory only through its checkpoint.
-        return Status::Internal("dataset '" + name +
-                                "' is journaled but holds a stripped base");
-      }
-      current = slot->snapshot;
-    }
-
-    ONEX_ASSIGN_OR_RETURN(
-        std::shared_ptr<const PreparedDataset> next,
-        BuildSnapshot(current, current->build_options, current->norm_kind,
-                      /*renormalize=*/false, pool_));
-    // Conditional install: a Replace (append) or explicit Prepare that
-    // landed while we built must not be clobbered by our rebuild of the
-    // older snapshot — on a lost race, re-read the slot and go again.
-    ONEX_ASSIGN_OR_RETURN(bool installed,
-                          Install(slot, name, next, current.get()));
-    if (installed) return next;
-  }
+  TouchLocked(slot.get());
+  return slot->snapshot;
 }
 
 Status DatasetRegistry::Prepare(const std::string& name,
@@ -510,9 +463,9 @@ Status DatasetRegistry::Prepare(const std::string& name,
     // conditional: an AppendSeries that landed while we built carries data
     // this build has not seen, so on a lost race we rebuild from the newer
     // snapshot instead of clobbering it.
-    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> next,
-                          BuildSnapshot(current, options, normalization,
-                                        /*renormalize=*/true, pool_));
+    ONEX_ASSIGN_OR_RETURN(
+        std::shared_ptr<const PreparedDataset> next,
+        BuildSnapshot(current, options, normalization, pool_));
     WalRecord record = WalPrepareRecord(options, normalization);
     ONEX_ASSIGN_OR_RETURN(
         bool installed,
@@ -605,6 +558,10 @@ Result<bool> DatasetRegistry::Install(
 }
 
 void DatasetRegistry::EvictOverBudget(const Slot* keep) {
+  // A prepared base leaves memory only through its checkpoint (DESIGN.md
+  // §11): without durability there is none to serve from, so no budget
+  // applies. Recover arms the flag only once every slot has a journal.
+  if (!durable_.load()) return;
   while (true) {
     std::string victim_name;
     std::shared_ptr<Slot> victim;
@@ -635,8 +592,7 @@ void DatasetRegistry::EvictOverBudget(const Slot* keep) {
     }
     if (journal != nullptr && (!journal->has_floor.load() ||
                                journal->records_since_ckpt.load() != 0)) {
-      // A durable slot leaves memory only through its checkpoint (DESIGN.md
-      // §11): fold a dirty WAL into a fresh one first, with no lock held —
+      // Fold a dirty WAL into a fresh checkpoint first, with no lock held —
       // the encode and write cover the whole arena. A checkpoint already in
       // flight, or a failed one, keeps the victim resident: over budget
       // beats a slot with no durable image to serve from.
@@ -652,21 +608,9 @@ void DatasetRegistry::EvictOverBudget(const Slot* keep) {
       // base someone just paid for.
       continue;
     }
-    if (victim->journal != nullptr) {
-      // The checkpoint covers every record, so the mapping serves the very
-      // bits the slot holds and needs no WAL record.
-      if (!DowngradeLocked(victim_name, victim)) return;
-      continue;
-    }
-    auto stripped = std::make_shared<PreparedDataset>(*victim->snapshot);
-    stripped->base = nullptr;
-    victim->snapshot = std::move(stripped);
-    std::lock_guard<std::mutex> map_lock(map_mutex_);
-    const auto it = slots_.find(victim_name);
-    if (it != slots_.end() && it->second == victim) {
-      total_bytes_ -= victim->base_bytes.load();
-    }
-    victim->base_bytes.store(0);
+    // The checkpoint covers every record, so the mapping serves the very
+    // bits the slot holds and needs no WAL record.
+    if (!DowngradeLocked(victim_name, victim)) return;
   }
 }
 
@@ -849,13 +793,6 @@ Status DatasetRegistry::RunRegroup(const std::string& name,
       std::shared_lock<std::shared_mutex> lock(slot->mutex);
       current = slot->snapshot;
     }
-    if (current == nullptr || !current->prepared()) {
-      // Evicted (or dropped to raw) since scheduling: the transparent
-      // rebuild re-clusters every class from scratch, which subsumes this
-      // repair.
-      return Status::OK();
-    }
-
     // The expensive re-clustering runs with no lock held; concurrent
     // queries keep answering from `current`. The install is conditional: an
     // extend/append/prepare that landed while we rebuilt carries data this
@@ -1270,18 +1207,10 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
   }
   for (const auto& [name, slot] : entries) {
     bool prepared;
-    bool evicted;
     {
       std::shared_lock<std::shared_mutex> lock(slot->mutex);
       if (slot->journal != nullptr) continue;  // an earlier failed attempt
       prepared = slot->snapshot->prepared();
-      evicted = Evicted(*slot->snapshot);
-    }
-    if (evicted) {
-      // An evicted slot's incremental history is not reproducible from raw
-      // alone; rebuild it so the bootstrap checkpoint can capture it.
-      ONEX_RETURN_IF_ERROR(GetPrepared(name).status());
-      prepared = true;
     }
     ONEX_RETURN_IF_ERROR(CreateSlotJournal(name, slot, !prepared));
     if (prepared) {

@@ -34,7 +34,7 @@ struct PreparedDataset {
   std::shared_ptr<const Dataset> normalized;
   NormalizationParams norm_params;
   NormalizationKind norm_kind = NormalizationKind::kMinMaxDataset;
-  /// Null until Prepare() has run (or after the LRU cache evicted the base).
+  /// Null until Prepare() has run.
   std::shared_ptr<const OnexBase> base;
   BaseBuildOptions build_options;
   /// Non-null when `base` serves out of an mmap'd ONEXARENA checkpoint (the
@@ -71,9 +71,10 @@ struct DatasetRegistryOptions {
   /// Byte budget for resident prepared bases, measured as the sum of
   /// OnexBase::MemoryUsage() (GroupStore footprints). 0 = unlimited. When a
   /// newly prepared base pushes the total over budget, the least recently
-  /// used other bases are evicted — stripped without durability, mapped
-  /// from their checkpoint with it (DESIGN.md §11); a single base larger
-  /// than the whole budget stays resident while it is the most recent.
+  /// used other bases are evicted to their mapped checkpoint (DESIGN.md
+  /// §11); a single base larger than the whole budget stays resident while
+  /// it is the most recent. Applies only once durability is on: without a
+  /// checkpoint an evicted base would have nothing to serve from.
   std::size_t prepared_budget_bytes = 0;
   /// Drift fraction (LengthClassDrift::fraction, per length class) above
   /// which an extend schedules a background regroup of the drifted classes
@@ -119,10 +120,6 @@ struct DatasetSlotInfo {
   std::string name;
   std::size_t series = 0;
   bool prepared = false;
-  /// The base was dropped by the LRU policy of a registry without
-  /// durability; the next query re-prepares it transparently from the
-  /// snapshot's own build options and normalization.
-  bool evicted = false;
   std::size_t prepared_bytes = 0;
   /// A background drift regroup for this slot is in flight.
   bool regrouping = false;
@@ -136,8 +133,7 @@ struct DatasetSlotInfo {
   std::uint64_t checkpoints = 0;
   /// Serving tier (DESIGN.md §17): "resident" (owned base in RAM),
   /// "mapped" (serving from an mmap'd arena checkpoint; durable slots
-  /// only), "evicted" (base stripped, rebuilt on next use; registries
-  /// without durability only) or "raw" (never prepared).
+  /// only) or "raw" (never prepared).
   std::string tier;
   std::size_t mapped_bytes = 0;  ///< Arena bytes backing a mapped base.
   bool pinned = false;           ///< TIER pin: exempt from downgrade/evict.
@@ -159,8 +155,7 @@ struct MaintenanceStatus {
 ///     while dataset B is being prepared, replaced or evicted;
 ///   - an LRU cache over prepared bases bounded by a configurable byte
 ///     budget (cost = GroupStore footprint via OnexBase::MemoryUsage());
-///     without durability an evicted base re-prepares transparently on the
-///     next query, with it the victim serves from its checkpoint's mapping;
+///     with durability on, a victim serves from its checkpoint's mapping;
 ///   - preparation jobs schedulable on the shared TaskPool (PrepareAsync),
 ///     so a server session can stage the next dashboard's dataset while the
 ///     current one keeps answering;
@@ -226,12 +221,11 @@ class DatasetRegistry {
   Result<std::shared_ptr<const PreparedDataset>> Get(
       const std::string& name) const;
 
-  /// Prepared snapshot for query execution. Touches the slot's LRU stamp;
-  /// if the base was evicted, rebuilds it from the snapshot's build options
-  /// and normalization before returning (concurrent callers rebuild once).
-  /// FailedPrecondition when the slot was never prepared.
+  /// Prepared snapshot (resident or mapped) for query execution. Touches
+  /// the slot's LRU stamp. FailedPrecondition when the slot was never
+  /// prepared.
   Result<std::shared_ptr<const PreparedDataset>> GetPrepared(
-      const std::string& name);
+      const std::string& name) const;
 
   /// Normalizes and groups `name`'s raw data, swapping the new snapshot in
   /// atomically. The expensive build runs outside every lock, so concurrent
@@ -246,7 +240,8 @@ class DatasetRegistry {
                              NormalizationKind normalization);
 
   /// Current byte budget for resident prepared bases (0 = unlimited).
-  /// Shrinking the budget evicts immediately.
+  /// Shrinking the budget evicts immediately; without durability nothing
+  /// is evicted (see DatasetRegistryOptions::prepared_budget_bytes).
   void SetPreparedBudget(std::size_t bytes);
   std::size_t prepared_budget() const;
 
@@ -268,8 +263,7 @@ class DatasetRegistry {
   /// conditionally — on a lost race against a concurrent writer it retries
   /// from the newer snapshot, exactly like Prepare. At most one regroup per
   /// slot is in flight: a second call returns a completed ticket carrying
-  /// FailedPrecondition. A slot whose base is evicted reports OK without
-  /// work (the transparent rebuild regroups everything anyway).
+  /// FailedPrecondition, as does a slot that was never prepared.
   PrepareTicket RegroupAsync(const std::string& name,
                              std::vector<std::size_t> lengths);
 
@@ -283,8 +277,8 @@ class DatasetRegistry {
 
   // --- Tiered storage (DESIGN.md §17) -------------------------------------
 
-  /// Current serving tier of `name`: "resident", "mapped", "evicted" or
-  /// "raw" (see DatasetSlotInfo::tier).
+  /// Current serving tier of `name`: "resident", "mapped" or "raw" (see
+  /// DatasetSlotInfo::tier).
   Result<std::string> Tier(const std::string& name) const;
 
   /// Pins or unpins a slot. A pinned slot is exempt from LRU eviction and
@@ -375,9 +369,6 @@ class DatasetRegistry {
     /// durability on, the write-ahead journal append bound to a swap —
     /// never across a build or a query.
     mutable std::shared_mutex mutex;
-    /// Serializes transparent re-preparation so one rebuilder runs while
-    /// late arrivals wait for its result.
-    std::mutex reprepare_mutex;
     std::shared_ptr<const PreparedDataset> snapshot;
     /// LRU stamp (registry clock value at last prepared use).
     std::atomic<std::uint64_t> last_used{0};
@@ -409,8 +400,8 @@ class DatasetRegistry {
   /// built the snapshot — and evicts LRU victims over budget. With
   /// `expected` non-null the swap is conditional: it only happens if the
   /// slot still holds `expected` (returns false otherwise), which is how
-  /// the transparent rebuild avoids clobbering a Replace or Prepare that
-  /// landed while it was building. A journal failure is an error: nothing
+  /// a Prepare or regroup avoids clobbering a writer that landed while it
+  /// was building. A journal failure is an error: nothing
   /// was installed and the slot's WAL is latched read-only. With
   /// `replicated` the record keeps its primary-assigned seq (AppendAt), the
   /// WAL sink stays silent (replicas relay nothing) and no background
@@ -424,10 +415,10 @@ class DatasetRegistry {
 
   /// Evicts least-recently-used prepared bases until the total fits the
   /// budget. `keep` (may be null) is never evicted — it is the slot whose
-  /// base was just installed for immediate use. A journaled victim is
-  /// checkpointed first if its WAL is dirty, then downgraded to the
-  /// mapping; if either step fails it stays resident and the pass stops.
-  /// Only a slot without a journal is stripped.
+  /// base was just installed for immediate use. A victim is checkpointed
+  /// first if its WAL is dirty, then downgraded to the mapping; if either
+  /// step fails it stays resident and the pass stops. A no-op while
+  /// durability is off.
   void EvictOverBudget(const Slot* keep);
 
   /// The mapped-tier downgrade (DESIGN.md §17) shared by Demote and

@@ -115,9 +115,8 @@ class Engine {
     std::size_t series_extended = 0;  ///< Distinct series that grew.
     std::size_t points_appended = 0;
     /// Subsequences the new points created and the base absorbed (0 when
-    /// the dataset is unprepared or its base sits evicted — the raw/
-    /// normalized tails still grow, and the transparent rebuild groups
-    /// them on the next query).
+    /// the dataset is unprepared — only the raw tails grow, and the next
+    /// Prepare groups them).
     std::size_t new_members = 0;
     /// Post-extend drift of the length classes this extend touched, and the
     /// largest fraction among them.
@@ -189,8 +188,8 @@ class Engine {
       std::size_t k, const QueryOptions& options = {}) const;
 
   /// Analytics verbs on the group structure (core/analytics.h, DESIGN.md
-  /// §18). All four run against the prepared base snapshot — an evicted
-  /// base is transparently re-prepared, exactly like a query.
+  /// §18). All four run against the prepared base snapshot, resident or
+  /// mapped, exactly like a query.
 
   /// Nearest-centroid anomaly scores + DBSCAN-style outlier flags.
   Result<AnomalyReport> Anomaly(const std::string& name,
@@ -299,9 +298,7 @@ class Engine {
   /// for parallelism cost nothing extra. Declared before registry_, whose
   /// destructor drains in-flight preparation jobs off this pool.
   mutable TaskPool pool_;
-  /// Mutable because read paths touch LRU stamps and may transparently
-  /// re-prepare an evicted base (DESIGN.md §11).
-  mutable DatasetRegistry registry_;
+  DatasetRegistry registry_;
 
   /// Lifetime cascade counters; relaxed atomics because queries (including
   /// batch fan-out lanes) accumulate concurrently and only monotone totals

@@ -17,30 +17,21 @@ namespace onex {
 /// The snapshot writers — every state transition a slot can take, as pure
 /// functions from one immutable PreparedDataset to the next. The live write
 /// paths (Engine::AppendSeries / Engine::ExtendSeries conditional-install
-/// loops, DatasetRegistry::Prepare, the transparent rebuild, the drift
-/// regroup) and WAL replay (DESIGN.md §13) share these, so recovery
-/// provably converges with the live path: the same inputs flow through the
-/// same code, byte for byte.
+/// loops, DatasetRegistry::Prepare, the drift regroup) and WAL replay
+/// (DESIGN.md §13) share these, so recovery provably converges with the
+/// live path: the same inputs flow through the same code, byte for byte.
 
-/// The one preparation pipeline, shared by Prepare, the transparent rebuild
-/// after eviction, and WAL replay. With `renormalize` (explicit Prepare) the
+/// The one preparation pipeline, shared by Prepare and WAL replay. The
 /// normalization always re-runs from raw, re-baselining dataset-level
-/// extrema exactly as a fresh Prepare always has — the analyst's one knob
-/// for folding appended out-of-range values into the scale. Without it
-/// (the transparent rebuild) the snapshot's frozen normalization is
-/// preserved: the existing copy is reused, and newcomers appended while
-/// the slot sat evicted are normalized with the frozen parameters, so
-/// rebuilt answers match what a resident base would have returned. Runs
-/// with no lock held.
+/// extrema — the analyst's one knob for folding appended out-of-range
+/// values into the scale. Runs with no lock held.
 Result<std::shared_ptr<const PreparedDataset>> BuildSnapshot(
     const std::shared_ptr<const PreparedDataset>& current,
-    const BaseBuildOptions& options, NormalizationKind norm, bool renormalize,
-    TaskPool* pool);
+    const BaseBuildOptions& options, NormalizationKind norm, TaskPool* pool);
 
 /// One whole-series append (raw units): the grown raw dataset plus — when
 /// the snapshot is prepared — the incremental base insert under the frozen
-/// normalization, or — when the base sits evicted — the normalized copy
-/// grown in lockstep. InvalidArgument on a series shorter than 2 points.
+/// normalization. InvalidArgument on a series shorter than 2 points.
 Result<std::shared_ptr<const PreparedDataset>> ApplyAppend(
     const PreparedDataset& current, const TimeSeries& series);
 
@@ -54,9 +45,10 @@ struct ExtendOutcome {
   std::vector<LengthClassDrift> drift;
 };
 
-/// Streaming tail-extend (raw units): tails are normalized with the frozen
-/// parameters and only the subsequences they create join the base
-/// (core/incremental.h). Duplicate series entries concatenate in order.
+/// Streaming tail-extend (raw units): on a prepared snapshot the tails are
+/// normalized with the frozen parameters and only the subsequences they
+/// create join the base (core/incremental.h); an unprepared one grows its
+/// raw tails only. Duplicate series entries concatenate in order.
 Result<ExtendOutcome> ApplyExtend(
     const PreparedDataset& current,
     std::span<const SeriesExtension> extensions);

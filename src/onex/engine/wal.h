@@ -41,7 +41,7 @@ namespace onex {
 /// `rebuild` or `evict` types is refused as an unknown record type.
 ///
 /// Values travel in original (raw) units with full %.17g round-trip
-/// precision; replay renormalizes them through the same shared writers the
+/// precision; replay normalizes them through the same shared writers the
 /// live path used (snapshot_ops.h), which is what makes recovery converge
 /// with the live engine bit for bit.
 

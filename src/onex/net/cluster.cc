@@ -601,7 +601,7 @@ json::Value ClusterNode::Scatter(Engine* engine, const Command& cmd,
   json::Value v = ExecuteLocal(engine, &scratch, cmd, ctx);
 
   // One "datasets" entry per dataset (a LIST name or a DATASETS row), taken
-  // from its owner when reachable (the owner's prepared/evicted flags are
+  // from its owner when reachable (the owner's prepared flag and tier are
   // the authoritative ones), else from whichever node answered.
   std::map<std::string, json::Value> rows;
   const auto absorb = [&](std::size_t node, const json::Value& body) {

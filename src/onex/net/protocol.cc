@@ -305,17 +305,15 @@ Result<json::Value> DoPrepare(Engine* engine, Session* session,
                         engine->Get(name));
   json::Value v = Ok();
   v.Set("dataset", name);
+  // A concurrent DROP + LOAD from another connection can leave a raw slot
+  // under this name by now; the prepare itself succeeded, so report it
+  // without base statistics.
   if (ds->prepared()) {
     v.Set("groups", ds->base->stats().num_groups);
     v.Set("subsequences", ds->base->stats().num_subsequences);
     v.Set("length_classes", ds->base->stats().num_length_classes);
     v.Set("compaction", ds->base->stats().CompactionRatio());
     v.Set("build_seconds", ds->base->stats().build_seconds);
-  } else {
-    // The prepare itself succeeded, but a concurrent session's install
-    // already pushed this base out of the LRU budget before we could
-    // report on it; it will transparently re-prepare on the next query.
-    v.Set("evicted", true);
   }
   return v;
 }
@@ -1141,9 +1139,8 @@ Result<json::Value> DoDrift(Engine* engine, Session* session,
   v.Set("last_max_drift", status.last_max_drift);
   v.Set("prepared", ds->prepared());
   if (ds->prepared()) {
-    // Full scan over the resident base. Deliberately reads the snapshot via
-    // Get, not GetPrepared: a DRIFT poll must not force an evicted base
-    // back into memory.
+    // Full scan over the prepared base. Reads the snapshot via Get, not
+    // GetPrepared: a DRIFT poll is not a query and must not touch the LRU.
     double max_drift = 0.0;
     json::Value arr = json::Value::MakeArray();
     for (const LengthClassDrift& d : ComputeDrift(*ds->base)) {
@@ -1165,7 +1162,6 @@ Result<json::Value> DoDatasets(Engine* engine, Session*, const Command&,
     row.Set("name", info.name);
     row.Set("series", info.series);
     row.Set("prepared", info.prepared);
-    row.Set("evicted", info.evicted);
     row.Set("bytes", info.prepared_bytes);
     row.Set("tier", info.tier);
     row.Set("mapped_bytes", info.mapped_bytes);
@@ -1206,6 +1202,11 @@ Result<json::Value> DoBudget(Engine* engine, Session*, const Command& cmd,
     ONEX_ASSIGN_OR_RETURN(long long bytes, ParseInt(it->second));
     if (bytes < 0) {
       return Status::InvalidArgument("budget bytes must be >= 0");
+    }
+    if (bytes > 0 && !engine->registry().durable()) {
+      return Status::FailedPrecondition(
+          "a budget needs durability (PERSIST or onexd --data-dir): evicted "
+          "bases serve from their checkpoint");
     }
     engine->registry().SetPreparedBudget(static_cast<std::size_t>(bytes));
   }

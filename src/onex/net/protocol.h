@@ -31,13 +31,16 @@ namespace onex::net {
 ///   PING
 ///   LIST                                             names only
 ///   DATASETS                                         per-slot detail: series,
-///                                                    prepared/evicted flags,
+///                                                    prepared flag, tier,
 ///                                                    base bytes, LRU budget
 ///   USE <name>|name=<name>                           session default dataset
 ///   BUDGET [bytes=N]                                 get/set prepared-base
 ///                                                    LRU byte budget (0 = off)
+///       An evicted base serves from its mmap'd checkpoint, so bytes=N > 0
+///       needs durability (PERSIST or onexd --data-dir); FailedPrecondition
+///       otherwise.
 ///   TIER [<name>] [pin=0|1] [demote=1]               serving-tier control
-///       Reports the slot's tier (resident|mapped|evicted|raw, DESIGN.md
+///       Reports the slot's tier (resident|mapped|raw, DESIGN.md
 ///       §17) plus pinned/mapped_bytes. pin=1 exempts the slot from LRU
 ///       eviction and downgrade; demote=1 swaps a clean checkpointed base
 ///       for its mmap'd arena now (FailedPrecondition if the WAL is dirty
@@ -51,7 +54,7 @@ namespace onex::net {
 ///   APPEND v=<v1,v2,...> [series=appended]           incremental insert
 ///   EXTEND series=<idx|name> points=<v1,v2,...>      streaming point-append
 ///       Appends points (original units) to an existing series; the tail is
-///       renormalized with the frozen dataset parameters and only the new
+///       normalized with the frozen dataset parameters and only the new
 ///       subsequences join the base (DESIGN.md §12). Reports the per-class
 ///       drift the write caused and whether a background regroup of the
 ///       drifted classes was scheduled.

@@ -50,9 +50,8 @@ double Denormalize(const NormalizationParams& params, std::size_t series_idx,
 
 /// Inverse of Denormalize: maps one raw value of series `series_idx` into
 /// the frozen normalized space. The streaming tail path (Engine::
-/// ExtendSeries, and the registry's catch-up of a normalized copy that went
-/// stale while the base sat evicted) uses this so points appended to an
-/// existing series land in exactly the units the base compares in.
+/// ExtendSeries) uses this so points appended to an existing series land
+/// in exactly the units the base compares in.
 /// Degenerate frozen scales (constant dataset) map to 0, mirroring
 /// Normalize.
 double NormalizeValue(const NormalizationParams& params,
@@ -63,9 +62,8 @@ double NormalizeValue(const NormalizationParams& params,
 /// level kinds reuse the stored extrema untouched (appending never rescales
 /// the rest of the dataset); per-series kinds compute the newcomer's own
 /// offset/scale and append it to `params->per_series`. Used by the
-/// engine's AppendSeries and by the registry's transparent rebuild of a
-/// base that was appended to while evicted, so both paths produce the same
-/// values.
+/// engine's AppendSeries and by WAL replay of an append, so both paths
+/// produce the same values.
 TimeSeries NormalizeAppended(const TimeSeries& series, NormalizationKind kind,
                              NormalizationParams* params);
 

@@ -1,6 +1,6 @@
 /// Property suite for the streaming-maintenance invariants (DESIGN.md §12):
 /// after arbitrary randomized extend sequences — including lengths the base
-/// has never seen and extends that land while the base sits evicted — the
+/// has never seen and extends that land on a mapped (demoted) slot — the
 /// leader-rule ST/2 invariant (exact under kFixedLeader), group-envelope
 /// containment (what makes LbKeoghGroup admissible over every member), the
 /// membership partition and the drift accounting all hold.
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <span>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "onex/common/random.h"
+#include "onex/common/string_utils.h"
 #include "onex/core/onex_base.h"
 #include "onex/core/query_processor.h"
 #include "onex/distance/envelope.h"
@@ -207,68 +209,93 @@ TEST_P(MaintenancePropertyTest, RegroupPreservesPartitionAndRestoresInvariant) {
   }
 }
 
-TEST_P(MaintenancePropertyTest, ExtendWhileEvictedSurvivesRegistryRebuild) {
-  // The registry path: a base pushed out by the LRU budget receives tail
-  // points; the transparent rebuild must fold them in with the frozen
-  // normalization, and the rebuilt base must satisfy every maintenance
-  // invariant — including for lengths the original base never saw.
+TEST_P(MaintenancePropertyTest, ExtendWhileMappedMatchesResidentTwin) {
+  // The registry path: a base served off its mapped checkpoint receives
+  // tail points that also open lengths it never saw. The extend must fold
+  // them in with the frozen normalization, the promoted base must satisfy
+  // every maintenance invariant, and raw values, normalized values,
+  // normalization parameters and an exhaustive MATCH on the tail must match
+  // a twin that never left memory bit for bit — live and after a restart.
   Rng rng(GetParam() + 83);
-  Engine engine;
   Dataset ds("live");
   for (std::size_t s = 0; s < 4; ++s) {
     ds.Add(TimeSeries("feed_" + std::to_string(s),
                       testing::SmoothSeries(&rng, 12)));
   }
-  ASSERT_TRUE(engine.LoadDataset("live", std::move(ds)).ok());
-  BaseBuildOptions opt = Options(CentroidPolicy::kFixedLeader);
-  ASSERT_TRUE(engine.Prepare("live", opt).ok());
-
-  // Evict by shrinking the budget to one byte.
-  engine.registry().SetPreparedBudget(1);
-  {
-    Result<std::shared_ptr<const PreparedDataset>> snap = engine.Get("live");
-    ASSERT_TRUE(snap.ok());
-    ASSERT_FALSE((*snap)->prepared());  // evicted, not dropped
-  }
-
-  // Extend while evicted: a long tail that also opens unseen lengths (8
-  // points keeps 12 + 8 = 20 on the build's step-2 length grid).
+  // 8 points keep 12 + 8 = 20 on the build's step-2 length grid.
   const std::vector<double> tail = testing::SmoothSeries(&rng, 8);
-  Result<Engine::ExtendSummary> summary = engine.ExtendSeries("live", 0, tail);
-  ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_EQ(summary->points_appended, tail.size());
-  EXPECT_EQ(summary->new_members, 0u);  // base not resident: nothing grouped
-
-  // Lift the budget and query: the transparent rebuild runs and must cover
-  // the extended tail.
-  engine.registry().SetPreparedBudget(0);
-  Result<std::shared_ptr<const PreparedDataset>> prepared =
-      engine.registry().GetPrepared("live");
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  const OnexBase& base = *(*prepared)->base;
-  EXPECT_EQ(base.dataset()[0].length(), 12u + tail.size());
-  CheckPartition(base);
-  CheckEnvelopeContainment(base);
-  ASSERT_TRUE(base.FindLengthClass(12 + tail.size()).ok());
-
-  // The rebuilt normalized tail must equal what a resident extend would
-  // have produced: the frozen parameters applied to the raw points.
-  const NormalizationParams& params = (*prepared)->norm_params;
-  const TimeSeries& norm0 = (*(*prepared)->normalized)[0];
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_NEAR(norm0[12 + i], NormalizeValue(params, 0, tail[i]), 1e-12);
-  }
-
-  // And the tail is searchable exactly.
+  const BaseBuildOptions opt = Options(CentroidPolicy::kFixedLeader);
   QuerySpec spec;
   spec.series = 0;
   spec.start = 12;
   spec.length = tail.size();
-  QueryOptions qopt;
-  qopt.exhaustive = true;
-  Result<MatchResult> match = engine.SimilaritySearch("live", spec, qopt);
-  ASSERT_TRUE(match.ok()) << match.status();
-  EXPECT_NEAR(match->match.normalized_dtw, 0.0, 1e-9);
+
+  const auto transcript = [&](Engine& engine) {
+    Result<std::shared_ptr<const PreparedDataset>> snap = engine.Get("live");
+    EXPECT_TRUE(snap.ok()) << snap.status();
+    if (!snap.ok() || !(*snap)->prepared()) return std::string("<unprepared>");
+    std::string out = testing::NormalizationTranscript(
+        *(*snap)->raw, *(*snap)->normalized, (*snap)->norm_params);
+    QueryOptions qopt;
+    qopt.exhaustive = true;
+    Result<MatchResult> match = engine.SimilaritySearch("live", spec, qopt);
+    EXPECT_TRUE(match.ok()) << match.status();
+    if (!match.ok()) return out;
+    EXPECT_NEAR(match->match.normalized_dtw, 0.0, 1e-9);
+    return out + match->match.ref.ToString() +
+           StrFormat(":%.17g", match->match.dtw);
+  };
+
+  Engine twin;
+  ASSERT_TRUE(twin.LoadDataset("live", ds).ok());
+  ASSERT_TRUE(twin.Prepare("live", opt).ok());
+  ASSERT_TRUE(twin.ExtendSeries("live", 0, tail).ok());
+  const std::string expected = transcript(twin);
+
+  DurabilityOptions durability;
+  durability.dir = ::testing::TempDir() + "/onex_maint_prop_" +
+                   std::to_string(GetParam());
+  durability.checkpoint_every = 0;
+  durability.fsync = false;
+  std::filesystem::remove_all(durability.dir);
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.EnableDurability(durability).ok());
+    ASSERT_TRUE(engine.LoadDataset("live", ds).ok());
+    ASSERT_TRUE(engine.Prepare("live", opt).ok());
+    ASSERT_TRUE(engine.registry().Checkpoint("live").ok());
+    ASSERT_TRUE(engine.registry().Demote("live").ok());
+    ASSERT_EQ(*engine.registry().Tier("live"), "mapped");
+
+    Result<Engine::ExtendSummary> summary =
+        engine.ExtendSeries("live", 0, tail);
+    ASSERT_TRUE(summary.ok()) << summary.status();
+    EXPECT_EQ(summary->points_appended, tail.size());
+    EXPECT_GT(summary->new_members, 0u);  // the mapped base grouped them
+    EXPECT_EQ(*engine.registry().Tier("live"), "resident");
+
+    Result<std::shared_ptr<const PreparedDataset>> prepared =
+        engine.Get("live");
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    const OnexBase& base = *(*prepared)->base;
+    EXPECT_EQ(base.dataset()[0].length(), 12u + tail.size());
+    CheckPartition(base);
+    CheckEnvelopeContainment(base);
+    ASSERT_TRUE(base.FindLengthClass(12 + tail.size()).ok());
+
+    // The normalized tail is the frozen parameters applied to the raw
+    // points, exactly.
+    const NormalizationParams& params = (*prepared)->norm_params;
+    const TimeSeries& norm0 = (*(*prepared)->normalized)[0];
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(norm0[12 + i], NormalizeValue(params, 0, tail[i]));
+    }
+    EXPECT_EQ(transcript(engine), expected);
+  }
+  Engine restarted;
+  ASSERT_TRUE(restarted.EnableDurability(durability).ok());
+  EXPECT_EQ(transcript(restarted), expected);
+  std::filesystem::remove_all(durability.dir);
 }
 
 /// Regression: a length grid that outruns the data (explicit max_length and

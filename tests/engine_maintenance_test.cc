@@ -1,10 +1,13 @@
 /// Engine/registry layer of the streaming-maintenance subsystem
 /// (DESIGN.md §12): ExtendSeries summaries, batched multi-extend, the
-/// drift-triggered background regroup with its ticket lifecycle, and the
-/// acceptance property that a query running concurrently with a regroup
-/// never observes a torn snapshot (run under TSan in CI).
+/// drift-triggered background regroup with its ticket lifecycle, the
+/// frozen-normalization contract on a mapped slot against a resident twin,
+/// and the acceptance property that a query running concurrently with a
+/// regroup never observes a torn snapshot (run under TSan in CI).
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +41,47 @@ void LoadAndPrepare(Engine* engine, std::size_t num = 6, std::size_t len = 14,
   ASSERT_TRUE(
       engine->LoadDataset(kName, testing::SmallDataset(num, len, 7)).ok());
   ASSERT_TRUE(engine->Prepare(kName, Opt(policy)).ok());
+}
+
+/// A fresh durability root under the test temp dir.
+DurabilityOptions FreshDurability(const std::string& tag) {
+  DurabilityOptions opt;
+  opt.dir = ::testing::TempDir() + "/onex_maintenance_" + tag;
+  opt.checkpoint_every = 0;
+  opt.fsync = false;
+  std::filesystem::remove_all(opt.dir);
+  return opt;
+}
+
+/// Checkpoints the slot and swaps its base for the mapped arena, so the next
+/// write lands on a mapped slot.
+void CheckpointAndDemote(Engine* engine) {
+  ASSERT_TRUE(engine->registry().Checkpoint(kName).ok());
+  ASSERT_TRUE(engine->registry().Demote(kName).ok());
+  Result<std::string> tier = engine->registry().Tier(kName);
+  ASSERT_TRUE(tier.ok());
+  ASSERT_EQ(*tier, "mapped");
+}
+
+/// The slot's frozen-normalization contract (raw and normalized values,
+/// normalization parameters) plus an exhaustive MATCH of `tail`, which must
+/// find itself at distance zero. String-equal transcripts = same bits.
+std::string ContractTranscript(Engine& engine, const QuerySpec& tail) {
+  Result<std::shared_ptr<const PreparedDataset>> snap = engine.Get(kName);
+  EXPECT_TRUE(snap.ok()) << snap.status();
+  if (!snap.ok() || !(*snap)->prepared()) return "<unprepared>";
+  std::string out = testing::NormalizationTranscript(
+      *(*snap)->raw, *(*snap)->normalized, (*snap)->norm_params);
+  QueryOptions exhaustive;
+  exhaustive.exhaustive = true;
+  Result<MatchResult> m = engine.SimilaritySearch(kName, tail, exhaustive);
+  EXPECT_TRUE(m.ok()) << m.status();
+  if (!m.ok()) return out;
+  EXPECT_NEAR(m->match.normalized_dtw, 0.0, 1e-9);
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%zu.%zu.%zu:%.17g", m->match.ref.series,
+                m->match.ref.start, m->match.ref.length, m->match.dtw);
+  return out + buf;
 }
 
 TEST(EngineMaintenanceTest, ExtendSummaryCountsMatchSubsequenceGrowth) {
@@ -199,73 +243,94 @@ TEST(EngineMaintenanceTest, RegroupTicketLifecycle) {
   ASSERT_TRUE(job.valid());
   EXPECT_TRUE(job.Wait().ok()) << job.Wait();
 
-  // A regroup of an evicted slot is a clean no-op: the transparent rebuild
-  // subsumes it.
-  registry.SetPreparedBudget(1);
-  PrepareTicket evicted = registry.RegroupAsync(kName, {4});
-  ASSERT_TRUE(evicted.valid());
-  EXPECT_TRUE(evicted.Wait().ok()) << evicted.Wait();
-  registry.SetPreparedBudget(0);
+  // A slot that was never prepared has no base to regroup.
+  ASSERT_TRUE(engine.LoadDataset("raw", testing::SmallDataset(3, 10, 5)).ok());
+  EXPECT_EQ(registry.RegroupAsync("raw", {4}).Wait().code(),
+            StatusCode::kFailedPrecondition);
 }
 
-TEST(EngineMaintenanceTest, ExtendAfterEvictionThenQueryReachesNewTail) {
-  Engine engine;
-  LoadAndPrepare(&engine);
-  engine.registry().SetPreparedBudget(1);  // evict the only base
+TEST(EngineMaintenanceTest, ExtendAfterDemoteThenQueryReachesNewTail) {
+  // An extend on a mapped slot joins the base like a resident one: same
+  // members, same normalized tail, same answers as a twin that never left
+  // memory — live and after a restart on the same directory.
   Rng rng(29);
-  Result<Engine::ExtendSummary> summary =
-      engine.ExtendSeries(kName, 3, testing::SmoothSeries(&rng, 4));
-  ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_EQ(summary->new_members, 0u);
-  engine.registry().SetPreparedBudget(0);
-
+  const std::vector<double> tail = testing::SmoothSeries(&rng, 4);
   QuerySpec spec;
   spec.series = 3;
   spec.start = 14;
   spec.length = 4;
-  QueryOptions qopt;
-  qopt.exhaustive = true;
-  Result<MatchResult> match = engine.SimilaritySearch(kName, spec, qopt);
-  ASSERT_TRUE(match.ok()) << match.status();
-  EXPECT_NEAR(match->match.normalized_dtw, 0.0, 1e-9);
+
+  Engine twin;
+  LoadAndPrepare(&twin);
+  Result<Engine::ExtendSummary> twin_summary =
+      twin.ExtendSeries(kName, 3, tail);
+  ASSERT_TRUE(twin_summary.ok()) << twin_summary.status();
+  const std::string expected = ContractTranscript(twin, spec);
+
+  const DurabilityOptions durability = FreshDurability("extend_mapped");
+  {
+    Engine subject;
+    ASSERT_TRUE(subject.EnableDurability(durability).ok());
+    LoadAndPrepare(&subject);
+    CheckpointAndDemote(&subject);
+    Result<Engine::ExtendSummary> summary =
+        subject.ExtendSeries(kName, 3, tail);
+    ASSERT_TRUE(summary.ok()) << summary.status();
+    EXPECT_GT(summary->new_members, 0u);
+    EXPECT_EQ(summary->new_members, twin_summary->new_members);
+    EXPECT_EQ(ContractTranscript(subject, spec), expected);
+  }
+  Engine restarted;
+  ASSERT_TRUE(restarted.EnableDurability(durability).ok());
+  EXPECT_EQ(ContractTranscript(restarted, spec), expected);
+  std::filesystem::remove_all(durability.dir);
 }
 
 TEST(EngineMaintenanceTest,
-     AppendThenExtendWhileEvictedMatchesResidentNormalization) {
+     AppendThenExtendWhileMappedMatchesResidentNormalization) {
   // The frozen-normalization contract under per-series parameters: a series
-  // appended and then extended while the base sits evicted must end up with
-  // exactly the normalized values the resident path produces — the newcomer's
-  // offset/scale freeze at its pre-extend extrema either way.
+  // appended to a mapped slot and then extended after the slot was mapped
+  // again must end up with exactly the values and parameters the resident
+  // path produces — the newcomer's offset/scale freeze at its pre-extend
+  // extrema either way.
   Rng rng(41);
   const TimeSeries newcomer("late", testing::SmoothSeries(&rng, 10));
   const std::vector<double> tail = testing::SmoothSeries(&rng, 4);
+  QuerySpec spec;
+  spec.series = 4;
+  spec.start = newcomer.length();
+  spec.length = tail.size();
 
-  auto run = [&](bool evict) -> std::vector<double> {
-    Engine engine;
-    EXPECT_TRUE(
-        engine.LoadDataset(kName, testing::SmallDataset(4, 12, 19)).ok());
-    EXPECT_TRUE(engine
-                    .Prepare(kName, Opt(CentroidPolicy::kFixedLeader),
-                             NormalizationKind::kMinMaxSeries)
+  auto run = [&](Engine* engine, bool demote) {
+    ASSERT_TRUE(
+        engine->LoadDataset(kName, testing::SmallDataset(4, 12, 19)).ok());
+    ASSERT_TRUE(engine
+                    ->Prepare(kName, Opt(CentroidPolicy::kFixedLeader),
+                              NormalizationKind::kMinMaxSeries)
                     .ok());
-    if (evict) engine.registry().SetPreparedBudget(1);
-    EXPECT_TRUE(engine.AppendSeries(kName, newcomer).ok());
-    EXPECT_TRUE(engine.ExtendSeries(kName, 4, tail).ok());
-    if (evict) engine.registry().SetPreparedBudget(0);
-    Result<std::shared_ptr<const PreparedDataset>> snap =
-        engine.registry().GetPrepared(kName);
-    EXPECT_TRUE(snap.ok()) << snap.status();
-    if (!snap.ok()) return {};
-    return (*(*snap)->normalized)[4].values();
+    if (demote) CheckpointAndDemote(engine);
+    ASSERT_TRUE(engine->AppendSeries(kName, newcomer).ok());
+    if (demote) CheckpointAndDemote(engine);
+    ASSERT_TRUE(engine->ExtendSeries(kName, 4, tail).ok());
   };
 
-  const std::vector<double> resident = run(/*evict=*/false);
-  const std::vector<double> evicted = run(/*evict=*/true);
-  ASSERT_EQ(resident.size(), newcomer.length() + tail.size());
-  ASSERT_EQ(resident.size(), evicted.size());
-  for (std::size_t i = 0; i < resident.size(); ++i) {
-    EXPECT_DOUBLE_EQ(resident[i], evicted[i]) << "point " << i;
+  Engine twin;
+  run(&twin, /*demote=*/false);
+  if (HasFatalFailure()) return;
+  const std::string expected = ContractTranscript(twin, spec);
+
+  const DurabilityOptions durability = FreshDurability("append_mapped");
+  {
+    Engine subject;
+    ASSERT_TRUE(subject.EnableDurability(durability).ok());
+    run(&subject, /*demote=*/true);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(ContractTranscript(subject, spec), expected);
   }
+  Engine restarted;
+  ASSERT_TRUE(restarted.EnableDurability(durability).ok());
+  EXPECT_EQ(ContractTranscript(restarted, spec), expected);
+  std::filesystem::remove_all(durability.dir);
 }
 
 /// Acceptance: queries racing extends and drift-triggered regroups never

@@ -1,14 +1,15 @@
 /// DatasetRegistry behavior (DESIGN.md §11): LRU eviction under a prepared-
-/// base byte budget, transparent re-preparation of evicted bases, async
-/// preparation tickets, and the per-slot locking contract — queries on one
-/// dataset proceed while another is being prepared.
+/// base byte budget (a durable victim serves from its mapped checkpoint; a
+/// memory-only registry evicts nothing), async preparation tickets, and the
+/// per-slot locking contract — queries on one dataset proceed while another
+/// is being prepared.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,43 @@ QuerySpec SmallQuery(std::size_t series = 0) {
   return spec;
 }
 
+std::string TierOf(const Engine& engine, const std::string& name) {
+  Result<std::string> tier = engine.registry().Tier(name);
+  EXPECT_TRUE(tier.ok()) << tier.status();
+  return tier.ok() ? *tier : std::string("<error>");
+}
+
+/// A durable engine rooted in a fresh directory under the test temp dir:
+/// the budget applies only where an evicted base has a checkpoint to serve
+/// from.
+class DurableEngine {
+ public:
+  explicit DurableEngine(const std::string& tag)
+      : dir_(::testing::TempDir() + "/onex_registry_" + tag) {
+    std::filesystem::remove_all(dir_);
+    DurabilityOptions opt;
+    opt.dir = dir_;
+    opt.checkpoint_every = 0;
+    opt.fsync = false;
+    EXPECT_TRUE(engine_.EnableDurability(opt).ok());
+  }
+  ~DurableEngine() { std::filesystem::remove_all(dir_); }
+
+  Engine& engine() { return engine_; }
+
+  /// Loads and prepares `name`, then checkpoints it so an eviction maps
+  /// the clean arena straight away.
+  void LoadPrepared(const std::string& name, Dataset data) {
+    ASSERT_TRUE(engine_.LoadDataset(name, std::move(data)).ok());
+    ASSERT_TRUE(engine_.Prepare(name, Quick()).ok());
+    ASSERT_TRUE(engine_.registry().Checkpoint(name).ok());
+  }
+
+ private:
+  std::string dir_;
+  Engine engine_;
+};
+
 TEST(MemoryUsageTest, StoreAndBaseFootprintsAgree) {
   auto ds = std::make_shared<const Dataset>(testing::SmallDataset());
   Result<OnexBase> base = OnexBase::Build(ds, Quick());
@@ -81,23 +119,25 @@ TEST(EngineRegistryTest, UnlimitedBudgetKeepsEveryBaseResident) {
   const auto info = DescribeByName(engine);
   for (const auto& [name, slot] : info) {
     EXPECT_TRUE(slot.prepared) << name;
-    EXPECT_FALSE(slot.evicted) << name;
+    EXPECT_EQ(slot.tier, "resident") << name;
     EXPECT_GT(slot.prepared_bytes, 0u) << name;
   }
   EXPECT_EQ(engine.registry().prepared_budget(), 0u);
   EXPECT_GT(engine.registry().prepared_bytes(), 0u);
 }
 
-TEST(EngineRegistryTest, LruEvictionHonorsBudgetAndRepreparesTransparently) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadDataset("a", MakeData(6, 24, 1)).ok());
-  ASSERT_TRUE(engine.LoadDataset("b", MakeData(6, 24, 2)).ok());
-  ASSERT_TRUE(engine.Prepare("a", Quick()).ok());
+TEST(EngineRegistryTest, LruEvictionHonorsBudgetAndServesFromCheckpoint) {
+  DurableEngine durable("lru");
+  Engine& engine = durable.engine();
+  durable.LoadPrepared("a", MakeData(6, 24, 1));
   const std::size_t bytes_a = engine.registry().prepared_bytes();
   ASSERT_GT(bytes_a, 0u);
-  ASSERT_TRUE(engine.Prepare("b", Quick()).ok());
+  durable.LoadPrepared("b", MakeData(6, 24, 2));
   const std::size_t bytes_b = engine.registry().prepared_bytes() - bytes_a;
   ASSERT_GT(bytes_b, 0u);
+  const Result<MatchResult> before = engine.SimilaritySearch("a", SmallQuery());
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_TRUE(engine.SimilaritySearch("b", SmallQuery()).ok());
 
   // Room for exactly one base (whichever is larger): shrinking the budget
   // must evict the least recently used of the two, which is a.
@@ -105,39 +145,35 @@ TEST(EngineRegistryTest, LruEvictionHonorsBudgetAndRepreparesTransparently) {
   engine.registry().SetPreparedBudget(budget);
 
   auto info = DescribeByName(engine);
-  EXPECT_TRUE(info.at("b").prepared);
-  EXPECT_FALSE(info.at("a").prepared);
-  EXPECT_TRUE(info.at("a").evicted);
+  EXPECT_EQ(info.at("b").tier, "resident");
+  EXPECT_EQ(info.at("a").tier, "mapped");
+  EXPECT_TRUE(info.at("a").prepared);  // mapped still serves
   EXPECT_LE(engine.registry().prepared_bytes(), budget);
 
-  // Queries on the evicted dataset re-prepare it transparently — the caller
-  // never sees FailedPrecondition — and the LRU rolls over to b.
+  // Queries on the evicted dataset are served off its checkpoint — the
+  // caller never sees FailedPrecondition — with the resident answer's bits.
   Result<MatchResult> m = engine.SimilaritySearch("a", SmallQuery());
   ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_GE(m->match.normalized_dtw, 0.0);
+  EXPECT_EQ(m->match.ref.series, before->match.ref.series);
+  EXPECT_EQ(m->match.ref.start, before->match.ref.start);
+  EXPECT_EQ(m->match.normalized_dtw, before->match.normalized_dtw);
 
+  // A write promotes a back to resident, and the LRU rolls over to b.
+  ASSERT_TRUE(engine.ExtendSeries("a", 0, {0.25}).ok());
   info = DescribeByName(engine);
-  EXPECT_TRUE(info.at("a").prepared);
-  EXPECT_TRUE(info.at("b").evicted);
+  EXPECT_EQ(info.at("a").tier, "resident");
+  EXPECT_EQ(info.at("b").tier, "mapped");
   EXPECT_LE(engine.registry().prepared_bytes(), budget);
-
-  // The re-prepared base answers exactly like a freshly prepared one.
-  Result<MatchResult> again = engine.SimilaritySearch("a", SmallQuery());
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(m->match.ref.series, again->match.ref.series);
-  EXPECT_EQ(m->match.ref.start, again->match.ref.start);
-  EXPECT_DOUBLE_EQ(m->match.normalized_dtw, again->match.normalized_dtw);
 }
 
 TEST(EngineRegistryTest, QueryTouchProtectsHotDatasetFromEviction) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadDataset("a", MakeData(6, 24, 1)).ok());
-  ASSERT_TRUE(engine.LoadDataset("b", MakeData(6, 24, 2)).ok());
+  DurableEngine durable("touch");
+  Engine& engine = durable.engine();
+  durable.LoadPrepared("a", MakeData(6, 24, 1));
+  durable.LoadPrepared("b", MakeData(6, 24, 2));
   // c is deliberately smaller than a and b so admitting it evicts exactly
   // one victim.
   ASSERT_TRUE(engine.LoadDataset("c", MakeData(3, 20, 3)).ok());
-  ASSERT_TRUE(engine.Prepare("a", Quick()).ok());
-  ASSERT_TRUE(engine.Prepare("b", Quick()).ok());
 
   // Budget exactly fits a and b, then touch a so b is the LRU victim.
   engine.registry().SetPreparedBudget(engine.registry().prepared_bytes());
@@ -145,65 +181,39 @@ TEST(EngineRegistryTest, QueryTouchProtectsHotDatasetFromEviction) {
   ASSERT_TRUE(engine.Prepare("c", Quick()).ok());
 
   const auto info = DescribeByName(engine);
-  EXPECT_TRUE(info.at("a").prepared) << "recently queried dataset evicted";
-  EXPECT_TRUE(info.at("c").prepared);
-  EXPECT_TRUE(info.at("b").evicted);
+  EXPECT_EQ(info.at("a").tier, "resident")
+      << "recently queried dataset evicted";
+  EXPECT_EQ(info.at("c").tier, "resident");
+  EXPECT_EQ(info.at("b").tier, "mapped");
 }
 
 TEST(EngineRegistryTest, ShrinkingBudgetEvictsImmediately) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadDataset("a", MakeData(6, 24, 1)).ok());
-  ASSERT_TRUE(engine.Prepare("a", Quick()).ok());
+  DurableEngine durable("shrink");
+  Engine& engine = durable.engine();
+  durable.LoadPrepared("a", MakeData(6, 24, 1));
   ASSERT_GT(engine.registry().prepared_bytes(), 0u);
 
   engine.registry().SetPreparedBudget(1);
   // A single resident base is never the protected installee here, so the
   // shrink evicts it outright.
   EXPECT_EQ(engine.registry().prepared_bytes(), 0u);
-  const auto info = DescribeByName(engine);
-  EXPECT_TRUE(info.at("a").evicted);
+  EXPECT_EQ(TierOf(engine, "a"), "mapped");
 }
 
-TEST(EngineRegistryTest, SeriesAppendedWhileEvictedIsSearchableAfterRebuild) {
-  // Regression: an append that lands while the base is evicted must not be
-  // lost when the next query transparently rebuilds — the rebuild has to
-  // notice the stale normalized copy and renormalize from raw.
+TEST(EngineRegistryTest, MemoryOnlyRegistryEvictsNothing) {
+  // Without durability an evicted base would have no checkpoint to serve
+  // from, so the budget is recorded but never enforced.
   Engine engine;
   ASSERT_TRUE(engine.LoadDataset("a", MakeData(6, 24, 1)).ok());
   ASSERT_TRUE(engine.Prepare("a", Quick()).ok());
-  const NormalizationParams frozen = (*engine.Get("a"))->norm_params;
-  engine.registry().SetPreparedBudget(1);  // evict a's base
-  ASSERT_TRUE(DescribeByName(engine).at("a").evicted);
+  const std::size_t bytes = engine.registry().prepared_bytes();
+  ASSERT_GT(bytes, 0u);
 
-  // Values far outside the frozen min/max: a rebuild that renormalized the
-  // whole dataset would visibly move the parameters.
-  std::vector<double> big;
-  for (int i = 0; i < 24; ++i) big.push_back(50.0 + 0.5 * i);
-  ASSERT_TRUE(
-      engine.AppendSeries("a", TimeSeries("late", std::move(big))).ok());
-  engine.registry().SetPreparedBudget(0);
-
-  // Query the appended series by reference: resolvable only if the rebuilt
-  // base's normalized dataset includes it. Exhaustive search must find the
-  // subsequence itself at distance zero.
-  QueryOptions exhaustive;
-  exhaustive.exhaustive = true;
-  const Result<MatchResult> m =
-      engine.SimilaritySearch("a", SmallQuery(6), exhaustive);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_NEAR(m->match.normalized_dtw, 0.0, 1e-12);
-  EXPECT_EQ(m->match.ref.series, 6u);
-
-  const Result<std::shared_ptr<const PreparedDataset>> snapshot =
-      engine.Get("a");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ((*snapshot)->raw->size(), 7u);
-  EXPECT_EQ((*snapshot)->normalized->size(), 7u);
-  // The frozen-normalization contract survives eviction: the rebuild
-  // normalizes only the newcomer with the original parameters; it never
-  // rescales the whole dataset around the appended values.
-  EXPECT_DOUBLE_EQ((*snapshot)->norm_params.min, frozen.min);
-  EXPECT_DOUBLE_EQ((*snapshot)->norm_params.max, frozen.max);
+  engine.registry().SetPreparedBudget(1);
+  EXPECT_EQ(engine.registry().prepared_budget(), 1u);
+  EXPECT_EQ(engine.registry().prepared_bytes(), bytes);
+  EXPECT_EQ(TierOf(engine, "a"), "resident");
+  EXPECT_TRUE(engine.SimilaritySearch("a", SmallQuery()).ok());
 }
 
 TEST(EngineRegistryTest, ExplicitRePrepareRebaselinesNormalization) {
@@ -227,46 +237,6 @@ TEST(EngineRegistryTest, ExplicitRePrepareRebaselinesNormalization) {
   ASSERT_TRUE(engine.Prepare("a", Quick()).ok());
   EXPECT_GE((*engine.Get("a"))->norm_params.max, 50.0);
   EXPECT_EQ((*engine.Get("a"))->normalized->size(), 7u);
-}
-
-TEST(EngineRegistryTest, AppendDuringTransparentRebuildIsNeverLost) {
-  // A Replace landing while the rebuild is in flight must win over the
-  // rebuild's stale snapshot (conditional install + retry): whatever the
-  // interleaving, the appended series is in the final dataset.
-  for (int round = 0; round < 5; ++round) {
-    Engine engine;
-    ASSERT_TRUE(engine.LoadDataset("a", MakeData(8, 32, 21)).ok());
-    BaseBuildOptions opt;
-    opt.st = 0.2;
-    opt.min_length = 4;
-    opt.max_length = 24;
-    ASSERT_TRUE(engine.Prepare("a", opt).ok());
-    engine.registry().SetPreparedBudget(1);  // evict
-    engine.registry().SetPreparedBudget(0);
-
-    std::thread querier([&engine] {
-      // Triggers the transparent rebuild.
-      const Result<MatchResult> m = engine.SimilaritySearch("a", SmallQuery());
-      EXPECT_TRUE(m.ok()) << m.status().ToString();
-    });
-    Rng rng(static_cast<std::uint64_t>(round) + 1);
-    const Status appended = engine.AppendSeries(
-        "a", TimeSeries("late", testing::SmoothSeries(&rng, 32)));
-    ASSERT_TRUE(appended.ok());
-    querier.join();
-
-    const Result<std::shared_ptr<const PreparedDataset>> snapshot =
-        engine.Get("a");
-    ASSERT_TRUE(snapshot.ok());
-    ASSERT_EQ((*snapshot)->raw->size(), 9u) << "append lost in round " << round;
-    // And the appended series is queryable (rebuilding again if the
-    // rebuild lost the install race and the served base predates it).
-    QueryOptions exhaustive;
-    exhaustive.exhaustive = true;
-    const Result<MatchResult> m =
-        engine.SimilaritySearch("a", SmallQuery(8), exhaustive);
-    ASSERT_TRUE(m.ok()) << m.status().ToString();
-  }
 }
 
 TEST(EngineRegistryTest, NeverPreparedDatasetStillFailsPrecondition) {

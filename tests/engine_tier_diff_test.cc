@@ -375,7 +375,6 @@ TEST(EngineTierDiff, BudgetEvictionCheckpointsADirtySlotThenMapsIt) {
     engine.registry().SetPreparedBudget(1);
     const DatasetSlotInfo after = SlotInfo(engine, "A");
     EXPECT_EQ(after.tier, "mapped") << "a durable slot must never strip";
-    EXPECT_FALSE(after.evicted);
     EXPECT_EQ(after.wal_dirty, 0u);
     EXPECT_EQ(after.checkpoints, before.checkpoints + 1);
     EXPECT_EQ(engine.registry().prepared_bytes(), 0u);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -756,39 +757,79 @@ TEST(ProtocolTest, DatasetsReportsSlotDetailAndBudget) {
       EXPECT_GT(row["bytes"].as_number(), 0.0);
     } else {
       EXPECT_FALSE(row["prepared"].as_bool());
-      EXPECT_FALSE(row["evicted"].as_bool());
+      EXPECT_EQ(row["tier"].as_string(), "raw");
+      EXPECT_TRUE(row["evicted"].is_null());  // the field is gone
     }
   }
 }
 
 TEST(ProtocolTest, BudgetVerbDrivesLruEviction) {
+  const std::string dir = ::testing::TempDir() + "/onex_proto_budget";
+  std::filesystem::remove_all(dir);
   Engine engine;
   Session session;
-  ASSERT_TRUE(ExecuteCommand(&engine, &session,
-                             *ParseCommandLine("GEN a sine num=4 len=16"))["ok"]
-                  .as_bool());
-  ASSERT_TRUE(ExecuteCommand(&engine, &session,
-                             *ParseCommandLine("PREPARE a st=0.2 maxlen=8"))
-                  ["ok"]
-                      .as_bool());
+  const std::vector<std::string> setup = {
+      "PERSIST dir=" + dir + " every=0 fsync=0", "GEN a sine num=4 len=16",
+      "PREPARE a st=0.2 maxlen=8", "CHECKPOINT a"};
+  for (const std::string& line : setup) {
+    ASSERT_TRUE(ExecuteCommand(&engine, &session, *ParseCommandLine(line))["ok"]
+                    .as_bool())
+        << line;
+  }
   json::Value v =
       ExecuteCommand(&engine, &session, *ParseCommandLine("BUDGET"));
   ASSERT_TRUE(v["ok"].as_bool());
   EXPECT_GT(v["prepared_bytes"].as_number(), 0.0);
 
-  // A one-byte budget evicts the resident base...
+  // A one-byte budget evicts the resident base to its checkpoint...
   v = ExecuteCommand(&engine, &session, *ParseCommandLine("BUDGET bytes=1"));
-  ASSERT_TRUE(v["ok"].as_bool());
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
   EXPECT_DOUBLE_EQ(v["budget"].as_number(), 1.0);
   EXPECT_DOUBLE_EQ(v["prepared_bytes"].as_number(), 0.0);
+  v = ExecuteCommand(&engine, &session, *ParseCommandLine("TIER a"));
+  EXPECT_EQ(v["tier"].as_string(), "mapped") << v.Dump();
 
-  // ...and a query on the evicted dataset transparently re-prepares it.
+  // ...and a query on the evicted dataset is served off the mapping.
   v = ExecuteCommand(&engine, &session, *ParseCommandLine("MATCH a q=0:2:8"));
   EXPECT_TRUE(v["ok"].as_bool()) << v.Dump();
 
   EXPECT_FALSE(ExecuteCommand(&engine, &session,
                               *ParseCommandLine("BUDGET bytes=-5"))["ok"]
                    .as_bool());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ProtocolTest, BudgetWithoutDurabilityIsRefused) {
+  // An evicted base serves from its checkpoint; a memory-only engine has
+  // none, so a nonzero budget could never be honoured.
+  Engine engine;
+  Session session;
+  for (const char* line : {"GEN a sine num=4 len=16", "GEN b walk num=4 len=16",
+                           "PREPARE a st=0.2 maxlen=8",
+                           "PREPARE b st=0.2 maxlen=8"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, &session, *ParseCommandLine(line))["ok"]
+                    .as_bool())
+        << line;
+  }
+  json::Value v =
+      ExecuteCommand(&engine, &session, *ParseCommandLine("BUDGET bytes=1"));
+  EXPECT_FALSE(v["ok"].as_bool());
+  EXPECT_EQ(v["code"].as_string(), "FailedPrecondition") << v.Dump();
+  EXPECT_NE(v.Dump().find("checkpoint"), std::string::npos) << v.Dump();
+
+  // The bare report and an explicit "off" still answer.
+  v = ExecuteCommand(&engine, &session, *ParseCommandLine("BUDGET bytes=0"));
+  EXPECT_TRUE(v["ok"].as_bool()) << v.Dump();
+  v = ExecuteCommand(&engine, &session, *ParseCommandLine("BUDGET"));
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
+  EXPECT_DOUBLE_EQ(v["budget"].as_number(), 0.0);
+
+  v = ExecuteCommand(&engine, &session, *ParseCommandLine("DATASETS"));
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
+  ASSERT_EQ(v["datasets"].as_array().size(), 2u);
+  for (const json::Value& row : v["datasets"].as_array()) {
+    EXPECT_EQ(row["tier"].as_string(), "resident") << row.Dump();
+  }
 }
 
 TEST(ProtocolTest, LoadAcceptsKeyValueForm) {

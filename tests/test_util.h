@@ -3,11 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "onex/common/random.h"
 #include "onex/ts/dataset.h"
+#include "onex/ts/normalization.h"
 
 namespace onex::testing {
 
@@ -42,6 +44,35 @@ inline Dataset SmallDataset(std::size_t num = 6, std::size_t len = 24,
     ds.Add(TimeSeries("series_" + std::to_string(s), SmoothSeries(&rng, len)));
   }
   return ds;
+}
+
+/// Raw and normalized values plus the normalization parameters, printed at
+/// %.17g: two snapshots honour the same frozen-normalization contract iff
+/// their transcripts are string-equal.
+inline std::string NormalizationTranscript(const Dataset& raw,
+                                           const Dataset& normalized,
+                                           const NormalizationParams& params) {
+  std::string out;
+  char buf[64];
+  const auto put = [&](double v) {
+    std::snprintf(buf, sizeof(buf), "%.17g,", v);
+    out += buf;
+  };
+  for (const Dataset* ds : {&raw, &normalized}) {
+    for (const TimeSeries& ts : ds->series()) {
+      out += ts.name() + ':';
+      for (const double v : ts.values()) put(v);
+      out += '\n';
+    }
+  }
+  out += std::to_string(static_cast<int>(params.kind)) + ':';
+  put(params.min);
+  put(params.max);
+  for (const auto& [offset, scale] : params.per_series) {
+    put(offset);
+    put(scale);
+  }
+  return out + '\n';
 }
 
 }  // namespace onex::testing
