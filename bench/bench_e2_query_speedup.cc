@@ -2,9 +2,9 @@
 /// the fastest known method [UCR Suite]". Best-match latency of ONEX
 /// (grouped base + DTW) vs a UCR-style exact scan vs unpruned brute force,
 /// all searching the identical subsequence space. A second sweep measures
-/// the parallel query path (QueryOptions::threads over the shared TaskPool)
-/// and batch fan-out: per-query latency and 8-query batch throughput at
-/// 1/2/4/N threads, with a determinism crosscheck against the serial run.
+/// parallelism across queries: the wall time of an 8-query batch fanned
+/// over the shared TaskPool at 1/2/4/N threads, with a determinism
+/// crosscheck of every batch answer against the serial run.
 ///
 /// Queries are perturbed subsequences (noise sigma 0.08): far enough from
 /// any base member that the scanners cannot rely on a near-zero best-so-far,
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       "E2 query speedup", "headline claim vs [6] (UCR Suite)",
       "'several times faster than the fastest known method' — same best-match "
       "workload, identical search space, per-query latency; plus the "
-      "parallel-path scaling sweep");
+      "batch scaling sweep");
 
   // The thread-scaling numbers are only meaningful with real cores behind
   // them; state the machine width up front so a reader (or a regression
@@ -121,9 +121,6 @@ int main(int argc, char** argv) {
                             "onex_vs_exact"});
   const std::vector<std::size_t> sweep = SweepThreads();
   std::vector<std::string> scale_headers{"dataset"};
-  for (const std::size_t t : sweep) {
-    scale_headers.push_back("q_ms@" + std::to_string(t) + "t");
-  }
   for (const std::size_t t : sweep) {
     scale_headers.push_back("batch8_ms@" + std::to_string(t) + "t");
   }
@@ -181,10 +178,11 @@ int main(int argc, char** argv) {
                   Fmt("%.1fx", brute_ms / onex_ms),
                   Fmt("%.2f", quality / nq)});
 
-    // ---- Parallel scaling sweep: per-query latency and batch throughput.
+    // ---- Batch scaling sweep: independent queries across the pool, the
+    // Engine::KnnBatch / net BATCH shape; each query runs on one lane.
     // Exhaustive mode touches far more of the base than the default
-    // best-representative rule, which is the regime where intra-query
-    // parallelism matters; it is also the strongest determinism stressor.
+    // best-representative rule, so it is the heavier per-query load and the
+    // stronger determinism stressor.
     onex::QueryOptions pq;
     pq.compute_path = false;
     pq.exhaustive = true;
@@ -195,28 +193,8 @@ int main(int argc, char** argv) {
     }
 
     bool identical = true;
-    std::vector<double> latency_ms;  // mean per-query latency per thread cnt
-    std::vector<double> batch_ms;    // wall time for all 8 queries per cnt
+    std::vector<double> batch_ms;  // wall time for all 8 queries per count
     for (const std::size_t t : sweep) {
-      onex::QueryOptions opt = pq;
-      opt.threads = t;
-      double lat = 0.0;
-      for (std::size_t qi = 0; qi < w.queries.size(); ++qi) {
-        double dist = 0.0;
-        lat += onex::bench::MedianMs(
-            [&] {
-              dist = qp.BestMatchQuery(w.queries[qi], opt)->normalized_dtw;
-            },
-            3);
-        if (dist != serial_dists[qi]) identical = false;
-      }
-      latency_ms.push_back(lat / nq);
-
-      // Batch fan-out: independent queries across the pool, the
-      // Engine::SimilaritySearchBatch / net BATCH shape. Per-query serial,
-      // parallelism across queries.
-      onex::QueryOptions bq = pq;
-      bq.threads = 1;
       batch_ms.push_back(onex::bench::MedianMs(
           [&] {
             std::vector<double> out(w.queries.size());
@@ -224,7 +202,7 @@ int main(int argc, char** argv) {
                 w.queries.size(),
                 [&](std::size_t qi) {
                   out[qi] =
-                      qp.BestMatchQuery(w.queries[qi], bq)->normalized_dtw;
+                      qp.BestMatchQuery(w.queries[qi], pq)->normalized_dtw;
                 },
                 t);
             for (std::size_t qi = 0; qi < out.size(); ++qi) {
@@ -235,7 +213,6 @@ int main(int argc, char** argv) {
     }
 
     std::vector<std::string> row{name};
-    for (const double v : latency_ms) row.push_back(Fmt("%.2f", v));
     for (const double v : batch_ms) row.push_back(Fmt("%.2f", v));
     // Speedup at the 4-thread point (index 2 of the sweep) vs serial —
     // meaningless without multiple cores, so report n/a there.
@@ -253,36 +230,29 @@ int main(int argc, char** argv) {
     d.Set("brute_ms", brute_ms / nq);
     d.Set("speedup_vs_ucr", ucr_ms / onex_ms);
     d.Set("quality_vs_exact", quality / nq);
-    onex::json::Value lat_obj = onex::json::Value::MakeObject();
     onex::json::Value batch_obj = onex::json::Value::MakeObject();
     for (std::size_t i = 0; i < sweep.size(); ++i) {
-      lat_obj.Set(std::to_string(sweep[i]), latency_ms[i]);
       batch_obj.Set(std::to_string(sweep[i]), batch_ms[i]);
     }
-    d.Set("query_latency_ms_by_threads", std::move(lat_obj));
     d.Set("batch8_wall_ms_by_threads", std::move(batch_obj));
     // On a single core the thread-sweep ratios are noise, not speedups;
     // record null so trajectory tooling never charts them as regressions.
-    if (single_core) {
-      d.Set("latency_speedup_4t", onex::json::Value(nullptr));
-      d.Set("batch_speedup_4t", onex::json::Value(nullptr));
-    } else {
-      d.Set("latency_speedup_4t", latency_ms[0] / latency_ms[2]);
-      d.Set("batch_speedup_4t", batch_speedup);
-    }
+    d.Set("batch_speedup_4t", single_core ? onex::json::Value(nullptr)
+                                          : onex::json::Value(batch_speedup));
     d.Set("parallel_identical_to_serial", identical);
     datasets_json.Append(std::move(d));
   }
   table.Print();
-  std::printf("\n-- parallel query scaling (exhaustive mode, 8 queries) --\n");
+  std::printf("\n-- batch scaling (exhaustive mode, 8 queries) --\n");
   scale_table.Print();
   std::printf(
       "\nshape check: ONEX examines groups (<< subseq), so onex_ms beats "
       "ucr_ms by a multiple and brute force by orders of magnitude — the "
       "paper's 'several times faster' — while onex_vs_exact stays near 1 "
       "(answers remain near-optimal). The scaling table must say "
-      "identical=yes everywhere: threads are a pure latency knob. Speedups "
-      "track physical cores (a 1-core container legitimately reports ~1x).\n");
+      "identical=yes everywhere: a batched query answers what it answers "
+      "alone. Speedups track physical cores (a 1-core container "
+      "legitimately reports ~1x).\n");
 
   if (!json_path.empty()) {
     onex::json::Value root = onex::json::Value::MakeObject();

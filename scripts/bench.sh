@@ -4,8 +4,10 @@
 # across PRs.
 #
 #   BENCH_query.json        bench_e2_query_speedup — the ONEX-vs-UCR
-#                           headline comparison plus the parallel query
-#                           scaling sweep (serial vs 1/2/4/N threads)
+#                           headline comparison plus the batch scaling
+#                           sweep: 8 queries fanned over 1/2/4/N threads,
+#                           one thread per query, answers checked against
+#                           the serial run
 #   BENCH_maintenance.json  bench_e10_maintenance — streaming maintenance:
 #                           extend throughput, drift-regroup latency and
 #                           query latency during a background regroup

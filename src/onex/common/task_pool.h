@@ -44,11 +44,13 @@ class TaskHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Shared work-stealing thread pool (DESIGN.md §6): the one execution
-/// substrate behind base construction, the parallel query path and the
-/// engine's batch APIs. One process-wide pool (Shared()) sized to the
-/// hardware serves every caller, so concurrent queries multiplex over a
-/// fixed set of OS threads instead of each spawning its own.
+/// Work-stealing thread pool (DESIGN.md §6) behind base construction, the
+/// engine's batch APIs and the server's request execution. A process holds
+/// two kinds: the process-wide Shared() pool, sized to the hardware, on
+/// which onexd's reactor runs requests; and each Engine's own pool, which
+/// runs BATCH fan-out, base builds, async preparations, regroups and
+/// checkpoints. Either way a fixed set of OS threads serves many callers;
+/// a single query always runs on one thread.
 ///
 /// Structure: every worker owns a deque. Submitters push to the queues
 /// round-robin; a worker pops from the back of its own queue (LIFO, cache

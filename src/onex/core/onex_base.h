@@ -99,7 +99,7 @@ class OnexBase {
   /// pipeline). The base keeps a shared copy so SubseqRefs stay resolvable.
   /// With options.threads != 1, construction fans out over `pool` (the
   /// process-wide TaskPool::Shared() when none is injected — the Engine
-  /// passes its own so build and query work share one set of lanes).
+  /// passes its own pool).
   static Result<OnexBase> Build(std::shared_ptr<const Dataset> dataset,
                                 const BaseBuildOptions& options,
                                 TaskPool* pool = nullptr);

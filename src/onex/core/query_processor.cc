@@ -1,7 +1,6 @@
 #include "onex/core/query_processor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -23,29 +22,18 @@ double NormFactor(std::size_t n, std::size_t m) {
   return std::sqrt(static_cast<double>(std::max(n, m)));
 }
 
-/// Thread-safe work counters. Totals are sums of per-iteration increments,
-/// so they are identical however iterations are partitioned — the property
-/// that lets QueryStats stay deterministic under options.threads.
-struct StatsAcc {
-  std::atomic<std::size_t> groups_pruned_lb{0};
-  std::atomic<std::size_t> rep_dtw_evaluations{0};
-  std::atomic<std::size_t> member_dtw_evaluations{0};
-  std::atomic<std::size_t> members_pruned_lb{0};
-  std::atomic<std::size_t> pruned_kim{0};
-  std::atomic<std::size_t> pruned_keogh{0};
-
-  void FlushInto(QueryStats* stats) const {
-    if (stats == nullptr) return;
-    stats->groups_pruned_lb += groups_pruned_lb.load();
-    stats->rep_dtw_evaluations += rep_dtw_evaluations.load();
-    stats->member_dtw_evaluations += member_dtw_evaluations.load();
-    stats->members_pruned_lb += members_pruned_lb.load();
-    stats->pruned_kim += pruned_kim.load();
-    stats->pruned_keogh += pruned_keogh.load();
-    stats->dtw_evals +=
-        rep_dtw_evaluations.load() + member_dtw_evaluations.load();
-  }
-};
+/// Adds one stage's counters to the caller's stats; dtw_evals is derived
+/// from the two DTW counts.
+void FlushInto(const QueryStats& acc, QueryStats* stats) {
+  if (stats == nullptr) return;
+  stats->groups_pruned_lb += acc.groups_pruned_lb;
+  stats->rep_dtw_evaluations += acc.rep_dtw_evaluations;
+  stats->member_dtw_evaluations += acc.member_dtw_evaluations;
+  stats->members_pruned_lb += acc.members_pruned_lb;
+  stats->pruned_kim += acc.pruned_kim;
+  stats->pruned_keogh += acc.pruned_keogh;
+  stats->dtw_evals += acc.rep_dtw_evaluations + acc.member_dtw_evaluations;
+}
 
 /// Squared cost of the stretched-diagonal warping path: step t of
 /// L = max(n, m) aligns a[t(n-1)/(L-1)] with b[t(m-1)/(L-1)]. Each step
@@ -81,10 +69,6 @@ double DiagonalPathCostSq(std::span<const double> a,
   return acc;
 }
 
-/// Below this many items a per-group fan-out costs more than it buys;
-/// gating on size is safe because partitioning never affects results.
-constexpr std::size_t kMinItemsForFanOut = 16;
-
 }  // namespace
 
 std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
@@ -114,28 +98,23 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
   std::vector<RankedGroup> ranked(entries.size());
   if (entries.empty()) return ranked;
 
-  StatsAcc acc;
+  QueryStats acc;
   auto centroid_of = [&](const Entry& e) {
     return base_->length_classes()[e.class_index].store->centroid(
         e.group_index);
   };
 
-  // Small bases don't amortize a fan-out; the gate never changes results
-  // (partitioning is outcome-neutral by design).
-  const std::size_t rank_threads =
-      entries.size() >= kMinItemsForFanOut ? options.threads : 1;
-
-  // Stage 1 (parallel): admissible lower bounds for every group. Three
-  // bounds per same-length group, cheapest first: LB_Kim (endpoints only),
-  // forward LB_Keogh (query envelope vs centroid), and reversed LB_Keogh
-  // against the centroid envelope the GroupStore precomputed at Pack time.
-  // Bounds are computed in full (no abandoning) because the values double
-  // as rank keys for pruned groups; LB_Kim is kept separately so stage 3
-  // can attribute each prune to the stage that achieved it.
+  // Stage 1: admissible lower bounds for every group. Three bounds per
+  // same-length group, cheapest first: LB_Kim (endpoints only), forward
+  // LB_Keogh (query envelope vs centroid), and reversed LB_Keogh against
+  // the centroid envelope the GroupStore precomputed at Pack time. Bounds
+  // are computed in full (no abandoning) because the values double as rank
+  // keys for pruned groups; LB_Kim is kept separately so stage 3 can
+  // attribute each prune to the stage that achieved it.
   std::vector<double> lb_raw(entries.size(), 0.0);
   std::vector<double> lb_kim_raw(entries.size(), 0.0);
   if (options.use_lower_bounds) {
-    ForEach(entries.size(), rank_threads, [&](std::size_t i) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
       const Entry& e = entries[i];
       const std::span<const double> cent = centroid_of(e);
       const double kim = LbKim(query, cent);
@@ -152,7 +131,7 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       }
       lb_kim_raw[i] = kim;
       lb_raw[i] = lb;
-    });
+    }
   }
 
   // Stage 2: seed the pruning horizon with the exact representative DTW of
@@ -162,32 +141,31 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
   for (std::size_t i = 1; i < entries.size(); ++i) {
     if (lb_raw[i] / entries[i].nf < lb_raw[seed] / entries[seed].nf) seed = i;
   }
-  acc.rep_dtw_evaluations.fetch_add(1);
+  ++acc.rep_dtw_evaluations;
   const double seed_raw = DtwDistanceEarlyAbandon(
       query, centroid_of(entries[seed]), /*cutoff=*/-1.0, options.window);
   const double horizon = seed_raw / entries[seed].nf;
   ranked[seed] = {horizon, seed_raw, entries[seed].class_index,
                   entries[seed].group_index, /*exact=*/true};
 
-  // Stage 3 (parallel): score every other group against the fixed horizon.
-  // Because the horizon never moves, each group's prune/evaluate/abandon
-  // outcome depends only on the group itself — any partition of this loop
-  // over threads produces the identical ranked list and identical stats.
-  ForEach(entries.size(), rank_threads, [&](std::size_t i) {
-    if (i == seed) return;
+  // Stage 3: score every other group against the fixed horizon. Because the
+  // horizon never moves, each group's prune/evaluate/abandon outcome depends
+  // only on the group itself, not on the groups scored before it.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i == seed) continue;
     const Entry& e = entries[i];
     if (options.use_lower_bounds && lb_raw[i] / e.nf >= horizon) {
-      acc.groups_pruned_lb.fetch_add(1);
+      ++acc.groups_pruned_lb;
       if (lb_kim_raw[i] / e.nf >= horizon) {
-        acc.pruned_kim.fetch_add(1);
+        ++acc.pruned_kim;
       } else {
-        acc.pruned_keogh.fetch_add(1);
+        ++acc.pruned_keogh;
       }
       // Still rank it by its lower bound so top-K exploration can come
       // back to it if everything else is worse.
       ranked[i] = {lb_raw[i] / e.nf, lb_raw[i], e.class_index, e.group_index,
                    /*exact=*/false};
-      return;
+      continue;
     }
     const double cutoff =
         options.use_early_abandon ? horizon * e.nf : -1.0;
@@ -203,14 +181,14 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       const EnvelopeView cent_env = store.centroid_envelope(e.group_index);
       if (LbRowPrefixSq(query, cent, cent_env.lower[0], cent_env.upper[0]) >
           StrictCutoffSq(cutoff * cutoff)) {
-        acc.groups_pruned_lb.fetch_add(1);
-        acc.pruned_keogh.fetch_add(1);
+        ++acc.groups_pruned_lb;
+        ++acc.pruned_keogh;
         ranked[i] = {horizon, cutoff, e.class_index, e.group_index,
                      /*exact=*/false};
-        return;
+        continue;
       }
     }
-    acc.rep_dtw_evaluations.fetch_add(1);
+    ++acc.rep_dtw_evaluations;
     double raw = DtwDistanceEarlyAbandon(query, cent, cutoff, options.window);
     double norm = std::isinf(raw) ? kInf : raw / e.nf;
     bool exact = true;
@@ -221,8 +199,8 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       exact = false;
     }
     ranked[i] = {norm, raw, e.class_index, e.group_index, exact};
-  });
-  acc.FlushInto(stats);
+  }
+  FlushInto(acc, stats);
 
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedGroup& a, const RankedGroup& b) {
@@ -302,13 +280,13 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
   const std::size_t must_explore =
       std::max<std::size_t>(std::max<std::size_t>(1, options.explore_top_groups), k);
 
-  StatsAcc acc;
-  // Per-member scratch, reused across groups: raw DTW (+inf = pruned or
-  // abandoned), diagonal-path cost, seed flags, seed indices, and the
-  // candidate values for the seeded horizon.
-  std::vector<double> dist;
-  std::vector<double> diag;
+  QueryStats acc;
+  // Per-member scratch, reused across groups: seed flags and the seeds'
+  // exact DTWs, diagonal-path costs, seed indices, and the candidate values
+  // for the seeded horizon.
   std::vector<char> is_seed;
+  std::vector<double> seed_dist;
+  std::vector<double> diag;
   std::vector<std::size_t> seeds;
   std::vector<double> kth;
   for (std::size_t r = 0; r < ranked.size(); ++r) {
@@ -318,9 +296,7 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
       break;
     }
     // Stage boundary 3: between refined groups — the granularity that bounds
-    // how stale a doomed query can run. Checked at this sequential point
-    // (not inside the member fan-out) so a completed query's results and
-    // stats stay deterministic.
+    // how stale a doomed query can run.
     if (options.cancel != nullptr) {
       ONEX_RETURN_IF_ERROR(options.cancel->Check());
     }
@@ -334,21 +310,16 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
       const double glb =
           LbKeoghGroup(query_env, store.envelope(rg.group_index)) / nf;
       if (glb >= worst_kth()) {
-        acc.groups_pruned_lb.fetch_add(1);
-        acc.pruned_keogh.fetch_add(1);
+        ++acc.groups_pruned_lb;
+        ++acc.pruned_keogh;
         continue;
       }
     }
 
-    // Refine this group in two deterministic phases. Phase 1 scores every
-    // member against one horizon fixed when the group was entered (so the
-    // member scan parallelizes with bit-identical outcomes); phase 2 merges
-    // the survivors into the top-k sequentially in member order, exactly as
-    // a serial scan would.
+    // Refine this group in one pass in member order. The prune/abandon
+    // horizon is fixed when the group is entered (DESIGN.md §6): it does not
+    // tighten as members merge into the top-k below.
     const std::span<const SubseqRef> members = store.members(rg.group_index);
-    const std::size_t scan_threads =
-        members.size() >= kMinItemsForFanOut ? options.threads : 1;
-    dist.assign(members.size(), kInf);
     is_seed.assign(members.size(), 0);
     double horizon = worst_kth();
     if (best.size() < k) {
@@ -363,9 +334,9 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
       std::iota(seeds.begin(), seeds.end(), std::size_t{0});
       if (num_seeds < members.size()) {
         diag.resize(members.size());
-        ForEach(members.size(), scan_threads, [&](std::size_t i) {
+        for (std::size_t i = 0; i < members.size(); ++i) {
           diag[i] = DiagonalPathCostSq(query, members[i].Resolve(ds));
-        });
+        }
         std::nth_element(seeds.begin(), seeds.begin() + (num_seeds - 1),
                          seeds.end(), [&](std::size_t a, std::size_t b) {
                            return diag[a] != diag[b] ? diag[a] < diag[b]
@@ -373,17 +344,15 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
                          });
       }
       seeds.resize(num_seeds);
-      acc.member_dtw_evaluations.fetch_add(num_seeds);
-      ForEach(num_seeds, options.threads, [&](std::size_t s) {
-        const std::size_t i = seeds[s];
-        dist[i] = DtwDistanceEarlyAbandon(query, members[i].Resolve(ds),
-                                          /*cutoff=*/-1.0, options.window);
-      });
+      acc.member_dtw_evaluations += num_seeds;
+      seed_dist.resize(members.size());
       kth.clear();
       for (const BestMatch& m : best) kth.push_back(m.normalized_dtw);
       for (const std::size_t i : seeds) {
         is_seed[i] = 1;
-        kth.push_back(dist[i] / nf);
+        seed_dist[i] = DtwDistanceEarlyAbandon(query, members[i].Resolve(ds),
+                                               /*cutoff=*/-1.0, options.window);
+        kth.push_back(seed_dist[i] / nf);
       }
       if (kth.size() >= k) {
         std::nth_element(kth.begin(), kth.begin() + (k - 1), kth.end());
@@ -393,54 +362,54 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
 
     // Every prune and abandon below must prove its member strictly worse
     // than the horizon (StrictCutoffSq): a member tied with it — an earlier
-    // answer, or a seed later in this group — still reaches the in-order
-    // merge, so the answers and tie-breaks are those of a full scan.
+    // answer, or a seed later in this group — still reaches the merge, so
+    // the answers and tie-breaks are those of a full scan.
     const double cutoff_sq = StrictCutoffSq((horizon * nf) * (horizon * nf));
     const double cutoff = std::sqrt(cutoff_sq);
     const double abandon_at = options.use_early_abandon ? cutoff : -1.0;
-    ForEach(members.size(), scan_threads, [&](std::size_t i) {
-      if (is_seed[i]) return;
-      const std::span<const double> vals = members[i].Resolve(ds);
-      if (options.use_lower_bounds) {
-        // LB_Kim → LB_Keogh → corner-range cascade: each stage runs only
-        // when the previous one failed to prune, and LB_Keogh abandons once
-        // it proves the member can't beat the horizon. The corner-range
-        // bound holds at every length (DESIGN.md §7.7) and runs both ways,
-        // since DTW is symmetric: the member's interior against the query's
-        // range, then the query's interior against the member's range
-        // (the strong side when the member is the shorter one).
-        if (LbKim(query, vals) > cutoff) {
-          acc.members_pruned_lb.fetch_add(1);
-          acc.pruned_kim.fetch_add(1);
-          return;
-        }
-        const auto [v_min, v_max] =
-            std::minmax_element(vals.begin(), vals.end());
-        if ((cls.length == qn &&
-             LbKeogh(query_env, vals, abandon_at) > cutoff) ||
-            LbCornerRangeSq(query, *q_min, *q_max, vals) > cutoff_sq ||
-            LbCornerRangeSq(vals, *v_min, *v_max, query) > cutoff_sq) {
-          acc.members_pruned_lb.fetch_add(1);
-          acc.pruned_keogh.fetch_add(1);
-          return;
-        }
-      }
-      acc.member_dtw_evaluations.fetch_add(1);
-      const double raw =
-          DtwDistanceEarlyAbandon(query, vals, abandon_at, options.window);
-      if (!std::isinf(raw)) dist[i] = raw;
-    });
-
     for (std::size_t i = 0; i < members.size(); ++i) {
-      if (std::isinf(dist[i])) continue;
-      const double norm = dist[i] / nf;
+      double raw;
+      if (is_seed[i]) {
+        raw = seed_dist[i];
+      } else {
+        const std::span<const double> vals = members[i].Resolve(ds);
+        if (options.use_lower_bounds) {
+          // LB_Kim → LB_Keogh → corner-range cascade: each stage runs only
+          // when the previous one failed to prune, and LB_Keogh abandons
+          // once it proves the member can't beat the horizon. The
+          // corner-range bound holds at every length (DESIGN.md §7.7) and
+          // runs both ways, since DTW is symmetric: the member's interior
+          // against the query's range, then the query's interior against
+          // the member's range (the strong side when the member is the
+          // shorter one).
+          if (LbKim(query, vals) > cutoff) {
+            ++acc.members_pruned_lb;
+            ++acc.pruned_kim;
+            continue;
+          }
+          const auto [v_min, v_max] =
+              std::minmax_element(vals.begin(), vals.end());
+          if ((cls.length == qn &&
+               LbKeogh(query_env, vals, abandon_at) > cutoff) ||
+              LbCornerRangeSq(query, *q_min, *q_max, vals) > cutoff_sq ||
+              LbCornerRangeSq(vals, *v_min, *v_max, query) > cutoff_sq) {
+            ++acc.members_pruned_lb;
+            ++acc.pruned_keogh;
+            continue;
+          }
+        }
+        ++acc.member_dtw_evaluations;
+        raw = DtwDistanceEarlyAbandon(query, vals, abandon_at, options.window);
+      }
+      if (std::isinf(raw)) continue;
+      const double norm = raw / nf;
       if (best.size() >= k && norm >= worst_kth()) continue;
 
       BestMatch m;
       m.ref = members[i];
       m.length = cls.length;
       m.group_index = rg.group_index;
-      m.dtw = dist[i];
+      m.dtw = raw;
       m.normalized_dtw = norm;
       m.rep_dtw = rg.raw_rep_dtw;
       m.normalized_rep_dtw = rg.normalized_rep_dtw;
@@ -453,7 +422,7 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
       if (best.size() > k) best.pop_back();
     }
   }
-  acc.FlushInto(stats);
+  FlushInto(acc, stats);
 
   if (best.empty()) {
     return Status::NotFound("no match found (base has no members)");
@@ -463,12 +432,9 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     ONEX_RETURN_IF_ERROR(options.cancel->Check());
   }
   if (options.compute_path) {
-    // Final answers are fixed; their alignments are independent (and each
-    // is a full O(n*m) DP, heavy enough to fan out even for small k).
-    ForEach(best.size(), options.threads, [&](std::size_t i) {
-      best[i].path =
-          DtwWithPath(query, best[i].ref.Resolve(ds), options.window).path;
-    });
+    for (BestMatch& m : best) {
+      m.path = DtwWithPath(query, m.ref.Resolve(ds), options.window).path;
+    }
   }
   return best;
 }

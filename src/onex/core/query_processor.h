@@ -7,7 +7,6 @@
 
 #include "onex/common/cancellation.h"
 #include "onex/common/result.h"
-#include "onex/common/task_pool.h"
 #include "onex/core/onex_base.h"
 #include "onex/distance/dtw.h"
 #include "onex/distance/envelope.h"
@@ -41,25 +40,18 @@ struct QueryOptions {
   std::size_t max_length = 0;
   /// Extract the warping path of the final answer (Fig 2's dotted lines).
   bool compute_path = true;
-  /// Worker threads for this query (DESIGN.md §6). 1 = run everything on
-  /// the calling thread (default); 0 = the shared pool's full width; N > 1
-  /// caps the pool lanes used. Every pruning decision is made against
-  /// deterministic horizons (fixed per ranking pass / per refined group),
-  /// so matches, distances AND QueryStats are bit-identical for every
-  /// thread count — parallelism is a pure latency knob.
-  std::size_t threads = 1;
   /// Optional cooperative cancellation (deadline_ms on the wire, or the
   /// serving layer's disconnect flag). Polled between cascade stages and
   /// between refined groups; an expired token turns the query into
   /// DeadlineExceeded. Queries that complete before expiry are bit-identical
-  /// to uncancellable runs — the token is only ever *read* at deterministic
-  /// sequential points, never inside the horizon arithmetic.
+  /// to uncancellable runs — the token is only ever *read* between stages,
+  /// never inside the horizon arithmetic.
   const Cancellation* cancel = nullptr;
 };
 
 /// Work counters for one query; benches report these to show where pruning
-/// pays off. Deterministic for a given (base, query, options) regardless of
-/// options.threads.
+/// pays off. Deterministic for a given (base, query, options), whichever
+/// thread runs the query and whatever runs beside it.
 struct QueryStats {
   std::size_t groups_total = 0;
   std::size_t groups_pruned_lb = 0;       ///< Skipped by lower bound alone.
@@ -93,13 +85,12 @@ struct BestMatch {
 
 /// DTW-side exploration over a built ONEX base (paper §3.2): rank groups by
 /// representative DTW, refine inside the winner(s). The base must outlive
-/// the processor. Stateless between calls and safe to share across threads;
-/// with options.threads != 1 a single query fans out over `pool` (or the
-/// process-wide TaskPool::Shared() when none was injected).
+/// the processor. Stateless between calls and safe to share between
+/// concurrent callers: each query runs on its caller's thread, and
+/// parallelism lives across queries (DESIGN.md §6).
 class QueryProcessor {
  public:
-  explicit QueryProcessor(const OnexBase* base, TaskPool* pool = nullptr)
-      : base_(base), pool_(pool) {}
+  explicit QueryProcessor(const OnexBase* base) : base_(base) {}
 
   /// The demo's similarity search: the best match to `query` across every
   /// group of every (admissible) length. The triangle-inequality foundation
@@ -135,33 +126,16 @@ class QueryProcessor {
 
   /// Pass 1: every group scored by DTW between query and representative,
   /// ascending. Pruning runs against a fixed horizon — the exact
-  /// representative DTW of the group with the smallest lower bound — so the
-  /// scored list, the stats and all tie-breaks are independent of how the
-  /// scan is partitioned over threads (DESIGN.md §6). `query_env` is the
-  /// query's Keogh envelope under options.window, built once per query and
-  /// shared with refinement.
+  /// representative DTW of the group with the smallest lower bound — so
+  /// each group's score depends on that group alone (DESIGN.md §6).
+  /// `query_env` is the query's Keogh envelope under options.window, built
+  /// once per query and shared with refinement.
   std::vector<RankedGroup> RankGroups(std::span<const double> query,
                                       const Envelope& query_env,
                                       const QueryOptions& options,
                                       QueryStats* stats) const;
 
-  /// Runs body(i) for i in [0, n): inline when `threads` is 1 (or the item
-  /// count is too small to amortize a fan-out), otherwise over the pool.
-  /// Templated so the serial path pays no std::function type erasure.
-  /// Bodies write only index-addressed slots, so the partition never
-  /// affects results.
-  template <typename Body>
-  void ForEach(std::size_t n, std::size_t threads, Body&& body) const {
-    if (threads == 1 || n < 2) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    TaskPool& pool = pool_ != nullptr ? *pool_ : TaskPool::Shared();
-    pool.ParallelFor(n, body, threads);
-  }
-
   const OnexBase* base_;
-  TaskPool* pool_;
 };
 
 }  // namespace onex

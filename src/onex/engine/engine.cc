@@ -208,7 +208,7 @@ Result<std::vector<MatchResult>> Engine::RunKnn(
     const PreparedDataset& ds, std::vector<double> qvals, std::size_t k,
     const QueryOptions& options) const {
   const auto t0 = std::chrono::steady_clock::now();
-  QueryProcessor qp(ds.base.get(), &pool_);
+  QueryProcessor qp(ds.base.get());
   QueryStats stats;
   ONEX_ASSIGN_OR_RETURN(std::vector<BestMatch> matches,
                         qp.KnnQuery(qvals, k, options, &stats));

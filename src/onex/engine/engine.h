@@ -293,10 +293,12 @@ class Engine {
                                           std::size_t k,
                                           const QueryOptions& options) const;
 
-  /// Batch fan-out, parallel queries and async preparation jobs run here.
-  /// Lazy: threads spawn on first parallel call, so engines that never ask
-  /// for parallelism cost nothing extra. Declared before registry_, whose
-  /// destructor drains in-flight preparation jobs off this pool.
+  /// The engine's own pool, separate from the TaskPool::Shared() that
+  /// onexd's reactor runs requests on: BATCH fan-out, base builds, async
+  /// preparations, regroups and checkpoints run here. Lazy: threads spawn
+  /// on first use, so engines that never ask for parallelism cost nothing
+  /// extra. Declared before registry_, whose destructor drains in-flight
+  /// jobs off this pool.
   mutable TaskPool pool_;
   DatasetRegistry registry_;
 

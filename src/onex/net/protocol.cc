@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -404,14 +405,14 @@ Result<QueryOptions> ParseQueryOptions(const Command& cmd) {
   ONEX_ASSIGN_OR_RETURN(long long window, OptInt(cmd, "window", -1));
   ONEX_ASSIGN_OR_RETURN(long long topg, OptInt(cmd, "topgroups", 1));
   ONEX_ASSIGN_OR_RETURN(long long exhaustive, OptInt(cmd, "exhaustive", 0));
-  ONEX_ASSIGN_OR_RETURN(long long threads, OptInt(cmd, "threads", 1));
-  if (threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0");
+  // Any negative window means unconstrained; a width past int would wrap.
+  if (window > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("window must be <= %d", std::numeric_limits<int>::max()));
   }
-  qopt.window = static_cast<int>(window);
+  qopt.window = window < 0 ? kNoWindow : static_cast<int>(window);
   qopt.explore_top_groups = topg < 1 ? 1 : static_cast<std::size_t>(topg);
   qopt.exhaustive = exhaustive != 0;
-  qopt.threads = static_cast<std::size_t>(threads);
   return qopt;
 }
 

@@ -88,11 +88,11 @@ namespace onex::net {
 ///   CATALOG [points=24]                              series list + previews
 ///   OVERVIEW [length=0] [top=12]
 ///   MATCH q=<series>:<start>:<len> [window=-1] [topgroups=1]
-///         [exhaustive=0] [threads=1] [deadline_ms=0]
+///         [exhaustive=0] [deadline_ms=0]
 ///   KNN q=<series>:<start>:<len> [k=3] [window=-1] [exhaustive=0]
-///       [threads=1] [deadline_ms=0]
+///       [deadline_ms=0]
 ///   BATCH q=<s>:<st>:<len>[;<s>:<st>:<len>...] [k=1] [window=-1]
-///         [topgroups=1] [exhaustive=0] [threads=1] [deadline_ms=0]
+///         [topgroups=1] [exhaustive=0] [deadline_ms=0]
 ///       Executes every query in one round-trip, fanned across the engine's
 ///       task pool (a dashboard refreshing its linked views issues one
 ///       BATCH instead of N MATCHes). Responds with results in query order:

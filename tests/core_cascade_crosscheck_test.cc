@@ -222,36 +222,32 @@ TEST_P(CascadeCrosscheckTest, FullRefinementEqualsBruteForceOracle) {
       for (const std::size_t k : {1u, 3u, 5u, 8u}) {
         ASSERT_LT(oracle[k - 1].normalized_dtw, oracle[k].normalized_dtw)
             << "fixture must be tie-free at the k-th answer";
-        for (const std::size_t threads : {1u, 4u}) {
-          for (const bool lb : {true, false}) {
-            QueryOptions opt;
-            opt.window = window;
-            opt.explore_top_groups = groups_total;
-            opt.compute_path = false;
-            opt.threads = threads;
-            opt.use_lower_bounds = lb;
-            QueryStats stats;
-            Result<std::vector<BestMatch>> got =
-                qp.KnnQuery(q, k, opt, &stats);
-            ASSERT_TRUE(got.ok()) << got.status();
-            CheckStatsInvariants(stats, opt);
-            ASSERT_EQ(got->size(), k);
-            for (std::size_t i = 0; i < k; ++i) {
-              EXPECT_EQ((*got)[i].ref, oracle[i].ref)
-                  << "window=" << window << " k=" << k << " rank=" << i;
-              EXPECT_EQ((*got)[i].dtw, oracle[i].dtw);
-              EXPECT_EQ((*got)[i].normalized_dtw, oracle[i].normalized_dtw);
-            }
-            // Seeds count as member DTW evaluations, exactly once each:
-            // without lower bounds every member is evaluated once; with
-            // them each member is evaluated or pruned at most once.
-            EXPECT_EQ(stats.groups_total, groups_total);
-            if (lb) {
-              EXPECT_LE(stats.member_dtw_evaluations + stats.members_pruned_lb,
-                        members_total);
-            } else {
-              EXPECT_EQ(stats.member_dtw_evaluations, members_total);
-            }
+        for (const bool lb : {true, false}) {
+          QueryOptions opt;
+          opt.window = window;
+          opt.explore_top_groups = groups_total;
+          opt.compute_path = false;
+          opt.use_lower_bounds = lb;
+          QueryStats stats;
+          Result<std::vector<BestMatch>> got = qp.KnnQuery(q, k, opt, &stats);
+          ASSERT_TRUE(got.ok()) << got.status();
+          CheckStatsInvariants(stats, opt);
+          ASSERT_EQ(got->size(), k);
+          for (std::size_t i = 0; i < k; ++i) {
+            EXPECT_EQ((*got)[i].ref, oracle[i].ref)
+                << "window=" << window << " k=" << k << " rank=" << i;
+            EXPECT_EQ((*got)[i].dtw, oracle[i].dtw);
+            EXPECT_EQ((*got)[i].normalized_dtw, oracle[i].normalized_dtw);
+          }
+          // Seeds count as member DTW evaluations, exactly once each:
+          // without lower bounds every member is evaluated once; with
+          // them each member is evaluated or pruned at most once.
+          EXPECT_EQ(stats.groups_total, groups_total);
+          if (lb) {
+            EXPECT_LE(stats.member_dtw_evaluations + stats.members_pruned_lb,
+                      members_total);
+          } else {
+            EXPECT_EQ(stats.member_dtw_evaluations, members_total);
           }
         }
       }

@@ -1,9 +1,9 @@
-/// Parallel-vs-serial determinism crosscheck (DESIGN.md §6): the parallel
-/// query path is a pure latency knob. For random datasets and queries,
-/// KnnQuery under threads ∈ {1, 2, 8} must return identical matches,
-/// identical distances (bit-for-bit, not approximately) and identical merged
-/// QueryStats totals, because every pruning decision is made against
-/// deterministic horizons rather than cross-thread racing best-so-fars.
+/// Cross-query determinism crosscheck (DESIGN.md §6): parallelism lives
+/// across queries. One QueryProcessor is shared by queries fanned over a
+/// TaskPool, and for random datasets and queries every query must return
+/// what the serial loop returns: identical matches, distances (bit for bit,
+/// not approximately), warping paths and QueryStats. A query keeps no state
+/// in the processor, so nothing one lane does can reach another's answers.
 #include "onex/core/query_processor.h"
 
 #include <cstddef>
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "onex/common/random.h"
+#include "onex/common/task_pool.h"
 #include "onex/gen/generators.h"
 #include "onex/ts/normalization.h"
 
@@ -84,13 +85,63 @@ void ExpectSameMatches(const std::vector<BestMatch>& a,
   }
 }
 
-class ThreadCrosscheckTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// One query of a crosscheck: its values, k and options.
+struct Case {
+  std::vector<double> query;
+  std::size_t k = 1;
+  QueryOptions options;
+};
 
-TEST_P(ThreadCrosscheckTest, KnnIsBitIdenticalAcrossThreadCounts) {
+/// What one query returned, kept for comparison.
+struct Outcome {
+  Status status;
+  std::vector<BestMatch> matches;
+  QueryStats stats;
+};
+
+Outcome Run(const QueryProcessor& qp, const Case& c) {
+  Outcome out;
+  Result<std::vector<BestMatch>> r =
+      qp.KnnQuery(c.query, c.k, c.options, &out.stats);
+  out.status = r.status();
+  if (r.ok()) out.matches = std::move(r).value();
+  return out;
+}
+
+/// Runs every case serially, then `kRounds` copies of the case list fanned
+/// over an 8-lane pool, so lanes run the same queries side by side on the
+/// shared processor; every fanned outcome must equal its serial one.
+void ExpectFannedEqualsSerial(const QueryProcessor& qp,
+                              const std::vector<Case>& cases) {
+  constexpr std::size_t kRounds = 4;
+  std::vector<Outcome> serial;
+  for (const Case& c : cases) {
+    serial.push_back(Run(qp, c));
+    ASSERT_TRUE(serial.back().status.ok()) << serial.back().status;
+  }
+
+  TaskPool pool(8);
+  std::vector<Outcome> fanned(cases.size() * kRounds);
+  pool.ParallelFor(fanned.size(), [&](std::size_t i) {
+    fanned[i] = Run(qp, cases[i % cases.size()]);
+  });
+  for (std::size_t i = 0; i < fanned.size(); ++i) {
+    const Outcome& want = serial[i % cases.size()];
+    ASSERT_TRUE(fanned[i].status.ok()) << fanned[i].status;
+    ExpectSameMatches(want.matches, fanned[i].matches);
+    ExpectSameStats(want.stats, fanned[i].stats);
+  }
+}
+
+class CrossQueryCrosscheckTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CrossQueryCrosscheckTest, FannedKnnEqualsTheSerialLoop) {
   const Fixture f = MakeFixture(GetParam());
   QueryProcessor qp(f.base.get());
   Rng rng(GetParam() + 71);
 
+  std::vector<Case> cases;
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t series = rng.UniformIndex(f.dataset->size());
     const std::size_t qlen = 6 + rng.UniformIndex(8);
@@ -103,97 +154,66 @@ TEST_P(ThreadCrosscheckTest, KnnIsBitIdenticalAcrossThreadCounts) {
     for (double& v : q) v += rng.Gaussian(0.0, 0.05);
 
     for (const std::size_t k : {1u, 3u}) {
-      QueryOptions serial;
-      serial.threads = 1;
-      QueryStats serial_stats;
-      Result<std::vector<BestMatch>> expect =
-          qp.KnnQuery(q, k, serial, &serial_stats);
-      ASSERT_TRUE(expect.ok()) << expect.status();
-
-      for (const std::size_t threads : {2u, 8u}) {
-        QueryOptions par = serial;
-        par.threads = threads;
-        QueryStats par_stats;
-        Result<std::vector<BestMatch>> got =
-            qp.KnnQuery(q, k, par, &par_stats);
-        ASSERT_TRUE(got.ok()) << got.status();
-        ExpectSameMatches(*expect, *got);
-        ExpectSameStats(serial_stats, par_stats);
-      }
+      cases.push_back({q, k, QueryOptions{}});
     }
   }
+  ExpectFannedEqualsSerial(qp, cases);
 }
 
-TEST_P(ThreadCrosscheckTest, ExhaustiveModeStaysDeterministicToo) {
+TEST_P(CrossQueryCrosscheckTest, ExhaustiveModeStaysDeterministicToo) {
   const Fixture f = MakeFixture(GetParam(), "walk", 8, 28);
   QueryProcessor qp(f.base.get());
   const std::span<const double> q = (*f.dataset)[1].Slice(2, 10);
 
-  QueryOptions serial;
-  serial.exhaustive = true;
-  serial.threads = 1;
-  QueryStats s1;
-  Result<std::vector<BestMatch>> expect = qp.KnnQuery(q, 2, serial, &s1);
-  ASSERT_TRUE(expect.ok());
-
-  QueryOptions par = serial;
-  par.threads = 8;
-  QueryStats s8;
-  Result<std::vector<BestMatch>> got = qp.KnnQuery(q, 2, par, &s8);
-  ASSERT_TRUE(got.ok());
-  ExpectSameMatches(*expect, *got);
-  ExpectSameStats(s1, s8);
+  QueryOptions exhaustive;
+  exhaustive.exhaustive = true;
+  ExpectFannedEqualsSerial(
+      qp, {{std::vector<double>(q.begin(), q.end()), 2, exhaustive}});
 }
 
-TEST_P(ThreadCrosscheckTest, PruningTogglesStayDeterministic) {
+TEST_P(CrossQueryCrosscheckTest, PruningTogglesStayDeterministic) {
   const Fixture f = MakeFixture(GetParam());
   QueryProcessor qp(f.base.get());
   const std::span<const double> q = (*f.dataset)[0].Slice(0, 8);
 
+  std::vector<Case> cases;
   for (const bool lb : {true, false}) {
     for (const bool ea : {true, false}) {
-      QueryOptions serial;
-      serial.use_lower_bounds = lb;
-      serial.use_early_abandon = ea;
-      serial.threads = 1;
-      QueryStats s1;
-      Result<std::vector<BestMatch>> expect = qp.KnnQuery(q, 2, serial, &s1);
-      ASSERT_TRUE(expect.ok());
-
-      QueryOptions par = serial;
-      par.threads = 8;
-      QueryStats s8;
-      Result<std::vector<BestMatch>> got = qp.KnnQuery(q, 2, par, &s8);
-      ASSERT_TRUE(got.ok());
-      ExpectSameMatches(*expect, *got);
-      ExpectSameStats(s1, s8);
+      QueryOptions opt;
+      opt.use_lower_bounds = lb;
+      opt.use_early_abandon = ea;
+      cases.push_back({std::vector<double>(q.begin(), q.end()), 2, opt});
     }
   }
+  ExpectFannedEqualsSerial(qp, cases);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ThreadCrosscheckTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, CrossQueryCrosscheckTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
-TEST(ThreadCrosscheckTest, ThreadsZeroMeansPoolWidthAndStaysIdentical) {
+TEST(CrossQueryCrosscheckTest, FannedBestMatchEqualsTheSerialLoop) {
   const Fixture f = MakeFixture(7);
   QueryProcessor qp(f.base.get());
   const std::span<const double> q = (*f.dataset)[2].Slice(1, 9);
 
-  QueryOptions serial;
-  serial.threads = 1;
   QueryStats s1;
-  Result<BestMatch> expect = qp.BestMatchQuery(q, serial, &s1);
+  Result<BestMatch> expect = qp.BestMatchQuery(q, {}, &s1);
   ASSERT_TRUE(expect.ok());
 
-  QueryOptions hw;
-  hw.threads = 0;  // full pool width
-  QueryStats s0;
-  Result<BestMatch> got = qp.BestMatchQuery(q, hw, &s0);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(expect->ref, got->ref);
-  EXPECT_EQ(expect->dtw, got->dtw);
-  EXPECT_EQ(expect->normalized_dtw, got->normalized_dtw);
-  ExpectSameStats(s1, s0);
+  TaskPool pool(8);
+  std::vector<Result<BestMatch>> got(16, Status::Internal("not run"));
+  std::vector<QueryStats> stats(got.size());
+  pool.ParallelFor(got.size(), [&](std::size_t i) {
+    got[i] = qp.BestMatchQuery(q, {}, &stats[i]);
+  });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << got[i].status();
+    EXPECT_EQ(expect->ref, got[i]->ref);
+    EXPECT_EQ(expect->dtw, got[i]->dtw);
+    EXPECT_EQ(expect->normalized_dtw, got[i]->normalized_dtw);
+    EXPECT_EQ(expect->path, got[i]->path);
+    ExpectSameStats(s1, stats[i]);
+  }
 }
 
 }  // namespace

@@ -2,13 +2,12 @@
 /// answers — ref, group, and the raw, normalized and representative DTW at
 /// full precision — over walk, sine and duplicated-series datasets, with
 /// in-dataset and perturbed queries, k ∈ {1,3,5}, window ∈ {−1,0,8},
-/// exhaustive off/on and threads 1/4, plus an explore-shaped transcript
-/// over a base with one class per length from 8 to 40, whose queries meet
-/// dozens of cross-length classes (or only cross-length ones). Every
-/// pruning device in the cascade,
-/// the seeded refinement horizon included, is a pure work saver, so any
-/// change to them must reproduce this transcript bit for bit. The
-/// duplicated-series dataset makes exact distance ties, which pins the
+/// exhaustive off/on, plus an explore-shaped transcript over a base with
+/// one class per length from 8 to 40, whose queries meet dozens of
+/// cross-length classes (or only cross-length ones). Every pruning device
+/// in the cascade, the seeded refinement horizon included, is a pure work
+/// saver, so any change to them must reproduce this transcript bit for bit.
+/// The duplicated-series dataset makes exact distance ties, which pins the
 /// in-order tie-breaks of the top-k merge as well.
 ///
 /// The transcript is pinned under the scalar kernel table, whose arithmetic
@@ -153,8 +152,8 @@ void Emit(std::ostringstream* out, const std::string& prefix,
        << " rep=" << Fmt(m.rep_dtw) << '\n';
 }
 
-/// The whole transcript for one thread count.
-std::string Transcript(std::size_t threads) {
+/// The whole transcript.
+std::string Transcript() {
   std::ostringstream out;
   for (const std::string kind : {"walk", "sine", "dup"}) {
     Result<Dataset> norm =
@@ -177,7 +176,6 @@ std::string Transcript(std::size_t threads) {
           opt.window = window;
           opt.exhaustive = exhaustive;
           opt.compute_path = false;
-          opt.threads = threads;
           const std::string head = kind + " " + q.name +
                                    " w=" + std::to_string(window) +
                                    " ex=" + std::to_string(exhaustive);
@@ -204,7 +202,7 @@ std::string Transcript(std::size_t threads) {
 /// of length 6 and 44 meet cross-length classes only. Covers the bounds
 /// that hold across lengths, which the transcript above (four classes)
 /// barely exercises.
-std::string MultiLengthTranscript(std::size_t threads) {
+std::string MultiLengthTranscript() {
   std::ostringstream out;
   for (const std::string kind : {"walk", "sine"}) {
     Result<Dataset> norm =
@@ -242,7 +240,6 @@ std::string MultiLengthTranscript(std::size_t threads) {
           opt.window = window;
           opt.exhaustive = exhaustive;
           opt.compute_path = false;
-          opt.threads = threads;
           const std::string head = kind + " " + q.name +
                                    " w=" + std::to_string(window) +
                                    " ex=" + std::to_string(exhaustive);
@@ -278,11 +275,11 @@ std::string FirstDiff(const std::string& want, const std::string& got) {
 
 /// Produces `transcript` under the scalar table and compares it with the
 /// recorded `golden`, writing <name>.actual.txt on a mismatch.
-void ExpectGolden(std::string (*transcript)(std::size_t), std::size_t threads,
-                  const char* golden, const std::string& name) {
+void ExpectGolden(std::string (*transcript)(), const char* golden,
+                  const std::string& name) {
   const KernelMode before = GetKernelMode();
   SetKernelMode(KernelMode::kScalar);
-  const std::string got = transcript(threads);
+  const std::string got = transcript();
   SetKernelMode(before);
 
   const std::string want = std::string(golden).substr(1);  // leading '\n'
@@ -294,19 +291,14 @@ void ExpectGolden(std::string (*transcript)(std::size_t), std::size_t threads,
                            << ".actual.txt) at " << FirstDiff(want, got);
 }
 
-class RefineGoldenTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RefineGoldenTest, AnswersMatchTheRecordedTranscript) {
-  ExpectGolden(&Transcript, GetParam(), kGolden, "core_refine_golden");
+TEST(RefineGoldenTest, AnswersMatchTheRecordedTranscript) {
+  ExpectGolden(&Transcript, kGolden, "core_refine_golden");
 }
 
-TEST_P(RefineGoldenTest, MultiLengthAnswersMatchTheRecordedTranscript) {
-  ExpectGolden(&MultiLengthTranscript, GetParam(), kMultiLengthGolden,
+TEST(RefineGoldenTest, MultiLengthAnswersMatchTheRecordedTranscript) {
+  ExpectGolden(&MultiLengthTranscript, kMultiLengthGolden,
                "core_refine_golden_multilength");
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, RefineGoldenTest,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 }  // namespace
 }  // namespace onex

@@ -96,30 +96,6 @@ TEST(EngineBatchTest, KnnBatchMatchesOneAtATimeCalls) {
   }
 }
 
-TEST(EngineBatchTest, BatchWithIntraQueryParallelismStaysIdentical) {
-  Engine engine;
-  PrepareEngine(&engine, "nested", 21);
-  const std::vector<QuerySpec> queries = MakeQueries();
-
-  QueryOptions serial;
-  serial.threads = 1;
-  Result<std::vector<MatchResult>> expect =
-      engine.SimilaritySearchBatch("nested", queries, serial);
-  ASSERT_TRUE(expect.ok());
-
-  // Nested parallelism: the batch fans over the pool AND each query fans
-  // its group scan over the same pool.
-  QueryOptions par;
-  par.threads = 4;
-  Result<std::vector<MatchResult>> got =
-      engine.SimilaritySearchBatch("nested", queries, par);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(expect->size(), got->size());
-  for (std::size_t i = 0; i < expect->size(); ++i) {
-    ExpectSameMatch((*expect)[i], (*got)[i]);
-  }
-}
-
 TEST(EngineBatchTest, EmptyBatchYieldsEmptyResults) {
   Engine engine;
   PrepareEngine(&engine, "empty");

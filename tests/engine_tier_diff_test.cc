@@ -109,8 +109,7 @@ std::string QueryTranscript(Engine& engine, const std::string& name) {
     specs.push_back(inl);
   }
 
-  // Every cascade toggle the ablation bench knows, plus the parallel path
-  // (threads is a pure latency knob — answers must not move).
+  // Every cascade toggle the ablation bench knows.
   std::vector<std::pair<std::string, QueryOptions>> variants;
   {
     QueryOptions full;
@@ -132,9 +131,6 @@ std::string QueryTranscript(Engine& engine, const std::string& name) {
     QueryOptions windowed = full;
     windowed.window = 3;
     variants.emplace_back("window3", windowed);
-    QueryOptions pooled = full;
-    pooled.threads = 0;
-    variants.emplace_back("pooled", pooled);
   }
 
   std::ostringstream out;

@@ -886,6 +886,64 @@ void ZeroElapsed(json::Value* v) {
   }
 }
 
+/// One response line with its wall-clock field zeroed.
+std::string ResponseLine(Engine* engine, const std::string& line) {
+  Session session;
+  json::Value v = ExecuteCommand(engine, &session, *ParseCommandLine(line));
+  ZeroElapsed(&v);
+  return FormatResponse(v);
+}
+
+// A query runs on one thread; `threads=` on a query verb is an option the
+// verb does not know, ignored like any other, so an old client that still
+// sends it gets the same bytes.
+TEST(ProtocolTest, QueryVerbsIgnoreThreads) {
+  Engine engine;
+  for (const char* setup :
+       {"GEN w walk num=12 len=64 seed=7", "PREPARE w st=0.2 maxlen=24"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  for (const std::string line :
+       {"MATCH w q=2:5:16 exhaustive=1", "KNN w q=4:10:20 k=3",
+        "BATCH w q=1:0:12;5:20:16;9:30:24 k=2"}) {
+    const std::string plain = ResponseLine(&engine, line);
+    EXPECT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
+    EXPECT_EQ(ResponseLine(&engine, line + " threads=4"), plain) << line;
+  }
+}
+
+// window= is parsed as a 64-bit integer: a width past INT_MAX is refused
+// instead of wrapping (4294967296 used to run lock-step, as window=0), and
+// every negative width means unconstrained, however large.
+TEST(ProtocolTest, WindowBeyondIntIsRefused) {
+  Engine engine;
+  for (const char* setup :
+       {"GEN w walk num=6 len=24 seed=3", "PREPARE w st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  for (const std::string verb :
+       {"MATCH w q=1:5:12 exhaustive=1", "KNN w q=1:5:12 k=2",
+        "BATCH w q=1:5:12;2:0:10"}) {
+    for (const char* window : {" window=2147483648", " window=4294967296"}) {
+      const json::Value v =
+          ExecuteCommand(&engine, *ParseCommandLine(verb + window));
+      EXPECT_FALSE(v["ok"].as_bool()) << verb << window;
+      EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << v.Dump();
+    }
+    EXPECT_NE(ResponseLine(&engine, verb + " window=2147483647")
+                  .find("\"ok\":true"),
+              std::string::npos)
+        << verb;
+    EXPECT_EQ(ResponseLine(&engine, verb + " window=-4294967296"),
+              ResponseLine(&engine, verb + " window=-1"))
+        << verb;
+  }
+}
+
 /// The exact wire bytes of the read verbs a dashboard serves, on fixed-seed
 /// GEN datasets: each response's text line verbatim, and its binary
 /// response frame (JSON body plus raw float64 section) as length and
