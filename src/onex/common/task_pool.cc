@@ -3,14 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <limits>
 #include <utility>
 
 namespace onex {
 namespace {
-
-/// Queue index meaning "not a pool worker" (external ParallelFor callers).
-constexpr std::size_t kExternal = std::numeric_limits<std::size_t>::max();
 
 std::size_t HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -91,7 +87,7 @@ bool TaskPool::TryRunOneTask(std::size_t self) {
   std::function<void()> task;
   // Own queue first, newest task (back): it is the one whose data is still
   // hot in this worker's cache.
-  if (self != kExternal) {
+  {
     std::lock_guard<std::mutex> lock(queues_[self]->mutex);
     if (!queues_[self]->tasks.empty()) {
       task = std::move(queues_[self]->tasks.back());
@@ -101,7 +97,7 @@ bool TaskPool::TryRunOneTask(std::size_t self) {
   if (!task) {
     // Steal the oldest task (front) from a sibling, scanning round-robin
     // from the slot after ours so thieves spread across victims.
-    const std::size_t start = self == kExternal ? 0 : self + 1;
+    const std::size_t start = self + 1;
     for (std::size_t k = 0; k < queues_.size() && !task; ++k) {
       WorkerQueue& q = *queues_[(start + k) % queues_.size()];
       std::lock_guard<std::mutex> lock(q.mutex);
@@ -146,43 +142,40 @@ void TaskPool::ParallelFor(std::size_t n,
   }
 
   struct State {
-    std::atomic<std::size_t> next{0};       ///< Next unclaimed iteration.
-    std::atomic<std::size_t> live_helpers{0};
+    std::atomic<std::size_t> next{0};    ///< Next unclaimed iteration.
+    std::atomic<std::size_t> active{0};  ///< Helper lanes inside drain.
     std::mutex mutex;
     std::condition_variable done;
   };
   auto state = std::make_shared<State>();
-  // The caller blocks in this frame until every helper retires, so `body`
-  // may be captured by reference.
-  auto drain = [state, &body, n] {
-    std::size_t i;
-    while ((i = state->next.fetch_add(1)) < n) body(i);
-  };
 
   const std::size_t helpers = width - 1;  // the caller takes one lane
-  state->live_helpers.store(helpers);
   for (std::size_t h = 0; h < helpers; ++h) {
-    Submit([state, drain] {
-      drain();
-      if (state->live_helpers.fetch_sub(1) == 1) {
+    // A lane announces itself before it claims an iteration. The caller
+    // returns only after the counter is exhausted and no lane is active,
+    // so a lane that claims an index < n is always waited for, and a lane
+    // that starts after the caller returned claims nothing and never
+    // touches `body`, whose frame may be gone.
+    Submit([state, &body, n] {
+      state->active.fetch_add(1);
+      std::size_t i;
+      while ((i = state->next.fetch_add(1)) < n) body(i);
+      if (state->active.fetch_sub(1) == 1) {
         std::lock_guard<std::mutex> lock(state->mutex);
         state->done.notify_all();
       }
     });
   }
 
-  drain();  // caller participates
+  std::size_t i;
+  while ((i = state->next.fetch_add(1)) < n) body(i);
 
-  // Help-first join: while helpers are outstanding, execute queued pool
-  // tasks (ours or anyone's) instead of parking. This is what makes nested
-  // ParallelFor deadlock-free: a caller never sleeps while runnable work
-  // exists, so queued helper tasks always find a thread.
-  while (state->live_helpers.load() != 0) {
-    if (TryRunOneTask(kExternal)) continue;
-    std::unique_lock<std::mutex> lock(state->mutex);
-    if (state->live_helpers.load() == 0) break;
-    state->done.wait_for(lock, std::chrono::milliseconds(1));
-  }
+  // Join only our own lanes that already started: they are running on
+  // some thread and finish without needing this one. Queued lanes and
+  // every other pool task are left alone, so a join never runs foreign
+  // work on the caller's thread (and never re-enters a lock it holds).
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->done.wait(lock, [&] { return state->active.load() == 0; });
 }
 
 TaskPool& TaskPool::Shared() {

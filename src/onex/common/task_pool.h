@@ -15,10 +15,10 @@ namespace onex {
 
 /// Completion handle for a task submitted with TaskPool::SubmitWithHandle.
 /// Copyable (handles share one completion record); a default-constructed
-/// handle is empty and reports done. Wait() parks the caller — it does not
-/// help drain the pool — so waiting from inside a pool task on a saturated
-/// pool can stall; callers inside the pool should poll done() or structure
-/// the work as ParallelFor instead.
+/// handle is empty and reports done. Wait() parks the caller: it does not
+/// run other pool work. Only threads outside the pool wait on a handle (the
+/// registry's destructor drain, tests); a pool task that waited on a job
+/// queued behind it could stall the pool, so none does.
 class TaskHandle {
  public:
   TaskHandle() = default;
@@ -44,27 +44,27 @@ class TaskHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Work-stealing thread pool (DESIGN.md §6) behind base construction, the
-/// engine's batch APIs and the server's request execution. A process holds
-/// two kinds: the process-wide Shared() pool, sized to the hardware, on
-/// which onexd's reactor runs requests; and each Engine's own pool, which
-/// runs BATCH fan-out, base builds, async preparations, regroups and
-/// checkpoints. Either way a fixed set of OS threads serves many callers;
-/// a single query always runs on one thread.
+/// Work-stealing thread pool (DESIGN.md §6). The library uses one per
+/// process, Shared(), sized to the hardware: onexd's reactor runs requests
+/// on it, and the engine runs BATCH fan-out, base builds, drift regroups
+/// and background checkpoints on it. A fixed set of OS threads serves many
+/// callers; a single query always runs on one thread.
 ///
 /// Structure: every worker owns a deque. Submitters push to the queues
 /// round-robin; a worker pops from the back of its own queue (LIFO, cache
 /// warm) and steals from the front of a sibling's queue (FIFO, oldest work
 /// first) when its own runs dry.
 ///
-/// Deadlock freedom: ParallelFor callers never park while work is
-/// outstanding — they drain the iteration counter themselves and then help
-/// execute queued pool tasks until their own tasks retire. Nested
-/// ParallelFor from inside a pool task is therefore safe: some caller always
-/// makes progress.
+/// Join contract: a ParallelFor caller drains the iteration counter itself,
+/// then waits only for its own lanes that have already started. It never
+/// runs a queued task, its own or anyone's, so a caller holding a lock can
+/// never pick up a request that takes the same lock. Lanes that start after
+/// the caller returned find the counter exhausted and do nothing. Nested
+/// ParallelFor from inside a pool task is therefore safe: a caller only
+/// waits on lanes that are running, and a running lane finishes.
 ///
 /// Workers start lazily on the first parallel call, so constructing a pool
-/// (e.g. embedded in an Engine) costs nothing until parallelism is used.
+/// costs nothing until parallelism is used.
 class TaskPool {
  public:
   /// `threads` = worker count; 0 = one per hardware core. Workers are
@@ -84,14 +84,16 @@ class TaskPool {
   void Submit(std::function<void()> task);
 
   /// Enqueues one task and returns a handle the caller can poll or wait on —
-  /// how the engine's dataset registry tracks asynchronous preparation jobs
-  /// (DESIGN.md §11).
+  /// how the engine's dataset registry tracks its background regroups and
+  /// checkpoints (DESIGN.md §11).
   TaskHandle SubmitWithHandle(std::function<void()> task);
 
   /// Runs body(i) for every i in [0, n), distributing iterations over up to
   /// `max_concurrency` threads (0 = pool width + caller). Blocks until all
   /// iterations finish; the caller participates, so the call completes even
-  /// on a pool with zero free workers. Iterations are claimed dynamically in
+  /// on a pool with zero free workers: lanes still queued when the caller
+  /// has run every remaining iteration are not waited for and later retire
+  /// without calling `body`. Iterations are claimed dynamically in
   /// index order; any iteration may run on any thread, so bodies must only
   /// write to disjoint, index-addressed state (results land deterministic).
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
@@ -108,7 +110,7 @@ class TaskPool {
 
   void EnsureStarted();
   void WorkerLoop(std::size_t self);
-  /// Pops one task (own queue back first for `self` < workers, else steals a
+  /// Pops one task for worker `self` (own queue back first, else steals a
   /// front task round-robin). Returns false when every queue is empty.
   bool TryRunOneTask(std::size_t self);
 

@@ -81,8 +81,7 @@ Status BaseBuildOptions::Validate() const {
 }
 
 Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
-                                 const BaseBuildOptions& options,
-                                 TaskPool* pool) {
+                                 const BaseBuildOptions& options) {
   if (dataset == nullptr || dataset->empty()) {
     return Status::InvalidArgument("cannot build a base over an empty dataset");
   }
@@ -104,7 +103,7 @@ Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
 
   std::vector<LengthClass> classes(lengths.size());
   std::vector<std::size_t> repaired(lengths.size(), 0);
-  TaskPool& tasks = pool != nullptr ? *pool : TaskPool::Shared();
+  TaskPool& tasks = TaskPool::Shared();
   std::size_t workers = options.threads == 0 ? tasks.worker_count() + 1
                                              : options.threads;
   workers = std::min(workers, lengths.size() == 0 ? 1 : lengths.size());

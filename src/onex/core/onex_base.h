@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "onex/common/result.h"
-#include "onex/common/task_pool.h"
 #include "onex/core/group_store.h"
 #include "onex/core/similarity_group.h"
 #include "onex/ts/dataset.h"
@@ -97,12 +96,10 @@ class OnexBase {
  public:
   /// Groups `dataset` (already normalized; see Engine for the full
   /// pipeline). The base keeps a shared copy so SubseqRefs stay resolvable.
-  /// With options.threads != 1, construction fans out over `pool` (the
-  /// process-wide TaskPool::Shared() when none is injected — the Engine
-  /// passes its own pool).
+  /// With options.threads != 1, construction fans out over the process-wide
+  /// TaskPool::Shared(), at most options.threads lanes wide.
   static Result<OnexBase> Build(std::shared_ptr<const Dataset> dataset,
-                                const BaseBuildOptions& options,
-                                TaskPool* pool = nullptr);
+                                const BaseBuildOptions& options);
 
   /// Reassembles a base from group memberships — the incremental write
   /// path (core/incremental.h): validates member references, recomputes

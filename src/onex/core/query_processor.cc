@@ -146,7 +146,7 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       query, centroid_of(entries[seed]), /*cutoff=*/-1.0, options.window);
   const double horizon = seed_raw / entries[seed].nf;
   ranked[seed] = {horizon, seed_raw, entries[seed].class_index,
-                  entries[seed].group_index, /*exact=*/true};
+                  entries[seed].group_index, /*exact=*/true, /*pruned=*/false};
 
   // Stage 3: score every other group against the fixed horizon. Because the
   // horizon never moves, each group's prune/evaluate/abandon outcome depends
@@ -164,7 +164,7 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       // Still rank it by its lower bound so top-K exploration can come
       // back to it if everything else is worse.
       ranked[i] = {lb_raw[i] / e.nf, lb_raw[i], e.class_index, e.group_index,
-                   /*exact=*/false};
+                   /*exact=*/false, /*pruned=*/true};
       continue;
     }
     const double cutoff =
@@ -184,7 +184,7 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
         ++acc.groups_pruned_lb;
         ++acc.pruned_keogh;
         ranked[i] = {horizon, cutoff, e.class_index, e.group_index,
-                     /*exact=*/false};
+                     /*exact=*/false, /*pruned=*/true};
         continue;
       }
     }
@@ -198,7 +198,8 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       norm = horizon;
       exact = false;
     }
-    ranked[i] = {norm, raw, e.class_index, e.group_index, exact};
+    ranked[i] = {norm, raw, e.class_index, e.group_index, exact,
+                 /*pruned=*/false};
   }
   FlushInto(acc, stats);
 
@@ -306,12 +307,16 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     const double nf = NormFactor(qn, cls.length);
 
     // Group-envelope bound: no member can beat the current k-th answer.
+    // A group ranking already pruned is skipped without a second count, so
+    // groups_pruned_lb never exceeds groups_total.
     if (options.use_lower_bounds && cls.length == qn && best.size() >= k) {
       const double glb =
           LbKeoghGroup(query_env, store.envelope(rg.group_index)) / nf;
       if (glb >= worst_kth()) {
-        ++acc.groups_pruned_lb;
-        ++acc.pruned_keogh;
+        if (!rg.pruned) {
+          ++acc.groups_pruned_lb;
+          ++acc.pruned_keogh;
+        }
         continue;
       }
     }

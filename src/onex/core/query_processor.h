@@ -122,6 +122,9 @@ class QueryProcessor {
     /// ranking). Exact entries win sorting ties so pruning can never demote
     /// the true argmin group below a bound-valued one.
     bool exact;
+    /// Ranking already counted this group in groups_pruned_lb; refinement
+    /// must not count it again when the group-envelope bound skips it.
+    bool pruned;
   };
 
   /// Pass 1: every group scored by DTW between query and representative,

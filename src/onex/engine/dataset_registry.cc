@@ -93,7 +93,7 @@ struct ReplayedSlot {
 /// rotation owns it, and both callers reject it in a record stream.
 Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
     const std::string& name, std::shared_ptr<const PreparedDataset> snap,
-    const WalRecord& rec, TaskPool* pool) {
+    const WalRecord& rec) {
   if (snap == nullptr && rec.type != WalRecordType::kLoad) {
     return Status::ParseError(StrFormat(
         "wal record %llu (%s) arrives before any load or checkpoint",
@@ -123,7 +123,7 @@ Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
     }
     case WalRecordType::kPrepare: {
       ONEX_ASSIGN_OR_RETURN(snap,
-                            BuildSnapshot(snap, rec.options, rec.norm, pool));
+                            BuildSnapshot(snap, rec.options, rec.norm));
       break;
     }
     case WalRecordType::kRegroup: {
@@ -143,8 +143,7 @@ Result<std::shared_ptr<const PreparedDataset>> ApplyWalRecordToSnapshot(
 /// Replays a scanned WAL through the same snapshot writers the live engine
 /// uses (snapshot_ops.h), which is what makes the recovered slot bit-equal
 /// to the pre-crash in-memory state: same inputs, same code, same order.
-Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
-                               TaskPool* pool) {
+Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan) {
   ReplayedSlot out;
   out.name = scan.dataset_name;
 
@@ -182,7 +181,7 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
   for (std::size_t i = start; i < scan.records.size(); ++i) {
     const WalRecord& rec = scan.records[i];
     ONEX_ASSIGN_OR_RETURN(
-        snap, ApplyWalRecordToSnapshot(out.name, std::move(snap), rec, pool));
+        snap, ApplyWalRecordToSnapshot(out.name, std::move(snap), rec));
     out.last_seq = rec.seq;
     ++out.records_since_ckpt;
   }
@@ -209,10 +208,8 @@ Status PrepareTicket::Wait() const {
   return *result_;
 }
 
-DatasetRegistry::DatasetRegistry(TaskPool* pool,
-                                 const DatasetRegistryOptions& options)
-    : pool_(pool != nullptr ? pool : &TaskPool::Shared()),
-      budget_bytes_(options.prepared_budget_bytes),
+DatasetRegistry::DatasetRegistry(const DatasetRegistryOptions& options)
+    : budget_bytes_(options.prepared_budget_bytes),
       drift_threshold_(options.drift_threshold < 0.0
                            ? 0.0
                            : options.drift_threshold) {}
@@ -465,28 +462,13 @@ Status DatasetRegistry::Prepare(const std::string& name,
     // snapshot instead of clobbering it.
     ONEX_ASSIGN_OR_RETURN(
         std::shared_ptr<const PreparedDataset> next,
-        BuildSnapshot(current, options, normalization, pool_));
+        BuildSnapshot(current, options, normalization));
     WalRecord record = WalPrepareRecord(options, normalization);
     ONEX_ASSIGN_OR_RETURN(
         bool installed,
         Install(slot, name, std::move(next), current.get(), &record));
     if (installed) return Status::OK();
   }
-}
-
-PrepareTicket DatasetRegistry::PrepareAsync(const std::string& name,
-                                            const BaseBuildOptions& options,
-                                            NormalizationKind normalization) {
-  PrepareTicket ticket;
-  ticket.result_ =
-      std::make_shared<Status>(Status::Internal("prepare job never ran"));
-  auto result = ticket.result_;
-  ticket.handle_ = pool_->SubmitWithHandle(
-      [this, name, options, normalization, result] {
-        *result = Prepare(name, options, normalization);
-      });
-  TrackJob(ticket.handle_);
-  return ticket;
 }
 
 Result<bool> DatasetRegistry::Install(
@@ -773,7 +755,7 @@ PrepareTicket DatasetRegistry::ScheduleRegroup(
   ticket.result_ =
       std::make_shared<Status>(Status::Internal("regroup job never ran"));
   auto result = ticket.result_;
-  ticket.handle_ = pool_->SubmitWithHandle(
+  ticket.handle_ = TaskPool::Shared().SubmitWithHandle(
       [this, name, slot = std::move(slot), lengths = std::move(lengths),
        result] {
         *result = RunRegroup(name, slot, lengths);
@@ -983,40 +965,6 @@ Result<CheckpointInfo> DatasetRegistry::Checkpoint(const std::string& name) {
   return info;
 }
 
-PrepareTicket DatasetRegistry::CheckpointAsync(const std::string& name) {
-  PrepareTicket ticket;
-  Result<std::shared_ptr<Slot>> slot = FindSlot(name);
-  if (!slot.ok()) {
-    ticket.result_ = std::make_shared<Status>(slot.status());
-    return ticket;
-  }
-  std::shared_ptr<SlotJournal> journal;
-  {
-    std::shared_lock<std::shared_mutex> lock((*slot)->mutex);
-    journal = (*slot)->journal;
-  }
-  if (journal == nullptr) {
-    ticket.result_ = std::make_shared<Status>(Status::FailedPrecondition(
-        "dataset '" + name + "' has no journal"));
-    return ticket;
-  }
-  if (journal->ckpt_inflight.exchange(true)) {
-    ticket.result_ = std::make_shared<Status>(Status::FailedPrecondition(
-        "a checkpoint of dataset '" + name + "' is already in flight"));
-    return ticket;
-  }
-  ticket.result_ =
-      std::make_shared<Status>(Status::Internal("checkpoint job never ran"));
-  auto result = ticket.result_;
-  ticket.handle_ = pool_->SubmitWithHandle(
-      [this, name, slot = *std::move(slot), journal, result] {
-        *result = RunCheckpoint(name, slot, nullptr);
-        journal->ckpt_inflight.store(false);
-      });
-  TrackJob(ticket.handle_);
-  return ticket;
-}
-
 void DatasetRegistry::MaybeScheduleCheckpoint(
     const std::string& name, const std::shared_ptr<Slot>& slot) {
   if (!durable_.load() || durability_.checkpoint_every == 0) return;
@@ -1033,10 +981,11 @@ void DatasetRegistry::MaybeScheduleCheckpoint(
     return;
   }
   if (journal->ckpt_inflight.exchange(true)) return;
-  TaskHandle handle = pool_->SubmitWithHandle([this, name, slot, journal] {
-    (void)RunCheckpoint(name, slot, nullptr);
-    journal->ckpt_inflight.store(false);
-  });
+  TaskHandle handle =
+      TaskPool::Shared().SubmitWithHandle([this, name, slot, journal] {
+        (void)RunCheckpoint(name, slot, nullptr);
+        journal->ckpt_inflight.store(false);
+      });
   TrackJob(std::move(handle));
 }
 
@@ -1081,7 +1030,7 @@ DatasetRegistry::RecoverSlotDir(const std::string& dir_path) {
     }
   }
 
-  Result<ReplayedSlot> replayed = ReplayWal(dir_path, scan, pool_);
+  Result<ReplayedSlot> replayed = ReplayWal(dir_path, scan);
   if (!replayed.ok()) {
     return Status(replayed.status().code(),
                   "recovering slot '" + scan.dataset_name + "' from '" +
@@ -1320,7 +1269,7 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
     }
     ONEX_ASSIGN_OR_RETURN(
         std::shared_ptr<const PreparedDataset> snap,
-        ApplyWalRecordToSnapshot(name, nullptr, record, pool_));
+        ApplyWalRecordToSnapshot(name, nullptr, record));
     auto fresh = std::make_shared<Slot>();
     fresh->snapshot = std::move(snap);
     fresh->replicated.store(true);
@@ -1393,7 +1342,7 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
   }
   ONEX_ASSIGN_OR_RETURN(
       std::shared_ptr<const PreparedDataset> next,
-      ApplyWalRecordToSnapshot(name, current, record, pool_));
+      ApplyWalRecordToSnapshot(name, current, record));
   WalRecord copy = record;
   ONEX_ASSIGN_OR_RETURN(
       const bool installed,

@@ -48,9 +48,9 @@ struct PreparedDataset {
   bool mapped() const { return arena != nullptr; }
 };
 
-/// Completion ticket for an asynchronous job scheduled on the shared
-/// TaskPool (preparation, regroup, checkpoint). Copyable; a default-
-/// constructed ticket is empty and reports done with an Internal status.
+/// Completion ticket for a background regroup scheduled on
+/// TaskPool::Shared(). Copyable; a default-constructed ticket is empty and
+/// reports done with an Internal status.
 class PrepareTicket {
  public:
   PrepareTicket() = default;
@@ -156,9 +156,6 @@ struct MaintenanceStatus {
 ///   - an LRU cache over prepared bases bounded by a configurable byte
 ///     budget (cost = GroupStore footprint via OnexBase::MemoryUsage());
 ///     with durability on, a victim serves from its checkpoint's mapping;
-///   - preparation jobs schedulable on the shared TaskPool (PrepareAsync),
-///     so a server session can stage the next dashboard's dataset while the
-///     current one keeps answering;
 ///   - streaming maintenance (DESIGN.md §12): per-slot drift accounting fed
 ///     by Engine::ExtendSeries and a drift-triggered background regroup
 ///     (RegroupAsync / MaybeScheduleRegroup) that rebuilds just the drifted
@@ -174,10 +171,9 @@ struct MaintenanceStatus {
 /// the reverse, and never two slot locks at once.
 class DatasetRegistry {
  public:
-  /// `pool` runs async preparation jobs (nullptr = TaskPool::Shared()). The
-  /// pool must outlive the registry.
-  explicit DatasetRegistry(TaskPool* pool = nullptr,
-                           const DatasetRegistryOptions& options = {});
+  /// Background jobs (drift regroups, checkpoints) run on
+  /// TaskPool::Shared().
+  explicit DatasetRegistry(const DatasetRegistryOptions& options = {});
 
   DatasetRegistry(const DatasetRegistry&) = delete;
   DatasetRegistry& operator=(const DatasetRegistry&) = delete;
@@ -233,11 +229,6 @@ class DatasetRegistry {
   /// are never blocked.
   Status Prepare(const std::string& name, const BaseBuildOptions& options,
                  NormalizationKind normalization);
-
-  /// Prepare scheduled as a job on the task pool; returns immediately.
-  PrepareTicket PrepareAsync(const std::string& name,
-                             const BaseBuildOptions& options,
-                             NormalizationKind normalization);
 
   /// Current byte budget for resident prepared bases (0 = unlimited).
   /// Shrinking the budget evicts immediately; without durability nothing
@@ -323,10 +314,6 @@ class DatasetRegistry {
   /// is exact. A mapped slot stays mapped. FailedPrecondition when
   /// durability is off or the slot has no prepared base.
   Result<CheckpointInfo> Checkpoint(const std::string& name);
-
-  /// Checkpoint scheduled on the task pool; at most one in flight per slot
-  /// (a second call returns a completed FailedPrecondition ticket).
-  PrepareTicket CheckpointAsync(const std::string& name);
 
   /// Durability counters for one slot.
   Result<SlotDurability> Durability(const std::string& name) const;
@@ -471,7 +458,6 @@ class DatasetRegistry {
   Result<std::pair<std::string, std::shared_ptr<Slot>>> RecoverSlotDir(
       const std::string& dir_path);
 
-  TaskPool* pool_;
   mutable std::mutex map_mutex_;  ///< Guards slots_, budget_, total_bytes_.
   std::map<std::string, std::shared_ptr<Slot>> slots_;
   std::size_t budget_bytes_ = 0;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "onex/common/task_pool.h"
 #include "onex/core/incremental.h"
 #include "onex/distance/dtw.h"
 #include "onex/engine/snapshot_ops.h"
@@ -49,12 +50,6 @@ Status Engine::Prepare(const std::string& name,
                        const BaseBuildOptions& options,
                        NormalizationKind normalization) {
   return registry_.Prepare(name, options, normalization);
-}
-
-PrepareTicket Engine::PrepareAsync(const std::string& name,
-                                   const BaseBuildOptions& options,
-                                   NormalizationKind normalization) {
-  return registry_.PrepareAsync(name, options, normalization);
 }
 
 Status Engine::AppendSeries(const std::string& name, TimeSeries series) {
@@ -265,7 +260,7 @@ Result<std::vector<std::vector<MatchResult>>> Engine::KnnBatch(
     ONEX_ASSIGN_OR_RETURN(qvals[i], ResolveQuery(*ds, queries[i]));
   }
   std::vector<Status> failures(queries.size(), Status::OK());
-  pool_.ParallelFor(queries.size(), [&](std::size_t i) {
+  TaskPool::Shared().ParallelFor(queries.size(), [&](std::size_t i) {
     Result<std::vector<MatchResult>> r =
         RunKnn(*ds, std::move(qvals[i]), k, options);
     if (r.ok()) {

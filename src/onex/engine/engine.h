@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "onex/common/result.h"
-#include "onex/common/task_pool.h"
 #include "onex/core/analytics.h"
 #include "onex/core/incremental.h"
 #include "onex/core/onex_base.h"
@@ -43,15 +42,15 @@ struct MatchResult {
 /// hit one engine serving a whole dashboard of datasets.
 class Engine {
  public:
-  Engine() : registry_(&pool_) {}
+  Engine() = default;
 
   /// `registry_options` configures the prepared-base LRU cache (byte
   /// budget; see DatasetRegistryOptions).
   explicit Engine(const DatasetRegistryOptions& registry_options)
-      : registry_(&pool_, registry_options) {}
+      : registry_(registry_options) {}
 
   /// The dataset registry behind this engine: slot inspection
-  /// (Describe), LRU budget control and async preparation tickets.
+  /// (Describe), LRU budget control and regroup tickets.
   DatasetRegistry& registry() { return registry_; }
   const DatasetRegistry& registry() const { return registry_; }
 
@@ -87,14 +86,6 @@ class Engine {
   Status Prepare(const std::string& name, const BaseBuildOptions& options,
                  NormalizationKind normalization =
                      NormalizationKind::kMinMaxDataset);
-
-  /// Prepare scheduled on the engine's task pool; the returned ticket
-  /// reports completion and status. Queries against the old base (and every
-  /// other dataset) keep running while the job builds.
-  PrepareTicket PrepareAsync(const std::string& name,
-                             const BaseBuildOptions& options,
-                             NormalizationKind normalization =
-                                 NormalizationKind::kMinMaxDataset);
 
   /// Appends one series (original units) to a loaded dataset. If the dataset
   /// is prepared, the series is normalized with the dataset's frozen
@@ -293,13 +284,9 @@ class Engine {
                                           std::size_t k,
                                           const QueryOptions& options) const;
 
-  /// The engine's own pool, separate from the TaskPool::Shared() that
-  /// onexd's reactor runs requests on: BATCH fan-out, base builds, async
-  /// preparations, regroups and checkpoints run here. Lazy: threads spawn
-  /// on first use, so engines that never ask for parallelism cost nothing
-  /// extra. Declared before registry_, whose destructor drains in-flight
-  /// jobs off this pool.
-  mutable TaskPool pool_;
+  /// BATCH fan-out, base builds, regroups and checkpoints all run on
+  /// TaskPool::Shared(), the pool onexd's reactor runs requests on; the
+  /// registry's destructor drains its in-flight jobs.
   DatasetRegistry registry_;
 
   /// Lifetime cascade counters; relaxed atomics because queries (including

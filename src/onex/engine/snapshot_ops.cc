@@ -10,7 +10,7 @@ namespace onex {
 
 Result<std::shared_ptr<const PreparedDataset>> BuildSnapshot(
     const std::shared_ptr<const PreparedDataset>& current,
-    const BaseBuildOptions& options, NormalizationKind norm, TaskPool* pool) {
+    const BaseBuildOptions& options, NormalizationKind norm) {
   auto next = std::make_shared<PreparedDataset>();
   next->name = current->name;
   next->raw = current->raw;
@@ -19,7 +19,7 @@ Result<std::shared_ptr<const PreparedDataset>> BuildSnapshot(
                         Normalize(*next->raw, norm, &next->norm_params));
   next->normalized = std::make_shared<const Dataset>(std::move(normalized));
   ONEX_ASSIGN_OR_RETURN(OnexBase base,
-                        OnexBase::Build(next->normalized, options, pool));
+                        OnexBase::Build(next->normalized, options));
   next->base = std::make_shared<const OnexBase>(std::move(base));
   next->build_options = options;
   return std::shared_ptr<const PreparedDataset>(std::move(next));

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "onex/common/result.h"
-#include "onex/common/task_pool.h"
 #include "onex/core/incremental.h"
 #include "onex/engine/dataset_registry.h"
 #include "onex/ts/normalization.h"
@@ -27,7 +26,7 @@ namespace onex {
 /// values into the scale. Runs with no lock held.
 Result<std::shared_ptr<const PreparedDataset>> BuildSnapshot(
     const std::shared_ptr<const PreparedDataset>& current,
-    const BaseBuildOptions& options, NormalizationKind norm, TaskPool* pool);
+    const BaseBuildOptions& options, NormalizationKind norm);
 
 /// One whole-series append (raw units): the grown raw dataset plus — when
 /// the snapshot is prepared — the incremental base insert under the frozen

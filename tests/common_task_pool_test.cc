@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -13,6 +14,38 @@
 
 namespace onex {
 namespace {
+
+/// A one-shot latch: Wait() blocks until Open() has been called.
+class Gate {
+ public:
+  /// Notifies under the lock, so a waiter that returns (and may destroy
+  /// the gate) cannot do so before Open() is done with it.
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Occupies one worker of `pool` until `gate` opens; returns once the task
+/// is running, so everything submitted afterwards waits in the queues.
+void HoldWorker(TaskPool* pool, Gate* gate) {
+  Gate running;
+  pool->Submit([&running, gate] {
+    running.Open();
+    gate->Wait();
+  });
+  running.Wait();
+}
 
 TEST(TaskPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   TaskPool pool(4);
@@ -124,6 +157,65 @@ TEST(TaskPoolTest, ManyConcurrentParallelForsFromExternalThreads) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(total.load(), kCallers * 5 * 50);
+}
+
+TEST(TaskPoolTest, JoinRunsNoForeignTask) {
+  // A join that helped by running any queued task would run `foreign` on
+  // the caller's thread — and a caller holding a lock could so re-enter it
+  // through an unrelated request. The join runs only its own lanes.
+  TaskPool pool(1);
+  Gate gate;
+  HoldWorker(&pool, &gate);
+  std::thread::id foreign_thread;
+  const TaskHandle foreign = pool.SubmitWithHandle(
+      [&foreign_thread] { foreign_thread = std::this_thread::get_id(); });
+
+  std::atomic<int> calls{0};
+  pool.ParallelFor(8, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 8);
+  EXPECT_FALSE(foreign.done()) << "the join ran a task it does not own";
+
+  gate.Open();
+  foreign.Wait();
+  EXPECT_NE(foreign_thread, std::this_thread::get_id());
+}
+
+TEST(TaskPoolTest, CallerReturnsBeforeUnstartedLanes) {
+  // The only worker is held, and a second held task waits in the queue
+  // ahead of ParallelFor's lanes: the caller must run all 64 iterations
+  // itself and return without waiting for (or running) anything queued.
+  std::atomic<int> calls{0};
+  std::atomic<int> off_caller{0};
+  Gate gate;
+  {
+    TaskPool pool(1);
+    HoldWorker(&pool, &gate);
+    pool.Submit([&gate] { gate.Wait(); });
+
+    std::promise<void> returned;
+    std::future<void> returned_future = returned.get_future();
+    std::thread caller([&] {
+      // `body` lives in this frame only; the lanes still queued when
+      // ParallelFor returns run after the frame is gone.
+      const std::thread::id self = std::this_thread::get_id();
+      auto body = [&calls, &off_caller, self](std::size_t) {
+        calls.fetch_add(1);
+        if (std::this_thread::get_id() != self) off_caller.fetch_add(1);
+      };
+      pool.ParallelFor(64, body);
+      returned.set_value();
+    });
+    const bool returned_in_time =
+        returned_future.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::ready;
+    EXPECT_TRUE(returned_in_time)
+        << "ParallelFor waited on queued work while its worker was held";
+    EXPECT_EQ(calls.load(), 64);
+    EXPECT_EQ(off_caller.load(), 0);
+    gate.Open();
+    caller.join();
+  }  // the destructor runs every queued task, stale lanes included
+  EXPECT_EQ(calls.load(), 64) << "a stale lane called body";
 }
 
 }  // namespace

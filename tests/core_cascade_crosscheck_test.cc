@@ -55,10 +55,12 @@ Fixture MakeFixture(std::uint64_t seed, std::size_t num = 10,
 
 /// Every QueryStats must satisfy the cascade attribution identities
 /// regardless of toggles: each lower-bound prune is credited to exactly one
-/// stage, and dtw_evals counts every dynamic program that ran.
+/// stage, a group is counted as pruned at most once, and dtw_evals counts
+/// every dynamic program that ran.
 void CheckStatsInvariants(const QueryStats& s, const QueryOptions& opt) {
   EXPECT_EQ(s.pruned_kim + s.pruned_keogh,
             s.groups_pruned_lb + s.members_pruned_lb);
+  EXPECT_LE(s.groups_pruned_lb, s.groups_total);
   EXPECT_EQ(s.dtw_evals, s.rep_dtw_evaluations + s.member_dtw_evaluations);
   if (!opt.use_lower_bounds) {
     EXPECT_EQ(s.groups_pruned_lb, 0u);

@@ -1,15 +1,17 @@
 /// DatasetRegistry behavior (DESIGN.md §11): LRU eviction under a prepared-
 /// base byte budget (a durable victim serves from its mapped checkpoint; a
-/// memory-only registry evicts nothing), async preparation tickets, and the
-/// per-slot locking contract — queries on one dataset proceed while another
-/// is being prepared.
+/// memory-only registry evicts nothing), the destructor's drain of
+/// background jobs, and the per-slot locking contract — queries on one
+/// dataset proceed while another is being prepared.
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -257,19 +259,7 @@ TEST(EngineRegistryTest, DropReleasesAccountedBytes) {
   EXPECT_TRUE(engine.registry().Describe().empty());
 }
 
-TEST(EngineRegistryTest, AsyncPrepareCompletesAndReportsStatus) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadDataset("a", MakeData(6, 24, 1)).ok());
-  PrepareTicket ticket = engine.PrepareAsync("a", Quick());
-  ASSERT_TRUE(ticket.valid());
-  EXPECT_TRUE(ticket.Wait().ok());
-  EXPECT_TRUE(DescribeByName(engine).at("a").prepared);
-
-  PrepareTicket missing = engine.PrepareAsync("nope", Quick());
-  EXPECT_EQ(missing.Wait().code(), StatusCode::kNotFound);
-}
-
-TEST(EngineRegistryTest, DestructionDrainsInFlightPrepareJobs) {
+TEST(EngineRegistryTest, DestructionDrainsInFlightRegroupJobs) {
   // The registry destructor must wait for scheduled jobs; under ASan this
   // catches any use-after-free of slots or accounting.
   {
@@ -277,7 +267,11 @@ TEST(EngineRegistryTest, DestructionDrainsInFlightPrepareJobs) {
     ASSERT_TRUE(engine.LoadDataset("big", MakeData(10, 64, 5)).ok());
     BaseBuildOptions opt;
     opt.st = 0.2;
-    engine.PrepareAsync("big", opt);
+    ASSERT_TRUE(engine.Prepare("big", opt).ok());
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 4; len <= 64; ++len) lengths.push_back(len);
+    PrepareTicket ticket = engine.registry().RegroupAsync("big", lengths);
+    ASSERT_TRUE(ticket.valid());
   }  // engine destroyed with the job possibly still running
   SUCCEED();
 }
@@ -286,7 +280,7 @@ TEST(EngineRegistryTest, MatchOnAIsNotBlockedByPrepareOfB) {
   Engine engine;
   ASSERT_TRUE(engine.LoadDataset("a", MakeData(6, 24, 1)).ok());
   ASSERT_TRUE(engine.Prepare("a", Quick()).ok());
-  // Warm up: pool started, caches touched, one query verified.
+  // Warm up: caches touched, one query verified.
   ASSERT_TRUE(engine.SimilaritySearch("a", SmallQuery()).ok());
 
   BaseBuildOptions heavy;
@@ -295,7 +289,7 @@ TEST(EngineRegistryTest, MatchOnAIsNotBlockedByPrepareOfB) {
   heavy.max_length = 0;  // every length up to the longest series
 
   // A full-length sweep over b is orders of magnitude heavier than one
-  // query on a, so queries must observably complete while the job runs.
+  // query on a, so queries must observably complete while it builds.
   // Wall-clock overlap can still be starved on a loaded one-core runner,
   // so escalate b's size until at least one query lands mid-prepare
   // instead of asserting on a single timing.
@@ -309,17 +303,26 @@ TEST(EngineRegistryTest, MatchOnAIsNotBlockedByPrepareOfB) {
     wopt.seed = 11;
     ASSERT_TRUE(engine.LoadDataset(bname, gen::MakeRandomWalks(wopt)).ok());
 
-    PrepareTicket ticket = engine.PrepareAsync(bname, heavy);
-    ASSERT_TRUE(ticket.valid());
+    std::atomic<bool> done{false};
+    Status prepared = Status::Internal("prepare never ran");
+    std::thread preparer([&] {
+      prepared = engine.Prepare(bname, heavy);
+      done.store(true);
+    });
+    // No ASSERT while the preparer runs: leaving the test with a joinable
+    // thread would terminate the process.
+    Status queried = Status::OK();
     int issued = 0;
-    while (!ticket.done()) {
+    while (!done.load() && queried.ok()) {
       Result<MatchResult> m = engine.SimilaritySearch(
           "a", SmallQuery(static_cast<std::size_t>(issued % 6)));
-      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      queried = m.status();
       ++issued;
-      if (!ticket.done()) ++overlapped;
+      if (queried.ok() && !done.load()) ++overlapped;
     }
-    ASSERT_TRUE(ticket.Wait().ok());
+    preparer.join();
+    ASSERT_TRUE(queried.ok()) << queried.ToString();
+    ASSERT_TRUE(prepared.ok()) << prepared.ToString();
     ASSERT_TRUE(DescribeByName(engine).at(bname).prepared);
   }
   EXPECT_GT(overlapped, 0)

@@ -944,6 +944,31 @@ TEST(ProtocolTest, WindowBeyondIntIsRefused) {
   }
 }
 
+// A group that ranking pruned by its lower bound and that exhaustive
+// refinement then skips by the group-envelope bound is one pruned group,
+// counted once: groups_pruned_lb never exceeds groups_total, and the
+// cascade attribution identity still holds. The answer is unchanged by
+// the counting.
+TEST(ProtocolTest, ExhaustiveMatchCountsEachPrunedGroupOnce) {
+  Engine engine;
+  for (const char* setup :
+       {"GEN w walk num=6 len=24 seed=3", "PREPARE w st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  const json::Value v = ExecuteCommand(
+      &engine, *ParseCommandLine("MATCH w q=1:5:12 exhaustive=1"));
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
+  const json::Value& s = v["stats"];
+  EXPECT_EQ(s["groups_total"].as_number(), 110.0) << s.Dump();
+  EXPECT_LE(s["groups_pruned_lb"].as_number(), s["groups_total"].as_number())
+      << s.Dump();
+  EXPECT_DOUBLE_EQ(
+      s["pruned_kim"].as_number() + s["pruned_keogh"].as_number(),
+      s["groups_pruned_lb"].as_number() + s["members_pruned_lb"].as_number());
+}
+
 /// The exact wire bytes of the read verbs a dashboard serves, on fixed-seed
 /// GEN datasets: each response's text line verbatim, and its binary
 /// response frame (JSON body plus raw float64 section) as length and
