@@ -33,15 +33,17 @@
 ///   $ ./onex_cli 7700 "GEN demo sine num=8 len=32" "PREPARE demo st=0.15"
 ///   $ ./onex_cli 7700 "MATCH demo q=0:4:16"
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "onex/common/logging.h"
+#include "onex/common/string_utils.h"
 #include "onex/engine/engine.h"
 #include "onex/net/cluster.h"
 #include "onex/net/reactor.h"
@@ -49,6 +51,29 @@
 namespace {
 std::atomic<bool> g_stop{false};
 void HandleSignal(int) { g_stop.store(true); }
+
+constexpr char kUsage[] =
+    "usage: onexd [port] [--data-dir=DIR] [--checkpoint-every=N] "
+    "[--no-fsync] [--budget=BYTES] [--cluster-nodes=h:p,...] "
+    "[--cluster-self=N]\n";
+
+/// Parses `text` as a whole decimal integer in [lo, hi] into `*out`. On bad
+/// input prints what was wrong and the usage line, and returns false (the
+/// caller exits 2).
+bool ParseFlag(const char* what, std::string_view text, long long lo,
+               long long hi, long long* out) {
+  const onex::Result<long long> value = onex::ParseInt(text);
+  if (!value.ok() || *value < lo || *value > hi) {
+    std::fprintf(stderr,
+                 "onexd: %s must be an integer in [%lld, %lld], got "
+                 "'%.*s'\n%s",
+                 what, lo, hi, static_cast<int>(text.size()), text.data(),
+                 kUsage);
+    return false;
+  }
+  *out = *value;
+  return true;
+}
 
 std::vector<std::string> SplitCsv(const std::string& csv) {
   std::vector<std::string> out;
@@ -76,39 +101,38 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    long long value = 0;
     if (arg.rfind("--data-dir=", 0) == 0) {
       durability.dir = arg.substr(std::strlen("--data-dir="));
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      const long long every =
-          std::atoll(arg.c_str() + std::strlen("--checkpoint-every="));
-      if (every < 0) {
-        std::fprintf(stderr, "onexd: --checkpoint-every must be >= 0\n");
+      if (!ParseFlag("--checkpoint-every",
+                     arg.substr(std::strlen("--checkpoint-every=")), 0,
+                     LLONG_MAX, &value)) {
         return 2;
       }
-      durability.checkpoint_every = static_cast<std::uint64_t>(every);
+      durability.checkpoint_every = static_cast<std::uint64_t>(value);
     } else if (arg == "--no-fsync") {
       durability.fsync = false;
     } else if (arg.rfind("--budget=", 0) == 0) {
-      const long long bytes = std::atoll(arg.c_str() + std::strlen("--budget="));
-      if (bytes < 0) {
-        std::fprintf(stderr, "onexd: --budget must be >= 0 bytes\n");
+      if (!ParseFlag("--budget", arg.substr(std::strlen("--budget=")), 0,
+                     LLONG_MAX, &value)) {
         return 2;
       }
-      registry_options.prepared_budget_bytes =
-          static_cast<std::size_t>(bytes);
+      registry_options.prepared_budget_bytes = static_cast<std::size_t>(value);
     } else if (arg.rfind("--cluster-nodes=", 0) == 0) {
       cluster_nodes = SplitCsv(arg.substr(std::strlen("--cluster-nodes=")));
     } else if (arg.rfind("--cluster-self=", 0) == 0) {
-      cluster_self = std::atoll(arg.c_str() + std::strlen("--cluster-self="));
+      if (!ParseFlag("--cluster-self",
+                     arg.substr(std::strlen("--cluster-self=")), 0, LLONG_MAX,
+                     &cluster_self)) {
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] != '-') {
-      port = static_cast<std::uint16_t>(std::atoi(arg.c_str()));
+      if (!ParseFlag("port", arg, 0, 65535, &value)) return 2;
+      port = static_cast<std::uint16_t>(value);
     } else {
-      std::fprintf(stderr,
-                   "onexd: unknown flag '%s'\nusage: onexd [port] "
-                   "[--data-dir=DIR] [--checkpoint-every=N] [--no-fsync] "
-                   "[--budget=BYTES] "
-                   "[--cluster-nodes=h:p,...] [--cluster-self=N]\n",
-                   arg.c_str());
+      std::fprintf(stderr, "onexd: unknown flag '%s'\n%s", arg.c_str(),
+                   kUsage);
       return 2;
     }
   }
@@ -153,7 +177,13 @@ int main(int argc, char** argv) {
         cluster_nodes[static_cast<std::size_t>(cluster_self)];
     const std::size_t colon = self.rfind(':');
     if (colon != std::string::npos) {
-      port = static_cast<std::uint16_t>(std::atoi(self.c_str() + colon + 1));
+      long long value = 0;
+      if (!ParseFlag("the port in --cluster-nodes",
+                     std::string_view(self).substr(colon + 1), 0, 65535,
+                     &value)) {
+        return 2;
+      }
+      port = static_cast<std::uint16_t>(value);
     }
   }
 

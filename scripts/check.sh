@@ -47,6 +47,15 @@ status=0
 timeout 10 ./onexd 0 --budget=1 >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "onexd accepted --budget without --data-dir"; exit 1; }
 
+# Numeric flags are parsed whole and range-checked: an out-of-range port or
+# a non-numeric value is a usage error (exit 2), never a silent default.
+for bad in "70000" "0 --checkpoint-every=abc" "--cluster-self=x"; do
+  status=0
+  # shellcheck disable=SC2086  # $bad is a list of arguments
+  timeout 10 ./onexd $bad >/dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || { echo "onexd accepted '$bad' (exit $status)"; exit 1; }
+done
+
 ./onexd --cluster-nodes="$CLUSTER_NODES" --cluster-self=0 \
   --data-dir="$CLUSTER_ROOT/n0" --no-fsync >/dev/null 2>&1 &
 N0=$!

@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <system_error>
@@ -32,13 +32,6 @@ struct SlotJournal {
   std::string dir;       ///< Slot directory under the registry data dir.
   std::string wal_path;  ///< dir + "/wal".
   std::optional<WalWriter> writer;
-  /// A replay floor (load record or checkpoint) is durable: only then may
-  /// mutation records be appended — a record with nothing before it would
-  /// make the log unreplayable. False only transiently, while a prepared
-  /// slot's bootstrap checkpoint is being written (Recover phase 2 /
-  /// prepared Adopt); installs in that window skip journaling and the
-  /// checkpoint's conditional capture folds them in.
-  std::atomic<bool> has_floor{false};
   std::atomic<std::uint64_t> last_seq{0};
   std::atomic<std::uint64_t> records_since_ckpt{0};
   std::atomic<std::uint64_t> last_ckpt_seq{0};
@@ -275,21 +268,16 @@ Status DatasetRegistry::Adopt(const std::string& name,
     }
   }
   TouchLocked(slot.get());
-  // Serialized against Recover: a slot is either fully born before the
-  // recovery snapshots the map (and is bootstrapped), or born after it
-  // (and sees durable_ decided) — never in between, where it could dodge
-  // journaling forever.
+  // Serialized against Recover: a slot is born either before it (and the
+  // non-empty registry refuses the enable) or after it, journaled — never
+  // in between, where it could dodge journaling forever.
   std::lock_guard<std::mutex> recover_lock(recover_mutex_);
   if (durable_.load()) {
     // Slot birth is a durable event, and the whole birth happens BEFORE
-    // the slot becomes findable: an unprepared slot journals its raw
-    // dataset as the first record; a prepared adopt (LOADBASE) writes its
-    // bootstrap checkpoint — the replay floor — while still unpublished.
-    // A concurrent Append/Extend therefore can never install into a
-    // journal that has no floor, and a failure here leaves nothing
-    // visible and no acknowledged write behind. The cheap map pre-check
-    // keeps the common collision an AlreadyExists; a racing double-adopt
-    // is serialized by the journal directory creation itself.
+    // the slot becomes findable, so a failure here leaves nothing visible
+    // and no acknowledged write behind. The cheap map pre-check keeps the
+    // common collision an AlreadyExists; a racing double-adopt is
+    // serialized by the journal directory creation itself.
     {
       std::lock_guard<std::mutex> lock(map_mutex_);
       if (slots_.contains(name)) {
@@ -297,21 +285,7 @@ Status DatasetRegistry::Adopt(const std::string& name,
                                      "' is already loaded");
       }
     }
-    const bool prepared = slot->snapshot->prepared();
-    Status s = CreateSlotJournal(name, slot, /*load_record=*/!prepared);
-    if (s.ok() && prepared) s = RunCheckpoint(name, slot, nullptr);
-    if (!s.ok()) {
-      std::string journal_dir;
-      {
-        std::shared_lock<std::shared_mutex> lock(slot->mutex);
-        if (slot->journal != nullptr) journal_dir = slot->journal->dir;
-      }
-      if (!journal_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(journal_dir, ec);
-      }
-      return s;
-    }
+    ONEX_RETURN_IF_ERROR(CreateSlotJournal(name, slot, nullptr));
   }
   {
     std::lock_guard<std::mutex> lock(map_mutex_);
@@ -331,20 +305,7 @@ Status DatasetRegistry::Adopt(const std::string& name,
   return Status::OK();
 }
 
-Result<bool> DatasetRegistry::Replace(
-    const std::string& name, std::shared_ptr<const PreparedDataset> snapshot,
-    const PreparedDataset* expected, WalRecord* record) {
-  if (snapshot == nullptr || snapshot->raw == nullptr) {
-    return Status::InvalidArgument("cannot install an empty snapshot");
-  }
-  ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
-  return Install(slot, name, std::move(snapshot), expected, record);
-}
-
 Status DatasetRegistry::Drop(const std::string& name) {
-  // Serialized against Recover like Adopt: a slot must not die between
-  // the bootstrap's map snapshot and its journal creation.
-  std::lock_guard<std::mutex> recover_lock(recover_mutex_);
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
   std::string journal_dir;
   {
@@ -443,38 +404,50 @@ Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::GetPrepared(
   return slot->snapshot;
 }
 
-Status DatasetRegistry::Prepare(const std::string& name,
-                                const BaseBuildOptions& options,
-                                NormalizationKind normalization) {
+Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::Update(
+    const std::string& name, const UpdateFn& build) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
+  return Update(slot, name, build);
+}
+
+Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::Update(
+    const std::shared_ptr<Slot>& slot, const std::string& name,
+    const UpdateFn& build) {
   while (true) {
     std::shared_ptr<const PreparedDataset> current;
     {
       std::shared_lock<std::shared_mutex> lock(slot->mutex);
       current = slot->snapshot;
     }
-
-    // The expensive part — normalization and grouping — runs with no lock
-    // held, so every query (including queries on this dataset, served from
-    // the old snapshot) proceeds while the new base builds. The install is
-    // conditional: an AppendSeries that landed while we built carries data
-    // this build has not seen, so on a lost race we rebuild from the newer
-    // snapshot instead of clobbering it.
-    ONEX_ASSIGN_OR_RETURN(
-        std::shared_ptr<const PreparedDataset> next,
-        BuildSnapshot(current, options, normalization));
-    WalRecord record = WalPrepareRecord(options, normalization);
-    ONEX_ASSIGN_OR_RETURN(
-        bool installed,
-        Install(slot, name, std::move(next), current.get(), &record));
-    if (installed) return Status::OK();
+    // The expensive build runs with no lock held, so every query (including
+    // queries on this dataset, served from `current`) proceeds meanwhile.
+    // A writer that landed in between carries data this build has not
+    // seen, so the install is conditional and a lost race builds again
+    // from the newer snapshot instead of clobbering it.
+    WalRecord record;
+    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> next,
+                          build(current, &record));
+    ONEX_ASSIGN_OR_RETURN(bool installed,
+                          Install(slot, name, next, *current, &record));
+    if (installed) return next;
   }
+}
+
+Status DatasetRegistry::Prepare(const std::string& name,
+                                const BaseBuildOptions& options,
+                                NormalizationKind normalization) {
+  auto build = [&](const std::shared_ptr<const PreparedDataset>& current,
+                   WalRecord* record) {
+    *record = WalPrepareRecord(options, normalization);
+    return BuildSnapshot(current, options, normalization);
+  };
+  return Update(name, build).status();
 }
 
 Result<bool> DatasetRegistry::Install(
     const std::shared_ptr<Slot>& slot, const std::string& name,
     std::shared_ptr<const PreparedDataset> snapshot,
-    const PreparedDataset* expected, WalRecord* record, bool replicated) {
+    const PreparedDataset& expected, WalRecord* record, bool replicated) {
   // A mapped snapshot costs page cache, not budgeted heap: base_bytes stays
   // 0 (also excluding it from the LRU victim set) and its arena size goes
   // into the separate mapped-bytes gauge. Writers produce owned snapshots
@@ -487,18 +460,10 @@ Result<bool> DatasetRegistry::Install(
   const std::size_t new_mapped = is_mapped ? snapshot->arena->size() : 0;
   {
     std::unique_lock<std::shared_mutex> lock(slot->mutex);
-    if (expected != nullptr && slot->snapshot.get() != expected) {
+    if (slot->snapshot.get() != &expected) {
       return false;  // lost the race; the caller re-evaluates
     }
-    if (slot->journal != nullptr && slot->journal->has_floor.load()) {
-      // The attached journal — not the registry-wide flag — is the
-      // authority, decided under the same lock that makes the swap
-      // visible. A caller that brought no record raced PERSIST enabling
-      // durability between its (unlocked) durable() read and this install:
-      // report a lost race so its conditional-install loop re-reads the
-      // flag and journals on the retry — never acknowledge an unjournaled
-      // write on a journaled slot.
-      if (record == nullptr) return false;
+    if (slot->journal != nullptr) {
       // Write-ahead: the record becomes durable before the swap is
       // visible, under the same lock, so WAL order always equals install
       // order. A journal failure aborts the install — the caller sees the
@@ -535,7 +500,7 @@ Result<bool> DatasetRegistry::Install(
     // orphan unaccounted — it dies with the last reference.
   }
   EvictOverBudget(slot.get());
-  if (record != nullptr && !replicated) MaybeScheduleCheckpoint(name, slot);
+  if (!replicated) MaybeScheduleCheckpoint(name, slot);
   return true;
 }
 
@@ -572,8 +537,7 @@ void DatasetRegistry::EvictOverBudget(const Slot* keep) {
       std::shared_lock<std::shared_mutex> lock(victim->mutex);
       journal = victim->journal;
     }
-    if (journal != nullptr && (!journal->has_floor.load() ||
-                               journal->records_since_ckpt.load() != 0)) {
+    if (journal != nullptr && journal->records_since_ckpt.load() != 0) {
       // Fold a dirty WAL into a fresh checkpoint first, with no lock held —
       // the encode and write cover the whole arena. A checkpoint already in
       // flight, or a failed one, keeps the victim resident: over budget
@@ -606,8 +570,7 @@ bool DatasetRegistry::DowngradeLocked(const std::string& name,
   // The arena on disk is current only when a checkpoint covers every
   // journaled record; the file then decodes to exactly the snapshot the
   // slot holds, so the swap changes no answer bits.
-  if (journal == nullptr || !journal->has_floor.load() ||
-      journal->records_since_ckpt.load() != 0) {
+  if (journal == nullptr || journal->records_since_ckpt.load() != 0) {
     return false;
   }
   Result<PreparedDataset> mapped = MapCheckpointFile(
@@ -769,32 +732,21 @@ PrepareTicket DatasetRegistry::ScheduleRegroup(
 Status DatasetRegistry::RunRegroup(const std::string& name,
                                    const std::shared_ptr<Slot>& slot,
                                    const std::vector<std::size_t>& lengths) {
-  while (true) {
-    std::shared_ptr<const PreparedDataset> current;
-    {
-      std::shared_lock<std::shared_mutex> lock(slot->mutex);
-      current = slot->snapshot;
-    }
-    // The expensive re-clustering runs with no lock held; concurrent
-    // queries keep answering from `current`. The install is conditional: an
-    // extend/append/prepare that landed while we rebuilt carries data this
-    // regroup has not seen, so on a lost race we re-read and go again.
-    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> next,
-                          ApplyRegroup(*current, lengths));
-    WalRecord record = WalRegroupRecord(lengths);
-    ONEX_ASSIGN_OR_RETURN(bool installed,
-                          Install(slot, name, next, current.get(), &record));
-    if (installed) {
-      // Refresh the drift the dashboard sees: the regrouped classes are the
-      // ones whose number just changed.
-      double max_fraction = 0.0;
-      for (const LengthClassDrift& d : ComputeDrift(*next->base)) {
-        max_fraction = std::max(max_fraction, d.fraction());
-      }
-      slot->last_max_drift.store(max_fraction);
-      return Status::OK();
-    }
+  auto build = [&](const std::shared_ptr<const PreparedDataset>& current,
+                   WalRecord* record) {
+    *record = WalRegroupRecord(lengths);
+    return ApplyRegroup(*current, lengths);
+  };
+  ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> installed,
+                        Update(slot, name, build));
+  // Refresh the drift the dashboard sees: the regrouped classes are the
+  // ones whose number just changed.
+  double max_fraction = 0.0;
+  for (const LengthClassDrift& d : ComputeDrift(*installed->base)) {
+    max_fraction = std::max(max_fraction, d.fraction());
   }
+  slot->last_max_drift.store(max_fraction);
+  return Status::OK();
 }
 
 // --- Durability ------------------------------------------------------------
@@ -805,7 +757,7 @@ std::string DatasetRegistry::data_dir() const {
 
 Status DatasetRegistry::CreateSlotJournal(const std::string& name,
                                           const std::shared_ptr<Slot>& slot,
-                                          bool load_record) {
+                                          const WalRecord* replicated) {
   auto journal = std::make_shared<SlotJournal>();
   journal->dir = durability_.dir + "/" + SlotDirName(name);
   journal->wal_path = journal->dir + "/wal";
@@ -826,32 +778,27 @@ Status DatasetRegistry::CreateSlotJournal(const std::string& name,
     if (durability_.fsync) {
       ONEX_RETURN_IF_ERROR(SyncDir(journal->dir));
     }
-    // Snapshot capture, load-record append and journal attach are one
-    // exclusive critical section: an install cannot land between the
-    // snapshot this record freezes and the moment later installs start
-    // journaling, so no acknowledged write can fall into the gap (the
-    // PERSIST-mid-session bootstrap races live writers).
-    std::unique_lock<std::shared_mutex> lock(slot->mutex);
-    if (load_record) {
+    // The slot is not published yet, so nothing races these writes.
+    slot->journal = journal;
+    if (slot->snapshot->prepared()) return RunCheckpoint(name, slot, nullptr);
+    if (replicated != nullptr) {
+      ONEX_RETURN_IF_ERROR(journal->writer->AppendAt(*replicated));
+      journal->last_seq.store(replicated->seq);
+    } else {
       WalRecord record = WalLoadRecord(*slot->snapshot->raw);
       ONEX_RETURN_IF_ERROR(journal->writer->Append(&record));
       journal->last_seq.store(record.seq);
-      journal->records_since_ckpt.store(1);
-      journal->has_floor.store(true);
       if (auto sink = CurrentSink()) {
         (*sink)(name, record, EncodeWalRecord(record));
       }
     }
-    // Without a load record the floor arrives with the caller's bootstrap
-    // checkpoint; until then installs skip journaling.
-    slot->journal = std::move(journal);
+    journal->records_since_ckpt.store(1);
     return Status::OK();
   }();
   if (!status.ok()) {
-    if (journal != nullptr) {
-      journal->writer.reset();  // close the wal handle before removing
-      std::filesystem::remove_all(journal->dir, ec);
-    }
+    slot->journal = nullptr;
+    journal->writer.reset();  // close the wal handle before removing
+    std::filesystem::remove_all(journal->dir, ec);
     return status;
   }
   return Status::OK();
@@ -860,8 +807,7 @@ Status DatasetRegistry::CreateSlotJournal(const std::string& name,
 Status DatasetRegistry::RunCheckpoint(const std::string& name,
                                       const std::shared_ptr<Slot>& slot,
                                       CheckpointInfo* info) {
-  // Gate on the slot's journal, not the registry flag: the bootstrap
-  // checkpoints of Recover's phase 2 run before the flag arms.
+  // Gate on the slot's journal: a memory-only registry has none.
   std::shared_ptr<SlotJournal> journal;
   {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
@@ -944,7 +890,6 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
     journal->records_since_ckpt.store(0);
     journal->last_ckpt_seq.store(state_seq);
     journal->checkpoints_completed.fetch_add(1);
-    journal->has_floor.store(true);  // the checkpoint IS the replay floor
     if (info != nullptr) {
       info->state_seq = state_seq;
       std::error_code ec;
@@ -1057,7 +1002,6 @@ DatasetRegistry::RecoverSlotDir(const std::string& dir_path) {
       WalWriter writer,
       WalWriter::OpenExisting(wal_path, rs.last_seq + 1, durability_.fsync));
   journal->writer.emplace(std::move(writer));
-  journal->has_floor.store(true);  // a replayed log has one by construction
   journal->last_seq.store(rs.last_seq);
   journal->records_since_ckpt.store(rs.records_since_ckpt);
   journal->last_ckpt_seq.store(rs.last_ckpt_seq);
@@ -1074,12 +1018,22 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("durability needs a data directory");
   }
-  // One enabler at a time: two concurrent PERSIST frames must not race the
-  // durability_ write or double-replay the same directories.
+  // One enabler at a time, serialized against slot births: two concurrent
+  // PERSIST frames must not race the durability_ write or double-replay
+  // the same directories, and no slot can be born while this runs.
   std::lock_guard<std::mutex> recover_lock(recover_mutex_);
   if (durable_.load()) {
     return Status::FailedPrecondition(
         "durability is already enabled (dir '" + durability_.dir + "')");
+  }
+  {
+    // Durability is a property a slot has from birth (DESIGN.md §13): a
+    // slot that exists already would hold writes its journal never saw.
+    std::lock_guard<std::mutex> lock(map_mutex_);
+    if (!slots_.empty()) {
+      return Status::FailedPrecondition(
+          "durability must be enabled before the first dataset is loaded");
+    }
   }
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
@@ -1089,10 +1043,10 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
   }
   durability_ = options;
 
-  // Phase 1: replay every slot directory found on disk into local slots.
-  // Nothing is registered and journaling stays off until every directory
-  // replayed cleanly, so a failed recovery leaves the registry exactly as
-  // it was — fix the disk and simply retry.
+  // Replay every slot directory found on disk into local slots. Nothing is
+  // registered until every directory replayed cleanly, so a failed
+  // recovery leaves the registry empty and memory-only — fix the disk and
+  // simply retry.
   std::vector<std::string> dirs;
   for (const auto& entry :
        std::filesystem::directory_iterator(options.dir, ec)) {
@@ -1103,21 +1057,7 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
                            "': " + ec.message());
   }
   std::sort(dirs.begin(), dirs.end());
-  // Directories already owned by live slots' journals are not crash state
-  // to replay — they are this process's own bootstraps from an earlier
-  // (partially failed) enable attempt; phase 2 skips those slots, so the
-  // retry converges instead of colliding with itself. Safe to read
-  // journal pointers without slot locks: every attach happened-before the
-  // slot became reachable here (Adopt attaches pre-insert; bootstraps run
-  // under recover_mutex_, which we hold).
-  std::set<std::string> owned_dirs;
-  {
-    std::lock_guard<std::mutex> lock(map_mutex_);
-    for (const auto& [slot_name, slot] : slots_) {
-      if (slot->journal != nullptr) owned_dirs.insert(slot->journal->dir);
-    }
-  }
-  std::vector<std::pair<std::string, std::shared_ptr<Slot>>> recovered;
+  std::map<std::string, std::shared_ptr<Slot>> recovered;
   for (const std::string& dir : dirs) {
     if (std::filesystem::path(dir).filename().string().find(".dropped-") !=
         std::string::npos) {
@@ -1126,78 +1066,22 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
       std::filesystem::remove_all(dir, ec);
       continue;
     }
-    if (owned_dirs.contains(dir)) continue;
     if (!std::filesystem::exists(dir + "/wal")) continue;
     ONEX_ASSIGN_OR_RETURN(auto entry, RecoverSlotDir(dir));
-    if (entry.second != nullptr) recovered.push_back(std::move(entry));
-  }
-  {
-    // All-or-nothing collision check before anything becomes visible.
-    std::lock_guard<std::mutex> lock(map_mutex_);
-    for (const auto& [name, slot] : recovered) {
-      if (slots_.contains(name)) {
-        return Status::AlreadyExists("recovered dataset '" + name +
-                                     "' collides with a loaded slot");
-      }
+    if (entry.second == nullptr) continue;
+    if (!recovered.emplace(entry.first, std::move(entry.second)).second) {
+      return Status::ParseError("two slot directories under '" +
+                                options.dir + "' hold dataset '" +
+                                entry.first + "'");
     }
   }
 
-  // Phase 2: bootstrap slots loaded before durability was enabled (the
-  // PERSIST-mid-session path) — while durable_ is still FALSE, so a
-  // failure here leaves the registry retryable (durability never half-on:
-  // Install journals by journal presence, not by the flag, so the slots
-  // bootstrapped before the failure journal their writes consistently
-  // either way). Adopt and Drop serialize on recover_mutex_, so no slot
-  // can be born or die around this loop's snapshot of the map.
-  std::vector<std::pair<std::string, std::shared_ptr<Slot>>> entries;
+  // Everything fallible succeeded: publish the recovered slots and arm the
+  // flag that makes new Adopts journal.
   {
     std::lock_guard<std::mutex> lock(map_mutex_);
-    entries.assign(slots_.begin(), slots_.end());
-  }
-  for (const auto& [name, slot] : entries) {
-    bool prepared;
-    {
-      std::shared_lock<std::shared_mutex> lock(slot->mutex);
-      if (slot->journal != nullptr) continue;  // an earlier failed attempt
-      prepared = slot->snapshot->prepared();
-    }
-    ONEX_RETURN_IF_ERROR(CreateSlotJournal(name, slot, !prepared));
-    if (prepared) {
-      if (Status s = RunCheckpoint(name, slot, nullptr); !s.ok()) {
-        // Undo this slot's half-bootstrap so a retry starts clean. Nothing
-        // is lost: without a replay floor the journal accepted no records,
-        // so detaching it and removing the directory forgets nothing that
-        // was ever promised durable.
-        std::string journal_dir;
-        {
-          std::unique_lock<std::shared_mutex> lock(slot->mutex);
-          if (slot->journal != nullptr) {
-            journal_dir = slot->journal->dir;
-            slot->journal->writer.reset();
-            slot->journal = nullptr;
-          }
-        }
-        if (!journal_dir.empty()) {
-          std::filesystem::remove_all(journal_dir, ec);
-        }
-        return s;
-      }
-    }
-  }
-
-  // Phase 3: everything fallible succeeded — publish the recovered slots
-  // and arm the flag that makes new Adopts journal.
-  {
-    std::lock_guard<std::mutex> lock(map_mutex_);
-    for (auto& [name, slot] : recovered) {
-      const auto [it, inserted] = slots_.emplace(name, slot);
-      (void)it;
-      if (!inserted) {
-        // Unreachable while Adopt holds recover_mutex_, kept as a guard:
-        // leave the directory untouched on disk and surface the conflict.
-        return Status::AlreadyExists("recovered dataset '" + name +
-                                     "' collides with a loaded slot");
-      }
+    slots_ = std::move(recovered);
+    for (const auto& [name, slot] : slots_) {
       total_bytes_ += slot->base_bytes.load();
       total_mapped_bytes_ += slot->mapped_bytes.load();
     }
@@ -1287,28 +1171,7 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
                                      "' is already loaded");
       }
     }
-    ONEX_RETURN_IF_ERROR(
-        CreateSlotJournal(name, fresh, /*load_record=*/false));
-    Status journaled = [&]() -> Status {
-      std::unique_lock<std::shared_mutex> lock(fresh->mutex);
-      ONEX_RETURN_IF_ERROR(fresh->journal->writer->AppendAt(record));
-      fresh->journal->last_seq.store(record.seq);
-      fresh->journal->records_since_ckpt.store(1);
-      fresh->journal->has_floor.store(true);
-      return Status::OK();
-    }();
-    if (!journaled.ok()) {
-      std::string journal_dir;
-      {
-        std::shared_lock<std::shared_mutex> lock(fresh->mutex);
-        if (fresh->journal != nullptr) journal_dir = fresh->journal->dir;
-      }
-      if (!journal_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(journal_dir, ec);
-      }
-      return journaled;
-    }
+    ONEX_RETURN_IF_ERROR(CreateSlotJournal(name, fresh, &record));
     std::lock_guard<std::mutex> lock(map_mutex_);
     slots_.emplace(name, std::move(fresh));
     return Status::OK();
@@ -1326,9 +1189,9 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
     journal = slot->journal;
     current = slot->snapshot;
   }
-  if (journal == nullptr || !journal->has_floor.load()) {
+  if (journal == nullptr) {
     return Status::FailedPrecondition(
-        "dataset '" + name + "' has no journal floor to replicate onto");
+        "dataset '" + name + "' has no journal to replicate onto");
   }
   slot->replicated.store(true);
   const std::uint64_t floor = journal->last_seq.load();
@@ -1346,7 +1209,7 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
   WalRecord copy = record;
   ONEX_ASSIGN_OR_RETURN(
       const bool installed,
-      Install(slot, name, std::move(next), current.get(), &copy,
+      Install(slot, name, std::move(next), *current, &copy,
               /*replicated=*/true));
   if (!installed) {
     return Status::FailedPrecondition(

@@ -160,11 +160,12 @@ struct MaintenanceStatus {
 ///     by Engine::ExtendSeries and a drift-triggered background regroup
 ///     (RegroupAsync / MaybeScheduleRegroup) that rebuilds just the drifted
 ///     length classes and installs conditionally like every other writer;
-///   - optional durability (DESIGN.md §13): once Recover() has run, every
-///     acknowledged mutation is journaled write-ahead into a per-slot
-///     versioned WAL, checkpoints fold the log into ONEXARENA files, and
-///     the next Recover() reconstructs every slot bit-identically to the
-///     pre-crash in-memory state.
+///   - optional durability (DESIGN.md §13), a property a slot has from
+///     birth or never: Recover() runs on an empty registry, and from then
+///     on every acknowledged mutation is journaled write-ahead into a
+///     per-slot versioned WAL, checkpoints fold the log into ONEXARENA
+///     files, and the next Recover() reconstructs every slot
+///     bit-identically to the pre-crash in-memory state.
 ///
 /// Lock order: a slot lock may be taken while no registry lock is held, and
 /// the registry map lock may be taken while holding one slot lock — never
@@ -191,23 +192,26 @@ class DatasetRegistry {
   Status Adopt(const std::string& name,
                std::shared_ptr<const PreparedDataset> snapshot);
 
-  /// Atomically replaces `name`'s snapshot (the engine's append/extend
-  /// path). Readers holding the old snapshot keep it; accounting and the
-  /// LRU policy see the new one. With `expected` non-null the swap is
-  /// conditional on the slot still holding `expected`; returns whether the
-  /// swap happened (always true when unconditional), so callers can
-  /// rebuild-and-retry instead of clobbering a concurrent writer. With
-  /// `record` non-null and the slot journaled, the record is journaled
-  /// write-ahead — under the same slot lock, before the swap is visible —
-  /// so WAL order always equals install order; a journal failure fails the
-  /// whole call and nothing is installed. A null `record` on a journaled
-  /// slot reports a lost race (false): the caller observed durability off
-  /// before PERSIST armed it, and must retry with a record — an
-  /// acknowledged write is never left out of the log.
-  Result<bool> Replace(const std::string& name,
-                       std::shared_ptr<const PreparedDataset> snapshot,
-                       const PreparedDataset* expected = nullptr,
-                       WalRecord* record = nullptr);
+  /// One attempt of a write (see Update): given the slot's current
+  /// snapshot, returns the snapshot that replaces it and fills `*record`
+  /// with the WAL record that reproduces the step from `current`.
+  using UpdateFn =
+      std::function<Result<std::shared_ptr<const PreparedDataset>>(
+          const std::shared_ptr<const PreparedDataset>& current,
+          WalRecord* record)>;
+
+  /// The one write path of every mutation that rebuilds a snapshot
+  /// (Prepare, regroups, the engine's append and extend): reads `name`'s
+  /// snapshot, runs `build` on it with no lock held, and installs the
+  /// result conditionally on the slot still holding the snapshot it was
+  /// built from. On a lost race against a concurrent writer it reads the
+  /// newer snapshot and builds again, so no acknowledged write is ever
+  /// clobbered. On a journaled slot the record is journaled write-ahead
+  /// under the lock that makes the swap visible, so WAL order equals
+  /// install order; a journal failure fails the call with nothing
+  /// installed. Returns the installed snapshot.
+  Result<std::shared_ptr<const PreparedDataset>> Update(const std::string& name,
+                                                        const UpdateFn& build);
 
   Status Drop(const std::string& name);
   std::vector<std::string> List() const;
@@ -293,9 +297,10 @@ class DatasetRegistry {
 
   /// Opens `options.dir`, replays every slot directory found there
   /// (checkpoint file + WAL tail, through the same snapshot writers the
-  /// live paths use), bootstraps journals for slots loaded before this
-  /// call, and arms write-ahead journaling for everything after. Call once,
-  /// before serving traffic; FailedPrecondition on a second call. A torn
+  /// live paths use), and arms write-ahead journaling for every slot born
+  /// after. Call once, before the first dataset is loaded:
+  /// FailedPrecondition on a second call or while any slot exists, with
+  /// the registry and the directory left untouched. A torn
   /// WAL tail (crash mid-append) is truncated and recovered past — that
   /// write was never acknowledged; any other corruption (mid-log checksum
   /// failure, duplicated tail, damaged checkpoint) is a structured error
@@ -381,15 +386,19 @@ class DatasetRegistry {
   Result<std::shared_ptr<Slot>> FindSlot(const std::string& name) const;
   void TouchLocked(Slot* slot) const;
 
-  /// Swaps `snapshot` into `slot` (exclusive lock), journaling `record`
-  /// write-ahead when durability is on, updates the byte accounting —
-  /// skipping it if the slot was dropped from the map while an async job
-  /// built the snapshot — and evicts LRU victims over budget. With
-  /// `expected` non-null the swap is conditional: it only happens if the
-  /// slot still holds `expected` (returns false otherwise), which is how
-  /// a Prepare or regroup avoids clobbering a writer that landed while it
-  /// was building. A journal failure is an error: nothing
-  /// was installed and the slot's WAL is latched read-only. With
+  /// Update on a slot the caller already holds (a background job keeps the
+  /// slot it was scheduled for, even if the name is dropped meanwhile).
+  Result<std::shared_ptr<const PreparedDataset>> Update(
+      const std::shared_ptr<Slot>& slot, const std::string& name,
+      const UpdateFn& build);
+
+  /// Swaps `snapshot` into `slot` (exclusive lock) if the slot still holds
+  /// `expected` (returns false otherwise: a writer landed while the caller
+  /// built), journaling `record` (required) write-ahead when the slot is
+  /// journaled, updates the byte accounting — skipping it if the slot was
+  /// dropped from the map while the snapshot built — and evicts LRU
+  /// victims over budget. A journal failure is an error: nothing was
+  /// installed and the slot's WAL is latched read-only. With
   /// `replicated` the record keeps its primary-assigned seq (AppendAt), the
   /// WAL sink stays silent (replicas relay nothing) and no background
   /// checkpoint is scheduled (a rotation would truncate the history a
@@ -397,8 +406,8 @@ class DatasetRegistry {
   Result<bool> Install(const std::shared_ptr<Slot>& slot,
                        const std::string& name,
                        std::shared_ptr<const PreparedDataset> snapshot,
-                       const PreparedDataset* expected = nullptr,
-                       WalRecord* record = nullptr, bool replicated = false);
+                       const PreparedDataset& expected, WalRecord* record,
+                       bool replicated = false);
 
   /// Evicts least-recently-used prepared bases until the total fits the
   /// budget. `keep` (may be null) is never evicted — it is the slot whose
@@ -414,7 +423,7 @@ class DatasetRegistry {
   /// from the resident to the mapped gauge. Caller holds the slot's
   /// exclusive lock (NOT map_mutex_ — the map+parse does file I/O). Returns
   /// false, leaving the slot untouched, when it is pinned, not resident,
-  /// has no journal floor or a dirty WAL, or the map/parse failed.
+  /// has no journal or a dirty WAL, or the map/parse failed.
   bool DowngradeLocked(const std::string& name,
                        const std::shared_ptr<Slot>& slot);
 
@@ -424,17 +433,21 @@ class DatasetRegistry {
                                 std::shared_ptr<Slot> slot,
                                 std::vector<std::size_t> lengths);
 
-  /// Runs a scheduled regroup to completion: conditional-install retry loop
-  /// plus the slot's maintenance accounting.
+  /// Runs a scheduled regroup to completion through Update, plus the
+  /// slot's maintenance accounting.
   Status RunRegroup(const std::string& name, const std::shared_ptr<Slot>& slot,
                     const std::vector<std::size_t>& lengths);
 
-  /// Creates `name`'s journal directory and WAL. With `load_record` the
-  /// slot's raw dataset is journaled as the first record (the Load path);
-  /// prepared slots checkpoint instead (the Adopt/bootstrap path).
+  /// Gives a slot that is not yet published its journal: creates `name`'s
+  /// journal directory and WAL and writes the replay floor before the
+  /// slot can be found, so a published journaled slot always has one. The
+  /// floor is a checkpoint for a prepared snapshot (LOADBASE), the
+  /// primary's load record at its own seq for `replicated` (a replica's
+  /// slot birth), and otherwise a fresh load record of the raw dataset.
+  /// On failure the directory is removed and the slot stays unjournaled.
   Status CreateSlotJournal(const std::string& name,
                            const std::shared_ptr<Slot>& slot,
-                           bool load_record);
+                           const WalRecord* replicated);
 
   /// The checkpoint procedure (see Checkpoint); runs the conditional
   /// capture-adopt-rotate loop.
@@ -474,7 +487,9 @@ class DatasetRegistry {
 
   std::atomic<bool> durable_{false};
   DurabilityOptions durability_;  ///< Written once by Recover.
-  std::mutex recover_mutex_;      ///< Serializes concurrent Recover calls.
+  /// Serializes Recover against slot births (Adopt, a replicated load):
+  /// Recover sees an empty registry and no slot is born while it runs.
+  std::mutex recover_mutex_;
 
   mutable std::mutex sink_mutex_;  ///< Guards wal_sink_.
   std::shared_ptr<const WalSink> wal_sink_;

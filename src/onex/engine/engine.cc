@@ -56,27 +56,14 @@ Status Engine::AppendSeries(const std::string& name, TimeSeries series) {
   if (series.length() < 2) {
     return Status::InvalidArgument("appended series needs >= 2 points");
   }
-  // Conditional-install loop: if another append or prepare swaps the slot
-  // while this one builds, rebuild from the newer snapshot instead of
-  // clobbering it (no acknowledged write may be lost). `series` is only
-  // read, never consumed, so retries reuse it. The transform itself lives
-  // in snapshot_ops.h, shared with WAL replay.
-  while (true) {
-    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> current,
-                          Get(name));
-    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> next,
-                          ApplyAppend(*current, series));
-
-    // The record always travels with the install; whether the slot is
-    // journaled is decided inside Install, under the slot lock — the only
-    // place the answer cannot go stale against a concurrent PERSIST.
-    WalRecord record = WalAppendRecord(series);
-    ONEX_ASSIGN_OR_RETURN(
-        bool installed,
-        registry_.Replace(name, std::move(next), current.get(), &record));
-    if (installed) return Status::OK();
-    // Lost the race; go again from the newer snapshot.
-  }
+  // `series` is only read, never consumed, so a retried build reuses it.
+  // The transform itself lives in snapshot_ops.h, shared with WAL replay.
+  auto build = [&](const std::shared_ptr<const PreparedDataset>& current,
+                   WalRecord* record) {
+    *record = WalAppendRecord(series);
+    return ApplyAppend(*current, series);
+  };
+  return registry_.Update(name, build).status();
 }
 
 Result<Engine::ExtendSummary> Engine::ExtendSeries(const std::string& name,
@@ -90,17 +77,15 @@ Result<Engine::ExtendSummary> Engine::ExtendSeries(const std::string& name,
 
 Result<Engine::ExtendSummary> Engine::ExtendSeries(
     const std::string& name, std::vector<ExtendSpec> extensions) {
-  // Conditional-install loop, like AppendSeries: if another writer swaps
-  // the slot while this one builds, rebuild from the newer snapshot instead
-  // of clobbering it. `extensions` is only read, so retries reuse it; the
-  // transform itself lives in snapshot_ops.h, shared with WAL replay.
-  while (true) {
-    ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> current,
-                          Get(name));
+  // `extensions` is only read, so a retried build reuses it. Each attempt
+  // overwrites `summary`, so after Update it describes the installed one.
+  ExtendSummary summary;
+  auto build = [&](const std::shared_ptr<const PreparedDataset>& current,
+                   WalRecord* record)
+      -> Result<std::shared_ptr<const PreparedDataset>> {
     ONEX_ASSIGN_OR_RETURN(ExtendOutcome outcome,
                           ApplyExtend(*current, extensions));
-
-    ExtendSummary summary;
+    summary = ExtendSummary{};
     summary.series_extended = outcome.series_extended;
     summary.points_appended = outcome.points_appended;
     summary.new_members = outcome.new_members;
@@ -108,21 +93,15 @@ Result<Engine::ExtendSummary> Engine::ExtendSeries(
     for (const LengthClassDrift& d : summary.drift) {
       summary.max_drift = std::max(summary.max_drift, d.fraction());
     }
-
-    // Record always attached; Install journals it iff the slot is
-    // journaled (see AppendSeries).
-    WalRecord record = WalExtendRecord(extensions);
-    ONEX_ASSIGN_OR_RETURN(
-        bool installed,
-        registry_.Replace(name, outcome.snapshot, current.get(), &record));
-    if (!installed) continue;  // lost the race; go again from the newer state
-
-    // The drift policy runs after the install so the regroup job sees (at
-    // least) the snapshot this extend produced.
-    summary.regroup = registry_.MaybeScheduleRegroup(name, summary.drift);
-    summary.regroup_scheduled = summary.regroup.valid();
-    return summary;
-  }
+    *record = WalExtendRecord(extensions);
+    return std::move(outcome.snapshot);
+  };
+  ONEX_RETURN_IF_ERROR(registry_.Update(name, build).status());
+  // The drift policy runs after the install so the regroup job sees (at
+  // least) the snapshot this extend produced.
+  summary.regroup = registry_.MaybeScheduleRegroup(name, summary.drift);
+  summary.regroup_scheduled = summary.regroup.valid();
+  return summary;
 }
 
 Status Engine::SavePrepared(const std::string& name,

@@ -59,9 +59,11 @@ class Engine {
   /// writers the live paths use, so the recovered state is bit-identical to
   /// the pre-crash memory image), journals every later acknowledged
   /// mutation write-ahead, and checkpoints in the background per
-  /// `options.checkpoint_every`. Call once, before serving traffic;
-  /// datasets loaded earlier in this process are bootstrapped into the
-  /// data dir. This is what `onexd --data-dir=` and the PERSIST verb call.
+  /// `options.checkpoint_every`. Call once, before the first dataset is
+  /// loaded: durability is a property a dataset has from birth, so with
+  /// any dataset present this is FailedPrecondition and the engine stays
+  /// memory-only. This is what `onexd --data-dir=` and the PERSIST verb
+  /// call.
   Status EnableDurability(const DurabilityOptions& options) {
     return registry_.Recover(options);
   }

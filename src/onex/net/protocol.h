@@ -72,12 +72,13 @@ namespace onex::net {
 ///   PERSIST [dir=<path>] [every=<records>] [fsync=0|1]
 ///       Durability control (DESIGN.md §13). With dir=, enables the
 ///       write-ahead journal rooted there: existing journals are recovered
-///       (replayed bit-identically), datasets loaded earlier in this
-///       process are bootstrapped in, and every later acknowledged
-///       mutation is journaled before it is acknowledged. every= sets the
+///       (replayed bit-identically) and every later acknowledged mutation
+///       is journaled before it is acknowledged. every= sets the
 ///       background checkpoint threshold (records since the last
 ///       checkpoint; 0 = manual only). Without dir=, reports the current
-///       durability state. Enabling twice is FailedPrecondition.
+///       durability state. Enabling twice, or on an engine that holds any
+///       dataset, is FailedPrecondition (durability starts at a dataset's
+///       birth).
 ///   CHECKPOINT [<name>|dataset=<name>]               checkpoint a slot now
 ///       Folds the slot's journal into a fresh ONEXARENA checkpoint file
 ///       and restarts its WAL. The file stores the live snapshot exactly,

@@ -9,6 +9,8 @@
 /// duplicated tails) recover either a clean prefix of true history or a
 /// structured error — never UB, a hang, or a silently different base. Run
 /// under ASan and TSan in CI.
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +32,7 @@
 #include "onex/engine/engine.h"
 #include "onex/engine/snapshot_ops.h"
 #include "onex/engine/wal.h"
+#include "onex/net/protocol.h"
 #include "test_util.h"
 
 namespace onex {
@@ -565,74 +568,114 @@ TEST(EngineRecovery, FuzzedCorruptionNeverRecoversSilentlyWrongState) {
   fs::remove_all(dir);
 }
 
-/// PERSIST mid-session: datasets loaded before durability was enabled are
-/// bootstrapped into the data dir and then journaled like everything else.
-TEST(EngineRecovery, EnableDurabilityMidSessionBootstrapsLiveSlots) {
-  const std::string dir = FreshDir("bootstrap");
-  Battery live;
-  {
-    Engine subject;
-    ASSERT_TRUE(
-        subject.LoadDataset("A", onex::testing::SmallDataset(4, 18, 31)).ok());
-    ASSERT_TRUE(subject.Prepare("A", SmallOptions()).ok());
-    ASSERT_TRUE(subject.ExtendSeries("A", 1, {0.2, 0.3}).ok());
-    ASSERT_TRUE(
-        subject.LoadDataset("Rawonly", onex::testing::SmallDataset(2, 10, 8))
-            .ok());
-    ASSERT_TRUE(subject.EnableDurability(TestDurability(dir)).ok());
-    EXPECT_FALSE(subject.EnableDurability(TestDurability(dir)).ok())
-        << "second enable must be FailedPrecondition";
-    // Journaled mutations after the bootstrap.
-    ASSERT_TRUE(subject.ExtendSeries("A", 0, {0.9}).ok());
-    live = Capture(subject, "A");
-  }
-  Engine recovered;
-  ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
-  ExpectBatteryEq(live, Capture(recovered, "A"), "bootstrap");
-  Result<std::shared_ptr<const PreparedDataset>> raw =
-      recovered.Get("Rawonly");
-  ASSERT_TRUE(raw.ok());
-  EXPECT_EQ((*raw)->raw->size(), 2u);
-  EXPECT_FALSE((*raw)->prepared());
-  fs::remove_all(dir);
-}
-
-/// The write-ahead contract at the Replace seam: a journaled slot bounces
-/// an install that brings no record (the caller read durable() before
-/// PERSIST armed it), so an acknowledged write can never be missing from
-/// the log — the conditional-install loop re-reads the flag and retries
-/// with a record.
-TEST(EngineRecovery, JournaledSlotBouncesUnjournaledInstalls) {
-  const std::string dir = FreshDir("bounce");
+/// Durability is a property a dataset has from birth: an engine that
+/// already holds a dataset refuses to enable it, stays memory-only, keeps
+/// answering as before and creates nothing under the dir. A fresh engine
+/// then enables durability there (once).
+TEST(EngineRecovery, EnableDurabilityAfterALoadIsRefused) {
+  const std::string dir = FreshDir("late_enable") + "/data";
   Engine subject;
-  ASSERT_TRUE(subject.EnableDurability(TestDurability(dir)).ok());
   ASSERT_TRUE(
-      subject.LoadDataset("A", onex::testing::SmallDataset(3, 12, 44)).ok());
+      subject.LoadDataset("A", onex::testing::SmallDataset(4, 18, 31)).ok());
+  ASSERT_TRUE(subject.Prepare("A", SmallOptions()).ok());
+  ASSERT_TRUE(subject.ExtendSeries("A", 1, {0.2, 0.3}).ok());
+  const Battery before = Capture(subject, "A");
 
-  Result<std::shared_ptr<const PreparedDataset>> current = subject.Get("A");
-  ASSERT_TRUE(current.ok());
-  const TimeSeries newcomer("n", {0.1, 0.2, 0.3, 0.4});
-  Result<std::shared_ptr<const PreparedDataset>> next =
-      ApplyAppend(**current, newcomer);
-  ASSERT_TRUE(next.ok());
-
-  // No record on a journaled slot: reported as a lost race, not installed.
-  Result<bool> installed =
-      subject.registry().Replace("A", *next, current->get(), nullptr);
-  ASSERT_TRUE(installed.ok());
-  EXPECT_FALSE(*installed);
-  EXPECT_EQ((*subject.Get("A"))->raw->size(), 3u);
-
-  // The retry path: same install with its record succeeds and journals.
-  WalRecord record = WalAppendRecord(newcomer);
-  installed = subject.registry().Replace("A", *next, current->get(), &record);
-  ASSERT_TRUE(installed.ok());
-  EXPECT_TRUE(*installed);
-  EXPECT_EQ((*subject.Get("A"))->raw->size(), 4u);
+  const Status refused = subject.EnableDurability(TestDurability(dir));
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+  EXPECT_FALSE(subject.registry().durable());
+  EXPECT_TRUE(subject.registry().data_dir().empty());
   Result<SlotDurability> d = subject.registry().Durability("A");
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->last_seq, 2u);  // load record + the journaled append
-  fs::remove_all(dir);
+  EXPECT_FALSE(d->durable);
+  ExpectBatteryEq(before, Capture(subject, "A"), "after the refusal");
+  EXPECT_FALSE(fs::exists(dir)) << "a refused enable must create nothing";
+
+  Engine fresh;
+  ASSERT_TRUE(fresh.EnableDurability(TestDurability(dir)).ok());
+  EXPECT_EQ(fresh.EnableDurability(TestDurability(dir)).code(),
+            StatusCode::kFailedPrecondition)
+      << "second enable must be FailedPrecondition";
+  fs::remove_all(fs::path(dir).parent_path());
+}
+
+/// PERSIST racing the first slot births (GEN, then LOADBASE) on another
+/// thread. Every round ends in exactly one of two states: PERSIST won, the
+/// registry is durable, every slot has journaled its birth and a restart
+/// reproduces both; or PERSIST was refused and nothing was journaled.
+/// Never a durable registry holding an unjournaled slot. Runs under TSan
+/// and ASan in CI.
+TEST(EngineRecovery, PersistRacingFirstLoadsNeverLeavesAnUnjournaledSlot) {
+  const std::string root = FreshDir("persist_race");
+  const std::string base_path = root + "/b.base";
+  {
+    Engine maker;
+    ASSERT_TRUE(
+        maker.LoadDataset("b", onex::testing::SmallDataset(3, 14, 12)).ok());
+    ASSERT_TRUE(maker.Prepare("b", SmallOptions()).ok());
+    ASSERT_TRUE(maker.SavePrepared("b", base_path).ok());
+  }
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(StrFormat("round=%d", round));
+    const std::string dir = root + "/data-" + std::to_string(round);
+    std::vector<Battery> live;
+    json::Value persisted;
+    {
+      Engine engine;
+      std::atomic<int> ready{0};
+      auto run = [&engine](const std::string& line) {
+        return net::ExecuteCommand(&engine, *net::ParseCommandLine(line));
+      };
+      std::thread persister([&] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        // A per-round head start for the loads, so both outcomes occur.
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(round % 20 * 2);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        persisted = run("PERSIST dir=" + dir + " fsync=0");
+      });
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      const json::Value gen = run("GEN g sine num=3 len=16 seed=5");
+      const json::Value loadbase = run("LOADBASE b " + base_path);
+      persister.join();
+      ASSERT_TRUE(gen["ok"].as_bool()) << gen.Dump();
+      ASSERT_TRUE(loadbase["ok"].as_bool()) << loadbase.Dump();
+
+      const std::vector<DatasetSlotInfo> slots = engine.registry().Describe();
+      ASSERT_EQ(slots.size(), 2u);
+      if (persisted["ok"].as_bool()) {
+        EXPECT_TRUE(engine.registry().durable());
+        for (const DatasetSlotInfo& slot : slots) {
+          EXPECT_TRUE(slot.durable) << slot.name;
+          EXPECT_GE(slot.wal_seq, 1u) << slot.name;
+        }
+        live = {Capture(engine, "g"), Capture(engine, "b")};
+      } else {
+        EXPECT_EQ(persisted["code"].as_string(), "FailedPrecondition")
+            << persisted.Dump();
+        EXPECT_FALSE(engine.registry().durable());
+        for (const DatasetSlotInfo& slot : slots) {
+          EXPECT_FALSE(slot.durable) << slot.name;
+          EXPECT_EQ(slot.wal_seq, 0u) << slot.name;
+        }
+        EXPECT_FALSE(fs::exists(dir)) << "a refused PERSIST journaled";
+      }
+    }
+    if (!live.empty()) {
+      Engine recovered;
+      ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
+      ExpectBatteryEq(live[0], Capture(recovered, "g"), "restart g");
+      ExpectBatteryEq(live[1], Capture(recovered, "b"), "restart b");
+    }
+    fs::remove_all(dir);
+    if (::testing::Test::HasFailure()) break;
+  }
+  fs::remove_all(root);
 }
 
 /// Dropped datasets stay dropped: DROP removes the journal, and restart
@@ -675,6 +718,29 @@ TEST(EngineRecovery, CrashAtSlotBirthDoesNotWedgeTheName) {
     ASSERT_TRUE(recovered.Prepare("A", SmallOptions()).ok());
     ASSERT_TRUE(recovered.DropDataset("A").ok());
   }
+  fs::remove_all(dir);
+}
+
+/// Two slot directories whose logs name the same dataset are corrupt
+/// state, not two slots: recovery refuses them with a structured error and
+/// registers nothing, so the engine stays memory-only and retryable.
+TEST(EngineRecovery, TwoDirectoriesHoldingOneDatasetAreRefused) {
+  const std::string dir = FreshDir("dup_name");
+  {
+    Engine subject;
+    ASSERT_TRUE(subject.EnableDurability(TestDurability(dir)).ok());
+    ASSERT_TRUE(
+        subject.LoadDataset("A", onex::testing::SmallDataset(3, 12, 7)).ok());
+  }
+  CopyDir(dir + "/" + SlotDirName("A"), dir + "/copy-of-A");
+  Engine recovered;
+  const Status s = recovered.EnableDurability(TestDurability(dir));
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s;
+  EXPECT_FALSE(recovered.registry().durable());
+  EXPECT_TRUE(recovered.ListDatasets().empty());
+  fs::remove_all(dir + "/copy-of-A");
+  EXPECT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
+  EXPECT_TRUE(recovered.Get("A").ok());
   fs::remove_all(dir);
 }
 

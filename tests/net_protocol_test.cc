@@ -832,6 +832,46 @@ TEST(ProtocolTest, BudgetWithoutDurabilityIsRefused) {
   }
 }
 
+TEST(ProtocolTest, PersistAfterGenIsRefused) {
+  // Durability starts at a dataset's birth: once a GEN has created a
+  // memory-only dataset, PERSIST dir= answers FailedPrecondition, creates
+  // nothing and leaves the engine memory-only and answering.
+  const std::string dir = ::testing::TempDir() + "/onex_proto_late_persist";
+  std::filesystem::remove_all(dir);
+  Engine engine;
+  Session session;
+  auto run = [&](const std::string& line) {
+    return ExecuteCommand(&engine, &session, *ParseCommandLine(line));
+  };
+  auto answers = [&] {
+    const json::Value v = run("KNN a q=0:2:8 k=2");
+    EXPECT_TRUE(v["ok"].as_bool()) << v.Dump();
+    std::string out;
+    for (const json::Value& m : v["matches"].as_array()) {
+      out += m["series"].Dump() + ":" + m["start"].Dump() + ":" +
+             m["length"].Dump() + ":" + m["dtw"].Dump() + " ";
+    }
+    return out;
+  };
+  ASSERT_TRUE(run("GEN a sine num=4 len=16 seed=2")["ok"].as_bool());
+  ASSERT_TRUE(run("PREPARE a st=0.2 maxlen=8")["ok"].as_bool());
+  const std::string before = answers();
+  ASSERT_FALSE(before.empty());
+
+  json::Value v = run("PERSIST dir=" + dir + " fsync=0");
+  EXPECT_FALSE(v["ok"].as_bool());
+  EXPECT_EQ(v["code"].as_string(), "FailedPrecondition") << v.Dump();
+  EXPECT_FALSE(std::filesystem::exists(dir));
+
+  v = run("PERSIST");
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
+  EXPECT_FALSE(v["durable"].as_bool());
+  v = run("STATS a");
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
+  EXPECT_TRUE(v["durable"].is_null()) << v.Dump();
+  EXPECT_EQ(answers(), before);
+}
+
 TEST(ProtocolTest, LoadAcceptsKeyValueForm) {
   Engine engine;
   const json::Value v = ExecuteCommand(
