@@ -193,9 +193,9 @@ const char* TierName(const PreparedDataset& snap) {
 
 }  // namespace
 
-Status PrepareTicket::Wait() const {
+Status RegroupTicket::Wait() const {
   if (result_ == nullptr) {
-    return Status::Internal("empty prepare ticket");
+    return Status::Internal("empty regroup ticket");
   }
   handle_.Wait();
   return *result_;
@@ -671,9 +671,9 @@ Result<MaintenanceStatus> DatasetRegistry::Maintenance(
   return status;
 }
 
-PrepareTicket DatasetRegistry::RegroupAsync(const std::string& name,
+RegroupTicket DatasetRegistry::RegroupAsync(const std::string& name,
                                             std::vector<std::size_t> lengths) {
-  PrepareTicket ticket;
+  RegroupTicket ticket;
   Result<std::shared_ptr<Slot>> slot = FindSlot(name);
   if (!slot.ok()) {
     ticket.result_ = std::make_shared<Status>(slot.status());
@@ -687,13 +687,13 @@ PrepareTicket DatasetRegistry::RegroupAsync(const std::string& name,
   return ScheduleRegroup(name, *std::move(slot), std::move(lengths));
 }
 
-PrepareTicket DatasetRegistry::MaybeScheduleRegroup(
+RegroupTicket DatasetRegistry::MaybeScheduleRegroup(
     const std::string& name, const std::vector<LengthClassDrift>& drift) {
   // An extend that grouped nothing (no report) carries no signal — leave
   // the slot's gauge at its last real observation instead of zeroing it.
-  if (drift.empty()) return PrepareTicket{};
+  if (drift.empty()) return RegroupTicket{};
   Result<std::shared_ptr<Slot>> slot = FindSlot(name);
-  if (!slot.ok()) return PrepareTicket{};  // dropped since the extend
+  if (!slot.ok()) return RegroupTicket{};  // dropped since the extend
   double max_fraction = 0.0;
   std::vector<std::size_t> affected;
   const double threshold = drift_threshold_.load();
@@ -704,17 +704,17 @@ PrepareTicket DatasetRegistry::MaybeScheduleRegroup(
     }
   }
   (*slot)->last_max_drift.store(max_fraction);
-  if (affected.empty()) return PrepareTicket{};
+  if (affected.empty()) return RegroupTicket{};
   if ((*slot)->regroup_inflight.exchange(true)) {
-    return PrepareTicket{};  // the in-flight job will see the newest snapshot
+    return RegroupTicket{};  // the in-flight job will see the newest snapshot
   }
   return ScheduleRegroup(name, *std::move(slot), std::move(affected));
 }
 
-PrepareTicket DatasetRegistry::ScheduleRegroup(
+RegroupTicket DatasetRegistry::ScheduleRegroup(
     const std::string& name, std::shared_ptr<Slot> slot,
     std::vector<std::size_t> lengths) {
-  PrepareTicket ticket;
+  RegroupTicket ticket;
   ticket.result_ =
       std::make_shared<Status>(Status::Internal("regroup job never ran"));
   auto result = ticket.result_;

@@ -51,9 +51,9 @@ struct PreparedDataset {
 /// Completion ticket for a background regroup scheduled on
 /// TaskPool::Shared(). Copyable; a default-constructed ticket is empty and
 /// reports done with an Internal status.
-class PrepareTicket {
+class RegroupTicket {
  public:
-  PrepareTicket() = default;
+  RegroupTicket() = default;
 
   bool valid() const { return result_ != nullptr; }
   bool done() const { return handle_.done(); }
@@ -259,7 +259,7 @@ class DatasetRegistry {
   /// from the newer snapshot, exactly like Prepare. At most one regroup per
   /// slot is in flight: a second call returns a completed ticket carrying
   /// FailedPrecondition, as does a slot that was never prepared.
-  PrepareTicket RegroupAsync(const std::string& name,
+  RegroupTicket RegroupAsync(const std::string& name,
                              std::vector<std::size_t> lengths);
 
   /// The drift policy: records `drift` (the report of an extend that just
@@ -267,7 +267,7 @@ class DatasetRegistry {
   /// threshold and no regroup is already in flight, schedules RegroupAsync
   /// over the offending classes. Returns the scheduled job's ticket, or an
   /// empty (invalid) ticket when nothing was scheduled.
-  PrepareTicket MaybeScheduleRegroup(const std::string& name,
+  RegroupTicket MaybeScheduleRegroup(const std::string& name,
                                      const std::vector<LengthClassDrift>& drift);
 
   // --- Tiered storage (DESIGN.md §17) -------------------------------------
@@ -429,7 +429,7 @@ class DatasetRegistry {
 
   /// Enqueues the regroup job for a slot whose regroup_inflight flag the
   /// caller just claimed; the job releases the flag when it retires.
-  PrepareTicket ScheduleRegroup(const std::string& name,
+  RegroupTicket ScheduleRegroup(const std::string& name,
                                 std::shared_ptr<Slot> slot,
                                 std::vector<std::size_t> lengths);
 

@@ -118,7 +118,7 @@ class Engine {
     /// Set when the drift policy scheduled a background regroup; `regroup`
     /// is that job's ticket.
     bool regroup_scheduled = false;
-    PrepareTicket regroup;
+    RegroupTicket regroup;
   };
 
   /// Streaming point-appends: extends existing series at the tail (the

@@ -1,6 +1,5 @@
 #include "onex/net/cluster.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "onex/common/string_utils.h"
@@ -35,46 +34,11 @@ WireRequest BuildForward(const Command& cmd, const std::string& dataset) {
   return req;
 }
 
-/// Single-dataset shard query for the datasets= fan-out. MATCH becomes
-/// KNN k=1 on the shard — the same reduction DoMatchMulti applies — so the
-/// coordinator merge sees uniform k-lists.
-WireRequest BuildShardQuery(const Command& cmd, const std::string& dataset) {
-  const bool match = cmd.verb == "MATCH";
-  std::string line = cmd.verb == "BATCH" ? "BATCH" : "KNN";
-  for (const auto& [key, value] : cmd.options) {
-    if (key == "datasets" || key == "dataset" || key == "fwd") continue;
-    if (match && key == "k") continue;  // MATCH ignores k; the shard must too.
-    line += " " + key + "=" + value;
-  }
-  if (match) line += " k=1";
-  line += " dataset=" + dataset + " fwd=1";
-  WireRequest req;
-  req.command = std::move(line);
-  req.values = cmd.payload;
-  return req;
-}
-
-/// Cuts the next match's values out of a shard response's float64 section.
-std::vector<double> SliceValues(const std::vector<double>& values,
-                                std::size_t* cursor, std::size_t length) {
-  const std::size_t begin = std::min(*cursor, values.size());
-  const std::size_t end = std::min(begin + length, values.size());
-  *cursor = end;
-  return std::vector<double>(values.begin() + static_cast<std::ptrdiff_t>(begin),
-                             values.begin() + static_cast<std::ptrdiff_t>(end));
-}
-
 json::Value Ok() {
   json::Value v = json::Value::MakeObject();
   v.Set("ok", true);
   return v;
 }
-
-/// Allocation caps shared with protocol.cc (the single-node executor keeps
-/// its own copies in an anonymous namespace; the values must match so the
-/// coordinator's combined-volume error is byte-identical to the oracle's).
-constexpr long long kMaxKnnK = 100'000;
-constexpr std::size_t kMaxBatchSpecs = 1024;
 
 Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
     const std::string& endpoint) {
@@ -93,11 +57,22 @@ Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
                         static_cast<std::uint16_t>(port));
 }
 
+/// The hub ships to every node but this one.
+ReplicationHub::Options HubOptions(const ClusterNode::Options& options) {
+  ReplicationHub::Options hub;
+  for (std::size_t i = 0; i < options.nodes.size(); ++i) {
+    if (i != options.self) hub.peers.push_back(options.nodes[i]);
+  }
+  hub.ack_timeout = options.ack_timeout;
+  return hub;
+}
+
 }  // namespace
 
 ClusterNode::ClusterNode(Engine* engine, Options options)
     : engine_(engine),
       options_(std::move(options)),
+      hub_(engine, HubOptions(options_)),
       alive_(options_.nodes.size(), true),
       pools_(options_.nodes.size()) {}
 
@@ -111,18 +86,12 @@ Status ClusterNode::Start() {
   for (const std::string& endpoint : options_.nodes) {
     ONEX_RETURN_IF_ERROR(SplitHostPort(endpoint).status());
   }
-  ReplicationHub::Options hub;
-  for (std::size_t i = 0; i < options_.nodes.size(); ++i) {
-    if (i != options_.self) hub.peers.push_back(options_.nodes[i]);
-  }
-  hub.ack_timeout = options_.ack_timeout;
-  hub_ = std::make_unique<ReplicationHub>(engine_, hub);
-  hub_->Start();
+  hub_.Start();
   return Status::OK();
 }
 
 void ClusterNode::Stop() {
-  if (hub_ != nullptr) hub_->Stop();
+  hub_.Stop();
   std::lock_guard<std::mutex> lock(pool_mutex_);
   for (auto& pool : pools_) pool.clear();
 }
@@ -290,8 +259,7 @@ json::Value ClusterNode::ExecuteLocal(Engine* engine, Session* session,
   ExecContext local = ctx;
   local.cluster = nullptr;
   json::Value body = ExecuteCommand(engine, session, cmd, local);
-  if (hub_ != nullptr && IsReplicatedMutator(ctx.verb) &&
-      body["ok"].as_bool()) {
+  if (IsReplicatedMutator(ctx.verb) && body["ok"].as_bool()) {
     // Sync replication: the ack floor this write reaches before we answer
     // is exactly what promotion relies on — an acked write exists, bit for
     // bit, on every live peer.
@@ -299,7 +267,7 @@ json::Value ClusterNode::ExecuteLocal(Engine* engine, Session* session,
     if (dataset.ok()) {
       const Result<SlotDurability> d = engine->registry().Durability(*dataset);
       if (d.ok() && d->durable && d->last_seq > 0) {
-        hub_->AwaitReplication(*dataset, d->last_seq);
+        hub_.AwaitReplication(*dataset, d->last_seq);
       }
     }
   }
@@ -425,174 +393,17 @@ Result<std::vector<WireResponse>> ClusterNode::ScatterPerDataset(
 
 json::Value ClusterNode::ScatterMulti(Engine* engine, const Command& cmd,
                                       const ExecContext& ctx) {
-  const bool batch = cmd.verb == "BATCH";
-  const bool knn = cmd.verb == "KNN";
-  Result<std::vector<std::string>> parsed =
-      ParseDatasetsOption(cmd.options.at("datasets"));
-  if (!parsed.ok()) return ErrorResponse(parsed.status());
-  const std::vector<std::string> names = std::move(parsed).value();
-
-  // k as the merge truncates it. An unparseable or out-of-range k is left
-  // to the shards, whose rejection (identical to the single-node message)
-  // comes back as the first per-dataset error below.
-  long long k = 1;
-  bool k_known = true;
-  if (!cmd.options.count("k") || cmd.verb == "MATCH") {
-    k = batch ? 1 : (knn ? 3 : 1);
-  } else {
-    const Result<long long> kr = ParseInt(cmd.options.at("k"));
-    if (kr.ok() && *kr >= 1 && *kr <= kMaxKnnK) {
-      k = *kr;
-    } else {
-      k_known = false;
-    }
-  }
-  if (batch && k_known) {
-    const auto qit = cmd.options.find("q");
-    const std::size_t specs =
-        qit == cmd.options.end()
-            ? 0
-            : SplitKeepEmpty(qit->second, ';').size();
-    // The shards each enforce specs x k; only the coordinator sees the
-    // full specs x datasets x k volume, mirroring DoBatchMulti's cap.
-    if (specs > 0 && specs <= kMaxBatchSpecs &&
-        static_cast<long long>(specs * names.size()) * k > kMaxKnnK) {
-      return ErrorResponse(Status::InvalidArgument(StrFormat(
-          "BATCH result volume (queries x datasets x k) is capped at %lld",
-          kMaxKnnK)));
-    }
-  }
-
+  Result<FanOut> plan = PlanFanOut(cmd);
+  if (!plan.ok()) return ErrorResponse(plan.status());
   std::vector<WireRequest> requests;
-  requests.reserve(names.size());
-  for (const std::string& name : names) {
-    requests.push_back(BuildShardQuery(cmd, name));
+  requests.reserve(plan->names.size());
+  for (const std::string& name : plan->names) {
+    requests.push_back(BuildForward(plan->shard, name));
   }
-  Result<std::vector<WireResponse>> scattered =
-      ScatterPerDataset(engine, names, requests, ctx);
-  if (!scattered.ok()) return ErrorResponse(scattered.status());
-  const std::vector<WireResponse>& responses = *scattered;
-
-  // A shard-side rejection wins in user dataset order, exactly where the
-  // single-node loop would have stopped.
-  for (const WireResponse& r : responses) {
-    if (!r.body["ok"].as_bool()) return r.body;
-  }
-  const std::size_t top_k = static_cast<std::size_t>(k < 1 ? 1 : k);
-
-  if (!batch) {
-    std::vector<ShardMatch> cands;
-    json::Value stats = json::Value::MakeObject();
-    bool any_stats = false;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const json::Value& body = responses[i].body;
-      std::size_t cursor = 0;
-      for (const json::Value& m : body["matches"].as_array()) {
-        ShardMatch c;
-        c.dataset = names[i];
-        c.match = m;
-        c.match.Set("dataset", names[i]);
-        c.values = SliceValues(responses[i].values, &cursor,
-                               static_cast<std::size_t>(m["length"].as_number()));
-        cands.push_back(std::move(c));
-      }
-      if (!body["matches"].as_array().empty()) {
-        AccumulateStats(&stats, body["stats"]);
-        any_stats = true;
-      }
-    }
-    MergeTopK(&cands, top_k);
-
-    json::Value v = Ok();
-    if (knn) {
-      json::Value arr = json::Value::MakeArray();
-      for (const ShardMatch& c : cands) {
-        arr.Append(c.match);
-        if (ctx.out_values != nullptr) {
-          ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                                 c.values.end());
-        }
-      }
-      v.Set("matches", std::move(arr));
-      if (any_stats) v.Set("stats", std::move(stats));
-    } else {
-      if (cands.empty()) {
-        return ErrorResponse(
-            Status::NotFound("no match in any of the named datasets"));
-      }
-      v.Set("match", cands.front().match);
-      v.Set("stats", std::move(stats));
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(),
-                               cands.front().values.begin(),
-                               cands.front().values.end());
-      }
-    }
-    return v;
-  }
-
-  // BATCH: per-query merge across datasets, in user dataset order.
-  struct ShardEntry {
-    std::vector<ShardMatch> cands;
-    json::Value stats;
-    bool has_stats = false;
-  };
-  std::vector<std::vector<ShardEntry>> per_dataset(names.size());
-  std::size_t num_queries = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const json::Value& body = responses[i].body;
-    std::size_t cursor = 0;
-    for (const json::Value& entry : body["results"].as_array()) {
-      ShardEntry e;
-      for (const json::Value& m : entry["matches"].as_array()) {
-        ShardMatch c;
-        c.dataset = names[i];
-        c.match = m;
-        c.match.Set("dataset", names[i]);
-        c.values = SliceValues(responses[i].values, &cursor,
-                               static_cast<std::size_t>(m["length"].as_number()));
-        e.cands.push_back(std::move(c));
-      }
-      if (!e.cands.empty()) {
-        e.stats = entry["stats"];
-        e.has_stats = true;
-      }
-      per_dataset[i].push_back(std::move(e));
-    }
-    num_queries = std::max(num_queries, per_dataset[i].size());
-  }
-
-  json::Value v = Ok();
-  json::Value results = json::Value::MakeArray();
-  for (std::size_t qi = 0; qi < num_queries; ++qi) {
-    std::vector<ShardMatch> cands;
-    json::Value stats = json::Value::MakeObject();
-    bool any_stats = false;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (qi >= per_dataset[i].size()) continue;
-      ShardEntry& e = per_dataset[i][qi];
-      for (ShardMatch& c : e.cands) cands.push_back(std::move(c));
-      if (e.has_stats) {
-        AccumulateStats(&stats, e.stats);
-        any_stats = true;
-      }
-    }
-    MergeTopK(&cands, top_k);
-    json::Value entry = json::Value::MakeObject();
-    json::Value arr = json::Value::MakeArray();
-    for (const ShardMatch& c : cands) {
-      arr.Append(c.match);
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                               c.values.end());
-      }
-    }
-    entry.Set("matches", std::move(arr));
-    if (any_stats) entry.Set("stats", std::move(stats));
-    results.Append(std::move(entry));
-  }
-  v.Set("results", std::move(results));
-  return v;
+  Result<std::vector<WireResponse>> answers =
+      ScatterPerDataset(engine, plan->names, requests, ctx);
+  if (!answers.ok()) return ErrorResponse(answers.status());
+  return MergeFanOut(cmd, plan->names, *answers, ctx.out_values);
 }
 
 json::Value ClusterNode::Scatter(Engine* engine, const Command& cmd,
@@ -667,8 +478,7 @@ json::Value ClusterNode::StatusReport(Engine* engine) {
   }
   v.Set("nodes", std::move(nodes));
   v.Set("overrides", std::move(overrides));
-  v.Set("replication",
-        hub_ != nullptr ? hub_->StatusJson() : json::Value::MakeArray());
+  v.Set("replication", hub_.StatusJson());
   return v;
 }
 

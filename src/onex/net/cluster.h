@@ -62,15 +62,17 @@ class ClusterNode {
     std::chrono::milliseconds ack_timeout{5000};
   };
 
-  /// The engine must outlive the node; ownership is not taken.
+  /// The engine must outlive the node; ownership is not taken. Construct
+  /// after the engine recovered and before the server starts serving: the
+  /// replication hub is built here, and its WAL sink must see every append.
   ClusterNode(Engine* engine, Options options);
   ~ClusterNode();
 
   ClusterNode(const ClusterNode&) = delete;
   ClusterNode& operator=(const ClusterNode&) = delete;
 
-  /// Starts the replication hub. Call after the engine recovered and
-  /// before the server starts accepting.
+  /// Checks the node list and starts the hub's link threads. Call once the
+  /// server's listener is up.
   Status Start();
   void Stop();
 
@@ -129,8 +131,9 @@ class ClusterNode {
       Engine* engine, const std::vector<std::string>& names,
       const std::vector<WireRequest>& requests, const ExecContext& ctx);
 
-  /// datasets= fan-out for MATCH/KNN/BATCH: scatter per dataset, then the
-  /// same deterministic merge the single-node path uses (cluster_merge.h).
+  /// datasets= fan-out for MATCH/KNN/BATCH: PlanFanOut's shard command,
+  /// forwarded to each dataset's owner, then MergeFanOut — the merge a
+  /// single node runs on its own answers (cluster_merge.h).
   json::Value ScatterMulti(Engine* engine, const Command& cmd,
                            const ExecContext& ctx);
 
@@ -143,7 +146,8 @@ class ClusterNode {
 
   Engine* engine_;
   Options options_;
-  std::unique_ptr<ReplicationHub> hub_;
+  /// Fixed for the node's life, so the serving threads read it unlocked.
+  ReplicationHub hub_;
 
   mutable std::mutex mutex_;  ///< Guards alive_ and overrides_.
   std::vector<bool> alive_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "onex/common/string_utils.h"
 
@@ -12,6 +13,81 @@ namespace {
 double NumberKey(const json::Value& match, const std::string& field) {
   return match[field].as_number();
 }
+
+/// Refuses a BATCH whose queries x datasets x k passes kMaxKnnK.
+Status CheckBatchVolume(const Command& cmd, std::size_t datasets) {
+  const auto q = cmd.options.find("q");
+  if (cmd.verb != "BATCH" || q == cmd.options.end()) return Status::OK();
+  long long k = 1;
+  if (const auto it = cmd.options.find("k"); it != cmd.options.end()) {
+    const Result<long long> parsed = ParseInt(it->second);
+    if (!parsed.ok() || *parsed < 1 || *parsed > kMaxKnnK) return Status::OK();
+    k = *parsed;
+  }
+  const std::size_t specs = SplitKeepEmpty(q->second, ';').size();
+  if (specs > kMaxBatchSpecs ||
+      static_cast<long long>(specs * datasets) * k <= kMaxKnnK) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(StrFormat(
+      "BATCH result volume (queries x datasets x k) is capped at %lld",
+      kMaxKnnK));
+}
+
+/// The merge's k. Every shard has accepted the request by now, so k parses
+/// and is in range.
+std::size_t MergeK(const Command& cmd) {
+  if (cmd.verb == "MATCH") return 1;
+  const auto it = cmd.options.find("k");
+  if (it == cmd.options.end()) return cmd.verb == "KNN" ? 3 : 1;
+  return static_cast<std::size_t>(ParseInt(it->second).value());
+}
+
+/// One query's candidates and summed stats across every dataset.
+struct MergedQuery {
+  std::vector<ShardMatch> cands;
+  json::Value stats = json::Value::MakeObject();
+  bool has_stats = false;
+
+  /// Adds one dataset's entry ({"matches", "stats"}), cutting each match's
+  /// values out of the response's float64 section at `*cursor`.
+  void Absorb(const std::string& dataset, const json::Value& entry,
+              const std::vector<double>& values, std::size_t* cursor) {
+    for (const json::Value& m : entry["matches"].as_array()) {
+      ShardMatch c;
+      c.dataset = dataset;
+      c.match = m;
+      c.match.Set("dataset", dataset);
+      const std::size_t begin = std::min(*cursor, values.size());
+      const std::size_t end = std::min(
+          begin + static_cast<std::size_t>(m["length"].as_number()),
+          values.size());
+      c.values.assign(values.begin() + static_cast<std::ptrdiff_t>(begin),
+                      values.begin() + static_cast<std::ptrdiff_t>(end));
+      *cursor = end;
+      cands.push_back(std::move(c));
+    }
+    if (entry["matches"].as_array().empty()) return;
+    AccumulateStats(&stats, entry["stats"]);
+    has_stats = true;
+  }
+
+  /// {"matches", "stats"} of the top k, their values appended in order.
+  json::Value Finish(std::size_t k, std::vector<double>* out_values) {
+    MergeTopK(&cands, k);
+    json::Value arr = json::Value::MakeArray();
+    for (const ShardMatch& c : cands) {
+      arr.Append(c.match);
+      if (out_values != nullptr) {
+        out_values->insert(out_values->end(), c.values.begin(), c.values.end());
+      }
+    }
+    json::Value entry = json::Value::MakeObject();
+    entry.Set("matches", std::move(arr));
+    if (has_stats) entry.Set("stats", std::move(stats));
+    return entry;
+  }
+};
 
 }  // namespace
 
@@ -60,6 +136,67 @@ Result<std::vector<std::string>> ParseDatasetsOption(const std::string& value) {
     return Status::InvalidArgument("datasets= names at least one dataset");
   }
   return names;
+}
+
+Result<FanOut> PlanFanOut(const Command& cmd) {
+  FanOut plan;
+  ONEX_ASSIGN_OR_RETURN(plan.names,
+                        ParseDatasetsOption(cmd.options.at("datasets")));
+  ONEX_RETURN_IF_ERROR(CheckBatchVolume(cmd, plan.names.size()));
+  plan.shard.verb = cmd.verb == "BATCH" ? "BATCH" : "KNN";
+  plan.shard.options = cmd.options;
+  for (const char* key : {"datasets", "dataset", "fwd"}) {
+    plan.shard.options.erase(key);
+  }
+  if (cmd.verb == "MATCH") plan.shard.options["k"] = "1";
+  plan.shard.payload = cmd.payload;
+  return plan;
+}
+
+json::Value MergeFanOut(const Command& cmd,
+                        const std::vector<std::string>& names,
+                        const std::vector<WireResponse>& answers,
+                        std::vector<double>* out_values) {
+  // A dataset's rejection wins in user order, where a one-at-a-time run
+  // stops.
+  for (const WireResponse& r : answers) {
+    if (!r.body["ok"].as_bool()) return r.body;
+  }
+  const bool batch = cmd.verb == "BATCH";
+  std::vector<MergedQuery> queries;
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    const WireResponse& r = answers[i];
+    // A KNN body is one entry; a BATCH body holds one per query.
+    const json::Value::Array single{r.body};
+    const json::Value::Array& entries =
+        batch ? r.body["results"].as_array() : single;
+    if (queries.size() < entries.size()) queries.resize(entries.size());
+    std::size_t cursor = 0;
+    for (std::size_t qi = 0; qi < entries.size(); ++qi) {
+      queries[qi].Absorb(names[i], entries[qi], r.values, &cursor);
+    }
+  }
+
+  const std::size_t k = MergeK(cmd);
+  json::Value v = json::Value::MakeObject();
+  if (batch) {
+    json::Value results = json::Value::MakeArray();
+    for (MergedQuery& q : queries) results.Append(q.Finish(k, out_values));
+    v.Set("results", std::move(results));
+  } else if (cmd.verb == "KNN") {
+    v = queries[0].Finish(k, out_values);
+  } else {
+    // MATCH: the best match, with the stats of every dataset that had one.
+    if (queries[0].cands.empty()) {
+      return ErrorResponse(
+          Status::NotFound("no match in any of the named datasets"));
+    }
+    const json::Value entry = queries[0].Finish(1, out_values);
+    v.Set("match", entry["matches"][0]);
+    v.Set("stats", entry["stats"]);
+  }
+  v.Set("ok", true);
+  return v;
 }
 
 }  // namespace onex::net

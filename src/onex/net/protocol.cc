@@ -88,9 +88,7 @@ Status NeedArgs(const Command& cmd, std::size_t n) {
 /// must not be able to command an unbounded allocation.
 constexpr long long kMaxGenPoints = 2'000'000;
 constexpr long long kMaxCatalogPoints = 100'000;
-constexpr long long kMaxKnnK = 100'000;
 constexpr long long kMaxThresholdPairs = 1'000'000;
-constexpr std::size_t kMaxBatchSpecs = 1024;
 /// A streaming tail append is a poll cycle's worth of points, not a bulk
 /// load; bulk ingest goes through LOAD/GEN.
 constexpr std::size_t kMaxExtendPoints = 100'000;
@@ -439,88 +437,34 @@ void ExportMatchValues(const MatchResult& r, const ExecContext& ctx) {
                          r.match_values.end());
 }
 
-/// MATCH/KNN with datasets=<a,b,c>: the query runs against every named
-/// dataset (q= resolves within each independently) and the per-dataset
-/// results merge through cluster_merge.h. This is the single-node twin of
-/// the coordinator's scatter-gather: same candidates, same comparator, same
-/// truncation — so a cluster and a single node answer byte-identically.
-Result<json::Value> DoMatchMulti(Engine* engine, const Command& cmd, bool knn,
-                                 const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        ParseDatasetsOption(cmd.options.at("datasets")));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
-    return Status::InvalidArgument("missing q=<series>:<start>:<len>");
+/// MATCH/KNN/BATCH with datasets=<a,b,c>: the one-node case of the
+/// coordinator's fan-out (cluster_merge.h). Each dataset runs the shard
+/// command in a scratch session, as a shard runs a forwarded one, and the
+/// answers go to the same merge. q= resolves within each dataset.
+Result<json::Value> DoFanOut(Engine* engine, const Command& cmd,
+                             const ExecContext& ctx) {
+  ONEX_ASSIGN_OR_RETURN(FanOut plan, PlanFanOut(cmd));
+  std::vector<WireResponse> answers;
+  for (const std::string& name : plan.names) {
+    Command shard = plan.shard;
+    shard.options["dataset"] = name;
+    WireResponse& answer = answers.emplace_back();
+    ExecContext local = ctx;
+    local.cluster = nullptr;
+    local.verb = nullptr;
+    local.out_values = &answer.values;
+    Session scratch;
+    answer.body = ExecuteCommand(engine, &scratch, shard, local);
+    if (!answer.body["ok"].as_bool()) break;
   }
-  ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(qit->second));
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-  long long k = 1;
-  if (knn) {
-    ONEX_ASSIGN_OR_RETURN(k, OptInt(cmd, "k", 3));
-    if (k < 1 || k > kMaxKnnK) {
-      return Status::InvalidArgument(
-          StrFormat("k must be in [1, %lld]", kMaxKnnK));
-    }
-  }
-
-  std::vector<ShardMatch> cands;
-  json::Value stats = json::Value::MakeObject();
-  bool any_stats = false;
-  for (const std::string& name : names) {
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<MatchResult> results,
-        engine->Knn(name, spec, static_cast<std::size_t>(k), qopt));
-    for (const MatchResult& r : results) {
-      ShardMatch c;
-      c.dataset = name;
-      c.match = MatchToJson(r);
-      c.match.Set("dataset", name);
-      c.values = r.match_values;
-      cands.push_back(std::move(c));
-    }
-    if (!results.empty()) {
-      AccumulateStats(&stats, StatsToJson(results.front().stats));
-      any_stats = true;
-    }
-  }
-  MergeTopK(&cands, static_cast<std::size_t>(k));
-
-  json::Value v = Ok();
-  if (knn) {
-    json::Value arr = json::Value::MakeArray();
-    for (const ShardMatch& c : cands) {
-      arr.Append(c.match);
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                               c.values.end());
-      }
-    }
-    v.Set("matches", std::move(arr));
-    if (any_stats) v.Set("stats", std::move(stats));
-  } else {
-    if (cands.empty()) {
-      return Status::NotFound("no match in any of the named datasets");
-    }
-    v.Set("match", cands.front().match);
-    v.Set("stats", std::move(stats));
-    if (ctx.out_values != nullptr) {
-      ctx.out_values->insert(ctx.out_values->end(),
-                             cands.front().values.begin(),
-                             cands.front().values.end());
-    }
-  }
-  return v;
+  return MergeFanOut(cmd, plan.names, answers, ctx.out_values);
 }
 
 /// MATCH (knn=false) and KNN (knn=true).
 template <bool knn>
 Result<json::Value> DoMatch(Engine* engine, Session* session,
                             const Command& cmd, const ExecContext& ctx) {
-  if (cmd.options.count("datasets") != 0) {
-    return DoMatchMulti(engine, cmd, knn, ctx);
-  }
+  if (cmd.options.count("datasets") != 0) return DoFanOut(engine, cmd, ctx);
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   const auto qit = cmd.options.find("q");
   if (qit == cmd.options.end()) {
@@ -559,95 +503,9 @@ Result<json::Value> DoMatch(Engine* engine, Session* session,
   return v;
 }
 
-/// BATCH with datasets=: every query in the batch fans across all named
-/// datasets; each query's per-dataset k-lists merge independently with the
-/// shared deterministic comparator (see DoMatchMulti).
-Result<json::Value> DoBatchMulti(Engine* engine, const Command& cmd,
-                                 const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        ParseDatasetsOption(cmd.options.at("datasets")));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
-    return Status::InvalidArgument(
-        "missing q=<series>:<start>:<len>[;<series>:<start>:<len>...]");
-  }
-  std::vector<QuerySpec> specs;
-  for (const std::string& ref : SplitKeepEmpty(qit->second, ';')) {
-    if (specs.size() >= kMaxBatchSpecs) {
-      return Status::InvalidArgument(StrFormat(
-          "BATCH accepts at most %zu queries per frame", kMaxBatchSpecs));
-    }
-    ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(ref));
-    specs.push_back(std::move(spec));
-  }
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-  ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 1));
-  if (k < 1 || k > kMaxKnnK) {
-    return Status::InvalidArgument(
-        StrFormat("k must be in [1, %lld]", kMaxKnnK));
-  }
-  if (static_cast<long long>(specs.size() * names.size()) * k > kMaxKnnK) {
-    return Status::InvalidArgument(StrFormat(
-        "BATCH result volume (queries x datasets x k) is capped at %lld",
-        kMaxKnnK));
-  }
-
-  // One KnnBatch per dataset, then a per-query merge across datasets.
-  std::vector<std::vector<std::vector<MatchResult>>> per_dataset;
-  per_dataset.reserve(names.size());
-  for (const std::string& name : names) {
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<std::vector<MatchResult>> results,
-        engine->KnnBatch(name, specs, static_cast<std::size_t>(k), qopt));
-    per_dataset.push_back(std::move(results));
-  }
-
-  json::Value v = Ok();
-  json::Value results = json::Value::MakeArray();
-  for (std::size_t qi = 0; qi < specs.size(); ++qi) {
-    std::vector<ShardMatch> cands;
-    json::Value stats = json::Value::MakeObject();
-    bool any_stats = false;
-    for (std::size_t di = 0; di < names.size(); ++di) {
-      const std::vector<MatchResult>& matches = per_dataset[di][qi];
-      for (const MatchResult& r : matches) {
-        ShardMatch c;
-        c.dataset = names[di];
-        c.match = MatchToJson(r);
-        c.match.Set("dataset", names[di]);
-        c.values = r.match_values;
-        cands.push_back(std::move(c));
-      }
-      if (!matches.empty()) {
-        AccumulateStats(&stats, StatsToJson(matches.front().stats));
-        any_stats = true;
-      }
-    }
-    MergeTopK(&cands, static_cast<std::size_t>(k));
-    json::Value entry = json::Value::MakeObject();
-    json::Value arr = json::Value::MakeArray();
-    for (const ShardMatch& c : cands) {
-      arr.Append(c.match);
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                               c.values.end());
-      }
-    }
-    entry.Set("matches", std::move(arr));
-    if (any_stats) entry.Set("stats", std::move(stats));
-    results.Append(std::move(entry));
-  }
-  v.Set("results", std::move(results));
-  return v;
-}
-
 Result<json::Value> DoBatch(Engine* engine, Session* session,
                             const Command& cmd, const ExecContext& ctx) {
-  if (cmd.options.count("datasets") != 0) {
-    return DoBatchMulti(engine, cmd, ctx);
-  }
+  if (cmd.options.count("datasets") != 0) return DoFanOut(engine, cmd, ctx);
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   const auto qit = cmd.options.find("q");
   if (qit == cmd.options.end()) {

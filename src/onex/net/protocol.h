@@ -131,12 +131,16 @@ namespace onex::net {
 /// MATCH/KNN/BATCH also accept datasets=<a,b,c> in place of a single
 /// dataset: the query runs against every named dataset (q= resolves within
 /// each dataset independently) and the per-dataset top-k lists are merged
-/// with the deterministic order of cluster_merge.h — ascending
+/// in the deterministic order of cluster_merge.h — ascending
 /// normalized_dtw, ties by (dataset, series, start, length). Each merged
 /// match carries a "dataset" field; stats are summed in the given dataset
-/// order. The cluster coordinator scatter-gathers the same fan-out across
-/// shards and merges with the same comparator, which is what makes a
-/// cluster answer bitwise equal to a single node holding all the data.
+/// order; the first dataset to fail, in that order, answers for the whole
+/// request. A BATCH over the combined volume cap (queries x datasets x k)
+/// is refused before any dataset runs. A single node and the cluster
+/// coordinator run the same per-dataset command and the same merge
+/// (cluster_merge.h), the node in process and the coordinator on each
+/// dataset's owner, so a cluster answers bitwise equal to a single node
+/// holding all the data.
 ///
 /// Replication verbs (DESIGN.md §16; spoken between cluster nodes over the
 /// ONEXB frame, not meant for interactive use):
@@ -173,6 +177,12 @@ namespace onex::net {
 /// value payloads must be finite: "nan"/"inf" tokens and NaN/Inf float64s
 /// are rejected at parse time (InvalidArgument) before they can poison
 /// distance comparisons downstream.
+/// The largest k a KNN, BATCH or FORECAST may ask for, and the most queries
+/// one BATCH frame may carry. A BATCH answers at most kMaxKnnK matches in
+/// all: queries x k, times the datasets of a datasets= fan-out.
+inline constexpr long long kMaxKnnK = 100'000;
+inline constexpr std::size_t kMaxBatchSpecs = 1024;
+
 struct Command {
   std::string verb;  ///< Upper-cased.
   std::vector<std::string> args;

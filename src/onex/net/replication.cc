@@ -77,13 +77,7 @@ Result<std::vector<WalRecord>> DecodeWalBatchBlob(std::string_view blob,
 // --- ReplicationHub --------------------------------------------------------
 
 ReplicationHub::ReplicationHub(Engine* engine, Options options)
-    : engine_(engine), options_(std::move(options)) {}
-
-ReplicationHub::~ReplicationHub() { Stop(); }
-
-void ReplicationHub::Start() {
-  if (started_) return;
-  started_ = true;
+    : engine_(engine), options_(std::move(options)) {
   for (const std::string& peer : options_.peers) {
     auto link = std::make_unique<Link>();
     const std::size_t colon = peer.rfind(':');
@@ -94,8 +88,8 @@ void ReplicationHub::Start() {
     link->label = peer;
     links_.push_back(std::move(link));
   }
-  // Sink before hints, hints before threads: once a link thread runs, the
-  // links_ vector and the sink are both immutable.
+  // Links before the sink, sink before hints: from here on links_ and the
+  // sink are immutable, and every append lands in a link's queue.
   engine_->registry().SetWalSink(
       [this](const std::string& dataset, const WalRecord& record,
              const std::string& encoded) {
@@ -107,7 +101,7 @@ void ReplicationHub::Start() {
           link->cv.notify_all();
         }
       });
-  // Datasets that were recovered before the hub started never fire the
+  // Datasets that were recovered before the hub existed never fire the
   // sink until their next write; a null-line hint makes each link
   // subscribe and catch the peer up from the local file right away.
   for (const std::string& name : engine_->ListDatasets()) {
@@ -117,13 +111,19 @@ void ReplicationHub::Start() {
       link->cv.notify_all();
     }
   }
+}
+
+ReplicationHub::~ReplicationHub() { Stop(); }
+
+void ReplicationHub::Start() {
+  if (started_) return;
+  started_ = true;
   for (auto& link : links_) {
     link->thread = std::thread(&ReplicationHub::LinkMain, this, link.get());
   }
 }
 
 void ReplicationHub::Stop() {
-  if (!started_) return;
   engine_->registry().SetWalSink(nullptr);
   for (auto& link : links_) {
     {
@@ -136,7 +136,6 @@ void ReplicationHub::Stop() {
   for (auto& link : links_) {
     if (link->thread.joinable()) link->thread.join();
   }
-  started_ = false;
 }
 
 void ReplicationHub::MarkDead(Link* link, const std::string& why) {

@@ -84,14 +84,18 @@ class ReplicationHub {
     std::size_t batch_records = 64;
   };
 
+  /// Installs the WalSink and queues a catch-up of every dataset the engine
+  /// holds now. Construct before the node starts serving, so no append can
+  /// slip past the sink.
   ReplicationHub(Engine* engine, Options options);
   ~ReplicationHub();
 
   ReplicationHub(const ReplicationHub&) = delete;
   ReplicationHub& operator=(const ReplicationHub&) = delete;
 
-  /// Installs the WalSink and spawns the link threads. Call once, before
-  /// the node starts serving (so no append can slip past the sink).
+  /// Spawns the link threads, which ship what the sink queued. Call once
+  /// the node's listener is up: peers dial in as soon as their own links
+  /// start. A write served before then waits in AwaitReplication.
   void Start();
 
   /// Uninstalls the sink and joins the links. Idempotent.
@@ -144,7 +148,7 @@ class ReplicationHub {
 
   Engine* engine_;
   Options options_;
-  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<std::unique_ptr<Link>> links_;  ///< Fixed at construction.
   bool started_ = false;
 };
 

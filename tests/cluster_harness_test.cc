@@ -17,8 +17,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,15 +94,26 @@ struct Node {
 
 class ClusterProcs {
  public:
-  /// Spawns `nodes.size()` onexd processes forming one cluster.
+  /// Spawns `nodes.size()` onexd processes forming one cluster. Sanitizer
+  /// reports of the children land in `san_dir`.
   static ClusterProcs Spawn(const std::vector<std::uint16_t>& ports,
-                            const std::string& data_root) {
+                            const std::string& data_root,
+                            const std::string& san_dir) {
     std::string csv;
     for (std::size_t i = 0; i < ports.size(); ++i) {
       if (i != 0) csv += ',';
       csv += "127.0.0.1:" + std::to_string(ports[i]);
     }
     const std::string binary = OnexdPath();
+    // A sanitized onexd writes its reports into san_dir, where the test
+    // looks for them: ctest shows a passing test's stderr to no one.
+    std::vector<std::pair<std::string, std::string>> san_env;
+    for (const char* var : {"ASAN_OPTIONS", "TSAN_OPTIONS", "UBSAN_OPTIONS"}) {
+      const char* before = std::getenv(var);
+      const std::string prefix =
+          before != nullptr && *before != '\0' ? std::string(before) + ":" : "";
+      san_env.emplace_back(var, prefix + "log_path=" + san_dir + "/report");
+    }
     ClusterProcs procs;
     for (std::size_t i = 0; i < ports.size(); ++i) {
       const std::string dir = data_root + "/d" + std::to_string(i);
@@ -109,6 +123,9 @@ class ClusterProcs {
         // Child: quiet stdout (startup banners), keep stderr for post-
         // mortems in the ctest log.
         if (::freopen("/dev/null", "w", stdout) == nullptr) ::_exit(126);
+        for (const auto& [var, value] : san_env) {
+          ::setenv(var.c_str(), value.c_str(), 1);
+        }
         const std::string nodes_flag = "--cluster-nodes=" + csv;
         const std::string self_flag = "--cluster-self=" + std::to_string(i);
         const std::string dir_flag = "--data-dir=" + dir;
@@ -189,7 +206,15 @@ std::string RandomOp(Rng* rng, const std::vector<std::string>& datasets,
     }
     return out;
   };
-  switch (rng->UniformIndex(6)) {
+  // datasets= lists every dataset, starting at a random one: the merge
+  // must not depend on the user order.
+  const std::size_t first = rng->UniformIndex(datasets.size());
+  std::string all;
+  for (std::size_t i = 0; i < datasets.size(); ++i) {
+    if (i != 0) all += ',';
+    all += datasets[(first + i) % datasets.size()];
+  }
+  switch (rng->UniformIndex(8)) {
     case 0:
       return "APPEND " + ds + " series=h" + std::to_string(step) +
              " v=" + vals(6 + rng->UniformIndex(4));
@@ -205,16 +230,14 @@ std::string RandomOp(Rng* rng, const std::vector<std::string>& datasets,
       std::string cmd = "BATCH " + ds + " q=" + spec() + ";" + spec() + " k=2";
       return cmd;
     }
-    default: {
-      // datasets= scatter-gather across shards, merged by the coordinator.
-      std::string all;
-      for (std::size_t i = 0; i < datasets.size(); ++i) {
-        if (i != 0) all += ',';
-        all += datasets[i];
-      }
+    // datasets= scatter-gather across shards, merged by the coordinator.
+    case 5:
+      return "MATCH datasets=" + all + " q=" + spec();
+    case 6:
+      return "BATCH datasets=" + all + " q=" + spec() + ";" + spec() + " k=2";
+    default:
       return "KNN datasets=" + all + " q=" + spec() +
              " k=" + std::to_string(2 + rng->UniformIndex(2));
-    }
   }
 }
 
@@ -241,7 +264,7 @@ class DifferentialRun {
   Session* oracle_session_;
 };
 
-void RunSeededSchedule(std::uint64_t seed) {
+void RunSeededSchedule(std::uint64_t seed, const std::string& san_dir) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const std::vector<std::string> datasets = {"alpha", "beta", "gamma"};
   const std::string data_root =
@@ -249,7 +272,7 @@ void RunSeededSchedule(std::uint64_t seed) {
   std::filesystem::remove_all(data_root);
 
   const std::vector<std::uint16_t> ports = PickPorts(3);
-  ClusterProcs procs = ClusterProcs::Spawn(ports, data_root);
+  ClusterProcs procs = ClusterProcs::Spawn(ports, data_root, san_dir);
   ASSERT_TRUE(procs.WaitReady()) << "cluster did not come up";
 
   // The coordinator varies by seed; the victim is the owner of the first
@@ -324,11 +347,28 @@ void RunSeededSchedule(std::uint64_t seed) {
   std::filesystem::remove_all(data_root);
 }
 
+/// Fails on every sanitizer report a child left in `san_dir`, quoting it.
+void ExpectNoSanitizerReports(const std::string& san_dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(san_dir)) {
+    std::ifstream in(entry.path());
+    std::stringstream report;
+    report << in.rdbuf();
+    ADD_FAILURE() << "sanitizer report " << entry.path() << ":\n"
+                  << report.str();
+  }
+}
+
 TEST(ClusterHarnessTest, KillNinePromotionIsBitwiseInvisible) {
   // ≥8 seeded schedules: coordinators, victims, traffic mixes and kill
   // points all vary with the seed.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    RunSeededSchedule(seed);
+    const std::string san_dir =
+        ::testing::TempDir() + "/onex_harness_san_" + std::to_string(seed);
+    std::filesystem::remove_all(san_dir);
+    std::filesystem::create_directories(san_dir);
+    RunSeededSchedule(seed, san_dir);
+    ExpectNoSanitizerReports(san_dir);
+    std::filesystem::remove_all(san_dir);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -238,7 +238,9 @@ TEST_P(KernelTableTest, DtwEarlyAbandonDecisionIsExact) {
     const double maybe =
         kernel().dtw_ea_sq(a.data(), n, b.data(), m, cut, w, &ws);
     EXPECT_TRUE(std::isinf(maybe) || maybe == exact) << kernel().name;
-    if (!std::isinf(maybe)) EXPECT_GT(maybe, cut);
+    if (!std::isinf(maybe)) {
+      EXPECT_GT(maybe, cut);
+    }
   }
 }
 
@@ -292,8 +294,8 @@ TEST_P(KernelTableTest, WorkspaceReuseNeverChangesResults) {
 
 INSTANTIATE_TEST_SUITE_P(Tables, KernelTableTest,
                          ::testing::Values(&ScalarKernel(), &SimdKernel()),
-                         [](const auto& info) {
-                           return std::string(info.param->name);
+                         [](const auto& param_info) {
+                           return std::string(param_info.param->name);
                          });
 
 // ---------------------------------------------------------------------------

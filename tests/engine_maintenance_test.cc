@@ -198,7 +198,7 @@ TEST(EngineMaintenanceTest, DriftPolicySchedulesRegroupAboveThreshold) {
 
   // Below threshold: drift is recorded, nothing scheduled.
   std::vector<LengthClassDrift> calm{{6, 10, 2}};
-  PrepareTicket none = registry.MaybeScheduleRegroup(kName, calm);
+  RegroupTicket none = registry.MaybeScheduleRegroup(kName, calm);
   EXPECT_FALSE(none.valid());
   Result<MaintenanceStatus> status = registry.Maintenance(kName);
   ASSERT_TRUE(status.ok());
@@ -208,7 +208,7 @@ TEST(EngineMaintenanceTest, DriftPolicySchedulesRegroupAboveThreshold) {
   // Above threshold: a background regroup of the offending class runs and
   // completes; the counters show it.
   std::vector<LengthClassDrift> hot{{6, 10, 9}};
-  PrepareTicket job = registry.MaybeScheduleRegroup(kName, hot);
+  RegroupTicket job = registry.MaybeScheduleRegroup(kName, hot);
   ASSERT_TRUE(job.valid());
   ASSERT_TRUE(job.Wait().ok()) << job.Wait();
   status = registry.Maintenance(kName);
@@ -235,11 +235,11 @@ TEST(EngineMaintenanceTest, RegroupTicketLifecycle) {
   DatasetRegistry& registry = engine.registry();
 
   // Unknown dataset: a completed ticket carrying the error.
-  PrepareTicket missing = registry.RegroupAsync("nope", {6});
+  RegroupTicket missing = registry.RegroupAsync("nope", {6});
   ASSERT_TRUE(missing.valid());
   EXPECT_FALSE(missing.Wait().ok());
 
-  PrepareTicket job = registry.RegroupAsync(kName, {4, 6, 8});
+  RegroupTicket job = registry.RegroupAsync(kName, {4, 6, 8});
   ASSERT_TRUE(job.valid());
   EXPECT_TRUE(job.Wait().ok()) << job.Wait();
 
@@ -392,7 +392,7 @@ TEST(EngineMaintenanceConcurrencyTest, QueriesRaceExtendsAndRegroups) {
       for (const LengthClass& cls : (*snap)->base->length_classes()) {
         lengths.push_back(cls.length);
       }
-      PrepareTicket job =
+      RegroupTicket job =
           engine.registry().RegroupAsync(kName, std::move(lengths));
       if (job.valid()) (void)job.Wait();  // FailedPrecondition races are fine
     }

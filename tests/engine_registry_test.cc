@@ -270,7 +270,7 @@ TEST(EngineRegistryTest, DestructionDrainsInFlightRegroupJobs) {
     ASSERT_TRUE(engine.Prepare("big", opt).ok());
     std::vector<std::size_t> lengths;
     for (std::size_t len = 4; len <= 64; ++len) lengths.push_back(len);
-    PrepareTicket ticket = engine.registry().RegroupAsync("big", lengths);
+    RegroupTicket ticket = engine.registry().RegroupAsync("big", lengths);
     ASSERT_TRUE(ticket.valid());
   }  // engine destroyed with the job possibly still running
   SUCCEED();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1070,6 +1072,221 @@ TEST(ProtocolTest, ResponseBytesMatchTheRecordedGolden) {
   }
   EXPECT_EQ(got.str(), want)
       << "response bytes differ (written to net_response_golden.actual.txt)";
+}
+
+
+/// One command's response body (wall clock zeroed) and the binary values
+/// section a frame client would receive with it.
+struct WireAnswer {
+  json::Value body;
+  std::vector<double> values;
+};
+
+WireAnswer AnswerWithValues(Engine* engine, const std::string& line) {
+  WireAnswer out;
+  ExecContext ctx;
+  ctx.out_values = &out.values;
+  Session session;
+  out.body = ExecuteCommand(engine, &session, *ParseCommandLine(line), ctx);
+  ZeroElapsed(&out.body);
+  return out;
+}
+
+/// One match of a single-dataset answer, tagged with its dataset and
+/// carrying its own slice of the values section.
+struct OracleMatch {
+  std::string dataset;
+  json::Value match;
+  std::vector<double> values;
+};
+
+/// The merge order, written out independently of cluster_merge.h.
+bool OracleBefore(const OracleMatch& x, const OracleMatch& y) {
+  const auto key = [](const OracleMatch& m) {
+    return std::make_tuple(m.match["normalized_dtw"].as_number(), m.dataset,
+                           m.match["series"].as_number(),
+                           m.match["start"].as_number(),
+                           m.match["length"].as_number());
+  };
+  return key(x) < key(y);
+}
+
+/// Brute-force twin of one merged entry: the union of the per-dataset
+/// entries, sorted, cut to k, with the stats summed field by field in user
+/// dataset order.
+struct OracleEntry {
+  std::vector<OracleMatch> matches;
+  json::Value stats = json::Value::MakeObject();
+  bool has_stats = false;
+
+  void Absorb(const std::string& dataset, const json::Value& entry,
+              const std::vector<double>& values, std::size_t* cursor) {
+    for (const json::Value& m : entry["matches"].as_array()) {
+      OracleMatch om;
+      om.dataset = dataset;
+      om.match = m;
+      om.match.Set("dataset", dataset);
+      const std::size_t len = static_cast<std::size_t>(m["length"].as_number());
+      ASSERT_LE(*cursor + len, values.size());
+      om.values.assign(values.begin() + static_cast<std::ptrdiff_t>(*cursor),
+                       values.begin() +
+                           static_cast<std::ptrdiff_t>(*cursor + len));
+      *cursor += len;
+      matches.push_back(std::move(om));
+    }
+    if (entry["matches"].as_array().empty()) return;
+    has_stats = true;
+    for (const auto& [key, value] : entry["stats"].as_object()) {
+      stats.Set(key, stats[key].as_number() + value.as_number());
+    }
+  }
+
+  json::Value Finish(std::size_t k, std::vector<double>* values) {
+    std::sort(matches.begin(), matches.end(), OracleBefore);
+    if (matches.size() > k) matches.resize(k);
+    json::Value arr = json::Value::MakeArray();
+    for (const OracleMatch& m : matches) {
+      arr.Append(m.match);
+      values->insert(values->end(), m.values.begin(), m.values.end());
+    }
+    json::Value out = json::Value::MakeObject();
+    out.Set("matches", std::move(arr));
+    if (has_stats) out.Set("stats", stats);
+    return out;
+  }
+};
+
+/// Checks `VERB datasets=<names> <rest>` against the union of each named
+/// dataset's own single-dataset answer to `VERB <name> <rest>`.
+void ExpectFanOutMatchesOracle(Engine* engine, const std::string& verb,
+                               const std::vector<std::string>& names,
+                               const std::string& rest, std::size_t k) {
+  std::string list;
+  for (const std::string& name : names) {
+    list += (list.empty() ? "" : ",") + name;
+  }
+  const std::string line = verb + " datasets=" + list + " " + rest;
+  SCOPED_TRACE(line);
+  const WireAnswer merged = AnswerWithValues(engine, line);
+  ASSERT_TRUE(merged.body["ok"].as_bool()) << merged.body.Dump();
+
+  std::vector<OracleEntry> entries(1);
+  for (const std::string& name : names) {
+    const WireAnswer single = AnswerWithValues(engine, verb + " " + name + " " + rest);
+    ASSERT_TRUE(single.body["ok"].as_bool()) << single.body.Dump();
+    std::size_t cursor = 0;
+    if (verb == "BATCH") {
+      const auto& results = single.body["results"].as_array();
+      entries.resize(std::max(entries.size(), results.size()));
+      for (std::size_t qi = 0; qi < results.size(); ++qi) {
+        entries[qi].Absorb(name, results[qi], single.values, &cursor);
+      }
+    } else if (verb == "MATCH") {
+      json::Value entry = json::Value::MakeObject();
+      json::Value one = json::Value::MakeArray();
+      one.Append(single.body["match"]);
+      entry.Set("matches", std::move(one));
+      entry.Set("stats", single.body["stats"]);
+      entries[0].Absorb(name, entry, single.values, &cursor);
+    } else {
+      entries[0].Absorb(name, single.body, single.values, &cursor);
+    }
+    ASSERT_EQ(cursor, single.values.size()) << "values not sliced by length";
+  }
+
+  json::Value want = json::Value::MakeObject();
+  want.Set("ok", true);
+  std::vector<double> want_values;
+  if (verb == "BATCH") {
+    json::Value results = json::Value::MakeArray();
+    for (OracleEntry& e : entries) results.Append(e.Finish(k, &want_values));
+    want.Set("results", std::move(results));
+  } else if (verb == "MATCH") {
+    json::Value entry = entries[0].Finish(1, &want_values);
+    ASSERT_FALSE(entry["matches"].as_array().empty());
+    want.Set("match", entry["matches"][0]);
+    want.Set("stats", entry["stats"]);
+  } else {
+    json::Value entry = entries[0].Finish(k, &want_values);
+    for (const auto& [key, value] : entry.as_object()) want.Set(key, value);
+  }
+  EXPECT_EQ(merged.body.Dump(), want.Dump());
+  EXPECT_EQ(merged.values, want_values);
+}
+
+/// The datasets= fan-out answers exactly what a brute-force merge of the
+/// per-dataset answers gives. Datasets `a` and `b` hold the same series, so
+/// every match of one ties every match of the other in distance and only
+/// the dataset name orders them; the user order of datasets= must not
+/// matter.
+TEST(ProtocolTest, DatasetsFanOutEqualsBruteForceMerge) {
+  Engine engine;
+  for (const char* setup :
+       {"GEN a walk num=6 len=32 seed=5", "PREPARE a st=0.2 maxlen=12",
+        "GEN b walk num=6 len=32 seed=5", "PREPARE b st=0.2 maxlen=12",
+        "GEN c sine num=6 len=32 seed=9", "PREPARE c st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  const std::vector<std::vector<std::string>> orders = {
+      {"a", "b", "c"}, {"c", "b", "a"}, {"b", "c", "a"}};
+  for (const std::vector<std::string>& names : orders) {
+    ExpectFanOutMatchesOracle(&engine, "MATCH", names, "q=1:3:10", 1);
+    ExpectFanOutMatchesOracle(&engine, "MATCH", names, "q=4:0:8 window=2", 1);
+    ExpectFanOutMatchesOracle(&engine, "KNN", names, "q=1:3:10 k=5", 5);
+    ExpectFanOutMatchesOracle(&engine, "KNN", names, "q=2:6:9", 3);
+    ExpectFanOutMatchesOracle(&engine, "KNN", names, "q=0:0:12 k=40", 40);
+    ExpectFanOutMatchesOracle(&engine, "BATCH", names,
+                              "q=0:0:8;2:4:12;5:10:9 k=3", 3);
+    ExpectFanOutMatchesOracle(&engine, "BATCH", names, "q=3:1:11", 1);
+  }
+
+  // The first failing dataset, in user order, answers for the whole
+  // request, with the error its own single-dataset command gives.
+  const auto body = [&](const std::string& line) {
+    return AnswerWithValues(&engine, line).body.Dump();
+  };
+  EXPECT_EQ(body("KNN datasets=a,nosuch,c q=1:3:10"),
+            body("KNN nosuch q=1:3:10"));
+  EXPECT_EQ(body("MATCH datasets=a,b q=1:99:10"), body("MATCH a q=1:99:10"));
+  EXPECT_EQ(body("KNN datasets=c,a q=1:3:10 k=0"), body("KNN c q=1:3:10 k=0"));
+  EXPECT_EQ(body("BATCH datasets=b,nosuch q=0:0:8 k=2"),
+            body("BATCH nosuch q=0:0:8 k=2"));
+}
+
+
+/// The combined BATCH volume (queries x datasets x k) is checked before any
+/// dataset runs, on a single node as on a cluster coordinator. A frame over
+/// the cap therefore answers the cap even when a q= ref is malformed too;
+/// under the cap, the malformed ref answers as it does for one dataset.
+TEST(ProtocolTest, DatasetsBatchVolumeCapAnswersBeforeTheShards) {
+  Engine engine;
+  for (const char* setup :
+       {"GEN a walk num=4 len=24 seed=3", "PREPARE a st=0.2 maxlen=10",
+        "GEN b walk num=4 len=24 seed=4", "PREPARE b st=0.2 maxlen=10"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  const auto run = [&](const std::string& line) {
+    return ExecuteCommand(&engine, *ParseCommandLine(line));
+  };
+  const std::string cap =
+      "BATCH result volume (queries x datasets x k) is capped at 100000";
+  for (const char* line :
+       {"BATCH datasets=a,b q=0:0:8;1:2:8 k=50000",
+        "BATCH datasets=a,b q=0:0:8;bad k=50000",
+        "BATCH datasets=a,b q=0:0:8;1:2:8 k=50000 window=x"}) {
+    const json::Value v = run(line);
+    EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << line;
+    EXPECT_EQ(v["error"].as_string(), cap) << line;
+  }
+  EXPECT_EQ(run("BATCH datasets=a,b q=0:0:8;bad k=2").Dump(),
+            run("BATCH a q=0:0:8;bad k=2").Dump());
+  EXPECT_EQ(run("BATCH datasets=a,b q=0:0:8 k=0").Dump(),
+            run("BATCH a q=0:0:8 k=0").Dump());
+  EXPECT_TRUE(run("BATCH datasets=a,b q=0:0:8;1:2:8 k=25000")["ok"].as_bool());
 }
 
 }  // namespace
