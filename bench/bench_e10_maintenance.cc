@@ -6,7 +6,10 @@
 /// price per arrival. (c) Base persistence: reload vs rebuild.
 /// (d) Streaming maintenance (DESIGN.md §12): point-append throughput
 /// through Engine::ExtendSeries, the drift scan, drift-regroup latency and
-/// query latency while a regroup runs in the background.
+/// query latency while a regroup runs in the background. (e) Extend cost
+/// against history: ms and groups recomputed per tick after 600 and 2,400
+/// ticks of a live feed — a write should pay for the groups it changes,
+/// not for the dataset it has grown.
 ///
 /// With --json <path>, machine-readable results land in <path> (the repo's
 /// BENCH_maintenance.json trajectory file; see scripts/bench.sh).
@@ -26,6 +29,7 @@
 #include "onex/core/incremental.h"
 #include "onex/core/onex_base.h"
 #include "onex/core/query_processor.h"
+#include "onex/common/random.h"
 #include "onex/engine/engine.h"
 #include "onex/gen/generators.h"
 #include "onex/json/json.h"
@@ -285,6 +289,95 @@ int main(int argc, char** argv) {
     record.Set("query_idle_ms", query_idle_ms);
     record.Set("query_during_regroup_ms", query_during_ms);
     record.Set("query_during_regroup_samples", sampled);
+  }
+
+  std::printf("\n-- extend cost against history (walk, 8 pts/tick) --\n");
+  {
+    // The servebench ingest shape, core only: 16 walk series of 64 points
+    // prepared at st=0.2 over lengths 4..16, fed 8-point ticks round-robin.
+    // Every value maps through the initial points' frozen min-max, as the
+    // engine normalizes an EXTEND tail. A row averages the kWindow ticks
+    // that end at its mark.
+    constexpr std::size_t kSeries = 16;
+    constexpr std::size_t kInitial = 64;
+    constexpr std::size_t kPoints = 8;
+    constexpr std::size_t kWindow = 100;
+    const std::vector<std::size_t> marks = {600, 2400};
+    const std::size_t ticks = marks.back();
+    const std::size_t total = kInitial + ticks * kPoints / kSeries;
+    onex::Rng rng(5);
+    std::vector<std::vector<double>> walks(kSeries);
+    for (std::vector<double>& walk : walks) {
+      double v = 0.0;
+      for (std::size_t i = 0; i < total; ++i) {
+        v += rng.Gaussian(0.0, 1.0);
+        walk.push_back(v);
+      }
+    }
+    double lo = walks[0][0];
+    double hi = walks[0][0];
+    for (const std::vector<double>& walk : walks) {
+      const auto [mn, mx] =
+          std::minmax_element(walk.begin(), walk.begin() + kInitial);
+      lo = std::min(lo, *mn);
+      hi = std::max(hi, *mx);
+    }
+    onex::Dataset initial("feed");
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      for (double& x : walks[s]) x = (x - lo) / (hi - lo);
+      initial.Add(onex::TimeSeries(
+          "w" + std::to_string(s),
+          std::vector<double>(walks[s].begin(),
+                              walks[s].begin() + kInitial)));
+    }
+    onex::BaseBuildOptions opt;
+    opt.st = 0.2;
+    opt.min_length = 4;
+    opt.max_length = 16;
+    onex::OnexBase base = *onex::OnexBase::Build(
+        std::make_shared<const onex::Dataset>(std::move(initial)), opt);
+
+    onex::bench::Table table({"ticks", "extend_ms_per_tick",
+                              "groups_recomputed_per_tick", "groups",
+                              "members"});
+    double window_ms = 0.0;
+    std::size_t window_recomputed = 0;
+    std::vector<double> ms_at;
+    for (std::size_t tick = 1; tick <= ticks; ++tick) {
+      const std::size_t s = (tick - 1) % kSeries;
+      const std::size_t from = kInitial + (tick - 1) / kSeries * kPoints;
+      const std::span<const double> points(walks[s].data() + from, kPoints);
+      std::size_t recomputed = 0;
+      const double ms = onex::bench::TimeOnceMs([&] {
+        auto next = onex::ExtendSeries(base, s, points);
+        recomputed = next->groups_recomputed;
+        base = std::move(next->base);
+      });
+      const auto mark = std::lower_bound(marks.begin(), marks.end(), tick);
+      if (tick + kWindow > *mark) {
+        window_ms += ms;
+        window_recomputed += recomputed;
+      }
+      if (tick != *mark) continue;
+      const double per_tick_ms = window_ms / kWindow;
+      const double per_tick_groups =
+          static_cast<double>(window_recomputed) / kWindow;
+      ms_at.push_back(per_tick_ms);
+      table.AddRow({FmtZu(tick), Fmt("%.2f", per_tick_ms),
+                    Fmt("%.0f", per_tick_groups), FmtZu(base.TotalGroups()),
+                    FmtZu(base.TotalMembers())});
+      const std::string key = "history_" + std::to_string(tick);
+      record.Set(key + "_extend_ms_per_tick", per_tick_ms);
+      record.Set(key + "_groups_recomputed_per_tick", per_tick_groups);
+      record.Set(key + "_groups", base.TotalGroups());
+      window_ms = 0.0;
+      window_recomputed = 0;
+    }
+    table.Print();
+    const double ratio = ms_at.back() / ms_at.front();
+    std::printf("per-tick cost at %zu ticks / at %zu ticks: %.2fx\n",
+                marks.back(), marks.front(), ratio);
+    record.Set("history_cost_ratio", ratio);
   }
 
   std::printf(

@@ -9,8 +9,9 @@
 #                           one thread per query, answers checked against
 #                           the serial run
 #   BENCH_maintenance.json  bench_e10_maintenance — streaming maintenance:
-#                           extend throughput, drift-regroup latency and
-#                           query latency during a background regroup
+#                           extend throughput, extend cost against history,
+#                           drift-regroup latency and query latency during
+#                           a background regroup
 #   BENCH_kernels.json      bench_e11_kernel_sweep — distance-kernel layer
 #                           ablation: scalar vs SIMD tables, pruning
 #                           cascade on vs off (DESIGN.md §14)

@@ -1,5 +1,6 @@
 #include "onex/core/group_store.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -79,44 +80,69 @@ GroupStore GroupStore::CopyFrom(const Columns& cols) {
 
 GroupStore GroupStore::Pack(std::size_t length,
                             const std::vector<GroupBuilder>& groups) {
+  std::vector<const GroupBuilder*> fresh;
+  fresh.reserve(groups.size());
+  for (const GroupBuilder& g : groups) fresh.push_back(&g);
+  return Merge(length, nullptr, fresh);
+}
+
+GroupStore GroupStore::Merge(std::size_t length, const GroupStore* prev,
+                             std::span<const GroupBuilder* const> fresh) {
   GroupStore store;
   store.length_ = length;
-  const std::size_t n = groups.size();
+  const std::size_t n = fresh.size();
   store.centroids_.reserve(n * length);
   store.env_lower_.reserve(n * length);
   store.env_upper_.reserve(n * length);
+  store.cent_env_lower_.resize(n * length);
+  store.cent_env_upper_.resize(n * length);
   store.member_offsets_.reserve(n + 1);
   std::size_t total = 0;
-  for (const GroupBuilder& g : groups) total += g.size();
+  for (std::size_t g = 0; g < n; ++g) {
+    total += fresh[g] != nullptr ? fresh[g]->size() : prev->group_size(g);
+  }
   store.member_arena_.reserve(total);
 
+  // Min/max envelopes are exact (no FP reassociation), so a centroid
+  // envelope is the same under every kernel table: a copied row equals a
+  // recomputed one whenever both use the same window.
+  const bool copy_cent_env =
+      prev != nullptr && prev->cent_env_window_ == store.cent_env_window_;
+  const DistanceKernel& kernel = ActiveKernel();
+  const auto append = [](std::vector<double>* col,
+                          std::span<const double> row) {
+    col->insert(col->end(), row.begin(), row.end());
+  };
   store.member_offsets_.push_back(0);
-  for (const GroupBuilder& g : groups) {
-    store.centroids_.insert(store.centroids_.end(), g.centroid().begin(),
-                            g.centroid().end());
-    store.env_lower_.insert(store.env_lower_.end(),
-                            g.envelope().lower.begin(),
-                            g.envelope().lower.end());
-    store.env_upper_.insert(store.env_upper_.end(),
-                            g.envelope().upper.begin(),
-                            g.envelope().upper.end());
-    store.member_arena_.insert(store.member_arena_.end(), g.members().begin(),
-                               g.members().end());
+  for (std::size_t g = 0; g < n; ++g) {
+    const GroupBuilder* b = fresh[g];
+    if (b != nullptr) {
+      append(&store.centroids_, b->centroid());
+      append(&store.env_lower_, b->envelope().lower);
+      append(&store.env_upper_, b->envelope().upper);
+      store.member_arena_.insert(store.member_arena_.end(),
+                                 b->members().begin(), b->members().end());
+    } else {
+      append(&store.centroids_, prev->centroid(g));
+      append(&store.env_lower_, prev->envelope(g).lower);
+      append(&store.env_upper_, prev->envelope(g).upper);
+      const std::span<const SubseqRef> members = prev->members(g);
+      store.member_arena_.insert(store.member_arena_.end(), members.begin(),
+                                 members.end());
+    }
     store.member_offsets_.push_back(store.member_arena_.size());
-  }
 
-  // Precompute each centroid's Keogh envelope, unconstrained so it stays
-  // admissible for every query window. Min/max envelopes are exact (no FP
-  // reassociation), so the matrices are identical under every kernel table.
-  if (length > 0) {
-    store.cent_env_lower_.resize(n * length);
-    store.cent_env_upper_.resize(n * length);
-    const DistanceKernel& kernel = ActiveKernel();
-    for (std::size_t g = 0; g < n; ++g) {
+    // Each centroid's Keogh envelope, unconstrained so it stays admissible
+    // for every query window.
+    double* lower = store.cent_env_lower_.data() + g * length;
+    double* upper = store.cent_env_upper_.data() + g * length;
+    if (b == nullptr && copy_cent_env) {
+      const EnvelopeView env = prev->centroid_envelope(g);
+      std::copy(env.lower.begin(), env.lower.end(), lower);
+      std::copy(env.upper.begin(), env.upper.end(), upper);
+    } else if (length > 0) {
       kernel.keogh_envelope(store.centroids_.data() + g * length, length,
-                            store.cent_env_window_,
-                            store.cent_env_lower_.data() + g * length,
-                            store.cent_env_upper_.data() + g * length);
+                            store.cent_env_window_, lower, upper);
     }
   }
   return store;

@@ -47,9 +47,8 @@ class GroupBuilder {
     members_ = std::move(members);
   }
 
-  /// Seeds the centroid directly — how the incremental appender thaws a
-  /// columnar group back into a builder without losing the exact
-  /// representative the base was querying with.
+  /// Seeds the centroid directly — how a write reopens a packed group
+  /// without losing the exact representative the base was querying with.
   void SetCentroid(std::span<const double> values) {
     centroid_.assign(values.begin(), values.end());
   }
@@ -102,6 +101,13 @@ class GroupStore {
   static GroupStore Pack(std::size_t length,
                          const std::vector<GroupBuilder>& groups);
 
+  /// The next store of a class a write touched (core/incremental.h): group
+  /// g is packed from *fresh[g] when that is non-null, else its rows —
+  /// centroid, envelopes, centroid envelope and members — are copied from
+  /// row g of `prev`, which must then hold at least g + 1 groups.
+  static GroupStore Merge(std::size_t length, const GroupStore* prev,
+                          std::span<const GroupBuilder* const> fresh);
+
   /// Raw columns of one length class as they sit in an ONEXARENA section
   /// set (arena_layout.h). Shapes must be consistent — num_groups*length
   /// entries per matrix, member_offsets carrying num_groups+1 entries that
@@ -124,8 +130,8 @@ class GroupStore {
   static GroupStore Borrow(const Columns& cols);
 
   /// An owned store holding a deep copy of `cols` — the materialized load
-  /// path, and the copy-on-write target when a mutation thaws a borrowed
-  /// class.
+  /// path. (A write onto a borrowed class recomputes it into an owned store
+  /// instead; see OnexBase::centroids_exact.)
   static GroupStore CopyFrom(const Columns& cols);
 
   /// True when this store borrows external storage instead of owning it.

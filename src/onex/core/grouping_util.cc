@@ -1,6 +1,5 @@
 #include "onex/core/grouping_util.h"
 
-#include <cmath>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -9,27 +8,6 @@
 #include "onex/distance/euclidean.h"
 
 namespace onex::internal {
-
-std::pair<std::size_t, double> NearestGroup(
-    const std::vector<GroupBuilder>& groups, std::span<const double> values,
-    double radius) {
-  std::size_t best_idx = groups.size();
-  double best = radius;
-  const double n = static_cast<double>(values.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    // Early-abandon on the squared, unnormalized scale of the current best.
-    const double cutoff_sq = best * best * n;
-    const double sq = SquaredEuclideanEarlyAbandon(groups[g].centroid_span(),
-                                                   values, cutoff_sq);
-    if (std::isinf(sq)) continue;
-    const double dist = std::sqrt(sq / n);
-    if (dist <= best) {
-      best = dist;
-      best_idx = g;
-    }
-  }
-  return {best_idx, best};
-}
 
 std::vector<GroupBuilder> BuildGroupsForLength(const Dataset& ds,
                                                std::size_t len,

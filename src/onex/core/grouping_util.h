@@ -1,6 +1,7 @@
 #ifndef ONEX_CORE_GROUPING_UTIL_H_
 #define ONEX_CORE_GROUPING_UTIL_H_
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -8,19 +9,48 @@
 
 #include "onex/core/group_store.h"
 #include "onex/core/onex_base.h"
+#include "onex/distance/euclidean.h"
 
 namespace onex::internal {
 
-/// Index of the nearest group centroid under length-normalized ED, early
-/// abandoned at `radius` (only hits within the radius matter). Returns
-/// (index, distance); index == groups.size() when nothing is within radius.
-/// Shared by the offline builder and the incremental appender so both apply
-/// the identical leader-clustering rule. Operates on builders: grouping is
-/// a construction-time activity; finished classes live in the columnar
-/// GroupStore instead.
-std::pair<std::size_t, double> NearestGroup(
+/// Index of the nearest of `num_groups` centroids (`centroid_of(g)` is
+/// group g's) under length-normalized ED, early abandoned at `radius` (only
+/// hits within the radius matter). Returns (index, distance); index ==
+/// num_groups when nothing is within radius. Shared by the offline builder
+/// and the write path (core/incremental.h) so both apply the identical
+/// leader-clustering rule in the identical scan order.
+template <typename CentroidOf>
+std::pair<std::size_t, double> NearestGroup(std::size_t num_groups,
+                                            const CentroidOf& centroid_of,
+                                            std::span<const double> values,
+                                            double radius) {
+  std::size_t best_idx = num_groups;
+  double best = radius;
+  const double n = static_cast<double>(values.size());
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    // Early-abandon on the squared, unnormalized scale of the current best.
+    const double cutoff_sq = best * best * n;
+    const double sq =
+        SquaredEuclideanEarlyAbandon(centroid_of(g), values, cutoff_sq);
+    if (std::isinf(sq)) continue;
+    const double dist = std::sqrt(sq / n);
+    if (dist <= best) {
+      best = dist;
+      best_idx = g;
+    }
+  }
+  return {best_idx, best};
+}
+
+/// The builders' form, used while a class is clustered from scratch.
+inline std::pair<std::size_t, double> NearestGroup(
     const std::vector<GroupBuilder>& groups, std::span<const double> values,
-    double radius);
+    double radius) {
+  return NearestGroup(
+      groups.size(),
+      [&groups](std::size_t g) { return groups[g].centroid_span(); }, values,
+      radius);
+}
 
 /// Leader-clusters every admissible length-`len` subsequence of `ds`
 /// (policy-aware, including the kRunningMeanRepair repair rounds) and

@@ -1,8 +1,10 @@
 #include "onex/core/incremental.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <utility>
@@ -15,62 +17,14 @@
 namespace onex {
 namespace {
 
-/// Thaws one columnar class back into a mutable draft: member lists copied
-/// out of the store's arena, centroids seeded verbatim from the store so
-/// the insertion radius test sees exactly the representatives the base
-/// queries with.
-LengthClassDraft ThawClass(const LengthClass& cls) {
-  LengthClassDraft draft;
-  draft.length = cls.length;
-  draft.groups.reserve(cls.groups.size());
-  for (const SimilarityGroup& g : cls.groups) {
-    GroupBuilder b(cls.length);
-    b.SetMembers({g.members().begin(), g.members().end()});
-    b.SetCentroid(g.centroid());
-    draft.groups.push_back(std::move(b));
+std::size_t CountOutliers(std::span<const double> centroid,
+                          std::span<const SubseqRef> members,
+                          const Dataset& ds, double radius) {
+  std::size_t outliers = 0;
+  for (const SubseqRef& ref : members) {
+    if (NormalizedEuclidean(centroid, ref.Resolve(ds)) > radius) ++outliers;
   }
-  return draft;
-}
-
-std::vector<LengthClassDraft> ThawClasses(const OnexBase& base) {
-  std::vector<LengthClassDraft> classes;
-  classes.reserve(base.length_classes().size());
-  for (const LengthClass& cls : base.length_classes()) {
-    classes.push_back(ThawClass(cls));
-  }
-  return classes;
-}
-
-/// Finds the draft for `len`, creating it in sorted position when the base
-/// has never seen this length (a longer series arrived under max_length == 0
-/// scoping).
-LengthClassDraft* FindOrCreateClass(std::vector<LengthClassDraft>* classes,
-                                    std::size_t len) {
-  auto it = std::lower_bound(
-      classes->begin(), classes->end(), len,
-      [](const LengthClassDraft& cls, std::size_t value) {
-        return cls.length < value;
-      });
-  if (it == classes->end() || it->length != len) {
-    LengthClassDraft fresh;
-    fresh.length = len;
-    it = classes->insert(it, std::move(fresh));
-  }
-  return &*it;
-}
-
-/// Inserts one subsequence under the build-time leader rule.
-void InsertMember(LengthClassDraft* cls, const Dataset& ds,
-                  const SubseqRef& ref, double radius, bool update_centroid) {
-  const std::span<const double> vals = ref.Resolve(ds);
-  const auto [idx, dist] = internal::NearestGroup(cls->groups, vals, radius);
-  if (idx == cls->groups.size()) {
-    GroupBuilder g(ref.length);
-    g.Add(ref, vals, update_centroid);
-    cls->groups.push_back(std::move(g));
-  } else {
-    cls->groups[idx].Add(ref, vals, update_centroid);
-  }
+  return outliers;
 }
 
 LengthClassDrift DriftOfClass(const OnexBase& base, const LengthClass& cls) {
@@ -79,13 +33,168 @@ LengthClassDrift DriftOfClass(const OnexBase& base, const LengthClass& cls) {
   drift.length = cls.length;
   drift.members = cls.total_members;
   for (const SimilarityGroup& g : cls.groups) {
-    for (const SubseqRef& ref : g.members()) {
-      const double d =
-          NormalizedEuclidean(g.centroid_span(), ref.Resolve(base.dataset()));
-      if (d > radius) ++drift.outliers;
-    }
+    drift.outliers +=
+        CountOutliers(g.centroid_span(), g.members(), base.dataset(), radius);
   }
   return drift;
+}
+
+/// A class's drift from the per-group counts writes keep.
+LengthClassDrift SummedDrift(const LengthClass& cls) {
+  LengthClassDrift drift{cls.length, cls.total_members, 0};
+  for (const std::size_t n : cls.group_outliers) drift.outliers += n;
+  return drift;
+}
+
+/// One length class under a write. Groups the write leaves alone stay in
+/// the previous store's columns. A group gets a builder when it gains its
+/// first member — seeded with its members and its packed centroid, so the
+/// leader rule and the running mean go on from exactly the representative
+/// the base queried with — or when this write founds it.
+class ClassWrite {
+ public:
+  /// A class the write inserts into; `prev` is null for a new length.
+  ClassWrite(std::size_t length, const LengthClass* prev)
+      : length_(length),
+        prev_(prev),
+        groups_(prev == nullptr ? 0 : prev->groups.size()) {}
+
+  /// A class a regroup clustered afresh: every group is new.
+  ClassWrite(std::size_t length, std::vector<GroupBuilder> groups)
+      : length_(length), prev_(nullptr) {
+    for (GroupBuilder& g : groups) groups_.emplace_back(std::move(g));
+  }
+
+  std::size_t length() const { return length_; }
+
+  /// Inserts one subsequence under the build-time leader rule.
+  void Insert(const Dataset& ds, const SubseqRef& ref, double radius,
+              bool update_centroid) {
+    const std::span<const double> vals = ref.Resolve(ds);
+    const std::size_t g =
+        internal::NearestGroup(
+            groups_.size(), [this](std::size_t i) { return Centroid(i); },
+            vals, radius)
+            .first;
+    if (g == groups_.size()) {
+      groups_.emplace_back(GroupBuilder(length_));
+    } else if (!groups_[g].has_value()) {
+      Reopen(g);
+    }
+    groups_[g]->Add(ref, vals, update_centroid);
+  }
+
+  /// Packs the class. Every group with a builder — and, with
+  /// `recompute_all`, every group — is recomputed from its members and has
+  /// its drift outliers counted; the others keep their rows and counts.
+  /// Adds the number of recomputed groups to `*recomputed`.
+  LengthClass Finish(const Dataset& ds, const BaseBuildOptions& options,
+                     bool recompute_all, std::size_t* recomputed) && {
+    const bool leader =
+        options.centroid_policy == CentroidPolicy::kFixedLeader;
+    std::vector<const GroupBuilder*> fresh(groups_.size(), nullptr);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (!groups_[g].has_value()) {
+        if (!recompute_all) continue;
+        Reopen(g);
+      }
+      groups_[g]->RecomputeFromMembers(ds, leader);
+      fresh[g] = &*groups_[g];
+      ++*recomputed;
+    }
+
+    LengthClass cls;
+    cls.length = length_;
+    cls.store = std::make_shared<const GroupStore>(GroupStore::Merge(
+        length_, prev_ == nullptr ? nullptr : prev_->store.get(), fresh));
+    cls.groups.reserve(groups_.size());
+    cls.group_outliers.resize(groups_.size(), 0);
+    // Under kFixedLeader every member was admitted against its final
+    // centroid, so no group has outliers and none is scanned.
+    const double radius = DriftOutlierRadius(options.st);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      cls.groups.emplace_back(cls.store.get(), g);
+      if (fresh[g] == nullptr) {
+        cls.group_outliers[g] = prev_->group_outliers[g];
+      } else if (!leader) {
+        cls.group_outliers[g] = CountOutliers(
+            cls.store->centroid(g), cls.store->members(g), ds, radius);
+      }
+    }
+    cls.total_members = cls.store->total_members();
+    return cls;
+  }
+
+ private:
+  std::span<const double> Centroid(std::size_t g) const {
+    return groups_[g].has_value() ? groups_[g]->centroid_span()
+                                  : prev_->store->centroid(g);
+  }
+
+  void Reopen(std::size_t g) {
+    const GroupStore& store = *prev_->store;
+    GroupBuilder& b = groups_[g].emplace(length_);
+    b.SetMembers({store.members(g).begin(), store.members(g).end()});
+    b.SetCentroid(store.centroid(g));
+  }
+
+  std::size_t length_;
+  const LengthClass* prev_;
+  /// One entry per group, in scan order; engaged for the groups this write
+  /// recomputes.
+  std::vector<std::optional<GroupBuilder>> groups_;
+};
+
+/// The class `base` holds for `len`, or null when the write founds it.
+const LengthClass* PrevClass(const OnexBase& base, std::size_t len) {
+  Result<const LengthClass*> cls = base.FindLengthClass(len);
+  return cls.ok() ? *cls : nullptr;
+}
+
+/// The one write path behind AppendSeries, ExtendSeries and
+/// RegroupLengthClasses. Each of `writes` (ascending by length) replaces
+/// its class; every other class of `base` carries over — shared as it is
+/// when the base's centroids are exact, recomputed from its members when
+/// they are not (the first write after Build or an arena load).
+Result<ExtendResult> CommitWrite(const OnexBase& base,
+                                 std::shared_ptr<const Dataset> dataset,
+                                 std::vector<ClassWrite> writes,
+                                 std::size_t repaired_members) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const Dataset& ds = *dataset;
+  const BaseBuildOptions& options = base.options();
+  const bool exact = base.centroids_exact();
+  std::size_t recomputed = 0;
+  std::vector<LengthClass> classes;
+  std::vector<LengthClassDrift> drift;
+  drift.reserve(writes.size());
+  auto old = base.length_classes().begin();
+  const auto old_end = base.length_classes().end();
+  auto w = writes.begin();
+  while (old != old_end || w != writes.end()) {
+    if (w != writes.end() && (old == old_end || w->length() <= old->length)) {
+      if (old != old_end && old->length == w->length()) ++old;
+      classes.push_back(
+          std::move(*w).Finish(ds, options, !exact, &recomputed));
+      drift.push_back(SummedDrift(classes.back()));
+      ++w;
+    } else if (exact) {
+      classes.push_back(*old++);
+    } else {
+      classes.push_back(ClassWrite(old->length, &*old)
+                            .Finish(ds, options, true, &recomputed));
+      ++old;
+    }
+  }
+  ONEX_ASSIGN_OR_RETURN(
+      OnexBase next,
+      OnexBase::Assemble(std::move(dataset), options, std::move(classes),
+                         repaired_members, /*centroids_exact=*/true,
+                         std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count()));
+  ExtendResult result{std::move(next), 0, recomputed, std::move(drift)};
+  return result;
 }
 
 }  // namespace
@@ -106,8 +215,6 @@ Result<OnexBase> AppendSeries(const OnexBase& base, TimeSeries series) {
   auto dataset = std::make_shared<const Dataset>(std::move(extended));
   const Dataset& ds = *dataset;
 
-  std::vector<LengthClassDraft> classes = ThawClasses(base);
-
   const std::size_t max_len =
       options.max_length == 0 ? std::max(base.dataset().MaxLength(), new_len)
                               : options.max_length;
@@ -115,22 +222,21 @@ Result<OnexBase> AppendSeries(const OnexBase& base, TimeSeries series) {
   const bool update_centroid =
       options.centroid_policy != CentroidPolicy::kFixedLeader;
 
+  std::vector<ClassWrite> writes;
   for (std::size_t len = options.min_length; len <= max_len;
        len += options.length_step) {
     if (new_len < len) continue;
-    LengthClassDraft* cls = FindOrCreateClass(&classes, len);
+    ClassWrite& cls = writes.emplace_back(len, PrevClass(base, len));
     for (std::size_t start = 0; start + len <= new_len;
          start += options.stride) {
-      InsertMember(cls, ds, {new_idx, start, len}, radius, update_centroid);
+      cls.Insert(ds, {new_idx, start, len}, radius, update_centroid);
     }
   }
-
-  // Restore recomputes centroids/envelopes/stats and repacks the columnar
-  // stores; note this realigns running-mean centroids to the exact member
-  // mean (insertion kept them approximately there) and keeps leaders fixed
-  // for kFixedLeader.
-  return OnexBase::Restore(std::move(dataset), options, std::move(classes),
-                           base.stats().repaired_members);
+  ONEX_ASSIGN_OR_RETURN(ExtendResult written,
+                        CommitWrite(base, std::move(dataset),
+                                    std::move(writes),
+                                    base.stats().repaired_members));
+  return std::move(written.base);
 }
 
 Result<std::vector<std::vector<double>>> MergeExtensions(
@@ -184,8 +290,6 @@ Result<ExtendResult> ExtendSeries(
       std::make_shared<const Dataset>(ExtendTails(old_ds, pending));
   const Dataset& ds = *dataset;
 
-  std::vector<LengthClassDraft> classes = ThawClasses(base);
-
   const std::size_t max_len = options.max_length == 0
                                   ? std::max(old_ds.MaxLength(), ds.MaxLength())
                                   : options.max_length;
@@ -194,10 +298,10 @@ Result<ExtendResult> ExtendSeries(
       options.centroid_policy != CentroidPolicy::kFixedLeader;
 
   std::size_t new_members = 0;
-  std::vector<std::size_t> touched;
+  std::vector<ClassWrite> writes;
   for (std::size_t len = options.min_length; len <= max_len;
        len += options.length_step) {
-    LengthClassDraft* cls = nullptr;
+    ClassWrite* cls = nullptr;
     for (std::size_t s = 0; s < pending.size(); ++s) {
       if (pending[s].empty()) continue;
       const std::size_t old_len = old_ds[s].length();
@@ -213,35 +317,22 @@ Result<ExtendResult> ExtendSeries(
       }
       for (std::size_t start = first; start + len <= new_len;
            start += options.stride) {
-        if (cls == nullptr) cls = FindOrCreateClass(&classes, len);
-        InsertMember(cls, ds, {s, start, len}, radius, update_centroid);
+        if (cls == nullptr) {
+          cls = &writes.emplace_back(len, PrevClass(base, len));
+        }
+        cls->Insert(ds, {s, start, len}, radius, update_centroid);
         ++new_members;
       }
     }
-    if (cls != nullptr) touched.push_back(len);
   }
 
-  ONEX_ASSIGN_OR_RETURN(
-      OnexBase next,
-      OnexBase::Restore(std::move(dataset), options, std::move(classes),
-                        base.stats().repaired_members));
-
-  // Drift is measured on the restored base (exact post-insert centroids) so
-  // the number the regroup policy sees is the one queries experience. Under
-  // kFixedLeader the invariant is exact — report the touched classes with
-  // zero outliers instead of paying the member scan on every tick.
-  const bool leader =
-      options.centroid_policy == CentroidPolicy::kFixedLeader;
-  std::vector<LengthClassDrift> drift;
-  drift.reserve(touched.size());
-  for (const std::size_t len : touched) {
-    Result<const LengthClass*> cls = next.FindLengthClass(len);
-    if (!cls.ok()) continue;
-    drift.push_back(leader
-                        ? LengthClassDrift{len, (*cls)->total_members, 0}
-                        : DriftOfClass(next, **cls));
-  }
-  ExtendResult result{std::move(next), new_members, std::move(drift)};
+  // Drift is counted on the written groups (exact post-insert centroids),
+  // so the number the regroup policy sees is the one queries experience.
+  ONEX_ASSIGN_OR_RETURN(ExtendResult result,
+                        CommitWrite(base, std::move(dataset),
+                                    std::move(writes),
+                                    base.stats().repaired_members));
+  result.new_members = new_members;
   return result;
 }
 
@@ -262,27 +353,35 @@ std::vector<LengthClassDrift> ComputeDrift(const OnexBase& base) {
   return out;
 }
 
+std::vector<LengthClassDrift> TrackedDrift(const OnexBase& base) {
+  std::vector<LengthClassDrift> out;
+  out.reserve(base.length_classes().size());
+  for (const LengthClass& cls : base.length_classes()) {
+    out.push_back(cls.group_outliers.size() == cls.groups.size()
+                      ? SummedDrift(cls)
+                      : DriftOfClass(base, cls));
+  }
+  return out;
+}
+
 Result<OnexBase> RegroupLengthClasses(const OnexBase& base,
                                       std::span<const std::size_t> lengths) {
   const std::set<std::size_t> want(lengths.begin(), lengths.end());
   std::size_t repaired = base.stats().repaired_members;
-  std::vector<LengthClassDraft> classes;
-  classes.reserve(base.length_classes().size());
+  std::vector<ClassWrite> writes;
   for (const LengthClass& cls : base.length_classes()) {
-    if (want.contains(cls.length)) {
-      // Fresh leader clustering: every member re-admitted against the
-      // centroids of its own era, the exact pipeline the offline build runs.
-      LengthClassDraft draft;
-      draft.length = cls.length;
-      draft.groups = internal::BuildGroupsForLength(base.dataset(), cls.length,
-                                                    base.options(), &repaired);
-      classes.push_back(std::move(draft));
-    } else {
-      classes.push_back(ThawClass(cls));
-    }
+    if (!want.contains(cls.length)) continue;
+    // Fresh leader clustering: every member re-admitted against the
+    // centroids of its own era, the exact pipeline the offline build runs.
+    writes.emplace_back(cls.length,
+                        internal::BuildGroupsForLength(
+                            base.dataset(), cls.length, base.options(),
+                            &repaired));
   }
-  return OnexBase::Restore(base.shared_dataset(), base.options(),
-                           std::move(classes), repaired);
+  ONEX_ASSIGN_OR_RETURN(ExtendResult written,
+                        CommitWrite(base, base.shared_dataset(),
+                                    std::move(writes), repaired));
+  return std::move(written.base);
 }
 
 }  // namespace onex

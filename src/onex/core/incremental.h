@@ -30,6 +30,14 @@ namespace onex {
 /// series than any before, under max_length == 0 scoping) get fresh length
 /// classes.
 ///
+/// Cost: a write pays for the groups it changes (DESIGN.md §12). Only a
+/// group that gained members, or that the write founded, is recomputed
+/// from its members; every other group's rows, and every class with no new
+/// member, carry over from the input base. The result equals
+/// OnexBase::Restore of its memberships byte for byte. That needs exact
+/// centroids in the input (OnexBase::centroids_exact), so the first write
+/// after a Build or an arena load recomputes every group.
+///
 /// Results are new immutable bases over the grown dataset; the input base
 /// is untouched (readers keep their snapshot, mirroring Engine::Prepare).
 
@@ -72,8 +80,13 @@ inline double DriftOutlierRadius(double st) { return st / 2.0 + 1e-9; }
 struct ExtendResult {
   OnexBase base;
   std::size_t new_members = 0;  ///< Subsequences this extension generated.
+  /// Groups recomputed from their members: those that gained members plus
+  /// those the extension founded — or every group, on a base without exact
+  /// centroids.
+  std::size_t groups_recomputed = 0;
   /// Post-extension drift of every length class the extension touched
-  /// (ascending by length). Untouched classes did not move.
+  /// (ascending by length). The other classes gained no member, so their
+  /// groups and drift are the input base's.
   std::vector<LengthClassDrift> drift;
 };
 
@@ -107,13 +120,20 @@ Result<ExtendResult> ExtendSeries(const OnexBase& base, std::size_t series_id,
 /// touched subset itself.
 std::vector<LengthClassDrift> ComputeDrift(const OnexBase& base);
 
+/// The same numbers from the per-group counts writes keep
+/// (LengthClass::group_outliers), with no member scan; a class without
+/// counts (a Build or arena base) is scanned. ComputeDrift is its twin.
+std::vector<LengthClassDrift> TrackedDrift(const OnexBase& base);
+
 /// Rebuilds just the named length classes from scratch — fresh leader
 /// clustering over the (current) dataset via the shared
-/// internal::BuildGroupsForLength pipeline — while every other class is
-/// carried over untouched. This is the drift repair: a regrouped class's
-/// members were all admitted against final-era centroids, restoring the
-/// tight envelopes incremental maintenance eroded. Lengths with no class in
-/// `base` are ignored.
+/// internal::BuildGroupsForLength pipeline, then every group recomputed
+/// from its members as Restore does. Every other class carries over under
+/// the write rule above: shared as it is on a base with exact centroids,
+/// recomputed from its members otherwise. This is the drift repair: a
+/// regrouped class's members were all admitted against final-era
+/// centroids, restoring the tight envelopes incremental maintenance
+/// eroded. Lengths with no class in `base` are ignored.
 Result<OnexBase> RegroupLengthClasses(const OnexBase& base,
                                       std::span<const std::size_t> lengths);
 

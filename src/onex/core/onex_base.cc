@@ -44,7 +44,7 @@ LengthClass BuildLengthClass(const Dataset& ds, std::size_t len,
                              std::size_t* repaired) {
   const std::vector<GroupBuilder> groups =
       internal::BuildGroupsForLength(ds, len, options, repaired);
-  if (groups.empty()) return LengthClass{len, nullptr, {}, 0};
+  if (groups.empty()) return LengthClass{len, nullptr, {}, 0, {}};
   return FinalizeLengthClass(len, groups);
 }
 
@@ -159,26 +159,14 @@ Result<OnexBase> OnexBase::Restore(std::shared_ptr<const Dataset> dataset,
     return Status::InvalidArgument("cannot restore a base without a dataset");
   }
   ONEX_RETURN_IF_ERROR(options.Validate());
-  if (classes.empty()) {
-    return Status::InvalidArgument("cannot restore a base with no groups");
-  }
 
   const auto t0 = std::chrono::steady_clock::now();
-  OnexBase base;
-  base.dataset_ = std::move(dataset);
-  base.options_ = options;
-  base.stats_.repaired_members = repaired_members;
-  const Dataset& ds = *base.dataset_;
+  const Dataset& ds = *dataset;
   const bool leader =
       options.centroid_policy == CentroidPolicy::kFixedLeader;
-
-  std::size_t prev_length = 0;
+  std::vector<LengthClass> finished;
+  finished.reserve(classes.size());
   for (LengthClassDraft& draft : classes) {
-    if (draft.length <= prev_length) {
-      return Status::InvalidArgument(
-          "length classes must be strictly increasing");
-    }
-    prev_length = draft.length;
     // Build() never materializes a class with zero members; skip an empty
     // draft rather than install a memberless LengthClass that every later
     // consumer (drift ratios, group scans) would have to special-case.
@@ -197,18 +185,53 @@ Result<OnexBase> OnexBase::Restore(std::shared_ptr<const Dataset> dataset,
       }
       g.RecomputeFromMembers(ds, leader);
     }
-    LengthClass cls = FinalizeLengthClass(draft.length, draft.groups);
-    base.stats_.num_subsequences += cls.total_members;
-    base.stats_.num_groups += cls.groups.size();
-    base.classes_.push_back(std::move(cls));
+    finished.push_back(FinalizeLengthClass(draft.length, draft.groups));
   }
-  if (base.classes_.empty()) {
+  if (finished.empty()) {
     return Status::InvalidArgument("cannot restore a base with no groups");
   }
+  return Assemble(std::move(dataset), options, std::move(finished),
+                  repaired_members, /*centroids_exact=*/false,
+                  std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
+}
+
+Result<OnexBase> OnexBase::Assemble(std::shared_ptr<const Dataset> dataset,
+                                    const BaseBuildOptions& options,
+                                    std::vector<LengthClass> classes,
+                                    std::size_t repaired_members,
+                                    bool centroids_exact,
+                                    double build_seconds) {
+  if (dataset == nullptr || dataset->empty()) {
+    return Status::InvalidArgument("cannot assemble a base without a dataset");
+  }
+  ONEX_RETURN_IF_ERROR(options.Validate());
+  if (classes.empty()) {
+    return Status::InvalidArgument("cannot assemble a base with no groups");
+  }
+
+  OnexBase base;
+  base.dataset_ = std::move(dataset);
+  base.options_ = options;
+  base.stats_.repaired_members = repaired_members;
+  base.stats_.build_seconds = build_seconds;
+  base.centroids_exact_ = centroids_exact;
+  std::size_t prev_length = 0;
+  for (const LengthClass& cls : classes) {
+    if (cls.length <= prev_length) {
+      return Status::InvalidArgument(
+          "length classes must be strictly increasing");
+    }
+    prev_length = cls.length;
+    if (cls.store == nullptr || cls.groups.empty()) {
+      return Status::InvalidArgument("assembled length class has no groups");
+    }
+    base.stats_.num_subsequences += cls.total_members;
+    base.stats_.num_groups += cls.groups.size();
+  }
+  base.classes_ = std::move(classes);
   base.stats_.num_length_classes = base.classes_.size();
-  base.stats_.build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return base;
 }
 
@@ -216,31 +239,12 @@ Result<OnexBase> OnexBase::FromStores(
     std::shared_ptr<const Dataset> dataset, const BaseBuildOptions& options,
     std::vector<std::shared_ptr<const GroupStore>> stores,
     std::size_t repaired_members, std::shared_ptr<const void> storage) {
-  if (dataset == nullptr || dataset->empty()) {
-    return Status::InvalidArgument("cannot assemble a base without a dataset");
-  }
-  ONEX_RETURN_IF_ERROR(options.Validate());
-  if (stores.empty()) {
-    return Status::InvalidArgument("cannot assemble a base with no stores");
-  }
-
-  OnexBase base;
-  base.dataset_ = std::move(dataset);
-  base.options_ = options;
-  base.stats_.repaired_members = repaired_members;
-  base.storage_ = std::move(storage);
-
-  std::size_t prev_length = 0;
+  std::vector<LengthClass> classes;
+  classes.reserve(stores.size());
   for (std::shared_ptr<const GroupStore>& store : stores) {
     if (store == nullptr || store->num_groups() == 0) {
       return Status::InvalidArgument("assembled length class has no groups");
     }
-    if (store->length() <= prev_length) {
-      return Status::InvalidArgument(
-          "length classes must be strictly increasing");
-    }
-    prev_length = store->length();
-
     LengthClass cls;
     cls.length = store->length();
     cls.store = std::move(store);
@@ -249,11 +253,14 @@ Result<OnexBase> OnexBase::FromStores(
       cls.groups.emplace_back(cls.store.get(), g);
     }
     cls.total_members = cls.store->total_members();
-    base.stats_.num_subsequences += cls.total_members;
-    base.stats_.num_groups += cls.groups.size();
-    base.classes_.push_back(std::move(cls));
+    classes.push_back(std::move(cls));
   }
-  base.stats_.num_length_classes = base.classes_.size();
+  ONEX_ASSIGN_OR_RETURN(
+      OnexBase base,
+      Assemble(std::move(dataset), options, std::move(classes),
+               repaired_members, /*centroids_exact=*/false,
+               /*build_seconds=*/0.0));
+  base.storage_ = std::move(storage);
   return base;
 }
 

@@ -61,11 +61,16 @@ struct LengthClass {
   std::shared_ptr<const GroupStore> store;
   std::vector<SimilarityGroup> groups;  ///< Views into *store, by index.
   std::size_t total_members = 0;
+  /// Drift outliers of each group (members farther than
+  /// DriftOutlierRadius from its centroid; core/incremental.h), kept by the
+  /// write paths so a write rescans only the groups it changed. Empty on a
+  /// Build or FromStores base until its first write counts every group.
+  std::vector<std::size_t> group_outliers;
 };
 
-/// A length class still under construction: plain mutable builders, the
-/// form Restore accepts from the persistence and incremental layers before
-/// centroids/envelopes are recomputed and packed into the columnar store.
+/// A length class as plain mutable builders, the form Restore accepts
+/// before centroids/envelopes are recomputed and packed into the columnar
+/// store.
 struct LengthClassDraft {
   std::size_t length = 0;
   std::vector<GroupBuilder> groups;
@@ -101,15 +106,28 @@ class OnexBase {
   static Result<OnexBase> Build(std::shared_ptr<const Dataset> dataset,
                                 const BaseBuildOptions& options);
 
-  /// Reassembles a base from group memberships — the incremental write
-  /// path (core/incremental.h): validates member references, recomputes
-  /// centroids (policy-aware) and envelopes, packs each class into its
-  /// columnar store, and rebuilds stats. `classes` entries must be sorted
-  /// by length and carry their members.
+  /// Reassembles a base from group memberships: validates member
+  /// references, recomputes every centroid (policy-aware) and envelope,
+  /// packs each class into its columnar store, and rebuilds stats.
+  /// `classes` entries must be sorted by length and carry their members.
+  /// The recompute-everything twin of the write path (core/incremental.h),
+  /// which recomputes only the groups a write changes and must equal
+  /// Restore of its own memberships byte for byte.
   static Result<OnexBase> Restore(std::shared_ptr<const Dataset> dataset,
                                   const BaseBuildOptions& options,
                                   std::vector<LengthClassDraft> classes,
                                   std::size_t repaired_members);
+
+  /// Assembles a base from finished length classes — the write path's last
+  /// step, and where Restore and FromStores end too. Classes must be
+  /// non-empty, strictly increasing in length, with views over their own
+  /// stores. `centroids_exact` is the caller's promise that the base meets
+  /// centroids_exact() below; `build_seconds` is what the caller spent.
+  static Result<OnexBase> Assemble(std::shared_ptr<const Dataset> dataset,
+                                   const BaseBuildOptions& options,
+                                   std::vector<LengthClass> classes,
+                                   std::size_t repaired_members,
+                                   bool centroids_exact, double build_seconds);
 
   /// Assembles a base directly from already-columnar stores — the ONEXARENA
   /// load path (arena_layout.h), which carries centroids and envelopes
@@ -147,6 +165,15 @@ class OnexBase {
   /// over an mmap'd arena): the handle pinning the mapped bytes.
   const std::shared_ptr<const void>& storage() const { return storage_; }
 
+  /// True when every group is exactly what Restore would recompute from its
+  /// members (the member mean, or the leader under kFixedLeader) and every
+  /// class carries its group_outliers. Writes produce such bases, so the
+  /// next write copies the rows of every group it leaves alone. Build keeps
+  /// running-mean centroids and FromStores cannot vouch for its columns, so
+  /// the first write onto either recomputes every group. In memory only:
+  /// no checkpoint or log records it.
+  bool centroids_exact() const { return centroids_exact_; }
+
  private:
   OnexBase() = default;
 
@@ -158,6 +185,7 @@ class OnexBase {
   /// Destruction order vs classes_ is irrelevant: stores never dereference
   /// their borrowed spans while being destroyed.
   std::shared_ptr<const void> storage_;
+  bool centroids_exact_ = false;
 };
 
 }  // namespace onex

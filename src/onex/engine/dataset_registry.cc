@@ -740,9 +740,9 @@ Status DatasetRegistry::RunRegroup(const std::string& name,
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> installed,
                         Update(slot, name, build));
   // Refresh the drift the dashboard sees: the regrouped classes are the
-  // ones whose number just changed.
+  // ones whose number just changed. The write kept every group's count.
   double max_fraction = 0.0;
-  for (const LengthClassDrift& d : ComputeDrift(*installed->base)) {
+  for (const LengthClassDrift& d : TrackedDrift(*installed->base)) {
     max_fraction = std::max(max_fraction, d.fraction());
   }
   slot->last_max_drift.store(max_fraction);

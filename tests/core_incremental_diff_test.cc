@@ -4,11 +4,16 @@
 /// dataset (grouping-level agreement) and the brute-force exact scan
 /// (answer-quality agreement within the paper's approximation bound). 8
 /// seeds x 25 schedules = 200 schedules per run, all deterministic.
+///
+/// The write path's own twin: every base an extend, append or regroup
+/// produces must equal OnexBase::Restore of its own memberships byte for
+/// byte, and every drift it reports must equal the ComputeDrift scan.
 #include "onex/core/incremental.h"
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +24,7 @@
 
 #include "onex/baseline/brute_force.h"
 #include "onex/common/random.h"
+#include "onex/core/arena_layout.h"
 #include "onex/core/onex_base.h"
 #include "onex/core/query_processor.h"
 #include "onex/distance/euclidean.h"
@@ -287,6 +293,222 @@ TEST_P(IncrementalDiffTest, FullRegroupConvergesToFromScratchBuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDiffTest,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+// --- The write path against Restore, its recompute-everything twin --------
+
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// `got` must equal Restore of its own memberships: centroids, envelopes,
+/// centroid envelopes, member arena and offsets bit for bit, and the same
+/// BaseStats (build time aside).
+void ExpectEqualsRestoreOfMemberships(const OnexBase& got,
+                                      const std::string& where) {
+  std::vector<LengthClassDraft> drafts;
+  for (const LengthClass& cls : got.length_classes()) {
+    LengthClassDraft draft;
+    draft.length = cls.length;
+    for (const SimilarityGroup& g : cls.groups) {
+      GroupBuilder b(cls.length);
+      b.SetMembers({g.members().begin(), g.members().end()});
+      draft.groups.push_back(std::move(b));
+    }
+    drafts.push_back(std::move(draft));
+  }
+  Result<OnexBase> want_r =
+      OnexBase::Restore(got.shared_dataset(), got.options(), std::move(drafts),
+                        got.stats().repaired_members);
+  ASSERT_TRUE(want_r.ok()) << where << ": " << want_r.status();
+  const OnexBase& want = *want_r;
+
+  EXPECT_EQ(got.stats().num_subsequences, want.stats().num_subsequences)
+      << where;
+  EXPECT_EQ(got.stats().num_groups, want.stats().num_groups) << where;
+  EXPECT_EQ(got.stats().num_length_classes, want.stats().num_length_classes)
+      << where;
+  EXPECT_EQ(got.stats().repaired_members, want.stats().repaired_members)
+      << where;
+  ASSERT_EQ(got.length_classes().size(), want.length_classes().size())
+      << where;
+  for (std::size_t c = 0; c < got.length_classes().size(); ++c) {
+    const LengthClass& a = got.length_classes()[c];
+    const LengthClass& b = want.length_classes()[c];
+    ASSERT_EQ(a.length, b.length) << where;
+    ASSERT_EQ(a.total_members, b.total_members) << where;
+    const GroupStore& sa = *a.store;
+    const GroupStore& sb = *b.store;
+    ASSERT_EQ(sa.num_groups(), sb.num_groups()) << where;
+    ASSERT_EQ(a.groups.size(), sa.num_groups()) << where;
+    EXPECT_EQ(sa.centroid_envelope_window(), sb.centroid_envelope_window());
+    EXPECT_TRUE(SameBytes(sa.centroid_matrix(), sb.centroid_matrix()))
+        << where << " centroids, length " << a.length;
+    for (std::size_t g = 0; g < sa.num_groups(); ++g) {
+      EXPECT_TRUE(SameBytes(sa.envelope(g).lower, sb.envelope(g).lower) &&
+                  SameBytes(sa.envelope(g).upper, sb.envelope(g).upper))
+          << where << " envelope, length " << a.length << " group " << g;
+      EXPECT_TRUE(SameBytes(sa.centroid_envelope(g).lower,
+                            sb.centroid_envelope(g).lower) &&
+                  SameBytes(sa.centroid_envelope(g).upper,
+                            sb.centroid_envelope(g).upper))
+          << where << " centroid envelope, length " << a.length << " group "
+          << g;
+      ASSERT_EQ(sa.group_size(g), sb.group_size(g)) << where;
+      const std::span<const SubseqRef> ma = sa.members(g);
+      const std::span<const SubseqRef> mb = sb.members(g);
+      for (std::size_t m = 0; m < ma.size(); ++m) {
+        EXPECT_TRUE(ma[m] == mb[m]) << where << " member " << m;
+      }
+    }
+  }
+}
+
+/// Every drift an extend reports equals the full scan's number for the
+/// same length class.
+void ExpectDriftMatchesScan(const ExtendResult& result,
+                            const std::string& where) {
+  const std::vector<LengthClassDrift> scan = ComputeDrift(result.base);
+  for (const LengthClassDrift& d : result.drift) {
+    const auto it = std::find_if(
+        scan.begin(), scan.end(),
+        [&](const LengthClassDrift& s) { return s.length == d.length; });
+    ASSERT_NE(it, scan.end()) << where << " length " << d.length;
+    EXPECT_EQ(d.members, it->members) << where << " length " << d.length;
+    EXPECT_EQ(d.outliers, it->outliers) << where << " length " << d.length;
+  }
+}
+
+/// One random write — single-series extend, batched extend with duplicate
+/// targets, append (sometimes longer than every series so far) or a
+/// regroup of a random subset of lengths — checked against both twins.
+void RandomWrite(Rng* rng, OnexBase* base, const std::string& where) {
+  const Dataset& ds = base->dataset();
+  const double pick = rng->Uniform(0.0, 1.0);
+  if (pick < 0.2) {
+    const std::size_t len = 5 + rng->UniformIndex(12);
+    Result<OnexBase> next = AppendSeries(
+        *base, TimeSeries("a", testing::SmoothSeries(rng, len)));
+    ASSERT_TRUE(next.ok()) << where << ": " << next.status();
+    *base = *std::move(next);
+  } else if (pick < 0.35) {
+    std::vector<std::size_t> lengths;
+    for (const LengthClass& cls : base->length_classes()) {
+      if (rng->Bernoulli(0.4)) lengths.push_back(cls.length);
+    }
+    if (rng->Bernoulli(0.2)) lengths.push_back(1000);  // no such class
+    Result<OnexBase> next = RegroupLengthClasses(*base, lengths);
+    ASSERT_TRUE(next.ok()) << where << ": " << next.status();
+    *base = *std::move(next);
+  } else {
+    std::vector<SeriesExtension> batch;
+    const std::size_t specs =
+        rng->Bernoulli(0.5) ? 1 : 2 + rng->UniformIndex(3);
+    for (std::size_t i = 0; i < specs; ++i) {
+      SeriesExtension ext;
+      // A small pool of targets makes duplicate targets common.
+      ext.series = rng->UniformIndex(std::min<std::size_t>(ds.size(), 3));
+      ext.points = testing::SmoothSeries(rng, 1 + rng->UniformIndex(5));
+      batch.push_back(std::move(ext));
+    }
+    Result<ExtendResult> next = ExtendSeries(*base, batch);
+    ASSERT_TRUE(next.ok()) << where << ": " << next.status();
+    ExpectDriftMatchesScan(*next, where);
+    *base = std::move(next->base);
+  }
+  ExpectEqualsRestoreOfMemberships(*base, where);
+}
+
+enum class Start { kBuild, kMaterialized, kMapped };
+
+/// Scopings that open new classes (max_length 0), skip starts (stride > 1)
+/// and skip lengths (length_step > 1).
+BaseBuildOptions TwinOptions(int variant, CentroidPolicy policy) {
+  BaseBuildOptions opt;
+  opt.st = kSt;
+  opt.min_length = 4;
+  opt.centroid_policy = policy;
+  switch (variant) {
+    case 0:
+      opt.max_length = 0;
+      opt.length_step = 2;
+      break;
+    case 1:
+      opt.max_length = 10;
+      opt.stride = 2;
+      break;
+    default:
+      opt.max_length = 0;
+      opt.stride = 3;
+      opt.length_step = 3;
+      break;
+  }
+  return opt;
+}
+
+class WriteTwinTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WriteTwinTest, EveryWriteEqualsRestoreOfItsMemberships) {
+  const std::uint64_t seed = GetParam();
+  int schedule = 0;
+  for (const Start start : {Start::kBuild, Start::kMaterialized,
+                            Start::kMapped}) {
+    for (int policy = 0; policy < 3; ++policy) {
+      for (int variant = 0; variant < 3; ++variant, ++schedule) {
+        Rng rng(seed * 31'000 + static_cast<std::uint64_t>(schedule));
+        const BaseBuildOptions opt =
+            TwinOptions(variant, static_cast<CentroidPolicy>(policy));
+        const std::string where =
+            "seed " + std::to_string(seed) + " schedule " +
+            std::to_string(schedule);
+
+        Dataset seed_ds("twin");
+        const std::size_t num = 3 + rng.UniformIndex(3);
+        for (std::size_t s = 0; s < num; ++s) {
+          seed_ds.Add(TimeSeries(
+              std::to_string(s),
+              testing::SmoothSeries(&rng, 8 + rng.UniformIndex(7))));
+        }
+        Result<OnexBase> built = OnexBase::Build(
+            std::make_shared<const Dataset>(std::move(seed_ds)), opt);
+        ASSERT_TRUE(built.ok()) << where << ": " << built.status();
+        OnexBase base = *std::move(built);
+
+        if (start != Start::kBuild) {
+          // A checkpoint of a Build base or of an already written one, then
+          // served materialized or straight off the arena bytes.
+          const std::size_t before = rng.UniformIndex(3);
+          for (std::size_t i = 0; i < before; ++i) {
+            RandomWrite(&rng, &base, where + " pre-checkpoint");
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+          auto bytes = std::make_shared<std::string>();
+          Result<std::string> encoded = EncodeArena(
+              base.dataset(), NormalizationKind::kNone, {}, base);
+          ASSERT_TRUE(encoded.ok()) << where << ": " << encoded.status();
+          *bytes = *std::move(encoded);
+          Result<ArenaView> view = ParseArena(std::as_bytes(
+              std::span<const char>(bytes->data(), bytes->size())));
+          ASSERT_TRUE(view.ok()) << where << ": " << view.status();
+          Result<RealizedArena> realized = RealizeArena(
+              *view, start == Start::kMapped ? bytes : nullptr);
+          ASSERT_TRUE(realized.ok()) << where << ": " << realized.status();
+          base = *realized->base;
+        }
+
+        const std::size_t ops = 4 + rng.UniformIndex(5);
+        for (std::size_t op = 0; op < ops; ++op) {
+          RandomWrite(&rng, &base, where + " op " + std::to_string(op));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WriteTwinTest,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "onex/core/arena_layout.h"
 #include "onex/core/query_processor.h"
 #include "onex/distance/euclidean.h"
 #include "onex/gen/generators.h"
@@ -193,6 +194,168 @@ TEST(IncrementalTest, ShortSeriesOnlyJoinsAdmissibleLengths) {
         if (ref.series == 6) {
           EXPECT_LE(cls.length, 6u);
         }
+      }
+    }
+  }
+}
+
+// --- Writes pay for the groups they change --------------------------------
+
+/// Groups of `next` that a write from `prev` had to recompute: every group
+/// of a class `prev` lacks, and in the others every group that grew or is
+/// new (group order is stable, so index g names the same group in both).
+std::size_t ChangedGroups(const OnexBase& prev, const OnexBase& next) {
+  std::size_t changed = 0;
+  for (const LengthClass& cls : next.length_classes()) {
+    Result<const LengthClass*> old = prev.FindLengthClass(cls.length);
+    for (std::size_t g = 0; g < cls.groups.size(); ++g) {
+      if (!old.ok() || g >= (*old)->groups.size() ||
+          (*old)->groups[g].size() != cls.groups[g].size()) {
+        ++changed;
+      }
+    }
+  }
+  return changed;
+}
+
+/// Classes of `next` that still hold `prev`'s store for their length.
+std::set<std::size_t> SharedClasses(const OnexBase& prev,
+                                    const OnexBase& next) {
+  std::set<std::size_t> shared;
+  for (const LengthClass& cls : next.length_classes()) {
+    Result<const LengthClass*> old = prev.FindLengthClass(cls.length);
+    if (old.ok() && (*old)->store.get() == cls.store.get()) {
+      shared.insert(cls.length);
+    }
+  }
+  return shared;
+}
+
+/// Six 16-point series and a 7-point one: extending the short series
+/// touches only the classes up to its new length.
+OnexBase MakeExactBaseWithShortSeries() {
+  const OnexBase built = MakeBase();
+  EXPECT_FALSE(built.centroids_exact());
+  Rng rng(41);
+  Result<OnexBase> written =
+      AppendSeries(built, TimeSeries("short", testing::SmoothSeries(&rng, 7)));
+  EXPECT_TRUE(written.ok()) << written.status();
+  EXPECT_TRUE(written->centroids_exact());
+  return *std::move(written);
+}
+
+TEST(IncrementalDeltaTest, ExtendRecomputesOnlyTheGroupsThatChanged) {
+  OnexBase base = MakeExactBaseWithShortSeries();
+  Rng rng(43);
+  for (int tick = 0; tick < 6; ++tick) {
+    const std::vector<double> points = testing::SmoothSeries(&rng, 1);
+    Result<ExtendResult> next = ExtendSeries(base, /*series_id=*/6, points);
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->groups_recomputed, ChangedGroups(base, next->base))
+        << "tick " << tick;
+    EXPECT_LT(next->groups_recomputed, next->base.TotalGroups());
+
+    // A class with no new member is shared, store and all; a class that
+    // gained members has a new store.
+    const std::size_t new_len = next->base.dataset()[6].length();
+    const std::set<std::size_t> shared = SharedClasses(base, next->base);
+    for (const LengthClass& cls : next->base.length_classes()) {
+      EXPECT_EQ(shared.contains(cls.length), cls.length > new_len)
+          << "tick " << tick << " length " << cls.length;
+    }
+    EXPECT_TRUE(next->base.centroids_exact());
+    base = std::move(next->base);
+  }
+}
+
+TEST(IncrementalDeltaTest, RegroupKeepsTheStoresOfClassesItDidNotName) {
+  const OnexBase base = MakeExactBaseWithShortSeries();
+  const std::vector<std::size_t> named = {4, 10};
+  Result<OnexBase> regrouped = RegroupLengthClasses(base, named);
+  ASSERT_TRUE(regrouped.ok()) << regrouped.status();
+  EXPECT_TRUE(regrouped->centroids_exact());
+  const std::set<std::size_t> shared = SharedClasses(base, *regrouped);
+  for (const LengthClass& cls : regrouped->length_classes()) {
+    EXPECT_EQ(shared.contains(cls.length), cls.length != 4 && cls.length != 10)
+        << "length " << cls.length;
+  }
+}
+
+TEST(IncrementalDeltaTest, FirstWriteAfterBuildRecomputesEveryGroup) {
+  for (const CentroidPolicy policy :
+       {CentroidPolicy::kFixedLeader, CentroidPolicy::kRunningMean,
+        CentroidPolicy::kRunningMeanRepair}) {
+    const OnexBase built = MakeBase(6, 16, policy);
+    const std::vector<double> points = {0.5, 0.4};
+    Result<ExtendResult> next = ExtendSeries(built, 0, points);
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->groups_recomputed, next->base.TotalGroups());
+    EXPECT_TRUE(SharedClasses(built, next->base).empty());
+
+    // A regroup straight after Build recomputes its other classes too.
+    const std::vector<std::size_t> named = {4};
+    Result<OnexBase> regrouped = RegroupLengthClasses(built, named);
+    ASSERT_TRUE(regrouped.ok()) << regrouped.status();
+    EXPECT_TRUE(SharedClasses(built, *regrouped).empty());
+  }
+}
+
+TEST(IncrementalDeltaTest, FirstWriteAfterArenaLoadRecomputesEveryGroup) {
+  const OnexBase exact = MakeExactBaseWithShortSeries();
+  auto bytes = std::make_shared<std::string>();
+  Result<std::string> encoded =
+      EncodeArena(exact.dataset(), NormalizationKind::kNone, {}, exact);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  *bytes = *std::move(encoded);
+  Result<ArenaView> view = ParseArena(
+      std::as_bytes(std::span<const char>(bytes->data(), bytes->size())));
+  ASSERT_TRUE(view.ok()) << view.status();
+  for (const bool mapped : {false, true}) {
+    Result<RealizedArena> loaded =
+        RealizeArena(*view, mapped ? bytes : nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const OnexBase& base = *loaded->base;
+    EXPECT_FALSE(base.centroids_exact());
+    const std::vector<double> points = {0.5};
+    Result<ExtendResult> next = ExtendSeries(base, 6, points);
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->groups_recomputed, next->base.TotalGroups())
+        << (mapped ? "mapped" : "materialized");
+    EXPECT_TRUE(SharedClasses(base, next->base).empty());
+    for (const LengthClass& cls : next->base.length_classes()) {
+      EXPECT_FALSE(cls.store->borrowed());
+    }
+  }
+}
+
+TEST(IncrementalDeltaTest, TrackedDriftEqualsTheScan) {
+  for (const CentroidPolicy policy :
+       {CentroidPolicy::kFixedLeader, CentroidPolicy::kRunningMean,
+        CentroidPolicy::kRunningMeanRepair}) {
+    OnexBase base = MakeBase(6, 16, policy);
+    Rng rng(47);
+    for (int op = 0; op < 12; ++op) {
+      if (op % 4 == 3) {
+        const std::vector<std::size_t> named = {6, 8};
+        Result<OnexBase> next = RegroupLengthClasses(base, named);
+        ASSERT_TRUE(next.ok()) << next.status();
+        base = *std::move(next);
+      } else {
+        const std::vector<double> points =
+            testing::SmoothSeries(&rng, 1 + rng.UniformIndex(3));
+        Result<ExtendResult> next =
+            ExtendSeries(base, rng.UniformIndex(6), points);
+        ASSERT_TRUE(next.ok()) << next.status();
+        base = std::move(next->base);
+      }
+      const std::vector<LengthClassDrift> tracked = TrackedDrift(base);
+      const std::vector<LengthClassDrift> scan = ComputeDrift(base);
+      ASSERT_EQ(tracked.size(), scan.size());
+      for (std::size_t c = 0; c < scan.size(); ++c) {
+        EXPECT_EQ(tracked[c].length, scan[c].length);
+        EXPECT_EQ(tracked[c].members, scan[c].members);
+        EXPECT_EQ(tracked[c].outliers, scan[c].outliers)
+            << CentroidPolicyToString(policy) << " op " << op;
       }
     }
   }
