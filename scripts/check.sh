@@ -26,6 +26,25 @@ ctest --output-on-failure -j"$(nproc)"
 # identical to resident and to an explicit re-preparation.
 ./bench_e13_coldstart --smoke
 
+# Option smoke (DESIGN.md §9): a verb uses an option as given or refuses it.
+# A misspelt window= must answer InvalidArgument, not run unconstrained.
+./onexd 7740 >/dev/null 2>&1 &
+SINGLE=$!
+tries=0
+until ./onex_cli 7740 PING >/dev/null 2>&1; do
+  tries=$((tries + 1))
+  [ "$tries" -lt 150 ] || { echo "onexd :7740 never came up"; exit 1; }
+  sleep 0.2
+done
+./onex_cli 7740 "GEN demo walk num=6 len=24 seed=3" \
+  "PREPARE demo st=0.2 maxlen=12" | grep -q '"ok": true'
+./onex_cli 7740 "MATCH demo q=1:5:12 windw=2" |
+  grep -q '"code": "InvalidArgument"' ||
+  { echo "MATCH accepted a misspelt option"; kill "$SINGLE"; exit 1; }
+kill "$SINGLE"
+wait "$SINGLE" 2>/dev/null || :
+echo "option smoke: OK"
+
 # Cluster smoke (DESIGN.md §16): boot a real 3-process cluster, route
 # traffic through every node, kill -9 the shard that owns "demo", and
 # demand the survivors keep answering after promotion. HRW placement
@@ -84,6 +103,11 @@ done
 ./onex_cli 7741 "PREPARE demo st=0.2 maxlen=16" | grep -q '"ok": true'
 ./onex_cli 7742 "KNN demo q=0:0:12 k=2" | grep -q '"ok": true'
 ./onex_cli 7743 "MATCH datasets=demo q=1:2:10" | grep -q '"ok": true'
+# fwd=1 is the coordinators' internal pin for routed verbs; it must not
+# unblock a checkpoint, which would rotate the log replicas catch up from.
+./onex_cli 7743 "CHECKPOINT demo fwd=1" |
+  grep -q '"code": "FailedPrecondition"' ||
+  { echo "fwd=1 unblocked CHECKPOINT in cluster mode"; exit 1; }
 
 # Fault injection: node 2 is demo's primary; the coordinator must notice,
 # promote a caught-up replica, and keep serving bit-identical answers.

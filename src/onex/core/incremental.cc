@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
@@ -215,9 +216,10 @@ Result<OnexBase> AppendSeries(const OnexBase& base, TimeSeries series) {
   auto dataset = std::make_shared<const Dataset>(std::move(extended));
   const Dataset& ds = *dataset;
 
+  // Only classes no longer than the new series gain members.
   const std::size_t max_len =
-      options.max_length == 0 ? std::max(base.dataset().MaxLength(), new_len)
-                              : options.max_length;
+      std::min(options.max_length == 0 ? SIZE_MAX : options.max_length,
+               new_len);
   const double radius = options.st / 2.0;
   const bool update_centroid =
       options.centroid_policy != CentroidPolicy::kFixedLeader;
@@ -290,9 +292,10 @@ Result<ExtendResult> ExtendSeries(
       std::make_shared<const Dataset>(ExtendTails(old_ds, pending));
   const Dataset& ds = *dataset;
 
-  const std::size_t max_len = options.max_length == 0
-                                  ? std::max(old_ds.MaxLength(), ds.MaxLength())
-                                  : options.max_length;
+  // Only classes no longer than the longest extended series gain members.
+  const std::size_t max_len =
+      std::min(options.max_length == 0 ? SIZE_MAX : options.max_length,
+               ds.MaxLength());
   const double radius = options.st / 2.0;
   const bool update_centroid =
       options.centroid_policy != CentroidPolicy::kFixedLeader;

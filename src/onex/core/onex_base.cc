@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -93,8 +94,10 @@ Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
   base.options_ = options;
   const Dataset& ds = *base.dataset_;
 
+  // No class is longer than the longest series, however large max_length.
   const std::size_t max_len =
-      options.max_length == 0 ? ds.MaxLength() : options.max_length;
+      std::min(options.max_length == 0 ? SIZE_MAX : options.max_length,
+               ds.MaxLength());
   std::vector<std::size_t> lengths;
   for (std::size_t len = options.min_length; len <= max_len;
        len += options.length_step) {

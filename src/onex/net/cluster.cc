@@ -18,16 +18,19 @@ bool IsReplicatedMutator(const VerbSpec* spec) {
 }
 
 /// Re-serializes a command for the owning shard: same verb, args and
-/// options, plus the resolved dataset (the shard session is fresh) and the
-/// fwd=1 pin that stops the shard from routing it onward.
+/// options, plus the fwd=1 pin that stops the shard from routing it onward
+/// and, when this node's session supplied the dataset, dataset=<name> (the
+/// shard session is fresh). A command that names its dataset keeps its
+/// own spelling, so GEN and LOAD, which take no dataset=, forward as sent.
 WireRequest BuildForward(const Command& cmd, const std::string& dataset) {
   std::string line = cmd.verb;
   for (const std::string& arg : cmd.args) line += " " + arg;
-  for (const auto& [key, value] : cmd.options) {
-    if (key == "fwd") continue;
-    line += " " + key + "=" + value;
+  for (const auto& [key, value] : cmd.options) line += " " + key + "=" + value;
+  if (cmd.args.empty() && cmd.options.count("dataset") == 0 &&
+      cmd.options.count("name") == 0) {
+    line += " dataset=" + dataset;
   }
-  line += " dataset=" + dataset + " fwd=1";
+  line += " fwd=1";
   WireRequest req;
   req.command = std::move(line);
   req.values = cmd.payload;
@@ -393,7 +396,7 @@ Result<std::vector<WireResponse>> ClusterNode::ScatterPerDataset(
 
 json::Value ClusterNode::ScatterMulti(Engine* engine, const Command& cmd,
                                       const ExecContext& ctx) {
-  Result<FanOut> plan = PlanFanOut(cmd);
+  Result<FanOut> plan = PlanFanOut(cmd, ctx.opt);
   if (!plan.ok()) return ErrorResponse(plan.status());
   std::vector<WireRequest> requests;
   requests.reserve(plan->names.size());
@@ -403,7 +406,7 @@ json::Value ClusterNode::ScatterMulti(Engine* engine, const Command& cmd,
   Result<std::vector<WireResponse>> answers =
       ScatterPerDataset(engine, plan->names, requests, ctx);
   if (!answers.ok()) return ErrorResponse(answers.status());
-  return MergeFanOut(cmd, plan->names, *answers, ctx.out_values);
+  return MergeFanOut(cmd, *plan, *answers, ctx.out_values);
 }
 
 json::Value ClusterNode::Scatter(Engine* engine, const Command& cmd,
@@ -484,11 +487,9 @@ json::Value ClusterNode::StatusReport(Engine* engine) {
 
 json::Value ClusterNode::Execute(Engine* engine, Session* session,
                                  const Command& cmd, const ExecContext& ctx) {
-  // fwd=1 pins execution here: the sending coordinator already routed.
-  // Verbs not in the table answer locally, as on a single node.
-  if (cmd.options.count("fwd") != 0 || ctx.verb == nullptr) {
-    return ExecuteLocal(engine, session, cmd, ctx);
-  }
+  // fwd=1 pins a routed verb here: the sending coordinator already routed
+  // it. It pins nothing else, so it cannot unblock a blocked verb.
+  const bool pinned = cmd.options.count("fwd") != 0;
   switch (ctx.verb->route) {
     case ClusterRoute::kLocal:
       return ExecuteLocal(engine, session, cmd, ctx);
@@ -503,15 +504,14 @@ json::Value ClusterNode::Execute(Engine* engine, Session* session,
           "is fixed at startup; checkpointing would truncate the replicated "
           "WAL)"));
     case ClusterRoute::kScatter:
+      if (pinned) return ExecuteLocal(engine, session, cmd, ctx);
       return Scatter(engine, cmd, ctx);
     case ClusterRoute::kOwner:
     case ClusterRoute::kSelect:
       break;
   }
-  if ((cmd.verb == "MATCH" || cmd.verb == "KNN" || cmd.verb == "BATCH") &&
-      cmd.options.count("datasets") != 0) {
-    return ScatterMulti(engine, cmd, ctx);
-  }
+  if (pinned) return ExecuteLocal(engine, session, cmd, ctx);
+  if (ctx.opt.Has("datasets")) return ScatterMulti(engine, cmd, ctx);
   const Result<std::string> dataset = ctx.verb->dataset(cmd, *session);
   if (!dataset.ok()) {
     // Let the local executor produce its canonical resolution error.

@@ -32,7 +32,8 @@ namespace onex::net {
 /// carry `fwd=1`, which pins execution to the receiving node — routing
 /// decisions are made exactly once, by the coordinator that took the
 /// request, so two nodes with divergent liveness views can never bounce a
-/// command between each other.
+/// command between each other. The pin applies to routed verbs only; a
+/// verb the cluster blocks stays blocked with it.
 ///
 /// Failure model: a node failure is detected by a transport error on a
 /// forward (or a CLUSTER health probe). The failed node is marked dead for

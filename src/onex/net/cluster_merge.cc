@@ -14,35 +14,6 @@ double NumberKey(const json::Value& match, const std::string& field) {
   return match[field].as_number();
 }
 
-/// Refuses a BATCH whose queries x datasets x k passes kMaxKnnK.
-Status CheckBatchVolume(const Command& cmd, std::size_t datasets) {
-  const auto q = cmd.options.find("q");
-  if (cmd.verb != "BATCH" || q == cmd.options.end()) return Status::OK();
-  long long k = 1;
-  if (const auto it = cmd.options.find("k"); it != cmd.options.end()) {
-    const Result<long long> parsed = ParseInt(it->second);
-    if (!parsed.ok() || *parsed < 1 || *parsed > kMaxKnnK) return Status::OK();
-    k = *parsed;
-  }
-  const std::size_t specs = SplitKeepEmpty(q->second, ';').size();
-  if (specs > kMaxBatchSpecs ||
-      static_cast<long long>(specs * datasets) * k <= kMaxKnnK) {
-    return Status::OK();
-  }
-  return Status::InvalidArgument(StrFormat(
-      "BATCH result volume (queries x datasets x k) is capped at %lld",
-      kMaxKnnK));
-}
-
-/// The merge's k. Every shard has accepted the request by now, so k parses
-/// and is in range.
-std::size_t MergeK(const Command& cmd) {
-  if (cmd.verb == "MATCH") return 1;
-  const auto it = cmd.options.find("k");
-  if (it == cmd.options.end()) return cmd.verb == "KNN" ? 3 : 1;
-  return static_cast<std::size_t>(ParseInt(it->second).value());
-}
-
 /// One query's candidates and summed stats across every dataset.
 struct MergedQuery {
   std::vector<ShardMatch> cands;
@@ -118,7 +89,7 @@ void AccumulateStats(json::Value* total, const json::Value& stats) {
   }
 }
 
-Result<std::vector<std::string>> ParseDatasetsOption(const std::string& value) {
+Result<std::vector<std::string>> ParseDatasetsOption(std::string_view value) {
   std::vector<std::string> names;
   std::set<std::string> seen;
   for (const std::string& part : SplitKeepEmpty(value, ',')) {
@@ -138,11 +109,21 @@ Result<std::vector<std::string>> ParseDatasetsOption(const std::string& value) {
   return names;
 }
 
-Result<FanOut> PlanFanOut(const Command& cmd) {
+Result<FanOut> PlanFanOut(const Command& cmd, const CheckedOptions& opt) {
   FanOut plan;
-  ONEX_ASSIGN_OR_RETURN(plan.names,
-                        ParseDatasetsOption(cmd.options.at("datasets")));
-  ONEX_RETURN_IF_ERROR(CheckBatchVolume(cmd, plan.names.size()));
+  ONEX_ASSIGN_OR_RETURN(plan.names, ParseDatasetsOption(opt.Text("datasets")));
+  plan.k = cmd.verb == "MATCH" ? 1 : opt.Size("k");
+  if (cmd.verb == "BATCH" && opt.Has("q")) {
+    // A spec count over its own cap is left to the shards' error.
+    const std::size_t specs = SplitKeepEmpty(opt.Text("q"), ';').size();
+    if (specs <= kMaxBatchSpecs &&
+        static_cast<long long>(specs * plan.names.size() * plan.k) >
+            kMaxKnnK) {
+      return Status::InvalidArgument(StrFormat(
+          "BATCH result volume (queries x datasets x k) is capped at %lld",
+          kMaxKnnK));
+    }
+  }
   plan.shard.verb = cmd.verb == "BATCH" ? "BATCH" : "KNN";
   plan.shard.options = cmd.options;
   for (const char* key : {"datasets", "dataset", "fwd"}) {
@@ -153,8 +134,7 @@ Result<FanOut> PlanFanOut(const Command& cmd) {
   return plan;
 }
 
-json::Value MergeFanOut(const Command& cmd,
-                        const std::vector<std::string>& names,
+json::Value MergeFanOut(const Command& cmd, const FanOut& plan,
                         const std::vector<WireResponse>& answers,
                         std::vector<double>* out_values) {
   // A dataset's rejection wins in user order, where a one-at-a-time run
@@ -173,11 +153,11 @@ json::Value MergeFanOut(const Command& cmd,
     if (queries.size() < entries.size()) queries.resize(entries.size());
     std::size_t cursor = 0;
     for (std::size_t qi = 0; qi < entries.size(); ++qi) {
-      queries[qi].Absorb(names[i], entries[qi], r.values, &cursor);
+      queries[qi].Absorb(plan.names[i], entries[qi], r.values, &cursor);
     }
   }
 
-  const std::size_t k = MergeK(cmd);
+  const std::size_t k = plan.k;
   json::Value v = json::Value::MakeObject();
   if (batch) {
     json::Value results = json::Value::MakeArray();

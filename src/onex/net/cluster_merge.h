@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "onex/common/result.h"
@@ -54,7 +55,7 @@ void AccumulateStats(json::Value* total, const json::Value& stats);
 /// Parses a `datasets=a,b,c` option value: comma-separated, order-preserving.
 /// Empty entries and duplicates are InvalidArgument — a duplicate would
 /// double-count stats and return the same subsequences twice.
-Result<std::vector<std::string>> ParseDatasetsOption(const std::string& value);
+Result<std::vector<std::string>> ParseDatasetsOption(std::string_view value);
 
 /// What a fan-out asks of each dataset.
 struct FanOut {
@@ -64,15 +65,18 @@ struct FanOut {
   /// BATCH, and datasets=, dataset= and fwd= are dropped. The runner adds
   /// dataset=<name>.
   Command shard;
+  /// Matches per query in the merged answer: 1 for MATCH, else the k= the
+  /// verb's row checked.
+  std::size_t k = 1;
 };
 
-/// Parses datasets= and builds the shard command. A BATCH whose combined
-/// volume (queries x datasets x k) passes kMaxKnnK is refused here, before
-/// any dataset runs: each shard only sees queries x k. A k or q= the cap
-/// cannot read is left to the shards, whose own error then answers.
-Result<FanOut> PlanFanOut(const Command& cmd);
+/// Parses datasets= and builds the shard command from `cmd` and its checked
+/// options. A BATCH whose combined volume (queries x datasets x k) passes
+/// kMaxKnnK is refused here, before any dataset runs: each shard only sees
+/// queries x k.
+Result<FanOut> PlanFanOut(const Command& cmd, const CheckedOptions& opt);
 
-/// The one merge. `answers[i]` is dataset `names[i]`'s response to the
+/// The one merge. `answers[i]` is dataset `plan.names[i]`'s response to the
 /// shard command, body plus float64 values section. `answers` may end at
 /// the first error. The first error in user order is the answer. Otherwise
 /// the candidates merge with MergeTopK per query, stats are summed with
@@ -80,8 +84,7 @@ Result<FanOut> PlanFanOut(const Command& cmd);
 /// response takes `cmd`'s shape: MATCH's single match (NotFound when no
 /// dataset has one), KNN's match list or BATCH's per-query lists. Merged
 /// values are appended to `out_values` when it is non-null.
-json::Value MergeFanOut(const Command& cmd,
-                        const std::vector<std::string>& names,
+json::Value MergeFanOut(const Command& cmd, const FanOut& plan,
                         const std::vector<WireResponse>& answers,
                         std::vector<double>* out_values);
 

@@ -1,6 +1,8 @@
 #include "onex/net/protocol.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -11,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -27,53 +30,6 @@
 
 namespace onex::net {
 namespace {
-
-/// Typed option lookups with defaults.
-Result<long long> OptInt(const Command& cmd, const std::string& key,
-                         long long fallback) {
-  const auto it = cmd.options.find(key);
-  if (it == cmd.options.end()) return fallback;
-  return ParseInt(it->second);
-}
-
-/// Wire numerics must be finite: strtod happily admits "nan"/"inf"
-/// spellings, and a NaN that slips into a threshold or a data point
-/// poisons every later distance comparison *silently* (NaN compares false
-/// against everything, so cascades neither prune nor match). Reject at
-/// parse time, uniformly, for every numeric option and value path.
-Result<double> FiniteWireDouble(const std::string& token) {
-  ONEX_ASSIGN_OR_RETURN(double v, ParseDouble(token));
-  if (!std::isfinite(v)) {
-    return Status::InvalidArgument("numeric values must be finite, got '" +
-                                   token + "'");
-  }
-  return v;
-}
-
-Result<double> OptDouble(const Command& cmd, const std::string& key,
-                         double fallback) {
-  const auto it = cmd.options.find(key);
-  if (it == cmd.options.end()) return fallback;
-  return FiniteWireDouble(it->second);
-}
-
-/// Binary-frame payloads carry raw float64 bits, so NaN/Inf ride past the
-/// ASCII parser entirely; both dialects enforce the same contract.
-Status CheckPayloadFinite(const std::vector<double>& payload) {
-  for (const double v : payload) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument(
-          "binary value payload contains a non-finite number");
-    }
-  }
-  return Status::OK();
-}
-
-std::string OptString(const Command& cmd, const std::string& key,
-                      const std::string& fallback) {
-  const auto it = cmd.options.find(key);
-  return it == cmd.options.end() ? fallback : it->second;
-}
 
 Status NeedArgs(const Command& cmd, std::size_t n) {
   if (cmd.args.size() < n) {
@@ -105,6 +61,9 @@ constexpr long long kMaxChangepointRun = 100'000;
 /// FORECAST horizon: the response carries horizon points twice (raw +
 /// normalized units).
 constexpr long long kMaxForecastHorizon = 100'000;
+/// deadline_ms: arrival plus the deadline, in the steady clock's
+/// nanoseconds, must not overflow (about 292 years of them).
+constexpr long long kMaxDeadlineMs = 9'000'000'000'000;
 
 // Dataset resolvers (VerbSpec::dataset): the executor's handlers and the
 // cluster coordinator's router both resolve through these.
@@ -137,11 +96,11 @@ Result<std::string> ExplicitNameArg(const Command& cmd, const Session&) {
 /// The dataset a GEN or LOAD creates: positional, then a non-empty name=.
 Result<std::string> NewNameArg(const Command& cmd, const Session&) {
   if (!cmd.args.empty()) return cmd.args[0];
-  const std::string name = OptString(cmd, "name", "");
-  if (name.empty()) {
+  const auto it = cmd.options.find("name");
+  if (it == cmd.options.end() || it->second.empty()) {
     return Status::InvalidArgument(cmd.verb + " needs a dataset name");
   }
-  return name;
+  return it->second;
 }
 
 json::Value Ok() {
@@ -151,11 +110,11 @@ json::Value Ok() {
 }
 
 /// Parses "series:start:len" into a QuerySpec.
-Result<QuerySpec> ParseQueryRef(const std::string& text) {
+Result<QuerySpec> ParseQueryRef(std::string_view text) {
   const std::vector<std::string> parts = SplitKeepEmpty(text, ':');
   if (parts.size() != 3) {
     return Status::ParseError("query must be <series>:<start>:<len>, got '" +
-                              text + "'");
+                              std::string(text) + "'");
   }
   QuerySpec spec;
   ONEX_ASSIGN_OR_RETURN(long long series, ParseInt(parts[0]));
@@ -209,52 +168,48 @@ json::Value MatchToJson(const MatchResult& r) {
 }
 
 Result<json::Value> DoGen(Engine* engine, Session*, const Command& cmd,
-                          const ExecContext&) {
+                          const ExecContext& ctx) {
   ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
   const std::string& name = cmd.args[0];
   const std::string kind = ToLower(cmd.args[1]);
-  ONEX_ASSIGN_OR_RETURN(long long num, OptInt(cmd, "num", 50));
-  ONEX_ASSIGN_OR_RETURN(long long len, OptInt(cmd, "len", 100));
-  ONEX_ASSIGN_OR_RETURN(long long seed, OptInt(cmd, "seed", 42));
-  if (num <= 0 || len < 2) {
-    return Status::InvalidArgument("num must be > 0 and len >= 2");
-  }
-  if (num > kMaxGenPoints || len > kMaxGenPoints ||
-      num * len > kMaxGenPoints) {
+  const std::size_t num = ctx.opt.Size("num");
+  const std::size_t len = ctx.opt.Size("len");
+  const auto seed = static_cast<std::uint64_t>(ctx.opt.Int("seed"));
+  if (num * len > kMaxGenPoints) {
     return Status::InvalidArgument(StrFormat(
-        "GEN would synthesize %lld x %lld points; the cap is %lld", num, len,
+        "GEN would synthesize %zu x %zu points; the cap is %lld", num, len,
         kMaxGenPoints));
   }
 
   Dataset ds;
   if (kind == "walk") {
     gen::RandomWalkOptions opt;
-    opt.num_series = static_cast<std::size_t>(num);
-    opt.length = static_cast<std::size_t>(len);
-    opt.seed = static_cast<std::uint64_t>(seed);
+    opt.num_series = num;
+    opt.length = len;
+    opt.seed = seed;
     ds = gen::MakeRandomWalks(opt);
   } else if (kind == "sine") {
     gen::SineFamilyOptions opt;
-    opt.num_series = static_cast<std::size_t>(num);
-    opt.length = static_cast<std::size_t>(len);
-    opt.seed = static_cast<std::uint64_t>(seed);
+    opt.num_series = num;
+    opt.length = len;
+    opt.seed = seed;
     ds = gen::MakeSineFamilies(opt);
   } else if (kind == "shapes") {
     gen::WarpedShapeOptions opt;
-    opt.num_series = static_cast<std::size_t>(num);
-    opt.length = static_cast<std::size_t>(len);
-    opt.seed = static_cast<std::uint64_t>(seed);
+    opt.num_series = num;
+    opt.length = len;
+    opt.seed = seed;
     ds = gen::MakeWarpedShapes(opt);
   } else if (kind == "electricity") {
     gen::ElectricityOptions opt;
-    opt.num_households = static_cast<std::size_t>(num);
-    opt.length = static_cast<std::size_t>(len);
-    opt.seed = static_cast<std::uint64_t>(seed);
+    opt.num_households = num;
+    opt.length = len;
+    opt.seed = seed;
     ds = gen::MakeElectricityLoad(opt);
   } else if (kind == "economic") {
     gen::EconomicPanelOptions opt;
-    opt.years = static_cast<std::size_t>(len);
-    opt.seed = static_cast<std::uint64_t>(seed);
+    opt.years = len;
+    opt.seed = seed;
     ds = gen::MakeEconomicPanel(opt);
   } else {
     return Status::InvalidArgument("unknown generator kind: '" + kind + "'");
@@ -266,38 +221,23 @@ Result<json::Value> DoGen(Engine* engine, Session*, const Command& cmd,
 }
 
 Result<json::Value> DoPrepare(Engine* engine, Session* session,
-                              const Command& cmd, const ExecContext&) {
+                              const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   BaseBuildOptions opt;
-  ONEX_ASSIGN_OR_RETURN(opt.st, OptDouble(cmd, "st", opt.st));
-  ONEX_ASSIGN_OR_RETURN(long long minlen, OptInt(cmd, "minlen", 4));
-  ONEX_ASSIGN_OR_RETURN(long long maxlen, OptInt(cmd, "maxlen", 0));
-  ONEX_ASSIGN_OR_RETURN(long long lenstep, OptInt(cmd, "lenstep", 1));
-  ONEX_ASSIGN_OR_RETURN(long long stride, OptInt(cmd, "stride", 1));
-  ONEX_ASSIGN_OR_RETURN(long long threads, OptInt(cmd, "threads", 1));
-  if (minlen < 2 || maxlen < 0 || lenstep < 1 || stride < 1 || threads < 0) {
-    return Status::InvalidArgument("invalid scoping options");
-  }
-  opt.min_length = static_cast<std::size_t>(minlen);
-  opt.max_length = static_cast<std::size_t>(maxlen);
-  opt.length_step = static_cast<std::size_t>(lenstep);
-  opt.stride = static_cast<std::size_t>(stride);
-  opt.threads = static_cast<std::size_t>(threads);
-
-  const std::string policy = OptString(cmd, "policy", "running-mean");
-  if (policy == "fixed-leader") {
-    opt.centroid_policy = CentroidPolicy::kFixedLeader;
-  } else if (policy == "running-mean") {
-    opt.centroid_policy = CentroidPolicy::kRunningMean;
-  } else if (policy == "running-mean-repair") {
-    opt.centroid_policy = CentroidPolicy::kRunningMeanRepair;
-  } else {
-    return Status::InvalidArgument("unknown centroid policy: '" + policy + "'");
-  }
-
+  opt.st = ctx.opt.Real("st");
+  opt.min_length = ctx.opt.Size("minlen");
+  opt.max_length = ctx.opt.Size("maxlen");
+  opt.length_step = ctx.opt.Size("lenstep");
+  opt.stride = ctx.opt.Size("stride");
+  opt.threads = ctx.opt.Size("threads");
+  const std::string_view policy = ctx.opt.Text("policy");
+  opt.centroid_policy =
+      policy == "fixed-leader"   ? CentroidPolicy::kFixedLeader
+      : policy == "running-mean" ? CentroidPolicy::kRunningMean
+                                 : CentroidPolicy::kRunningMeanRepair;
   ONEX_ASSIGN_OR_RETURN(
       NormalizationKind norm,
-      NormalizationKindFromString(OptString(cmd, "norm", "minmax-dataset")));
+      NormalizationKindFromString(std::string(ctx.opt.Text("norm"))));
   ONEX_RETURN_IF_ERROR(engine->Prepare(name, opt, norm));
 
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
@@ -363,21 +303,17 @@ Result<json::Value> DoStats(Engine* engine, Session* session,
   return v;
 }
 
-Result<json::Value> DoPersist(Engine* engine, Session*, const Command& cmd,
-                              const ExecContext&) {
-  const auto dit = cmd.options.find("dir");
-  if (dit != cmd.options.end()) {
+Result<json::Value> DoPersist(Engine* engine, Session*, const Command&,
+                              const ExecContext& ctx) {
+  if (ctx.opt.Has("dir")) {
     DurabilityOptions opt;
-    opt.dir = dit->second;
-    ONEX_ASSIGN_OR_RETURN(long long every, OptInt(cmd, "every", 0));
-    if (every < 0 || every > kMaxCheckpointEvery) {
-      return Status::InvalidArgument(StrFormat(
-          "every must be in [0, %lld]", kMaxCheckpointEvery));
-    }
-    opt.checkpoint_every = static_cast<std::uint64_t>(every);
-    ONEX_ASSIGN_OR_RETURN(long long fsync, OptInt(cmd, "fsync", 1));
-    opt.fsync = fsync != 0;
+    opt.dir = std::string(ctx.opt.Text("dir"));
+    opt.checkpoint_every = ctx.opt.Size("every");
+    opt.fsync = ctx.opt.Flag("fsync");
     ONEX_RETURN_IF_ERROR(engine->EnableDurability(opt));
+  } else if (ctx.opt.Has("every") || ctx.opt.Has("fsync")) {
+    // Both configure the journal dir= enables; alone they change nothing.
+    return Status::InvalidArgument("PERSIST every= and fsync= need dir=");
   }
   json::Value v = Ok();
   v.Set("durable", engine->registry().durable());
@@ -397,44 +333,22 @@ Result<json::Value> DoCheckpoint(Engine* engine, Session* session,
   return v;
 }
 
-/// Shared query-option parsing for MATCH/KNN/BATCH.
-Result<QueryOptions> ParseQueryOptions(const Command& cmd) {
-  QueryOptions qopt;
-  ONEX_ASSIGN_OR_RETURN(long long window, OptInt(cmd, "window", -1));
-  ONEX_ASSIGN_OR_RETURN(long long topg, OptInt(cmd, "topgroups", 1));
-  ONEX_ASSIGN_OR_RETURN(long long exhaustive, OptInt(cmd, "exhaustive", 0));
-  // Any negative window means unconstrained; a width past int would wrap.
-  if (window > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(
-        StrFormat("window must be <= %d", std::numeric_limits<int>::max()));
-  }
-  qopt.window = window < 0 ? kNoWindow : static_cast<int>(window);
-  qopt.explore_top_groups = topg < 1 ? 1 : static_cast<std::size_t>(topg);
-  qopt.exhaustive = exhaustive != 0;
-  return qopt;
-}
-
 /// Builds the query's cancellation token from deadline_ms= and the serving
 /// layer's disconnect flag. The token lives on the Do* stack, so it must be
 /// constructed there and only *pointed to* from QueryOptions.
-Result<Cancellation> ParseCancellation(const Command& cmd,
-                                       const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(long long deadline_ms, OptInt(cmd, "deadline_ms", 0));
-  if (deadline_ms < 0) {
-    return Status::InvalidArgument("deadline_ms must be >= 0");
-  }
+Cancellation ReadCancellation(const ExecContext& ctx) {
+  const long long deadline_ms = ctx.opt.Int("deadline_ms");
   if (deadline_ms == 0) return Cancellation(ctx.disconnected);
   return Cancellation(ctx.arrival + std::chrono::milliseconds(deadline_ms),
                       ctx.disconnected);
 }
 
-/// Side-band export for binary responses: the matched subsequence's
-/// normalized values, appended in match order. Never touches the JSON, so
+/// Side-band export for binary responses (a match's normalized values, a
+/// raw forecast), appended in answer order. Never touches the JSON, so
 /// text and binary bodies stay byte-identical.
-void ExportMatchValues(const MatchResult& r, const ExecContext& ctx) {
+void ExportValues(const std::vector<double>& values, const ExecContext& ctx) {
   if (ctx.out_values == nullptr) return;
-  ctx.out_values->insert(ctx.out_values->end(), r.match_values.begin(),
-                         r.match_values.end());
+  ctx.out_values->insert(ctx.out_values->end(), values.begin(), values.end());
 }
 
 /// MATCH/KNN/BATCH with datasets=<a,b,c>: the one-node case of the
@@ -443,77 +357,40 @@ void ExportMatchValues(const MatchResult& r, const ExecContext& ctx) {
 /// answers go to the same merge. q= resolves within each dataset.
 Result<json::Value> DoFanOut(Engine* engine, const Command& cmd,
                              const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(FanOut plan, PlanFanOut(cmd));
+  ONEX_ASSIGN_OR_RETURN(FanOut plan, PlanFanOut(cmd, ctx.opt));
   std::vector<WireResponse> answers;
   for (const std::string& name : plan.names) {
     Command shard = plan.shard;
     shard.options["dataset"] = name;
     WireResponse& answer = answers.emplace_back();
-    ExecContext local = ctx;
-    local.cluster = nullptr;
+    ExecContext local = ctx;  // Its cluster is null: this runs on one node.
     local.verb = nullptr;
     local.out_values = &answer.values;
     Session scratch;
     answer.body = ExecuteCommand(engine, &scratch, shard, local);
     if (!answer.body["ok"].as_bool()) break;
   }
-  return MergeFanOut(cmd, plan.names, answers, ctx.out_values);
+  return MergeFanOut(cmd, plan, answers, ctx.out_values);
 }
 
-/// MATCH (knn=false) and KNN (knn=true).
-template <bool knn>
-Result<json::Value> DoMatch(Engine* engine, Session* session,
+/// MATCH, KNN and BATCH: each query of q= (BATCH: ';'-separated, at most
+/// kMaxBatchSpecs) with its k nearest matches, k=1 for MATCH. One engine
+/// path serves all three; only the response's shape differs. A KNN body
+/// is one BATCH entry, and MATCH's match is that entry's first.
+Result<json::Value> DoQuery(Engine* engine, Session* session,
                             const Command& cmd, const ExecContext& ctx) {
-  if (cmd.options.count("datasets") != 0) return DoFanOut(engine, cmd, ctx);
+  if (ctx.opt.Has("datasets")) return DoFanOut(engine, cmd, ctx);
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
-    return Status::InvalidArgument("missing q=<series>:<start>:<len>");
-  }
-  ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(qit->second));
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-
-  json::Value v = Ok();
-  if (knn) {
-    ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 3));
-    if (k < 1 || k > kMaxKnnK) {
-      return Status::InvalidArgument(
-          StrFormat("k must be in [1, %lld]", kMaxKnnK));
-    }
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<MatchResult> results,
-        engine->Knn(name, spec, static_cast<std::size_t>(k), qopt));
-    json::Value arr = json::Value::MakeArray();
-    for (const MatchResult& r : results) {
-      arr.Append(MatchToJson(r));
-      ExportMatchValues(r, ctx);
-    }
-    v.Set("matches", std::move(arr));
-    // One KnnQuery produced all k matches, so the stats are shared.
-    if (!results.empty()) v.Set("stats", StatsToJson(results.front().stats));
-  } else {
-    ONEX_ASSIGN_OR_RETURN(MatchResult r,
-                          engine->SimilaritySearch(name, spec, qopt));
-    v.Set("match", MatchToJson(r));
-    v.Set("stats", StatsToJson(r.stats));
-    ExportMatchValues(r, ctx);
-  }
-  return v;
-}
-
-Result<json::Value> DoBatch(Engine* engine, Session* session,
-                            const Command& cmd, const ExecContext& ctx) {
-  if (cmd.options.count("datasets") != 0) return DoFanOut(engine, cmd, ctx);
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
+  const bool batch = cmd.verb == "BATCH";
+  if (!ctx.opt.Has("q")) {
     return Status::InvalidArgument(
-        "missing q=<series>:<start>:<len>[;<series>:<start>:<len>...]");
+        batch ? "missing q=<series>:<start>:<len>[;<series>:<start>:<len>...]"
+              : "missing q=<series>:<start>:<len>");
   }
   std::vector<QuerySpec> specs;
-  for (const std::string& ref : SplitKeepEmpty(qit->second, ';')) {
+  for (const std::string& ref :
+       batch ? SplitKeepEmpty(ctx.opt.Text("q"), ';')
+             : std::vector<std::string>{std::string(ctx.opt.Text("q"))}) {
     if (specs.size() >= kMaxBatchSpecs) {
       return Status::InvalidArgument(StrFormat(
           "BATCH accepts at most %zu queries per frame", kMaxBatchSpecs));
@@ -521,60 +398,65 @@ Result<json::Value> DoBatch(Engine* engine, Session* session,
     ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(ref));
     specs.push_back(std::move(spec));
   }
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-  ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 1));
-  if (k < 1 || k > kMaxKnnK) {
-    return Status::InvalidArgument(
-        StrFormat("k must be in [1, %lld]", kMaxKnnK));
-  }
+  const std::size_t k = cmd.verb == "MATCH" ? 1 : ctx.opt.Size("k");
   // The response carries specs x k matches; bound the product so one frame
   // cannot command an unbounded result materialization.
-  if (static_cast<long long>(specs.size()) * k > kMaxKnnK) {
+  if (static_cast<long long>(specs.size() * k) > kMaxKnnK) {
     return Status::InvalidArgument(StrFormat(
         "BATCH result volume (queries x k) is capped at %lld", kMaxKnnK));
   }
+  QueryOptions qopt;
+  // Any negative window means unconstrained.
+  const long long window = ctx.opt.Int("window");
+  qopt.window = window < 0 ? kNoWindow : static_cast<int>(window);
+  qopt.explore_top_groups = ctx.opt.Size("topgroups");
+  qopt.exhaustive = ctx.opt.Flag("exhaustive");
+  Cancellation cancel = ReadCancellation(ctx);
+  qopt.cancel = &cancel;
 
-  ONEX_ASSIGN_OR_RETURN(
-      std::vector<std::vector<MatchResult>> per_query,
-      engine->KnnBatch(name, specs, static_cast<std::size_t>(k), qopt));
-  json::Value v = Ok();
-  json::Value results = json::Value::MakeArray();
+  ONEX_ASSIGN_OR_RETURN(std::vector<std::vector<MatchResult>> per_query,
+                        engine->KnnBatch(name, specs, k, qopt));
+  json::Value::Array entries;
   for (const std::vector<MatchResult>& matches : per_query) {
     json::Value entry = json::Value::MakeObject();
     json::Value arr = json::Value::MakeArray();
     for (const MatchResult& r : matches) {
       arr.Append(MatchToJson(r));
-      ExportMatchValues(r, ctx);
+      ExportValues(r.match_values, ctx);
     }
     entry.Set("matches", std::move(arr));
+    // One search produced all k matches, so they share its stats.
     if (!matches.empty()) {
       entry.Set("stats", StatsToJson(matches.front().stats));
     }
-    results.Append(std::move(entry));
+    entries.push_back(std::move(entry));
   }
-  v.Set("results", std::move(results));
+  json::Value v = Ok();
+  if (batch) {
+    v.Set("results", std::move(entries));
+    return v;
+  }
+  if (cmd.verb == "KNN") {
+    entries[0].Set("ok", true);
+    return std::move(entries[0]);
+  }
+  if (entries[0]["matches"].as_array().empty()) {
+    return Status::NotFound("no match found");
+  }
+  v.Set("match", entries[0]["matches"][0]);
+  v.Set("stats", entries[0]["stats"]);
   return v;
 }
 
 Result<json::Value> DoSeasonal(Engine* engine, Session* session,
-                               const Command& cmd, const ExecContext&) {
+                               const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  ONEX_ASSIGN_OR_RETURN(long long series, OptInt(cmd, "series", 0));
-  ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
-  ONEX_ASSIGN_OR_RETURN(long long minocc, OptInt(cmd, "minocc", 2));
-  ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 5));
-  if (series < 0 || length < 0 || minocc < 2 || top < 0) {
-    return Status::InvalidArgument("invalid seasonal options");
-  }
   SeasonalOptions opt;
-  opt.length = static_cast<std::size_t>(length);
-  opt.min_occurrences = static_cast<std::size_t>(minocc);
-  opt.top_k = static_cast<std::size_t>(top);
-  ONEX_ASSIGN_OR_RETURN(
-      std::vector<SeasonalPattern> patterns,
-      engine->Seasonal(name, static_cast<std::size_t>(series), opt));
+  opt.length = ctx.opt.Size("length");
+  opt.min_occurrences = ctx.opt.Size("minocc");
+  opt.top_k = ctx.opt.Size("top");
+  ONEX_ASSIGN_OR_RETURN(std::vector<SeasonalPattern> patterns,
+                        engine->Seasonal(name, ctx.opt.Size("series"), opt));
   json::Value v = Ok();
   json::Value arr = json::Value::MakeArray();
   for (const SeasonalPattern& p : patterns) {
@@ -593,16 +475,11 @@ Result<json::Value> DoSeasonal(Engine* engine, Session* session,
 }
 
 Result<json::Value> DoOverview(Engine* engine, Session* session,
-                               const Command& cmd, const ExecContext&) {
+                               const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
-  ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 12));
-  if (length < 0 || top < 0) {
-    return Status::InvalidArgument("invalid overview options");
-  }
   OverviewOptions opt;
-  opt.length = static_cast<std::size_t>(length);
-  opt.top_n = static_cast<std::size_t>(top);
+  opt.length = ctx.opt.Size("length");
+  opt.top_n = ctx.opt.Size("top");
   ONEX_ASSIGN_OR_RETURN(std::vector<OverviewEntry> entries,
                         engine->Overview(name, opt));
   json::Value v = Ok();
@@ -611,18 +488,12 @@ Result<json::Value> DoOverview(Engine* engine, Session* session,
 }
 
 Result<json::Value> DoThreshold(Engine* engine, Session* session,
-                                const Command& cmd, const ExecContext&) {
+                                const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ThresholdAdvisorOptions opt;
-  ONEX_ASSIGN_OR_RETURN(long long pairs, OptInt(cmd, "pairs", 2000));
-  ONEX_ASSIGN_OR_RETURN(long long minlen, OptInt(cmd, "minlen", 4));
-  ONEX_ASSIGN_OR_RETURN(long long maxlen, OptInt(cmd, "maxlen", 0));
-  if (pairs < 1 || pairs > kMaxThresholdPairs || minlen < 2 || maxlen < 0) {
-    return Status::InvalidArgument("invalid threshold options");
-  }
-  opt.sample_pairs = static_cast<std::size_t>(pairs);
-  opt.min_length = static_cast<std::size_t>(minlen);
-  opt.max_length = static_cast<std::size_t>(maxlen);
+  opt.sample_pairs = ctx.opt.Size("pairs");
+  opt.min_length = ctx.opt.Size("minlen");
+  opt.max_length = ctx.opt.Size("maxlen");
   ONEX_ASSIGN_OR_RETURN(ThresholdReport report,
                         engine->RecommendThresholds(name, opt));
   json::Value v = Ok();
@@ -639,29 +510,48 @@ Result<json::Value> DoThreshold(Engine* engine, Session* session,
   return v;
 }
 
-Result<json::Value> DoAppend(Engine* engine, Session* session,
-                             const Command& cmd, const ExecContext&) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
+/// The values of an APPEND (v=) or EXTEND (points=): the option's
+/// comma-separated numbers, else the binary frame's raw float64 payload.
+/// Both dialects keep one contract: at most `cap` values, all finite.
+/// strtod admits "nan"/"inf" and a payload carries any bits, and a NaN in
+/// the data poisons every later distance comparison *silently* (NaN
+/// compares false against everything, so cascades neither prune nor match).
+Result<std::vector<double>> ReadValues(const Command& cmd,
+                                       const CheckedOptions& opt,
+                                       std::string_view key, std::size_t cap) {
   std::vector<double> values;
-  const auto vit = cmd.options.find("v");
-  if (vit != cmd.options.end()) {
-    for (const std::string& token : SplitKeepEmpty(vit->second, ',')) {
-      ONEX_ASSIGN_OR_RETURN(double v, FiniteWireDouble(token));
+  if (opt.Has(key)) {
+    for (const std::string& token : SplitKeepEmpty(opt.Text(key), ',')) {
+      ONEX_ASSIGN_OR_RETURN(double v, ParseDouble(token));
       values.push_back(v);
     }
-  } else if (!cmd.payload.empty()) {
-    // Binary frame: the values rode as raw float64s (already capped by the
-    // frame decoder), no ASCII parse at all — but the finite-number
-    // contract is the same in both dialects.
-    ONEX_RETURN_IF_ERROR(CheckPayloadFinite(cmd.payload));
-    values = cmd.payload;
-  } else {
+  } else if (cmd.payload.empty()) {
     return Status::InvalidArgument(
-        "missing v=<comma-separated values> (or a binary value payload)");
+        "missing " + std::string(key) +
+        "=<comma-separated values> (or a binary value payload)");
+  } else {
+    values = cmd.payload;
   }
-  const std::string sname = OptString(cmd, "series", "appended");
-  ONEX_RETURN_IF_ERROR(
-      engine->AppendSeries(name, TimeSeries(sname, std::move(values))));
+  if (values.size() > cap) {
+    return Status::InvalidArgument(StrFormat(
+        "%s accepts at most %zu points per frame", cmd.verb.c_str(), cap));
+  }
+  for (const double v : values) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("values must be finite numbers");
+    }
+  }
+  return values;
+}
+
+Result<json::Value> DoAppend(Engine* engine, Session* session,
+                             const Command& cmd, const ExecContext& ctx) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
+  ONEX_ASSIGN_OR_RETURN(std::vector<double> values,
+                        ReadValues(cmd, ctx.opt, "v", SIZE_MAX));
+  ONEX_RETURN_IF_ERROR(engine->AppendSeries(
+      name, TimeSeries(std::string(ctx.opt.Text("series")),
+                       std::move(values))));
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
                         engine->Get(name));
   json::Value v = Ok();
@@ -684,12 +574,12 @@ json::Value DriftToJson(const LengthClassDrift& d) {
 /// shared by EXTEND, CHANGEPOINT and FORECAST.
 Result<std::size_t> ResolveSeriesOption(Engine* engine,
                                         const std::string& name,
-                                        const Command& cmd) {
-  const auto sit = cmd.options.find("series");
-  if (sit == cmd.options.end()) {
+                                        const CheckedOptions& opt) {
+  if (!opt.Has("series")) {
     return Status::InvalidArgument("missing series=<index or name>");
   }
-  const Result<long long> idx = ParseInt(sit->second);
+  const std::string series(opt.Text("series"));
+  const Result<long long> idx = ParseInt(series);
   if (idx.ok()) {
     if (*idx < 0) {
       return Status::InvalidArgument("series index must be >= 0");
@@ -698,7 +588,7 @@ Result<std::size_t> ResolveSeriesOption(Engine* engine,
   }
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
                         engine->Get(name));
-  return ds->raw->FindByName(sit->second);
+  return ds->raw->FindByName(series);
 }
 
 json::Value RefToJson(const SubseqRef& ref) {
@@ -712,22 +602,12 @@ json::Value RefToJson(const SubseqRef& ref) {
 Result<json::Value> DoAnomaly(Engine* engine, Session* session,
                               const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
-  ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 10));
-  ONEX_ASSIGN_OR_RETURN(long long minpts, OptInt(cmd, "minpts", 2));
-  ONEX_ASSIGN_OR_RETURN(double eps, OptDouble(cmd, "eps", 0.0));
-  if (length < 0 || top < 1 || top > kMaxAnalyticsTop || minpts < 1 ||
-      minpts > kMaxAnalyticsTop || eps < 0.0) {
-    return Status::InvalidArgument(StrFormat(
-        "ANOMALY needs length>=0, top/minpts in [1, %lld] and eps>=0",
-        kMaxAnalyticsTop));
-  }
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
+  Cancellation cancel = ReadCancellation(ctx);
   AnomalyOptions opt;
-  opt.length = static_cast<std::size_t>(length);
-  opt.top_k = static_cast<std::size_t>(top);
-  opt.min_pts = static_cast<std::size_t>(minpts);
-  opt.eps = eps;
+  opt.length = ctx.opt.Size("length");
+  opt.top_k = ctx.opt.Size("top");
+  opt.min_pts = ctx.opt.Size("minpts");
+  opt.eps = ctx.opt.Real("eps");
   opt.cancel = &cancel;
   ONEX_ASSIGN_OR_RETURN(AnomalyReport report, engine->Anomaly(name, opt));
 
@@ -757,23 +637,13 @@ Result<json::Value> DoChangepoint(Engine* engine, Session* session,
                                   const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
-                        ResolveSeriesOption(engine, name, cmd));
-  ONEX_ASSIGN_OR_RETURN(double hazard, OptDouble(cmd, "hazard", 0.01));
-  ONEX_ASSIGN_OR_RETURN(double threshold, OptDouble(cmd, "threshold", 0.5));
-  ONEX_ASSIGN_OR_RETURN(long long maxrun, OptInt(cmd, "maxrun", 256));
-  ONEX_ASSIGN_OR_RETURN(long long last, OptInt(cmd, "last", 0));
-  ONEX_ASSIGN_OR_RETURN(long long probs, OptInt(cmd, "probs", 0));
-  if (maxrun < 2 || maxrun > kMaxChangepointRun || last < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "CHANGEPOINT needs maxrun in [2, %lld] and last>=0",
-        kMaxChangepointRun));
-  }
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
+                        ResolveSeriesOption(engine, name, ctx.opt));
+  Cancellation cancel = ReadCancellation(ctx);
   ChangepointOptions opt;
-  opt.hazard = hazard;
-  opt.threshold = threshold;
-  opt.max_run = static_cast<std::size_t>(maxrun);
-  opt.last = static_cast<std::size_t>(last);
+  opt.hazard = ctx.opt.Real("hazard");
+  opt.threshold = ctx.opt.Real("threshold");
+  opt.max_run = ctx.opt.Size("maxrun");
+  opt.last = ctx.opt.Size("last");
   opt.cancel = &cancel;
   ONEX_ASSIGN_OR_RETURN(ChangepointReport report,
                         engine->Changepoint(name, series, opt));
@@ -793,7 +663,7 @@ Result<json::Value> DoChangepoint(Engine* engine, Session* session,
     arr.Append(std::move(row));
   }
   v.Set("changepoints", std::move(arr));
-  if (probs != 0) {
+  if (ctx.opt.Flag("probs")) {
     v.Set("probabilities",
           json::Value::NumberArray(report.change_probability));
   }
@@ -803,20 +673,11 @@ Result<json::Value> DoChangepoint(Engine* engine, Session* session,
 Result<json::Value> DoMotif(Engine* engine, Session* session,
                             const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
-  ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 5));
-  ONEX_ASSIGN_OR_RETURN(long long discords, OptInt(cmd, "discords", 3));
-  if (length < 0 || top < 0 || top > kMaxAnalyticsTop || discords < 0 ||
-      discords > kMaxAnalyticsTop) {
-    return Status::InvalidArgument(StrFormat(
-        "MOTIF needs length>=0 and top/discords in [0, %lld]",
-        kMaxAnalyticsTop));
-  }
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
+  Cancellation cancel = ReadCancellation(ctx);
   MotifOptions opt;
-  opt.length = static_cast<std::size_t>(length);
-  opt.top_k = static_cast<std::size_t>(top);
-  opt.discords = static_cast<std::size_t>(discords);
+  opt.length = ctx.opt.Size("length");
+  opt.top_k = ctx.opt.Size("top");
+  opt.discords = ctx.opt.Size("discords");
   opt.cancel = &cancel;
   ONEX_ASSIGN_OR_RETURN(MotifReport report, engine->Motif(name, opt));
 
@@ -862,33 +723,17 @@ Result<json::Value> DoForecast(Engine* engine, Session* session,
                                const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
-                        ResolveSeriesOption(engine, name, cmd));
-  ONEX_ASSIGN_OR_RETURN(long long horizon, OptInt(cmd, "horizon", 8));
-  ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
-  ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 3));
-  ONEX_ASSIGN_OR_RETURN(long long period, OptInt(cmd, "period", 0));
-  const std::string method = ToLower(OptString(cmd, "method", "group"));
-  if (horizon < 1 || horizon > kMaxForecastHorizon || length < 0 ||
-      k < 1 || k > kMaxKnnK || period < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "FORECAST needs horizon in [1, %lld], k in [1, %lld], "
-        "length>=0 and period>=0",
-        kMaxForecastHorizon, kMaxKnnK));
-  }
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
+                        ResolveSeriesOption(engine, name, ctx.opt));
+  Cancellation cancel = ReadCancellation(ctx);
+  const std::string method(ctx.opt.Text("method"));
   ForecastOptions opt;
-  opt.horizon = static_cast<std::size_t>(horizon);
-  opt.length = static_cast<std::size_t>(length);
-  opt.k = static_cast<std::size_t>(k);
-  opt.period = static_cast<std::size_t>(period);
+  opt.horizon = ctx.opt.Size("horizon");
+  opt.length = ctx.opt.Size("length");
+  opt.k = ctx.opt.Size("k");
+  opt.period = ctx.opt.Size("period");
   opt.cancel = &cancel;
-  if (method == "group") {
-    opt.method = ForecastMethod::kGroupNn;
-  } else if (method == "seasonal") {
-    opt.method = ForecastMethod::kSeasonalNaive;
-  } else {
-    return Status::InvalidArgument("method must be group or seasonal");
-  }
+  opt.method = method == "group" ? ForecastMethod::kGroupNn
+                                 : ForecastMethod::kSeasonalNaive;
   ONEX_ASSIGN_OR_RETURN(Engine::ForecastResult result,
                         engine->Forecast(name, series, opt));
 
@@ -912,45 +757,18 @@ Result<json::Value> DoForecast(Engine* engine, Session* session,
   v.Set("candidates", result.report.candidates);
   v.Set("groups_pruned", result.report.groups_pruned);
   // Binary clients get the raw forecast as a float64 section, like MATCH
-  // values; the JSON body stays byte-identical across dialects.
-  if (ctx.out_values != nullptr) {
-    ctx.out_values->insert(ctx.out_values->end(), result.raw_values.begin(),
-                           result.raw_values.end());
-  }
+  // values.
+  ExportValues(result.raw_values, ctx);
   return v;
 }
 
 Result<json::Value> DoExtend(Engine* engine, Session* session,
-                             const Command& cmd, const ExecContext&) {
+                             const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  std::vector<double> points;
-  const auto pit = cmd.options.find("points");
-  if (pit != cmd.options.end()) {
-    for (const std::string& token : SplitKeepEmpty(pit->second, ',')) {
-      if (points.size() >= kMaxExtendPoints) {
-        return Status::InvalidArgument(StrFormat(
-            "EXTEND accepts at most %zu points per frame", kMaxExtendPoints));
-      }
-      ONEX_ASSIGN_OR_RETURN(double v, FiniteWireDouble(token));
-      points.push_back(v);
-    }
-  } else if (!cmd.payload.empty()) {
-    // Binary payloads honor the same caps as the text form: the transport
-    // changed, neither the streaming-tail contract nor the finite-number
-    // contract did.
-    if (cmd.payload.size() > kMaxExtendPoints) {
-      return Status::InvalidArgument(StrFormat(
-          "EXTEND accepts at most %zu points per frame", kMaxExtendPoints));
-    }
-    ONEX_RETURN_IF_ERROR(CheckPayloadFinite(cmd.payload));
-    points = cmd.payload;
-  } else {
-    return Status::InvalidArgument(
-        "missing points=<comma-separated values> (or a binary value payload)");
-  }
-
+  ONEX_ASSIGN_OR_RETURN(std::vector<double> points,
+                        ReadValues(cmd, ctx.opt, "points", kMaxExtendPoints));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
-                        ResolveSeriesOption(engine, name, cmd));
+                        ResolveSeriesOption(engine, name, ctx.opt));
   ONEX_ASSIGN_OR_RETURN(Engine::ExtendSummary summary,
                         engine->ExtendSeries(name, series, std::move(points)));
   json::Value v = Ok();
@@ -974,19 +792,14 @@ Result<json::Value> DoExtend(Engine* engine, Session* session,
 }
 
 Result<json::Value> DoDrift(Engine* engine, Session* session,
-                            const Command& cmd, const ExecContext&) {
+                            const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
   // Validate everything before committing the (registry-wide) threshold, so
   // a failed command leaves no side effect behind.
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
                         engine->Get(name));
-  const auto tit = cmd.options.find("threshold");
-  if (tit != cmd.options.end()) {
-    ONEX_ASSIGN_OR_RETURN(double threshold, FiniteWireDouble(tit->second));
-    if (!(threshold >= 0.0) || threshold > 1.0) {
-      return Status::InvalidArgument("threshold must be in [0, 1]");
-    }
-    engine->registry().SetDriftThreshold(threshold);
+  if (ctx.opt.Has("threshold")) {
+    engine->registry().SetDriftThreshold(ctx.opt.Real("threshold"));
   }
   ONEX_ASSIGN_OR_RETURN(MaintenanceStatus status,
                         engine->registry().Maintenance(name));
@@ -1054,20 +867,16 @@ Result<json::Value> DoUse(Engine* engine, Session* session,
   return v;
 }
 
-Result<json::Value> DoBudget(Engine* engine, Session*, const Command& cmd,
-                             const ExecContext&) {
-  const auto it = cmd.options.find("bytes");
-  if (it != cmd.options.end()) {
-    ONEX_ASSIGN_OR_RETURN(long long bytes, ParseInt(it->second));
-    if (bytes < 0) {
-      return Status::InvalidArgument("budget bytes must be >= 0");
-    }
+Result<json::Value> DoBudget(Engine* engine, Session*, const Command&,
+                             const ExecContext& ctx) {
+  if (ctx.opt.Has("bytes")) {
+    const std::size_t bytes = ctx.opt.Size("bytes");
     if (bytes > 0 && !engine->registry().durable()) {
       return Status::FailedPrecondition(
           "a budget needs durability (PERSIST or onexd --data-dir): evicted "
           "bases serve from their checkpoint");
     }
-    engine->registry().SetPreparedBudget(static_cast<std::size_t>(bytes));
+    engine->registry().SetPreparedBudget(bytes);
   }
   json::Value v = Ok();
   v.Set("budget", engine->registry().prepared_budget());
@@ -1076,23 +885,14 @@ Result<json::Value> DoBudget(Engine* engine, Session*, const Command& cmd,
 }
 
 Result<json::Value> DoTier(Engine* engine, Session* session,
-                           const Command& cmd, const ExecContext&) {
+                           const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  if (const auto it = cmd.options.find("pin"); it != cmd.options.end()) {
-    ONEX_ASSIGN_OR_RETURN(long long pin, ParseInt(it->second));
-    if (pin != 0 && pin != 1) {
-      return Status::InvalidArgument("pin must be 0 or 1");
-    }
-    ONEX_RETURN_IF_ERROR(engine->registry().SetPinned(name, pin == 1));
+  if (ctx.opt.Has("pin")) {
+    ONEX_RETURN_IF_ERROR(
+        engine->registry().SetPinned(name, ctx.opt.Flag("pin")));
   }
-  if (const auto it = cmd.options.find("demote"); it != cmd.options.end()) {
-    ONEX_ASSIGN_OR_RETURN(long long demote, ParseInt(it->second));
-    if (demote != 0 && demote != 1) {
-      return Status::InvalidArgument("demote must be 0 or 1");
-    }
-    if (demote == 1) {
-      ONEX_RETURN_IF_ERROR(engine->registry().Demote(name));
-    }
+  if (ctx.opt.Flag("demote")) {
+    ONEX_RETURN_IF_ERROR(engine->registry().Demote(name));
   }
   ONEX_ASSIGN_OR_RETURN(std::string tier, engine->registry().Tier(name));
   json::Value v = Ok();
@@ -1108,12 +908,12 @@ Result<json::Value> DoTier(Engine* engine, Session* session,
 }
 
 Result<json::Value> DoLoad(Engine* engine, Session* session,
-                           const Command& cmd, const ExecContext&) {
+                           const Command& cmd, const ExecContext& ctx) {
   // Positionals win over options, independently per field, so the mixed
   // forms ("LOAD foo path=/x") behave like every other verb's resolution.
   const Result<std::string> name = NewNameArg(cmd, *session);
   const std::string path =
-      cmd.args.size() >= 2 ? cmd.args[1] : OptString(cmd, "path", "");
+      cmd.args.size() >= 2 ? cmd.args[1] : std::string(ctx.opt.Text("path"));
   if (!name.ok() || path.empty()) {
     return Status::InvalidArgument(
         "LOAD needs <name> <path> (or name=<n> path=<p>)");
@@ -1126,38 +926,28 @@ Result<json::Value> DoLoad(Engine* engine, Session* session,
 
 // --- Replication verbs (DESIGN.md §16) -------------------------------------
 
-Result<std::uint64_t> ParseHex64(const std::string& text) {
-  if (text.empty() || text.size() > 16) {
-    return Status::InvalidArgument("crc must be 1..16 hex digits");
-  }
+/// crc=: 1 to 16 hex digits, nothing else (no sign, prefix or spaces).
+Result<std::uint64_t> ParseHex64(std::string_view text) {
   std::uint64_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else {
-      return Status::InvalidArgument("crc must be hexadecimal");
-    }
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value, 16);
+  if (text.size() > 16 || error != std::errc() || stop != end) {
+    return Status::InvalidArgument("crc must be 1..16 hex digits");
   }
   return value;
 }
 
-Result<std::string> ReplDatasetArg(const Command& cmd) {
-  const auto it = cmd.options.find("dataset");
-  if (it == cmd.options.end() || it->second.empty()) {
+Result<std::string> ReplDatasetArg(const Command& cmd,
+                                   const CheckedOptions& opt) {
+  if (opt.Text("dataset").empty()) {
     return Status::InvalidArgument(cmd.verb + " needs dataset=<name>");
   }
-  return it->second;
+  return std::string(opt.Text("dataset"));
 }
 
 Result<json::Value> DoReplHello(Engine* engine, Session*, const Command& cmd,
-                                const ExecContext&) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, ReplDatasetArg(cmd));
+                                const ExecContext& ctx) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, ReplDatasetArg(cmd, ctx.opt));
   json::Value v = Ok();
   v.Set("dataset", name);
   Result<SlotDurability> d = engine->registry().Durability(name);
@@ -1177,24 +967,20 @@ Result<json::Value> DoReplHello(Engine* engine, Session*, const Command& cmd,
 }
 
 Result<json::Value> DoReplApply(Engine* engine, Session*, const Command& cmd,
-                                const ExecContext&) {
+                                const ExecContext& ctx) {
   if (cmd.blob.empty()) {
     return Status::InvalidArgument(
         "REPLAPPLY carries WAL lines after the command line and is only "
         "meaningful over the binary frame");
   }
-  ONEX_ASSIGN_OR_RETURN(std::string name, ReplDatasetArg(cmd));
-  ONEX_ASSIGN_OR_RETURN(long long first, OptInt(cmd, "first", 0));
-  ONEX_ASSIGN_OR_RETURN(long long count, OptInt(cmd, "count", 0));
-  if (first < 1 || count < 1) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, ReplDatasetArg(cmd, ctx.opt));
+  if (!ctx.opt.Has("first") || !ctx.opt.Has("count")) {
     return Status::InvalidArgument("REPLAPPLY needs first=>=1 and count=>=1");
   }
-  ONEX_ASSIGN_OR_RETURN(std::uint64_t crc,
-                        ParseHex64(OptString(cmd, "crc", "")));
-  ONEX_ASSIGN_OR_RETURN(
-      std::vector<WalRecord> records,
-      DecodeWalBatchBlob(cmd.blob, crc, static_cast<std::uint64_t>(first),
-                         static_cast<std::uint64_t>(count)));
+  ONEX_ASSIGN_OR_RETURN(std::uint64_t crc, ParseHex64(ctx.opt.Text("crc")));
+  ONEX_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
+                        DecodeWalBatchBlob(cmd.blob, crc, ctx.opt.Size("first"),
+                                           ctx.opt.Size("count")));
   for (const WalRecord& record : records) {
     ONEX_RETURN_IF_ERROR(engine->registry().ApplyReplicated(name, record));
   }
@@ -1263,16 +1049,10 @@ Result<json::Value> DoLoadPrepared(Engine* engine, Session*,
 }
 
 Result<json::Value> DoCatalog(Engine* engine, Session* session,
-                              const Command& cmd, const ExecContext&) {
+                              const Command& cmd, const ExecContext& ctx) {
   ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
-  ONEX_ASSIGN_OR_RETURN(long long points, OptInt(cmd, "points", 24));
-  if (points < 1 || points > kMaxCatalogPoints) {
-    return Status::InvalidArgument(
-        StrFormat("points must be in [1, %lld]", kMaxCatalogPoints));
-  }
-  ONEX_ASSIGN_OR_RETURN(
-      std::vector<Engine::CatalogEntry> entries,
-      engine->Catalog(name, static_cast<std::size_t>(points)));
+  ONEX_ASSIGN_OR_RETURN(std::vector<Engine::CatalogEntry> entries,
+                        engine->Catalog(name, ctx.opt.Size("points")));
   json::Value v = Ok();
   json::Value arr = json::Value::MakeArray();
   for (const Engine::CatalogEntry& e : entries) {
@@ -1305,52 +1085,146 @@ Result<json::Value> DoCluster(Engine*, Session*, const Command&,
 
 using EC = ExecClass;
 using CR = ClusterRoute;
+using enum OptKind;
+constexpr double kInf = OptionSpec::kUnbounded;
 
-/// The verb table. A verb in it is dispatched, pipelined, routed and
-/// counted by its row; a verb missing from it is none of those.
+/// Concatenates option groups, each declared once, into one verb's list.
+template <std::size_t... N>
+constexpr auto Join(const OptionSpec (&... groups)[N]) {
+  std::array<OptionSpec, (N + ...)> out{};
+  auto it = out.begin();
+  ((it = std::copy(std::begin(groups), std::end(groups), it)), ...);
+  return out;
+}
+
+constexpr OptionSpec kDataset[] = {{"dataset"}};
+constexpr OptionSpec kDeadline[] = {
+    {"deadline_ms", kInt, "0", 0, kMaxDeadlineMs}};
+/// The length class an analytics verb reads; 0: every class.
+constexpr OptionSpec kLength[] = {{"length", kInt, "0", 0}};
+/// The subsequence lengths PREPARE groups and THRESHOLD samples.
+constexpr OptionSpec kLengthRange[] = {{"minlen", kInt, "4", 2},
+                                       {"maxlen", kInt, "0", 0}};
+constexpr OptionSpec kSeries[] = {{"series"}};  // An index or a name.
+/// MATCH, KNN and BATCH. Any negative window is unconstrained; threads= is
+/// accepted and ignored, since a query runs on one thread.
+constexpr OptionSpec kQuery[] = {
+    {"q"}, {"datasets"},
+    {"window", kInt, "-1", -kInf, std::numeric_limits<int>::max()},
+    {"topgroups", kInt, "1", 1}, {"exhaustive", kFlag, "0"},
+    {"threads", kInt, "", 0}};
+constexpr OptionSpec kK3[] = {{"k", kInt, "3", 1, kMaxKnnK}};
+constexpr OptionSpec kK1[] = {{"k", kInt, "1", 1, kMaxKnnK}};
+
+// Each verb's options, the last column of its row.
+constexpr OptionSpec kName[] = {{"name"}, {"dataset"}};
+constexpr OptionSpec kBudget[] = {{"bytes", kInt, "", 0}};
+constexpr auto kTier = Join(kDataset, {{"pin", kFlag}, {"demote", kFlag}});
+constexpr OptionSpec kGen[] = {{"num", kInt, "50", 1, kMaxGenPoints},
+                               {"len", kInt, "100", 2, kMaxGenPoints},
+                               {"seed", kInt, "42"}};
+constexpr OptionSpec kLoad[] = {{"name"}, {"path"}};
+constexpr auto kPrepare = Join(
+    kDataset, kLengthRange,
+    {{"st", kReal, "0.2"}, {"lenstep", kInt, "1", 1}, {"stride", kInt, "1", 1},
+     {"threads", kInt, "1", 0}, {"norm", kText, "minmax-dataset"},
+     {"policy", kChoice, "running-mean", 0, 0,
+      "fixed-leader|running-mean|running-mean-repair"}});
+constexpr auto kAppend = Join(kDataset, {{"v"}, {"series", kText, "appended"}});
+constexpr auto kExtend = Join(kDataset, kSeries, {{"points"}});
+constexpr auto kDrift = Join(kDataset, {{"threshold", kReal, "", 0, 1}});
+constexpr OptionSpec kPersist[] = {{"dir"},
+                                   {"every", kInt, "0", 0, kMaxCheckpointEvery},
+                                   {"fsync", kFlag, "1"}};
+constexpr auto kCatalog =
+    Join(kDataset, {{"points", kInt, "24", 1, kMaxCatalogPoints}});
+constexpr auto kOverview = Join(kDataset, kLength, {{"top", kInt, "12", 0}});
+constexpr auto kMatch = Join(kDataset, kDeadline, kQuery);
+constexpr auto kKnn = Join(kDataset, kDeadline, kQuery, kK3);
+constexpr auto kBatch = Join(kDataset, kDeadline, kQuery, kK1);
+constexpr auto kSeasonal = Join(kDataset, kLength,
+                                {{"series", kInt, "0", 0},
+                                 {"minocc", kInt, "2", 2},
+                                 {"top", kInt, "5", 0}});
+constexpr auto kThreshold = Join(
+    kDataset, kLengthRange, {{"pairs", kInt, "2000", 1, kMaxThresholdPairs}});
+constexpr auto kAnomaly = Join(kDataset, kDeadline, kLength,
+                               {{"top", kInt, "10", 1, kMaxAnalyticsTop},
+                                {"minpts", kInt, "2", 1, kMaxAnalyticsTop},
+                                {"eps", kReal, "0", 0}});
+constexpr auto kChangepoint = Join(
+    kDataset, kDeadline, kSeries,
+    {{"hazard", kReal, "0.01"}, {"threshold", kReal, "0.5"},
+     {"maxrun", kInt, "256", 2, kMaxChangepointRun}, {"last", kInt, "0", 0},
+     {"probs", kFlag, "0"}});
+constexpr auto kMotif = Join(kDataset, kDeadline, kLength,
+                             {{"top", kInt, "5", 0, kMaxAnalyticsTop},
+                              {"discords", kInt, "3", 0, kMaxAnalyticsTop}});
+constexpr auto kForecast = Join(
+    kDataset, kDeadline, kSeries, kLength, kK3,
+    {{"horizon", kInt, "8", 1, kMaxForecastHorizon},
+     {"method", kChoice, "group", 0, 0, "group|seasonal"},
+     {"period", kInt, "0", 0}});
+constexpr auto kReplApply = Join(
+    kDataset, {{"first", kInt, "", 1}, {"count", kInt, "", 1}, {"crc"}});
+
+/// The verb table. A verb in it is dispatched, pipelined, routed, counted
+/// and option-checked by its row; a verb missing from it is none of those.
 constexpr VerbSpec kVerbTable[] = {
-    {"PING", DoPing, EC::kInline, CR::kLocal, nullptr},
-    {"LIST", DoList, EC::kReadOnly, CR::kScatter, nullptr},
-    {"DATASETS", DoDatasets, EC::kReadOnly, CR::kScatter, nullptr},
-    {"USE", DoUse, EC::kMutator, CR::kSelect, ExplicitNameArg},
-    {"BUDGET", DoBudget, EC::kMutator, CR::kBlocked, nullptr},
-    {"TIER", DoTier, EC::kMutator, CR::kBlocked, DatasetArg},
-    {"GEN", DoGen, EC::kMutator, CR::kOwner, NewNameArg},
-    {"LOAD", DoLoad, EC::kMutator, CR::kOwner, NewNameArg},
-    {"DROP", DoDrop, EC::kMutator, CR::kBlocked, ExplicitNameArg},
-    {"PREPARE", DoPrepare, EC::kMutator, CR::kOwner, DatasetArg},
-    {"APPEND", DoAppend, EC::kMutator, CR::kOwner, DatasetArg},
-    {"EXTEND", DoExtend, EC::kMutator, CR::kOwner, DatasetArg},
-    {"DRIFT", DoDrift, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"SAVEBASE", DoSavePrepared, EC::kMutator, CR::kBlocked, nullptr},
-    {"LOADBASE", DoLoadPrepared, EC::kMutator, CR::kBlocked, nullptr},
-    {"PERSIST", DoPersist, EC::kMutator, CR::kBlocked, nullptr},
-    {"CHECKPOINT", DoCheckpoint, EC::kMutator, CR::kBlocked, DatasetArg},
-    {"STATS", DoStats, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"CATALOG", DoCatalog, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"OVERVIEW", DoOverview, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"MATCH", DoMatch<false>, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"KNN", DoMatch<true>, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"BATCH", DoBatch, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"SEASONAL", DoSeasonal, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"THRESHOLD", DoThreshold, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"ANOMALY", DoAnomaly, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"CHANGEPOINT", DoChangepoint, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"MOTIF", DoMotif, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"FORECAST", DoForecast, EC::kReadOnly, CR::kOwner, DatasetArg},
-    {"QUIT", DoQuit, EC::kInline, CR::kLocal, nullptr},
+    {"PING", DoPing, EC::kInline, CR::kLocal, nullptr, {}},
+    {"LIST", DoList, EC::kReadOnly, CR::kScatter, nullptr, {}},
+    {"DATASETS", DoDatasets, EC::kReadOnly, CR::kScatter, nullptr, {}},
+    {"USE", DoUse, EC::kMutator, CR::kSelect, ExplicitNameArg, kName},
+    {"BUDGET", DoBudget, EC::kMutator, CR::kBlocked, nullptr, kBudget},
+    {"TIER", DoTier, EC::kMutator, CR::kBlocked, DatasetArg, kTier},
+    {"GEN", DoGen, EC::kMutator, CR::kOwner, NewNameArg, kGen},
+    {"LOAD", DoLoad, EC::kMutator, CR::kOwner, NewNameArg, kLoad},
+    {"DROP", DoDrop, EC::kMutator, CR::kBlocked, ExplicitNameArg, kName},
+    {"PREPARE", DoPrepare, EC::kMutator, CR::kOwner, DatasetArg, kPrepare},
+    {"APPEND", DoAppend, EC::kMutator, CR::kOwner, DatasetArg, kAppend},
+    {"EXTEND", DoExtend, EC::kMutator, CR::kOwner, DatasetArg, kExtend},
+    {"DRIFT", DoDrift, EC::kReadOnly, CR::kOwner, DatasetArg, kDrift},
+    {"SAVEBASE", DoSavePrepared, EC::kMutator, CR::kBlocked, nullptr, {}},
+    {"LOADBASE", DoLoadPrepared, EC::kMutator, CR::kBlocked, nullptr, {}},
+    {"PERSIST", DoPersist, EC::kMutator, CR::kBlocked, nullptr, kPersist},
+    {"CHECKPOINT", DoCheckpoint, EC::kMutator, CR::kBlocked, DatasetArg,
+     kDataset},
+    {"STATS", DoStats, EC::kReadOnly, CR::kOwner, DatasetArg, kDataset},
+    {"CATALOG", DoCatalog, EC::kReadOnly, CR::kOwner, DatasetArg, kCatalog},
+    {"OVERVIEW", DoOverview, EC::kReadOnly, CR::kOwner, DatasetArg, kOverview},
+    {"MATCH", DoQuery, EC::kReadOnly, CR::kOwner, DatasetArg, kMatch},
+    {"KNN", DoQuery, EC::kReadOnly, CR::kOwner, DatasetArg, kKnn},
+    {"BATCH", DoQuery, EC::kReadOnly, CR::kOwner, DatasetArg, kBatch},
+    {"SEASONAL", DoSeasonal, EC::kReadOnly, CR::kOwner, DatasetArg, kSeasonal},
+    {"THRESHOLD", DoThreshold, EC::kReadOnly, CR::kOwner, DatasetArg,
+     kThreshold},
+    {"ANOMALY", DoAnomaly, EC::kReadOnly, CR::kOwner, DatasetArg, kAnomaly},
+    {"CHANGEPOINT", DoChangepoint, EC::kReadOnly, CR::kOwner, DatasetArg,
+     kChangepoint},
+    {"MOTIF", DoMotif, EC::kReadOnly, CR::kOwner, DatasetArg, kMotif},
+    {"FORECAST", DoForecast, EC::kReadOnly, CR::kOwner, DatasetArg, kForecast},
+    {"QUIT", DoQuit, EC::kInline, CR::kLocal, nullptr, {}},
     // Inline for liveness, not latency: a forwarded mutator parks its pool
     // thread until this node acks the shipped batch, so WAL application
     // runs on the reactor thread, the one thread that is always live.
-    {"REPLHELLO", DoReplHello, EC::kInline, CR::kLocal, nullptr},
-    {"REPLAPPLY", DoReplApply, EC::kInline, CR::kLocal, nullptr},
-    {"REPLSTATUS", DoReplStatus, EC::kInline, CR::kLocal, nullptr},
-    {"CLUSTER", DoCluster, EC::kReadOnly, CR::kStatus, nullptr},
-    {"BIN", nullptr, EC::kInline, CR::kLocal, nullptr},
-    {"METRICS", nullptr, EC::kInline, CR::kLocal, nullptr},
+    {"REPLHELLO", DoReplHello, EC::kInline, CR::kLocal, nullptr, kDataset},
+    {"REPLAPPLY", DoReplApply, EC::kInline, CR::kLocal, nullptr, kReplApply},
+    {"REPLSTATUS", DoReplStatus, EC::kInline, CR::kLocal, nullptr, {}},
+    {"CLUSTER", DoCluster, EC::kReadOnly, CR::kStatus, nullptr, {}},
+    {"BIN", nullptr, EC::kInline, CR::kLocal, nullptr, {}},
+    {"METRICS", nullptr, EC::kInline, CR::kLocal, nullptr, {}},
 };
 static_assert(std::size(kVerbTable) == kNumVerbs,
               "kNumVerbs (protocol.h) must match the verb table");
+
+/// What a refused value should have been, for the refusal's message.
+std::string Expected(const OptionSpec& o) {
+  if (o.kind == kFlag) return "0 or 1";
+  if (o.kind == kChoice) return "one of " + std::string(o.choices);
+  return StrFormat("%s in [%.15g, %.15g]",
+                   o.kind == kInt ? "an integer" : "a finite number",
+                   o.min, o.max);
+}
 
 }  // namespace
 
@@ -1396,27 +1270,88 @@ std::size_t VerbSlot(const VerbSpec* spec) {
                          : static_cast<std::size_t>(spec - kVerbTable);
 }
 
+Result<CheckedOptions> CheckedOptions::Check(const VerbSpec& spec,
+                                             const Command& cmd) {
+  CheckedOptions out;
+  const auto refuse = [&](std::string_view name, std::string_view text,
+                          const std::string& why) {
+    std::string accepted;
+    for (const OptionSpec& o : spec.options) {
+      accepted += (accepted.empty() ? " " : ", ") + std::string(o.name);
+    }
+    return Status::InvalidArgument(
+        cmd.verb + " " + std::string(name) + "=" + std::string(text) + ": " +
+        why + "; " + cmd.verb + " accepts" +
+        (accepted.empty() ? " no options" : accepted));
+  };
+  const auto read = [&](const OptionSpec& o, std::string_view text,
+                        bool sent) {
+    Value v{o.name, text, 0, 0, sent};
+    bool ok = o.kind != kChoice;
+    for (std::string_view rest = o.choices; !ok && !rest.empty();) {
+      const std::string_view choice = rest.substr(0, rest.find('|'));
+      rest.remove_prefix(std::min(rest.size(), choice.size() + 1));
+      ok = ToLower(choice) == ToLower(text);
+      if (ok) v.text = choice;
+    }
+    if (o.kind == kReal) {
+      const Result<double> d = ParseDouble(text);
+      v.d = d.ok() ? *d : 0;
+      ok = d.ok() && std::isfinite(v.d) && v.d >= o.min && v.d <= o.max;
+    } else if (o.kind == kInt || o.kind == kFlag) {
+      const Result<long long> i = ParseInt(text);
+      v.i = i.ok() ? *i : 0;
+      v.d = static_cast<double>(v.i);
+      ok = i.ok() && v.d >= o.min && v.d <= o.max &&
+           (o.kind != kFlag || v.i == 0 || v.i == 1);
+    }
+    if (!ok) return refuse(o.name, text, "must be " + Expected(o));
+    out.values_.push_back(v);
+    return Status::OK();
+  };
+  for (const auto& [name, text] : cmd.options) {
+    if (name == "fwd") continue;
+    const auto o = std::find_if(
+        spec.options.begin(), spec.options.end(),
+        [&name = name](const OptionSpec& d) { return d.name == name; });
+    if (o == spec.options.end()) return refuse(name, text, "unknown option");
+    ONEX_RETURN_IF_ERROR(read(*o, text, true));
+  }
+  for (const OptionSpec& o : spec.options) {
+    if (!o.def.empty() && !out.Find(o.name).sent) {
+      ONEX_RETURN_IF_ERROR(read(o, o.def, false));
+    }
+  }
+  return out;
+}
+
+const CheckedOptions::Value& CheckedOptions::Find(std::string_view key) const {
+  static const Value kAbsent;
+  for (const Value& v : values_) {
+    if (v.name == key) return v;
+  }
+  return kAbsent;
+}
+
 json::Value ExecuteCommand(Engine* engine, Session* session,
                            const Command& command, const ExecContext& context) {
   ExecContext ctx = context;
   if (ctx.verb == nullptr) ctx.verb = FindVerb(command.verb);
+  if (ctx.verb == nullptr || ctx.verb->handler == nullptr) {
+    return ErrorResponse(Status::InvalidArgument("unknown command: '" +
+                                                 command.verb + "'"));
+  }
+  Result<CheckedOptions> opt = CheckedOptions::Check(*ctx.verb, command);
+  if (!opt.ok()) return ErrorResponse(opt.status());
+  ctx.opt = std::move(opt).value();
   if (ctx.cluster != nullptr) {
     // Cluster mode: the coordinator routes the command — forwarding it to
     // the owning shard or re-entering this executor with cluster cleared.
     return ctx.cluster->Execute(engine, session, command, ctx);
   }
-  if (ctx.verb == nullptr || ctx.verb->handler == nullptr) {
-    return ErrorResponse(Status::InvalidArgument("unknown command: '" +
-                                                 command.verb + "'"));
-  }
   Result<json::Value> result = ctx.verb->handler(engine, session, command, ctx);
   if (!result.ok()) return ErrorResponse(result.status());
   return std::move(result).value();
-}
-
-json::Value ExecuteCommand(Engine* engine, Session* session,
-                           const Command& command) {
-  return ExecuteCommand(engine, session, command, ExecContext{});
 }
 
 json::Value ExecuteCommand(Engine* engine, const Command& command) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -20,6 +21,13 @@ namespace onex::net {
 /// The wire protocol the ONEX server speaks: one command per line, one JSON
 /// response per line — the minimal stand-in for the demo's HTTP/JSON web
 /// API. Commands are a verb, positional arguments and key=value options.
+///
+/// A verb's options are a column of its VerbSpec row (DESIGN.md §9),
+/// checked before routing and the handler: a verb uses an option as given
+/// or answers InvalidArgument naming it. Declared wire change: unknown
+/// names, topgroups<1, exhaustive=/fsync=/probs= other than 0|1, malformed
+/// numbers (were ParseError) and PERSIST every=/fsync= without dir= used
+/// to be dropped or altered, and are refused now.
 ///
 /// One server session serves a whole dashboard of datasets: every
 /// dataset-scoped verb resolves its target from (in priority order) a
@@ -76,9 +84,9 @@ namespace onex::net {
 ///       is journaled before it is acknowledged. every= sets the
 ///       background checkpoint threshold (records since the last
 ///       checkpoint; 0 = manual only). Without dir=, reports the current
-///       durability state. Enabling twice, or on an engine that holds any
-///       dataset, is FailedPrecondition (durability starts at a dataset's
-///       birth).
+///       durability state, and every= or fsync= is refused. Enabling twice,
+///       or on an engine that holds any dataset, is FailedPrecondition
+///       (durability starts at a dataset's birth).
 ///   CHECKPOINT [<name>|dataset=<name>]               checkpoint a slot now
 ///       Folds the slot's journal into a fresh ONEXARENA checkpoint file
 ///       and restarts its WAL. The file stores the live snapshot exactly,
@@ -89,11 +97,9 @@ namespace onex::net {
 ///   CATALOG [points=24]                              series list + previews
 ///   OVERVIEW [length=0] [top=12]
 ///   MATCH q=<series>:<start>:<len> [window=-1] [topgroups=1]
-///         [exhaustive=0] [deadline_ms=0]
-///   KNN q=<series>:<start>:<len> [k=3] [window=-1] [exhaustive=0]
-///       [deadline_ms=0]
-///   BATCH q=<s>:<st>:<len>[;<s>:<st>:<len>...] [k=1] [window=-1]
-///         [topgroups=1] [exhaustive=0] [deadline_ms=0]
+///         [exhaustive=0] [deadline_ms=0] [threads=n, ignored]
+///   KNN q=<series>:<start>:<len> [k=3] [MATCH's other options]
+///   BATCH q=<s>:<st>:<len>[;<s>:<st>:<len>...] [k=1] [MATCH's other options]
 ///       Executes every query in one round-trip, fanned across the engine's
 ///       task pool (a dashboard refreshing its linked views issues one
 ///       BATCH instead of N MATCHes). Responds with results in query order:
@@ -168,12 +174,10 @@ namespace onex::net {
 /// commands.
 ///
 /// Responses: {"ok":true, ...payload...} or {"ok":false,"error":"...",
-/// "code":"..."} — always a single line. Size-driving options (GEN
-/// num/len, CATALOG points, KNN/BATCH k, THRESHOLD pairs, ANOMALY/MOTIF
-/// top/minpts/discords, CHANGEPOINT maxrun, FORECAST horizon) are capped so
-/// a malformed or hostile frame cannot make the server allocate unbounded
-/// memory; the caps are far above anything the line protocol can usefully
-/// carry and surface as InvalidArgument. Numeric option values and binary
+/// "code":"..."} — always a single line. A size-driving option's range in
+/// its row caps it far above anything the line protocol can usefully
+/// carry, so a hostile frame cannot make the server allocate unbounded
+/// memory. Numeric option values and binary
 /// value payloads must be finite: "nan"/"inf" tokens and NaN/Inf float64s
 /// are rejected at parse time (InvalidArgument) before they can poison
 /// distance comparisons downstream.
@@ -210,9 +214,69 @@ Result<Command> ParseCommandLine(const std::string& line);
 
 struct VerbSpec;
 
-/// Serving-layer context threaded into one command execution. The plain
-/// ExecuteCommand overloads pass defaults, so in-process callers are
-/// unaffected; the reactor fills it in per request.
+/// How ExecuteCommand reads an option's value (OptionSpec::kind).
+enum class OptKind : std::uint8_t {
+  kText,    ///< Any value; the handler parses it (q=, series=, points=).
+  kInt,     ///< A base-10 integer in [min, max].
+  kReal,    ///< A finite number in [min, max].
+  kFlag,    ///< 0 or 1.
+  kChoice,  ///< One of `choices`, in any letter case.
+};
+
+/// One option a verb accepts: a column of its VerbSpec row.
+struct OptionSpec {
+  static constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+  constexpr OptionSpec(std::string_view n = {}, OptKind k = OptKind::kText,
+                       std::string_view d = {}, double lo = -kUnbounded,
+                       double hi = kUnbounded, std::string_view c = {})
+      : name(n), kind(k), def(d), min(lo), max(hi), choices(c) {}
+
+  std::string_view name;
+  OptKind kind;
+  /// The value an absent option reads as, spelled as on the wire. Empty:
+  /// none, and the handler sees the option absent.
+  std::string_view def;
+  double min;  ///< kInt/kReal bounds, inclusive; +-kUnbounded: none.
+  double max;
+  std::string_view choices;  ///< kChoice: the values, '|'-separated.
+};
+
+/// A command's options checked against its verb's row: each reads as sent,
+/// else as its default, else as 0 or empty. It views the command's text,
+/// so the command must outlive it.
+class CheckedOptions {
+ public:
+  /// InvalidArgument, naming the option and listing the row's, for an
+  /// undeclared name or a value outside its kind and range. Every verb
+  /// also takes `fwd=`, the cluster's internal routing pin (cluster.h).
+  static Result<CheckedOptions> Check(const VerbSpec& spec,
+                                      const Command& cmd);
+
+  bool Has(std::string_view key) const { return Find(key).sent; }
+  long long Int(std::string_view key) const { return Find(key).i; }
+  std::size_t Size(std::string_view key) const {
+    return static_cast<std::size_t>(Int(key));
+  }
+  double Real(std::string_view key) const { return Find(key).d; }
+  bool Flag(std::string_view key) const { return Int(key) == 1; }
+  /// kText as sent; kChoice in the spelling the row declares.
+  std::string_view Text(std::string_view key) const { return Find(key).text; }
+
+ private:
+  struct Value {
+    std::string_view name;
+    std::string_view text;
+    long long i = 0;
+    double d = 0;
+    bool sent = false;
+  };
+  const Value& Find(std::string_view key) const;  ///< All zero: none.
+  std::vector<Value> values_;
+};
+
+/// Serving-layer context threaded into one command execution. In-process
+/// callers leave it at its defaults; the reactor fills it in per request.
 struct ExecContext {
   /// When the request came off the wire; deadline_ms counts from here, so a
   /// request that sat queued behind a deep pipeline pays for the wait.
@@ -233,6 +297,8 @@ struct ExecContext {
   /// The command's verb-table row, when the caller already looked it up
   /// (the reactor does, once per request). Null: ExecuteCommand looks it up.
   const VerbSpec* verb = nullptr;
+  /// Filled in by ExecuteCommand before it routes or runs the command.
+  CheckedOptions opt;
 };
 
 /// How a verb interacts with its connection's pipeline (reactor.h).
@@ -274,6 +340,7 @@ struct VerbSpec {
   ExecClass exec;
   ClusterRoute route;
   DatasetResolver dataset;  ///< Null: the verb names no single dataset.
+  std::span<const OptionSpec> options;  ///< Every option the verb accepts.
 };
 
 /// Rows in the verb table. METRICS has one slot per row plus a final
@@ -291,14 +358,11 @@ std::size_t VerbSlot(const VerbSpec* spec);
 
 /// Runs one command against the engine, reading and updating the session's
 /// current dataset. Never fails — errors become {"ok":false,...} payloads,
-/// so one bad command cannot kill a session.
+/// so one bad command cannot kill a session. The reactor passes the full
+/// context (deadlines, disconnect cancellation, binary value payloads).
 json::Value ExecuteCommand(Engine* engine, Session* session,
-                           const Command& command);
-
-/// Full-context form used by the reactor (deadlines, disconnect
-/// cancellation, binary value payloads).
-json::Value ExecuteCommand(Engine* engine, Session* session,
-                           const Command& command, const ExecContext& context);
+                           const Command& command,
+                           const ExecContext& context = {});
 
 /// Session-less convenience (in-process callers, tests): every command must
 /// carry its dataset explicitly.

@@ -4,6 +4,8 @@
 /// response; never a crash, a hang, or an allocation proportional to a
 /// number someone typed into a frame. Run under ASan in CI.
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "onex/common/random.h"
+#include "onex/common/string_utils.h"
 #include "onex/engine/wal.h"
 #include "onex/json/json.h"
 #include "onex/net/protocol.h"
@@ -94,8 +97,62 @@ const std::set<std::string> kNotFuzzed = {
     "REPLHELLO", "REPLAPPLY", "REPLSTATUS",
 };
 
+/// Values at and just past the edges of an option's declared kind and
+/// range, each with whether the row accepts it: min-1, min, max, max+1
+/// where the bound is finite, the largest integer where it is not, and the
+/// spellings a flag or choice refuses.
+std::vector<std::pair<std::string, bool>> BoundaryValues(const OptionSpec& o) {
+  std::vector<std::pair<std::string, bool>> values;
+  switch (o.kind) {
+    case OptKind::kText:
+      return {{"", true}, {"x", true}, {"0", true}};
+    case OptKind::kFlag:
+      return {{"-1", false}, {"0", true}, {"1", true}, {"2", false}};
+    case OptKind::kChoice:
+      // Choices match in any letter case.
+      for (std::string c : SplitKeepEmpty(o.choices, '|')) {
+        const unsigned char first = static_cast<unsigned char>(c[0]);
+        c[0] = static_cast<char>(std::toupper(first));
+        values.emplace_back(c, true);
+      }
+      values.emplace_back("none", false);
+      return values;
+    case OptKind::kInt:
+    case OptKind::kReal:
+      for (const double bound : {o.min, o.max}) {
+        if (!std::isfinite(bound)) continue;
+        for (const double v : {bound - 1, bound, bound + 1}) {
+          values.emplace_back(o.kind == OptKind::kInt ? StrFormat("%.0f", v)
+                                                       : StrFormat("%g", v),
+                              v >= o.min && v <= o.max);
+        }
+      }
+      if (!std::isfinite(o.max)) {
+        values.emplace_back("9223372036854775807", true);
+      }
+      values.emplace_back("nan", false);
+      return values;
+  }
+  return values;
+}
+
+/// Appends an option drawn from a verb table row: mostly the line's own
+/// verb's, sometimes another verb's, valued at a boundary of its range.
+std::string AppendRowOption(Rng* rng, const std::string& line) {
+  const Result<Command> cmd = ParseCommandLine(line);
+  const VerbSpec* spec = cmd.ok() ? FindVerb(cmd->verb) : nullptr;
+  if (spec == nullptr || spec->options.empty() || rng->Bernoulli(0.2)) {
+    spec = &Verbs()[rng->UniformIndex(Verbs().size())];
+  }
+  if (spec->options.empty()) return line + " fwd=1";
+  const OptionSpec& o = spec->options[rng->UniformIndex(spec->options.size())];
+  const auto values = BoundaryValues(o);
+  return line + " " + std::string(o.name) + "=" +
+         values[rng->UniformIndex(values.size())].first;
+}
+
 std::string MutateLine(Rng* rng, std::string line) {
-  const int kind = static_cast<int>(rng->UniformIndex(7));
+  const int kind = static_cast<int>(rng->UniformIndex(8));
   switch (kind) {
     case 0: {  // truncate
       if (!line.empty()) line.resize(rng->UniformIndex(line.size() + 1));
@@ -142,6 +199,10 @@ std::string MutateLine(Rng* rng, std::string line) {
           c = kDelims[rng->UniformIndex(std::size(kDelims))];
         }
       }
+      break;
+    }
+    case 6: {  // an option some row declares, at a range boundary
+      line = AppendRowOption(rng, line);
       break;
     }
     default: {  // splice two corpus lines
@@ -262,6 +323,51 @@ TEST(ProtocolFuzzTest, MutatedSessionFramesNeverCrashExecutor) {
   const json::Value match = ExecuteCommand(
       &engine, &session, *ParseCommandLine("MATCH s q=0:2:8"));
   EXPECT_TRUE(match["ok"].as_bool()) << match.Dump();
+}
+
+/// Every option of every fuzzed verb's row, alone on the verb's corpus
+/// line, at each boundary of its declared range: a value inside the range
+/// gets past the row (whatever the verb then answers), one outside is
+/// refused by name, and every answer is one line.
+TEST(ProtocolFuzzTest, RowOptionBoundariesAnswerCleanly) {
+  Engine engine;
+  Session session;
+  const auto run = [&](const std::string& line) {
+    const json::Value v =
+        ExecuteCommand(&engine, &session, *ParseCommandLine(line));
+    CheckResponse(v, line);
+    return v;
+  };
+  const auto reset = [&] {
+    for (const std::string& name : engine.ListDatasets()) {
+      ASSERT_TRUE(engine.DropDataset(name).ok());
+    }
+    session.dataset.clear();
+    for (const char* line : {"GEN s sine num=4 len=12 seed=7",
+                             "PREPARE s st=0.2 maxlen=8",
+                             "GEN w walk num=3 len=10"}) {
+      ASSERT_TRUE(run(line)["ok"].as_bool()) << line;
+    }
+  };
+  for (const std::string& base : Corpus()) {
+    const VerbSpec* spec = FindVerb(ParseCommandLine(base)->verb);
+    if (spec == nullptr) continue;
+    for (const OptionSpec& o : spec->options) {
+      for (const auto& [value, accepted] : BoundaryValues(o)) {
+        reset();
+        const std::string option = std::string(o.name) + "=" + value;
+        const json::Value v = run(base + " " + option);
+        const bool refused =
+            !v["ok"].as_bool() &&
+            v["error"].as_string().find(" " + option + ": ") !=
+                std::string::npos;
+        EXPECT_EQ(refused, !accepted) << base << " " << option << v.Dump();
+        if (refused) {
+          EXPECT_EQ(v["code"].as_string(), "InvalidArgument");
+        }
+      }
+    }
+  }
 }
 
 TEST(ProtocolFuzzTest, NonFiniteBinaryPayloadsAreRejectedNotInstalled) {

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -936,9 +937,9 @@ std::string ResponseLine(Engine* engine, const std::string& line) {
   return FormatResponse(v);
 }
 
-// A query runs on one thread; `threads=` on a query verb is an option the
-// verb does not know, ignored like any other, so an old client that still
-// sends it gets the same bytes.
+// A query runs on one thread; `threads=` is declared on the query verbs'
+// rows and ignored, so an old client that still sends it gets the same
+// bytes.
 TEST(ProtocolTest, QueryVerbsIgnoreThreads) {
   Engine engine;
   for (const char* setup :
@@ -954,6 +955,68 @@ TEST(ProtocolTest, QueryVerbsIgnoreThreads) {
     EXPECT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
     EXPECT_EQ(ResponseLine(&engine, line + " threads=4"), plain) << line;
   }
+}
+
+// PERSIST every= and fsync= configure the journal dir= enables. Alone they
+// used to answer ok and change nothing; now they are refused, and a
+// durable engine keeps its checkpoint policy.
+TEST(ProtocolTest, PersistEveryOrFsyncWithoutDirIsRefused) {
+  const std::string dir = ::testing::TempDir() + "/onex_persist_no_dir";
+  std::filesystem::remove_all(dir);
+  Engine engine;
+  const auto run = [&](const std::string& line) {
+    return ExecuteCommand(&engine, *ParseCommandLine(line));
+  };
+  ASSERT_TRUE(run("PERSIST dir=" + dir + " every=0 fsync=0")["ok"].as_bool());
+  ASSERT_TRUE(run("GEN s sine num=4 len=12 seed=7")["ok"].as_bool());
+  for (const char* line :
+       {"PERSIST every=2 fsync=0", "PERSIST every=2", "PERSIST fsync=1"}) {
+    const json::Value v = run(line);
+    EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << line << v.Dump();
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(run("EXTEND s series=0 points=0.5")["ok"].as_bool());
+  }
+  const json::Value stats = run("STATS s");
+  EXPECT_EQ(stats["checkpoints"].as_number(), 0.0) << stats.Dump();
+  EXPECT_EQ(stats["wal_dirty"].as_number(), 5.0) << stats.Dump();
+  EXPECT_TRUE(run("PERSIST")["ok"].as_bool());
+  std::filesystem::remove_all(dir);
+}
+
+// Values the verbs used to alter are refused, naming the option: a
+// misspelt window= used to run unconstrained, topgroups<1 ran as 1, and
+// any nonzero flag meant 1.
+TEST(ProtocolTest, OptionsAreUsedAsGivenOrRefused) {
+  Engine engine;
+  for (const char* setup :
+       {"GEN w walk num=6 len=24 seed=3", "PREPARE w st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine(setup))["ok"]
+                    .as_bool())
+        << setup;
+  }
+  for (const auto& [line, name] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"MATCH w q=1:5:12 windw=2", "windw"},
+           {"MATCH w q=1:5:12 topgroups=0", "topgroups"},
+           {"MATCH w q=1:5:12 exhaustive=2", "exhaustive"},
+           {"KNN w q=1:5:12 k=2 topgroups=-5", "topgroups"},
+           {"MATCH w q=1:5:12 k=2", "k"},
+           {"CHANGEPOINT w series=0 probs=2", "probs"},
+           {"FORECAST w series=0 method=oracle", "method"},
+           {"GEN g walk sed=9", "sed"},
+           {"PREPARE w polcy=fixed-leader", "polcy"},
+           {"CATALOG w points=abc", "points"}}) {
+    const json::Value v = ExecuteCommand(&engine, *ParseCommandLine(line));
+    EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << line;
+    EXPECT_NE(v["error"].as_string().find(" " + name + "="),
+              std::string::npos)
+        << v.Dump();
+  }
+  // Case is free in a choice, and the answer carries the row's spelling.
+  const std::string seasonal = "FORECAST w series=0 period=4 method=";
+  EXPECT_EQ(ResponseLine(&engine, seasonal + "SEASONAL"),
+            ResponseLine(&engine, seasonal + "seasonal"));
 }
 
 // window= is parsed as a 64-bit integer: a width past INT_MAX is refused
@@ -1259,7 +1322,8 @@ TEST(ProtocolTest, DatasetsFanOutEqualsBruteForceMerge) {
 /// The combined BATCH volume (queries x datasets x k) is checked before any
 /// dataset runs, on a single node as on a cluster coordinator. A frame over
 /// the cap therefore answers the cap even when a q= ref is malformed too;
-/// under the cap, the malformed ref answers as it does for one dataset.
+/// under the cap, the malformed ref answers as it does for one dataset. A
+/// malformed option is refused by the verb's row before either.
 TEST(ProtocolTest, DatasetsBatchVolumeCapAnswersBeforeTheShards) {
   Engine engine;
   for (const char* setup :
@@ -1274,14 +1338,17 @@ TEST(ProtocolTest, DatasetsBatchVolumeCapAnswersBeforeTheShards) {
   };
   const std::string cap =
       "BATCH result volume (queries x datasets x k) is capped at 100000";
-  for (const char* line :
-       {"BATCH datasets=a,b q=0:0:8;1:2:8 k=50000",
-        "BATCH datasets=a,b q=0:0:8;bad k=50000",
-        "BATCH datasets=a,b q=0:0:8;1:2:8 k=50000 window=x"}) {
+  for (const char* line : {"BATCH datasets=a,b q=0:0:8;1:2:8 k=50000",
+                           "BATCH datasets=a,b q=0:0:8;bad k=50000"}) {
     const json::Value v = run(line);
     EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << line;
     EXPECT_EQ(v["error"].as_string(), cap) << line;
   }
+  const json::Value bad_window =
+      run("BATCH datasets=a,b q=0:0:8;1:2:8 k=50000 window=x");
+  EXPECT_EQ(bad_window["code"].as_string(), "InvalidArgument");
+  EXPECT_EQ(bad_window["error"].as_string().rfind("BATCH window=x: ", 0), 0u)
+      << bad_window.Dump();
   EXPECT_EQ(run("BATCH datasets=a,b q=0:0:8;bad k=2").Dump(),
             run("BATCH a q=0:0:8;bad k=2").Dump());
   EXPECT_EQ(run("BATCH datasets=a,b q=0:0:8 k=0").Dump(),
