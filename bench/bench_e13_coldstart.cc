@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "onex/common/string_utils.h"
 #include "onex/engine/engine.h"
 #include "onex/engine/wal.h"
 #include "onex/json/json.h"
@@ -79,7 +80,7 @@ onex::BaseBuildOptions BuildOptions() {
   return opt;
 }
 
-std::string DatasetName(std::size_t i) { return "d" + std::to_string(i); }
+std::string DatasetName(std::size_t i) { return onex::StrFormat("d%zu", i); }
 
 onex::QuerySpec TargetQuery() {
   onex::QuerySpec spec;

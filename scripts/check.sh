@@ -6,7 +6,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -S .
+# Warnings are errors here: the tree builds clean (CMakeLists.txt), and CI
+# keeps it so.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j
 cd build
 ctest --output-on-failure -j"$(nproc)"

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstddef>
 #include <cstdio>
@@ -104,6 +105,16 @@ Result<long long> ParseInt(std::string_view text) {
   const long long value = std::strtoll(buf.c_str(), &end, 10);
   if (end != buf.c_str() + buf.size() || errno == ERANGE) {
     return Status::ParseError("not an integer: '" + buf + "'");
+  }
+  return value;
+}
+
+std::optional<std::uint64_t> ParseHex64(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value, 16);
+  if (text.size() > 16 || error != std::errc() || stop != end) {
+    return std::nullopt;
   }
   return value;
 }

@@ -1,6 +1,8 @@
 #ifndef ONEX_COMMON_STRING_UTILS_H_
 #define ONEX_COMMON_STRING_UTILS_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +34,10 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 /// truncating values.
 Result<double> ParseDouble(std::string_view text);
 Result<long long> ParseInt(std::string_view text);
+
+/// 1 to 16 lowercase or uppercase hex digits and nothing else (no sign,
+/// prefix or spaces); nullopt otherwise. Callers name their own error.
+std::optional<std::uint64_t> ParseHex64(std::string_view text);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

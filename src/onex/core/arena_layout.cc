@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -73,7 +74,10 @@ std::string_view AsView(std::span<const std::byte> bytes) {
 }
 
 std::string Quoted(const std::string& s) {
-  return "\"" + json::EscapeString(s) + "\"";
+  std::string out = "\"";
+  out += json::EscapeString(s);
+  out += '"';
+  return out;
 }
 
 /// Parses a JSON-quoted string at the start of `text`; returns the remainder
@@ -97,13 +101,6 @@ Result<std::string> TakeQuoted(const std::string& text, std::string* rest) {
   ONEX_ASSIGN_OR_RETURN(json::Value v, json::Parse(text.substr(0, end + 1)));
   *rest = std::string(TrimString(text.substr(end + 1)));
   return v.as_string();
-}
-
-Result<CentroidPolicy> PolicyFromString(const std::string& name) {
-  if (name == "fixed-leader") return CentroidPolicy::kFixedLeader;
-  if (name == "running-mean") return CentroidPolicy::kRunningMean;
-  if (name == "running-mean-repair") return CentroidPolicy::kRunningMeanRepair;
-  return Status::ParseError("unknown centroid policy: '" + name + "'");
 }
 
 Result<std::string> NextLine(std::istream& in, const char* what) {
@@ -562,8 +559,12 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
     view.build_options.max_length = static_cast<std::size_t>(maxlen);
     view.build_options.length_step = static_cast<std::size_t>(step);
     view.build_options.stride = static_cast<std::size_t>(stride);
-    ONEX_ASSIGN_OR_RETURN(view.build_options.centroid_policy,
-                          PolicyFromString(f[5]));
+    const std::optional<CentroidPolicy> policy =
+        CentroidPolicyFromString(f[5]);
+    if (!policy) {
+      return Status::ParseError("unknown centroid policy: '" + f[5] + "'");
+    }
+    view.build_options.centroid_policy = *policy;
     ONEX_RETURN_IF_ERROR(view.build_options.Validate());
   }
   {

@@ -63,6 +63,15 @@ const char* CentroidPolicyToString(CentroidPolicy policy) {
   return "unknown";
 }
 
+std::optional<CentroidPolicy> CentroidPolicyFromString(std::string_view name) {
+  for (const CentroidPolicy policy :
+       {CentroidPolicy::kFixedLeader, CentroidPolicy::kRunningMean,
+        CentroidPolicy::kRunningMeanRepair}) {
+    if (name == CentroidPolicyToString(policy)) return policy;
+  }
+  return std::nullopt;
+}
+
 Status BaseBuildOptions::Validate() const {
   if (!(st > 0.0) || !std::isfinite(st)) {
     return Status::InvalidArgument(

@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "onex/common/result.h"
@@ -29,6 +31,9 @@ enum class CentroidPolicy {
 };
 
 const char* CentroidPolicyToString(CentroidPolicy policy);
+/// The inverse of CentroidPolicyToString; nullopt for any other spelling.
+/// Callers name their own error.
+std::optional<CentroidPolicy> CentroidPolicyFromString(std::string_view name);
 
 /// Parameters of ONEX-base construction.
 struct BaseBuildOptions {

@@ -363,26 +363,40 @@ std::vector<DatasetSlotInfo> DatasetRegistry::Describe() const {
   std::vector<DatasetSlotInfo> out;
   out.reserve(entries.size());
   for (const auto& [name, slot] : entries) {
-    DatasetSlotInfo info;
-    info.name = name;
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
-    info.series = slot->snapshot->raw->size();
-    info.prepared = slot->snapshot->prepared();
-    info.prepared_bytes = slot->base_bytes.load();
-    info.tier = TierName(*slot->snapshot);
-    info.mapped_bytes = slot->mapped_bytes.load();
-    info.pinned = slot->pinned.load();
-    info.regrouping = slot->regroup_inflight.load();
-    info.last_max_drift = slot->last_max_drift.load();
-    if (slot->journal != nullptr) {
-      info.durable = true;
-      info.wal_seq = slot->journal->last_seq.load();
-      info.wal_dirty = slot->journal->records_since_ckpt.load();
-      info.checkpoints = slot->journal->checkpoints_completed.load();
-    }
-    out.push_back(std::move(info));
+    out.push_back(DescribeLocked(name, *slot));
   }
   return out;
+}
+
+Result<DatasetSlotInfo> DatasetRegistry::Describe(
+    const std::string& name) const {
+  ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
+  std::shared_lock<std::shared_mutex> lock(slot->mutex);
+  return DescribeLocked(name, *slot);
+}
+
+DatasetSlotInfo DatasetRegistry::DescribeLocked(const std::string& name,
+                                                const Slot& slot) {
+  DatasetSlotInfo info;
+  info.name = name;
+  info.series = slot.snapshot->raw->size();
+  info.prepared = slot.snapshot->prepared();
+  info.prepared_bytes = slot.base_bytes.load();
+  info.tier = TierName(*slot.snapshot);
+  info.mapped_bytes = slot.mapped_bytes.load();
+  info.pinned = slot.pinned.load();
+  info.regrouping = slot.regroup_inflight.load();
+  info.regroups_completed = slot.regroups_completed.load();
+  info.last_max_drift = slot.last_max_drift.load();
+  if (slot.journal != nullptr) {
+    info.durable = true;
+    info.wal_seq = slot.journal->last_seq.load();
+    info.wal_dirty = slot.journal->records_since_ckpt.load();
+    info.checkpoints = slot.journal->checkpoints_completed.load();
+    info.last_checkpoint_seq = slot.journal->last_ckpt_seq.load();
+  }
+  return info;
 }
 
 Result<std::shared_ptr<const PreparedDataset>> DatasetRegistry::Get(
@@ -468,21 +482,8 @@ Result<bool> DatasetRegistry::Install(
       // visible, under the same lock, so WAL order always equals install
       // order. A journal failure aborts the install — the caller sees the
       // error and nothing was acknowledged.
-      if (replicated) {
-        ONEX_RETURN_IF_ERROR(slot->journal->writer->AppendAt(*record));
-      } else {
-        ONEX_RETURN_IF_ERROR(slot->journal->writer->Append(record));
-      }
-      slot->journal->last_seq.store(record->seq);
-      slot->journal->records_since_ckpt.fetch_add(1);
-      // Replication observes the append under the same lock, so per-dataset
-      // sink order is exactly WAL order (DESIGN.md §16). Replicated
-      // installs stay silent: replicas relay nothing.
-      if (!replicated) {
-        if (auto sink = CurrentSink()) {
-          (*sink)(name, *record, EncodeWalRecord(*record));
-        }
-      }
+      ONEX_RETURN_IF_ERROR(
+          Journal(name, slot->journal.get(), record, replicated));
     }
     slot->snapshot = std::move(snapshot);
     TouchLocked(slot.get());
@@ -660,17 +661,6 @@ double DatasetRegistry::drift_threshold() const {
   return drift_threshold_.load();
 }
 
-Result<MaintenanceStatus> DatasetRegistry::Maintenance(
-    const std::string& name) const {
-  ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
-  MaintenanceStatus status;
-  status.drift_threshold = drift_threshold_.load();
-  status.last_max_drift = slot->last_max_drift.load();
-  status.regroup_in_flight = slot->regroup_inflight.load();
-  status.regroups_completed = slot->regroups_completed.load();
-  return status;
-}
-
 RegroupTicket DatasetRegistry::RegroupAsync(const std::string& name,
                                             std::vector<std::size_t> lengths) {
   RegroupTicket ticket;
@@ -781,19 +771,10 @@ Status DatasetRegistry::CreateSlotJournal(const std::string& name,
     // The slot is not published yet, so nothing races these writes.
     slot->journal = journal;
     if (slot->snapshot->prepared()) return RunCheckpoint(name, slot, nullptr);
-    if (replicated != nullptr) {
-      ONEX_RETURN_IF_ERROR(journal->writer->AppendAt(*replicated));
-      journal->last_seq.store(replicated->seq);
-    } else {
-      WalRecord record = WalLoadRecord(*slot->snapshot->raw);
-      ONEX_RETURN_IF_ERROR(journal->writer->Append(&record));
-      journal->last_seq.store(record.seq);
-      if (auto sink = CurrentSink()) {
-        (*sink)(name, record, EncodeWalRecord(record));
-      }
-    }
-    journal->records_since_ckpt.store(1);
-    return Status::OK();
+    WalRecord record = replicated != nullptr
+                           ? *replicated
+                           : WalLoadRecord(*slot->snapshot->raw);
+    return Journal(name, journal.get(), &record, replicated != nullptr);
   }();
   if (!status.ok()) {
     slot->journal = nullptr;
@@ -861,6 +842,8 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
     // fail-stop instead.
     ONEX_RETURN_IF_ERROR(
         RenameFile(tmp_path, ckpt_path, durability_.fsync));
+    // The registry numbers the marker like any record: it takes the seq
+    // after the state it covers.
     WalRecord marker = WalCheckpointRecord(state_seq);
     marker.seq = state_seq + 1;
     const std::string fresh_wal =
@@ -885,8 +868,8 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
         return s;
       }
     }
-    ONEX_RETURN_IF_ERROR(journal->writer->Reopen(state_seq + 2));
-    journal->last_seq.store(state_seq + 1);
+    ONEX_RETURN_IF_ERROR(journal->writer->Reopen());
+    journal->last_seq.store(marker.seq);
     journal->records_since_ckpt.store(0);
     journal->last_ckpt_seq.store(state_seq);
     journal->checkpoints_completed.fetch_add(1);
@@ -905,6 +888,12 @@ Status DatasetRegistry::RunCheckpoint(const std::string& name,
 
 Result<CheckpointInfo> DatasetRegistry::Checkpoint(const std::string& name) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
+  if (slot->replicated.load()) {
+    return Status::FailedPrecondition(
+        "dataset '" + name +
+        "' is a replica; its marker would take the seq its primary ships "
+        "next");
+  }
   CheckpointInfo info;
   ONEX_RETURN_IF_ERROR(RunCheckpoint(name, slot, &info));
   return info;
@@ -998,9 +987,8 @@ DatasetRegistry::RecoverSlotDir(const std::string& dir_path) {
   auto journal = std::make_shared<SlotJournal>();
   journal->dir = dir_path;
   journal->wal_path = wal_path;
-  ONEX_ASSIGN_OR_RETURN(
-      WalWriter writer,
-      WalWriter::OpenExisting(wal_path, rs.last_seq + 1, durability_.fsync));
+  ONEX_ASSIGN_OR_RETURN(WalWriter writer,
+                        WalWriter::OpenExisting(wal_path, durability_.fsync));
   journal->writer.emplace(std::move(writer));
   journal->last_seq.store(rs.last_seq);
   journal->records_since_ckpt.store(rs.records_since_ckpt);
@@ -1091,20 +1079,6 @@ Status DatasetRegistry::Recover(const DurabilityOptions& options) {
   return Status::OK();
 }
 
-Result<SlotDurability> DatasetRegistry::Durability(
-    const std::string& name) const {
-  ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
-  SlotDurability out;
-  std::shared_lock<std::shared_mutex> lock(slot->mutex);
-  if (slot->journal == nullptr) return out;
-  out.durable = true;
-  out.last_seq = slot->journal->last_seq.load();
-  out.records_since_checkpoint = slot->journal->records_since_ckpt.load();
-  out.last_checkpoint_seq = slot->journal->last_ckpt_seq.load();
-  out.checkpoints_completed = slot->journal->checkpoints_completed.load();
-  return out;
-}
-
 // --- Replication -----------------------------------------------------------
 
 void DatasetRegistry::SetWalSink(WalSink sink) {
@@ -1117,6 +1091,30 @@ std::shared_ptr<const DatasetRegistry::WalSink> DatasetRegistry::CurrentSink()
     const {
   std::lock_guard<std::mutex> lock(sink_mutex_);
   return wal_sink_;
+}
+
+Status DatasetRegistry::Journal(const std::string& name, SlotJournal* journal,
+                                WalRecord* record, bool replicated) {
+  const std::uint64_t next = journal->last_seq.load() + 1;
+  if (replicated && record->seq != next) {
+    return Status::FailedPrecondition(StrFormat(
+        "replicated record seq %llu does not continue the wal of '%s' at "
+        "%llu (resubscribe)",
+        static_cast<unsigned long long>(record->seq), name.c_str(),
+        static_cast<unsigned long long>(next)));
+  }
+  record->seq = next;
+  ONEX_RETURN_IF_ERROR(journal->writer->Append(*record));
+  journal->last_seq.store(next);
+  journal->records_since_ckpt.fetch_add(1);
+  // Replication observes the append under the slot lock, so per-dataset
+  // sink order is exactly WAL order (DESIGN.md §16).
+  if (!replicated) {
+    if (auto sink = CurrentSink()) {
+      (*sink)(name, *record, EncodeWalRecord(*record));
+    }
+  }
+  return Status::OK();
 }
 
 Status DatasetRegistry::ApplyReplicated(const std::string& name,
@@ -1181,7 +1179,8 @@ Status DatasetRegistry::ApplyReplicated(const std::string& name,
   // dataset's records in seq order from a single thread, so the floor read
   // here cannot go stale against another replicated writer; a local writer
   // (this node is also a primary for the dataset — a misconfiguration)
-  // is caught by the conditional install below.
+  // is caught by the conditional install below, and Install's numbering
+  // re-checks the seq under the slot lock.
   std::shared_ptr<SlotJournal> journal;
   std::shared_ptr<const PreparedDataset> current;
   {

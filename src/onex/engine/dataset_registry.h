@@ -98,15 +98,6 @@ struct DurabilityOptions {
   bool fsync = true;
 };
 
-/// Durability counters for one slot, surfaced by PERSIST/STATS.
-struct SlotDurability {
-  bool durable = false;
-  std::uint64_t last_seq = 0;  ///< Sequence of the newest journaled record.
-  std::uint64_t records_since_checkpoint = 0;
-  std::uint64_t last_checkpoint_seq = 0;  ///< State seq of the newest ckpt.
-  std::uint64_t checkpoints_completed = 0;
-};
-
 /// Outcome of a synchronous checkpoint.
 struct CheckpointInfo {
   /// The log position the checkpoint captured: every record <= state_seq is
@@ -115,37 +106,35 @@ struct CheckpointInfo {
   std::size_t bytes = 0;  ///< Checkpoint file size.
 };
 
-/// One row of DatasetRegistry::Describe().
+/// Everything the registry reports about one slot: a row of Describe(),
+/// read by STATS, DATASETS, DRIFT, the REPL verbs and the cluster.
 struct DatasetSlotInfo {
   std::string name;
   std::size_t series = 0;
   bool prepared = false;
   std::size_t prepared_bytes = 0;
-  /// A background drift regroup for this slot is in flight.
+  /// Streaming maintenance (DESIGN.md §12): a background drift regroup for
+  /// this slot is in flight; how many completed.
   bool regrouping = false;
+  std::uint64_t regroups_completed = 0;
   /// Largest per-class drift fraction observed by the most recent extend or
   /// regroup of this slot (0 until streaming writes happen).
   double last_max_drift = 0.0;
   /// Durability view (DESIGN.md §13); all zero when durability is off.
   bool durable = false;
+  /// Seq of the newest journaled record: the slot's log position, the
+  /// replication floor a replica reports.
   std::uint64_t wal_seq = 0;
   std::uint64_t wal_dirty = 0;  ///< Records since the last checkpoint.
   std::uint64_t checkpoints = 0;
+  /// The seq the newest checkpoint covers (0 before the first).
+  std::uint64_t last_checkpoint_seq = 0;
   /// Serving tier (DESIGN.md §17): "resident" (owned base in RAM),
   /// "mapped" (serving from an mmap'd arena checkpoint; durable slots
   /// only) or "raw" (never prepared).
   std::string tier;
   std::size_t mapped_bytes = 0;  ///< Arena bytes backing a mapped base.
   bool pinned = false;           ///< TIER pin: exempt from downgrade/evict.
-};
-
-/// Maintenance view of one slot: the streaming-ingest counters the DRIFT
-/// verb and dataset stats surface (DESIGN.md §12).
-struct MaintenanceStatus {
-  double drift_threshold = 0.0;  ///< Registry-wide trigger (0 = disabled).
-  double last_max_drift = 0.0;
-  bool regroup_in_flight = false;
-  std::uint64_t regroups_completed = 0;
 };
 
 /// The engine's sharded dataset store (DESIGN.md §11): named slots, each
@@ -216,6 +205,8 @@ class DatasetRegistry {
   Status Drop(const std::string& name);
   std::vector<std::string> List() const;
   std::vector<DatasetSlotInfo> Describe() const;
+  /// One slot's row; NotFound when no slot has the name.
+  Result<DatasetSlotInfo> Describe(const std::string& name) const;
 
   /// Immutable snapshot of a slot, prepared or not.
   Result<std::shared_ptr<const PreparedDataset>> Get(
@@ -248,9 +239,6 @@ class DatasetRegistry {
   /// call.
   void SetDriftThreshold(double fraction);
   double drift_threshold() const;
-
-  /// Maintenance counters for one slot.
-  Result<MaintenanceStatus> Maintenance(const std::string& name) const;
 
   /// Schedules a background regroup of `lengths` (fresh leader clustering
   /// of those classes; core/incremental.h) on the task pool. The job reads
@@ -317,11 +305,10 @@ class DatasetRegistry {
   /// replaced: the arena stores values, centroids and envelopes exactly, so
   /// the live base and the checkpoint file agree bit for bit and recovery
   /// is exact. A mapped slot stays mapped. FailedPrecondition when
-  /// durability is off or the slot has no prepared base.
+  /// durability is off, the slot has no prepared base, or the slot is a
+  /// replica (ApplyReplicated has installed into it): the marker takes a
+  /// seq, and a replica's seqs belong to its primary.
   Result<CheckpointInfo> Checkpoint(const std::string& name);
-
-  /// Durability counters for one slot.
-  Result<SlotDurability> Durability(const std::string& name) const;
 
   // --- Replication (DESIGN.md §16) ----------------------------------------
 
@@ -341,15 +328,16 @@ class DatasetRegistry {
   /// installs.
   void SetWalSink(WalSink sink);
 
-  /// Applies one record shipped from a primary's WAL, preserving its
-  /// sequence number: journals it via WalWriter::AppendAt under the slot
-  /// lock, then installs the snapshot produced by the same per-record
-  /// apply switch recovery uses — so a replica that has acked seq S is
-  /// bit-identical to a primary recovered at seq S. Requirements: the
-  /// registry is durable, and records for one dataset arrive in seq order
-  /// (the replication link is a single ordered stream). A record at or
-  /// below the slot's floor is skipped as a duplicate delivery (OK); a gap
-  /// is FailedPrecondition — the caller must resubscribe from its floor.
+  /// Applies one record shipped from a primary's WAL: installs the
+  /// snapshot produced by the same per-record apply switch recovery uses,
+  /// journaled under the slot lock at the seq the primary gave it — which
+  /// the registry's own numbering must reproduce, so a replica that has
+  /// acked seq S is bit-identical to a primary recovered at seq S.
+  /// Requirements: the registry is
+  /// durable, and records for one dataset arrive in seq order (the
+  /// replication link is a single ordered stream). A record at or below
+  /// the slot's floor is skipped as a duplicate delivery (OK); a gap is
+  /// FailedPrecondition — the caller must resubscribe from its floor.
   /// kLoad creates the slot; the dataset must not already exist locally
   /// unless the record is a duplicate.
   Status ApplyReplicated(const std::string& name, const WalRecord& record);
@@ -375,8 +363,9 @@ class DatasetRegistry {
     /// TIER pin: exempt from LRU eviction and mapped-tier downgrade.
     std::atomic<bool> pinned{false};
     /// Set once ApplyReplicated has installed into this slot. Exempt from
-    /// LRU eviction like a pin: a replica's sequence numbers belong to its
-    /// primary, and the checkpoint an eviction needs would consume one.
+    /// LRU eviction like a pin, and refused an explicit Checkpoint: a
+    /// replica's sequence numbers belong to its primary, and a checkpoint
+    /// marker would consume one.
     std::atomic<bool> replicated{false};
     /// Arena bytes backing this slot while mapped; mutated under map_mutex_
     /// (same discipline as base_bytes).
@@ -385,6 +374,19 @@ class DatasetRegistry {
 
   Result<std::shared_ptr<Slot>> FindSlot(const std::string& name) const;
   void TouchLocked(Slot* slot) const;
+
+  /// The one filler of a DatasetSlotInfo row; caller holds `slot`'s lock.
+  static DatasetSlotInfo DescribeLocked(const std::string& name,
+                                        const Slot& slot);
+
+  /// Journals `record` at the slot's next seq (journal->last_seq + 1): the
+  /// registry is the one owner of a slot's log position. A local record is
+  /// numbered here and reaches the WAL sink; a replicated one must already
+  /// carry that seq (FailedPrecondition otherwise: the stream has a gap)
+  /// and stays silent, as replicas relay nothing. Caller holds the slot's
+  /// exclusive lock, or the slot is not yet published.
+  Status Journal(const std::string& name, SlotJournal* journal,
+                 WalRecord* record, bool replicated);
 
   /// Update on a slot the caller already holds (a background job keeps the
   /// slot it was scheduled for, even if the name is dropped meanwhile).
@@ -398,11 +400,10 @@ class DatasetRegistry {
   /// journaled, updates the byte accounting — skipping it if the slot was
   /// dropped from the map while the snapshot built — and evicts LRU
   /// victims over budget. A journal failure is an error: nothing was
-  /// installed and the slot's WAL is latched read-only. With
-  /// `replicated` the record keeps its primary-assigned seq (AppendAt), the
-  /// WAL sink stays silent (replicas relay nothing) and no background
-  /// checkpoint is scheduled (a rotation would truncate the history a
-  /// promoted replica re-ships).
+  /// installed and the slot's WAL is latched read-only. With `replicated`
+  /// the record keeps its primary-assigned seq (see Journal) and no
+  /// background checkpoint is scheduled (a rotation would truncate the
+  /// history a promoted replica re-ships).
   Result<bool> Install(const std::shared_ptr<Slot>& slot,
                        const std::string& name,
                        std::shared_ptr<const PreparedDataset> snapshot,
@@ -442,8 +443,8 @@ class DatasetRegistry {
   /// journal directory and WAL and writes the replay floor before the
   /// slot can be found, so a published journaled slot always has one. The
   /// floor is a checkpoint for a prepared snapshot (LOADBASE), the
-  /// primary's load record at its own seq for `replicated` (a replica's
-  /// slot birth), and otherwise a fresh load record of the raw dataset.
+  /// primary's load record at seq 1 for `replicated` (a replica's slot
+  /// birth), and otherwise a fresh load record of the raw dataset.
   /// On failure the directory is removed and the slot stays unjournaled.
   Status CreateSlotJournal(const std::string& name,
                            const std::shared_ptr<Slot>& slot,

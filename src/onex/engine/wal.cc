@@ -10,6 +10,7 @@
 #include <fstream>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <system_error>
@@ -113,15 +114,6 @@ class TokenCursor {
   std::string_view rest_;
 };
 
-Result<CentroidPolicy> PolicyFromString(std::string_view name) {
-  if (name == "fixed-leader") return CentroidPolicy::kFixedLeader;
-  if (name == "running-mean") return CentroidPolicy::kRunningMean;
-  if (name == "running-mean-repair") {
-    return CentroidPolicy::kRunningMeanRepair;
-  }
-  return Status::ParseError("unknown centroid policy in wal record");
-}
-
 Result<WalRecordType> TypeFromString(std::string_view name) {
   if (name == "load") return WalRecordType::kLoad;
   if (name == "append") return WalRecordType::kAppend;
@@ -131,24 +123,6 @@ Result<WalRecordType> TypeFromString(std::string_view name) {
   if (name == "ckpt") return WalRecordType::kCheckpoint;
   return Status::ParseError("unknown wal record type '" + std::string(name) +
                             "'");
-}
-
-Result<std::uint64_t> ParseHex64(std::string_view text) {
-  if (text.empty() || text.size() > 16) {
-    return Status::ParseError("malformed wal checksum");
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return Status::ParseError("malformed wal checksum");
-    }
-  }
-  return value;
 }
 
 void AppendSeriesText(std::string* out, const TimeSeries& ts) {
@@ -338,8 +312,10 @@ Result<WalRecord> DecodeWalRecord(std::string_view line) {
     return Status::ParseError("wal record has no checksum field");
   }
   const std::string_view body = line.substr(0, cpos);
-  ONEX_ASSIGN_OR_RETURN(std::uint64_t expected, ParseHex64(line.substr(cpos + 3)));
-  if (Fnv1a64(body) != expected) {
+  const std::optional<std::uint64_t> expected =
+      ParseHex64(line.substr(cpos + 3));
+  if (!expected) return Status::ParseError("malformed wal checksum");
+  if (Fnv1a64(body) != *expected) {
     return Status::ParseError("wal record checksum mismatch");
   }
 
@@ -406,9 +382,13 @@ Result<WalRecord> DecodeWalRecord(std::string_view line) {
       record.options.max_length = static_cast<std::size_t>(maxlen);
       record.options.length_step = static_cast<std::size_t>(step);
       record.options.stride = static_cast<std::size_t>(stride);
-      ONEX_ASSIGN_OR_RETURN(std::string_view policy, cur.Next());
-      ONEX_ASSIGN_OR_RETURN(record.options.centroid_policy,
-                            PolicyFromString(policy));
+      ONEX_ASSIGN_OR_RETURN(std::string_view policy_name, cur.Next());
+      const std::optional<CentroidPolicy> policy =
+          CentroidPolicyFromString(policy_name);
+      if (!policy) {
+        return Status::ParseError("unknown centroid policy in wal record");
+      }
+      record.options.centroid_policy = *policy;
       ONEX_ASSIGN_OR_RETURN(std::string_view norm, cur.Next());
       ONEX_ASSIGN_OR_RETURN(record.norm,
                             NormalizationKindFromString(std::string(norm)));
@@ -519,7 +499,6 @@ Result<WalScan> ScanWalFile(const std::string& path) {
 WalWriter::WalWriter(WalWriter&& other) noexcept
     : file_(other.file_),
       path_(std::move(other.path_)),
-      next_seq_(other.next_seq_),
       sync_(other.sync_),
       failed_(other.failed_) {
   other.file_ = nullptr;
@@ -530,7 +509,6 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     if (file_ != nullptr) std::fclose(file_);
     file_ = other.file_;
     path_ = std::move(other.path_);
-    next_seq_ = other.next_seq_;
     sync_ = other.sync_;
     failed_ = other.failed_;
     other.file_ = nullptr;
@@ -564,11 +542,10 @@ Result<WalWriter> WalWriter::Create(const std::string& path,
 }
 
 Result<WalWriter> WalWriter::OpenExisting(const std::string& path,
-                                          std::uint64_t next_seq, bool sync) {
+                                          bool sync) {
   WalWriter writer;
   writer.path_ = path;
   writer.sync_ = sync;
-  writer.next_seq_ = next_seq;
   writer.file_ = std::fopen(path.c_str(), "ab");
   if (writer.file_ == nullptr) {
     return Status::IoError(ErrnoMessage("cannot open wal '" + path + "'"));
@@ -576,13 +553,12 @@ Result<WalWriter> WalWriter::OpenExisting(const std::string& path,
   return writer;
 }
 
-Status WalWriter::Append(WalRecord* record) {
+Status WalWriter::Append(const WalRecord& record) {
   if (file_ == nullptr || failed_) {
     return Status::IoError("wal '" + path_ +
                            "' is in a failed state; slot is read-only");
   }
-  record->seq = next_seq_;
-  const std::string line = EncodeWalRecord(*record);
+  const std::string line = EncodeWalRecord(record);
   if (line.size() > kMaxWalLineBytes) {
     // Reject BEFORE writing (the writer stays healthy — nothing was
     // appended): a record the scanner would refuse must never be
@@ -600,46 +576,16 @@ Status WalWriter::Append(WalRecord* record) {
     return Status::IoError(ErrnoMessage("wal append to '" + path_ +
                                         "' failed"));
   }
-  ++next_seq_;
   return Status::OK();
 }
 
-Status WalWriter::AppendAt(const WalRecord& record) {
-  if (file_ == nullptr || failed_) {
-    return Status::IoError("wal '" + path_ +
-                           "' is in a failed state; slot is read-only");
-  }
-  if (record.seq != next_seq_) {
-    return Status::FailedPrecondition(StrFormat(
-        "replicated record seq %llu does not continue this wal (expect %llu)",
-        static_cast<unsigned long long>(record.seq),
-        static_cast<unsigned long long>(next_seq_)));
-  }
-  const std::string line = EncodeWalRecord(record);
-  if (line.size() > kMaxWalLineBytes) {
-    return Status::InvalidArgument(StrFormat(
-        "wal record of %zu bytes exceeds the replayable line cap (%zu)",
-        line.size(), kMaxWalLineBytes));
-  }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0 ||
-      (sync_ && ::fsync(::fileno(file_)) != 0)) {
-    failed_ = true;
-    return Status::IoError(ErrnoMessage("wal append to '" + path_ +
-                                        "' failed"));
-  }
-  ++next_seq_;
-  return Status::OK();
-}
-
-Status WalWriter::Reopen(std::uint64_t next_seq) {
+Status WalWriter::Reopen() {
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     failed_ = true;
     return Status::IoError(ErrnoMessage("cannot reopen wal '" + path_ + "'"));
   }
-  next_seq_ = next_seq;
   failed_ = false;
   return Status::OK();
 }

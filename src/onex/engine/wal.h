@@ -35,6 +35,11 @@ namespace onex {
 ///   r <seq> regroup <k> <len...>                                 c=<fnv64>
 ///   r <seq> ckpt <state_seq>                                     c=<fnv64>
 ///
+/// The registry numbers every record, the marker included (DESIGN.md §13):
+/// `r S+1 ckpt S` says that ckpt-S holds the state after record S, and the
+/// marker itself takes seq S+1. A legal log carries it only as its first
+/// record.
+///
 /// Tier moves are not journaled: a durable slot leaves memory only by
 /// swapping in the mapping of a checkpoint that covers every record, which
 /// changes no state replay could disagree with. A log holding the retired
@@ -51,7 +56,8 @@ enum class WalRecordType {
   kExtend = 2,    ///< Streaming tail points for existing series (raw units).
   kPrepare = 3,   ///< Explicit (re-)PREPARE: build options + normalization.
   kRegroup = 4,   ///< Drift repair of the named length classes.
-  kCheckpoint = 7, ///< State up to seq `checkpoint_seq` lives in ckpt-<seq>.
+  kCheckpoint = 7, ///< Replay floor: state up to `checkpoint_seq` is in
+                   ///< ckpt-<checkpoint_seq>; the marker takes the next seq.
 };
 
 const char* WalRecordTypeToString(WalRecordType type);
@@ -59,7 +65,7 @@ const char* WalRecordTypeToString(WalRecordType type);
 /// One journaled mutation. Only the fields of the record's type are
 /// meaningful; the factories below build well-formed records.
 struct WalRecord {
-  std::uint64_t seq = 0;  ///< Assigned by WalWriter::Append.
+  std::uint64_t seq = 0;  ///< Numbered by the registry (DatasetRegistry).
   WalRecordType type = WalRecordType::kLoad;
   Dataset dataset;                          // kLoad
   TimeSeries series;                        // kAppend
@@ -76,6 +82,7 @@ WalRecord WalExtendRecord(std::vector<SeriesExtension> extensions);
 WalRecord WalPrepareRecord(const BaseBuildOptions& options,
                            NormalizationKind norm);
 WalRecord WalRegroupRecord(std::vector<std::size_t> lengths);
+/// The marker of a checkpoint covering every record up to `state_seq`.
 WalRecord WalCheckpointRecord(std::uint64_t state_seq);
 
 /// Header/record codec. EncodeWalRecord returns the full line including the
@@ -121,7 +128,8 @@ Result<WalScan> ScanWalFile(const std::string& path);
 /// and acknowledges only after Append returned OK (data flushed, and
 /// fsync'd unless the registry's durability options disable it). Any
 /// failure latches: later appends fail fast rather than interleave with a
-/// half-written line.
+/// half-written line. The writer keeps no log position: records arrive
+/// numbered by the registry and are written as given.
 class WalWriter {
  public:
   /// Creates a fresh WAL (fails if the file exists) and writes the header.
@@ -129,10 +137,8 @@ class WalWriter {
                                   const std::string& dataset_name,
                                   bool sync);
 
-  /// Opens an existing WAL for append; `next_seq` continues the scan's
-  /// last sequence number + 1.
-  static Result<WalWriter> OpenExisting(const std::string& path,
-                                        std::uint64_t next_seq, bool sync);
+  /// Opens an existing WAL for append.
+  static Result<WalWriter> OpenExisting(const std::string& path, bool sync);
 
   WalWriter(WalWriter&& other) noexcept;
   WalWriter& operator=(WalWriter&& other) noexcept;
@@ -140,24 +146,16 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
   ~WalWriter();
 
-  /// Assigns the next sequence number to `record`, encodes and appends it.
-  /// A record that would encode past the scanner's line cap is rejected
-  /// with InvalidArgument BEFORE anything is written (the writer stays
-  /// healthy): what Append accepts, ScanWal must be able to replay —
-  /// otherwise an acknowledged write would hold the next recovery hostage.
-  Status Append(WalRecord* record);
-
-  /// Appends a record that already carries its sequence number — the
-  /// replication path, where seqs are a property of the primary's log and a
-  /// replica must reproduce them verbatim so both WALs are byte-identical.
-  /// FailedPrecondition unless record.seq == next_seq(): a gap means the
-  /// stream skipped acknowledged history and the replica must resubscribe,
-  /// never paper over it.
-  Status AppendAt(const WalRecord& record);
+  /// Encodes and appends `record`. A record that would encode past the
+  /// scanner's line cap is rejected with InvalidArgument BEFORE anything is
+  /// written (the writer stays healthy): what Append accepts, ScanWal must
+  /// be able to replay — otherwise an acknowledged write would hold the
+  /// next recovery hostage.
+  Status Append(const WalRecord& record);
 
   /// Re-opens the handle after a rotation replaced the file on disk (the
-  /// checkpoint path), continuing at `next_seq`.
-  Status Reopen(std::uint64_t next_seq);
+  /// checkpoint path).
+  Status Reopen();
 
   /// Latches the writer failed: every later Append errors out. The
   /// checkpoint path uses this when the on-disk state became ambiguous
@@ -165,7 +163,6 @@ class WalWriter {
   /// acknowledging writes whose durable home is unknown.
   void MarkFailed() { failed_ = true; }
 
-  std::uint64_t next_seq() const { return next_seq_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -173,7 +170,6 @@ class WalWriter {
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  std::uint64_t next_seq_ = 1;
   bool sync_ = true;
   bool failed_ = false;
 };

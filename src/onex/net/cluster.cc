@@ -43,23 +43,6 @@ json::Value Ok() {
   return v;
 }
 
-Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
-    const std::string& endpoint) {
-  const std::size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    return Status::InvalidArgument("cluster node must be host:port, got '" +
-                                   endpoint + "'");
-  }
-  ONEX_ASSIGN_OR_RETURN(long long port, ParseInt(endpoint.substr(colon + 1)));
-  if (port < 1 || port > 65535) {
-    return Status::InvalidArgument("cluster node port out of range in '" +
-                                   endpoint + "'");
-  }
-  return std::make_pair(endpoint.substr(0, colon),
-                        static_cast<std::uint16_t>(port));
-}
-
 /// The hub ships to every node but this one.
 ReplicationHub::Options HubOptions(const ClusterNode::Options& options) {
   ReplicationHub::Options hub;
@@ -165,17 +148,24 @@ Result<WireResponse> ClusterNode::CallNode(std::size_t node,
   return response;
 }
 
-void ClusterNode::HandleNodeFailure(std::size_t node) {
-  if (node >= options_.nodes.size() || node == options_.self) return;
+bool ClusterNode::MarkNodeDead(std::size_t node) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!alive_[node]) return;  // Another caller already promoted around it.
+    if (!alive_[node]) return false;
     alive_[node] = false;
   }
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     pools_[node].clear();
   }
+  hub_.MarkPeerDead(options_.nodes[node], "declared dead by the cluster");
+  return true;
+}
+
+void ClusterNode::HandleNodeFailure(std::size_t node) {
+  if (node >= options_.nodes.size() || node == options_.self) return;
+  // Another caller may already have promoted around it.
+  if (!MarkNodeDead(node)) return;
 
   // Promotion sweep: with full replication every survivor holds a copy of
   // every dataset, so re-owning is a pure election — per dataset, the live
@@ -188,22 +178,9 @@ void ClusterNode::HandleNodeFailure(std::size_t node) {
     std::lock_guard<std::mutex> lock(mutex_);
     alive_now = alive_;
   }
-  const auto mark_dead = [&](std::size_t j) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      alive_[j] = false;
-    }
-    {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
-      pools_[j].clear();
-    }
-    alive_now[j] = false;
-  };
-
   std::map<std::string, std::map<std::size_t, std::uint64_t>> floors;
-  for (const std::string& name : engine_->ListDatasets()) {
-    const Result<SlotDurability> d = engine_->registry().Durability(name);
-    if (d.ok() && d->durable) floors[name][options_.self] = d->last_seq;
+  for (const DatasetSlotInfo& row : engine_->registry().Describe()) {
+    if (row.durable) floors[row.name][options_.self] = row.wal_seq;
   }
   WireRequest status_req;
   status_req.command = "REPLSTATUS";
@@ -213,7 +190,8 @@ void ClusterNode::HandleNodeFailure(std::size_t node) {
     if (!r.ok() || !r->body["ok"].as_bool()) {
       // A peer failing mid-sweep just drops out of this election; its own
       // datasets get re-elected when a later request trips over it.
-      mark_dead(j);
+      MarkNodeDead(j);
+      alive_now[j] = false;
       continue;
     }
     for (const auto& [name, floor] : r->body["datasets"].as_object()) {
@@ -268,9 +246,9 @@ json::Value ClusterNode::ExecuteLocal(Engine* engine, Session* session,
     // bit, on every live peer.
     const Result<std::string> dataset = ctx.verb->dataset(cmd, *session);
     if (dataset.ok()) {
-      const Result<SlotDurability> d = engine->registry().Durability(*dataset);
-      if (d.ok() && d->durable && d->last_seq > 0) {
-        hub_.AwaitReplication(*dataset, d->last_seq);
+      const Result<DatasetSlotInfo> row = engine->registry().Describe(*dataset);
+      if (row.ok() && row->durable && row->wal_seq > 0) {
+        hub_.AwaitReplication(*dataset, row->wal_seq);
       }
     }
   }

@@ -107,7 +107,10 @@ class ClusterNode {
   /// One request/response against a node through the pool.
   Result<WireResponse> CallNode(std::size_t node, const WireRequest& request);
 
-  /// Marks a node dead, drops its pool, and promotes its datasets.
+  /// Marks a node dead for routing and replication: drops its pooled
+  /// connections and its hub link. False when it already was dead.
+  bool MarkNodeDead(std::size_t node);
+  /// Marks a node dead and promotes its datasets.
   void HandleNodeFailure(std::size_t node);
 
   /// Local execution with the cluster pointer cleared; local primary

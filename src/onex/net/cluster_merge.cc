@@ -129,7 +129,9 @@ Result<FanOut> PlanFanOut(const Command& cmd, const CheckedOptions& opt) {
   for (const char* key : {"datasets", "dataset", "fwd"}) {
     plan.shard.options.erase(key);
   }
-  if (cmd.verb == "MATCH") plan.shard.options["k"] = "1";
+  // A string, not the bare literal: GCC 12 at -O3 reports a false
+  // -Wrestrict on assigning a literal to the mapped string.
+  if (cmd.verb == "MATCH") plan.shard.options["k"] = std::string("1");
   plan.shard.payload = cmd.payload;
   return plan;
 }

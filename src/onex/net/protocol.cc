@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -10,10 +9,10 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -230,11 +229,8 @@ Result<json::Value> DoPrepare(Engine* engine, Session* session,
   opt.length_step = ctx.opt.Size("lenstep");
   opt.stride = ctx.opt.Size("stride");
   opt.threads = ctx.opt.Size("threads");
-  const std::string_view policy = ctx.opt.Text("policy");
-  opt.centroid_policy =
-      policy == "fixed-leader"   ? CentroidPolicy::kFixedLeader
-      : policy == "running-mean" ? CentroidPolicy::kRunningMean
-                                 : CentroidPolicy::kRunningMeanRepair;
+  // The row admits only the three spellings (§9).
+  opt.centroid_policy = *CentroidPolicyFromString(ctx.opt.Text("policy"));
   ONEX_ASSIGN_OR_RETURN(
       NormalizationKind norm,
       NormalizationKindFromString(std::string(ctx.opt.Text("norm"))));
@@ -275,22 +271,18 @@ Result<json::Value> DoStats(Engine* engine, Session* session,
     v.Set("st", ds->build_options.st);
     v.Set("normalization", NormalizationKindToString(ds->norm_kind));
   }
-  if (const Result<std::string> tier = engine->registry().Tier(name);
-      tier.ok()) {
-    v.Set("tier", *tier);
-  }
   v.Set("mapped_bytes", engine->registry().mapped_bytes());
-  if (const Result<MaintenanceStatus> m = engine->registry().Maintenance(name);
-      m.ok()) {
-    v.Set("last_max_drift", m->last_max_drift);
-    v.Set("regrouping", m->regroup_in_flight);
-  }
-  if (const Result<SlotDurability> d = engine->registry().Durability(name);
-      d.ok() && d->durable) {
-    v.Set("durable", true);
-    v.Set("wal_seq", d->last_seq);
-    v.Set("wal_dirty", d->records_since_checkpoint);
-    v.Set("checkpoints", d->checkpoints_completed);
+  if (const Result<DatasetSlotInfo> row = engine->registry().Describe(name);
+      row.ok()) {
+    v.Set("tier", row->tier);
+    v.Set("last_max_drift", row->last_max_drift);
+    v.Set("regrouping", row->regrouping);
+    if (row->durable) {
+      v.Set("durable", true);
+      v.Set("wal_seq", row->wal_seq);
+      v.Set("wal_dirty", row->wal_dirty);
+      v.Set("checkpoints", row->checkpoints);
+    }
   }
   // Engine-wide cascade counters (cumulative over every query this process
   // served, all datasets) and the distance-kernel table answering them.
@@ -801,14 +793,14 @@ Result<json::Value> DoDrift(Engine* engine, Session* session,
   if (ctx.opt.Has("threshold")) {
     engine->registry().SetDriftThreshold(ctx.opt.Real("threshold"));
   }
-  ONEX_ASSIGN_OR_RETURN(MaintenanceStatus status,
-                        engine->registry().Maintenance(name));
+  ONEX_ASSIGN_OR_RETURN(DatasetSlotInfo row,
+                        engine->registry().Describe(name));
   json::Value v = Ok();
   v.Set("dataset", name);
-  v.Set("threshold", status.drift_threshold);
-  v.Set("regrouping", status.regroup_in_flight);
-  v.Set("regroups_completed", status.regroups_completed);
-  v.Set("last_max_drift", status.last_max_drift);
+  v.Set("threshold", engine->registry().drift_threshold());
+  v.Set("regrouping", row.regrouping);
+  v.Set("regroups_completed", row.regroups_completed);
+  v.Set("last_max_drift", row.last_max_drift);
   v.Set("prepared", ds->prepared());
   if (ds->prepared()) {
     // Full scan over the prepared base. Reads the snapshot via Get, not
@@ -926,17 +918,6 @@ Result<json::Value> DoLoad(Engine* engine, Session* session,
 
 // --- Replication verbs (DESIGN.md §16) -------------------------------------
 
-/// crc=: 1 to 16 hex digits, nothing else (no sign, prefix or spaces).
-Result<std::uint64_t> ParseHex64(std::string_view text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value, 16);
-  if (text.size() > 16 || error != std::errc() || stop != end) {
-    return Status::InvalidArgument("crc must be 1..16 hex digits");
-  }
-  return value;
-}
-
 Result<std::string> ReplDatasetArg(const Command& cmd,
                                    const CheckedOptions& opt) {
   if (opt.Text("dataset").empty()) {
@@ -950,19 +931,19 @@ Result<json::Value> DoReplHello(Engine* engine, Session*, const Command& cmd,
   ONEX_ASSIGN_OR_RETURN(std::string name, ReplDatasetArg(cmd, ctx.opt));
   json::Value v = Ok();
   v.Set("dataset", name);
-  Result<SlotDurability> d = engine->registry().Durability(name);
-  if (!d.ok()) {
-    if (d.status().code() != StatusCode::kNotFound) return d.status();
+  Result<DatasetSlotInfo> row = engine->registry().Describe(name);
+  if (!row.ok()) {
+    if (row.status().code() != StatusCode::kNotFound) return row.status();
     // Unknown slot: the replica starts from the log's beginning.
     v.Set("last_seq", 0);
     return v;
   }
-  if (!d->durable) {
+  if (!row->durable) {
     return Status::FailedPrecondition(
         "dataset '" + name +
         "' has no journal here; replication needs a durable registry");
   }
-  v.Set("last_seq", d->last_seq);
+  v.Set("last_seq", row->wal_seq);
   return v;
 }
 
@@ -977,18 +958,19 @@ Result<json::Value> DoReplApply(Engine* engine, Session*, const Command& cmd,
   if (!ctx.opt.Has("first") || !ctx.opt.Has("count")) {
     return Status::InvalidArgument("REPLAPPLY needs first=>=1 and count=>=1");
   }
-  ONEX_ASSIGN_OR_RETURN(std::uint64_t crc, ParseHex64(ctx.opt.Text("crc")));
+  const std::optional<std::uint64_t> crc = ParseHex64(ctx.opt.Text("crc"));
+  if (!crc) return Status::InvalidArgument("crc must be 1..16 hex digits");
   ONEX_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                        DecodeWalBatchBlob(cmd.blob, crc, ctx.opt.Size("first"),
+                        DecodeWalBatchBlob(cmd.blob, *crc, ctx.opt.Size("first"),
                                            ctx.opt.Size("count")));
   for (const WalRecord& record : records) {
     ONEX_RETURN_IF_ERROR(engine->registry().ApplyReplicated(name, record));
   }
-  ONEX_ASSIGN_OR_RETURN(SlotDurability d, engine->registry().Durability(name));
+  ONEX_ASSIGN_OR_RETURN(DatasetSlotInfo row, engine->registry().Describe(name));
   json::Value v = Ok();
   v.Set("dataset", name);
   v.Set("applied", records.size());
-  v.Set("last_seq", d.last_seq);
+  v.Set("last_seq", row.wal_seq);
   return v;
 }
 
@@ -996,9 +978,8 @@ Result<json::Value> DoReplStatus(Engine* engine, Session*, const Command&,
                                  const ExecContext&) {
   json::Value v = Ok();
   json::Value floors = json::Value::MakeObject();
-  for (const std::string& name : engine->ListDatasets()) {
-    Result<SlotDurability> d = engine->registry().Durability(name);
-    if (d.ok() && d->durable) floors.Set(name, d->last_seq);
+  for (const DatasetSlotInfo& row : engine->registry().Describe()) {
+    if (row.durable) floors.Set(row.name, row.wal_seq);
   }
   v.Set("datasets", std::move(floors));
   return v;

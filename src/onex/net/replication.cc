@@ -1,6 +1,7 @@
 #include "onex/net/replication.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "onex/common/string_utils.h"
@@ -19,6 +20,23 @@ std::string WalPathFor(const DatasetRegistry& registry,
 }
 
 }  // namespace
+
+Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
+    const std::string& endpoint) {
+  const std::size_t colon = endpoint.rfind(':');
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 == endpoint.size()) {
+    return Status::InvalidArgument("cluster node must be host:port, got '" +
+                                   endpoint + "'");
+  }
+  ONEX_ASSIGN_OR_RETURN(long long port, ParseInt(endpoint.substr(colon + 1)));
+  if (port < 1 || port > 65535) {
+    return Status::InvalidArgument("cluster node port out of range in '" +
+                                   endpoint + "'");
+  }
+  return std::make_pair(endpoint.substr(0, colon),
+                        static_cast<std::uint16_t>(port));
+}
 
 std::string EncodeReplApplyText(const std::string& dataset,
                                 std::uint64_t first_seq,
@@ -80,12 +98,16 @@ ReplicationHub::ReplicationHub(Engine* engine, Options options)
     : engine_(engine), options_(std::move(options)) {
   for (const std::string& peer : options_.peers) {
     auto link = std::make_unique<Link>();
-    const std::size_t colon = peer.rfind(':');
-    link->host = colon == std::string::npos ? peer : peer.substr(0, colon);
-    Result<long long> port = ParseInt(
-        colon == std::string::npos ? "" : peer.substr(colon + 1));
-    link->port = port.ok() ? static_cast<std::uint16_t>(*port) : 0;
     link->label = peer;
+    if (Result<std::pair<std::string, std::uint16_t>> endpoint =
+            SplitHostPort(peer);
+        endpoint.ok()) {
+      std::tie(link->host, link->port) = *std::move(endpoint);
+    } else {
+      // Never dialed; CLUSTER shows why (ClusterNode::Start refuses it).
+      link->alive = false;
+      link->last_error = endpoint.status().message();
+    }
     links_.push_back(std::move(link));
   }
   // Links before the sink, sink before hints: from here on links_ and the
@@ -147,6 +169,13 @@ void ReplicationHub::MarkDead(Link* link, const std::string& why) {
   }
   link->cv.notify_all();
   link->ack_cv.notify_all();
+}
+
+void ReplicationHub::MarkPeerDead(const std::string& endpoint,
+                                  const std::string& why) {
+  for (auto& link : links_) {
+    if (link->label == endpoint) MarkDead(link.get(), why);
+  }
 }
 
 void ReplicationHub::LinkMain(Link* link) {

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "onex/common/result.h"
@@ -59,6 +60,11 @@ Result<std::vector<WalRecord>> DecodeWalBatchBlob(std::string_view blob,
                                                   std::uint64_t first_seq,
                                                   std::uint64_t count);
 
+/// Splits a cluster node's "host:port"; InvalidArgument unless both parts
+/// are present and the port is 1..65535.
+Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
+    const std::string& endpoint);
+
 /// Primary-side shipper: one background link per peer, fed by the
 /// registry's WalSink. Each link lazily subscribes per dataset (REPLHELLO),
 /// catches a behind replica up from the local WAL file, then streams live
@@ -105,6 +111,11 @@ class ReplicationHub {
   /// timeout passes; a peer that times out is marked dead and skipped from
   /// then on. Returns the number of peers that have the record.
   std::size_t AwaitReplication(const std::string& dataset, std::uint64_t seq);
+
+  /// Marks the link to `endpoint` dead for good, as if an ack had timed
+  /// out: the cluster calls this when it declares that node dead, so no
+  /// write waits out the ack timeout on a link that never connected.
+  void MarkPeerDead(const std::string& endpoint, const std::string& why);
 
   /// Per-peer state for the CLUSTER status verb: endpoint, liveness, and
   /// ack floors.

@@ -1,6 +1,7 @@
 #include "onex/common/string_utils.h"
 
 #include <gtest/gtest.h>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,17 @@ TEST(StringTest, ParseIntRejectsInvalid) {
   EXPECT_FALSE(ParseInt("3.5").ok());
   EXPECT_FALSE(ParseInt("12x").ok());
   EXPECT_FALSE(ParseInt("99999999999999999999999999").ok());  // overflow
+}
+
+TEST(StringTest, ParseHex64TakesOneToSixteenHexDigitsOnly) {
+  EXPECT_EQ(ParseHex64("0"), 0u);
+  EXPECT_EQ(ParseHex64("ff"), 255u);
+  EXPECT_EQ(ParseHex64("00000000deadBEEF"), 0xdeadbeefu);
+  EXPECT_EQ(ParseHex64("ffffffffffffffff"), ~std::uint64_t{0});
+  for (const char* bad :
+       {"", "0x1f", "-1", "+1", " 1", "1 ", "g", "00000000000000000"}) {
+    EXPECT_FALSE(ParseHex64(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(StringTest, StrFormatBasics) {

@@ -26,6 +26,7 @@
 
 #include "onex/common/cancellation.h"
 #include "onex/common/random.h"
+#include "onex/common/string_utils.h"
 #include "onex/core/incremental.h"
 #include "onex/core/onex_base.h"
 #include "onex/distance/euclidean.h"
@@ -124,7 +125,7 @@ void ForEachSchedule(std::uint64_t seed, Fn check) {
     Dataset ds("analytics");
     const std::size_t num = 3 + rng.UniformIndex(3);
     for (std::size_t s = 0; s < num; ++s) {
-      ds.Add(TimeSeries("s" + std::to_string(s),
+      ds.Add(TimeSeries(StrFormat("s%zu", s),
                         testing::SmoothSeries(&rng,
                                               8 + rng.UniformIndex(5))));
     }

@@ -359,6 +359,15 @@ TEST(CentroidPolicyTest, Names) {
                "running-mean");
   EXPECT_STREQ(CentroidPolicyToString(CentroidPolicy::kRunningMeanRepair),
                "running-mean-repair");
+  for (const CentroidPolicy policy :
+       {CentroidPolicy::kFixedLeader, CentroidPolicy::kRunningMean,
+        CentroidPolicy::kRunningMeanRepair}) {
+    EXPECT_EQ(CentroidPolicyFromString(CentroidPolicyToString(policy)),
+              policy);
+  }
+  for (const char* other : {"", "unknown", "Running-Mean", "running-mean "}) {
+    EXPECT_FALSE(CentroidPolicyFromString(other).has_value()) << other;
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 
 #include "onex/baseline/brute_force.h"
 #include "onex/common/random.h"
+#include "onex/common/string_utils.h"
 #include "onex/core/arena_layout.h"
 #include "onex/core/onex_base.h"
 #include "onex/core/query_processor.h"
@@ -145,7 +146,7 @@ TEST_P(IncrementalDiffTest, MaintainedBaseAgreesWithRebuildAndBruteForce) {
     Dataset mirror("diff");
     const std::size_t num = 3 + rng.UniformIndex(3);
     for (std::size_t s = 0; s < num; ++s) {
-      mirror.Add(TimeSeries("s" + std::to_string(s),
+      mirror.Add(TimeSeries(StrFormat("s%zu", s),
                             testing::SmoothSeries(&rng,
                                                   8 + rng.UniformIndex(5))));
     }
@@ -256,7 +257,7 @@ TEST_P(IncrementalDiffTest, FullRegroupConvergesToFromScratchBuild) {
 
     Dataset mirror("regroup");
     for (std::size_t s = 0; s < 4; ++s) {
-      mirror.Add(TimeSeries("s" + std::to_string(s),
+      mirror.Add(TimeSeries(StrFormat("s%zu", s),
                             testing::SmoothSeries(&rng, 10)));
     }
     Result<OnexBase> built =

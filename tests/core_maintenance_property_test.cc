@@ -47,7 +47,7 @@ OnexBase MakeBase(Rng* rng, CentroidPolicy policy, std::size_t num = 5,
                   std::size_t len = 12) {
   Dataset ds("maint");
   for (std::size_t s = 0; s < num; ++s) {
-    ds.Add(TimeSeries("s" + std::to_string(s),
+    ds.Add(TimeSeries(StrFormat("s%zu", s),
                       testing::SmoothSeries(rng, len)));
   }
   return std::move(OnexBase::Build(std::make_shared<const Dataset>(std::move(ds)),

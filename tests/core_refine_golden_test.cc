@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "onex/common/string_utils.h"
 #include "onex/core/query_processor.h"
 #include "onex/distance/kernels.h"
 #include "onex/ts/normalization.h"
@@ -95,20 +96,20 @@ Dataset MakeRaw(const std::string& kind) {
   const std::size_t len = 96;
   if (kind == "walk") {
     for (int s = 0; s < 6; ++s) {
-      ds.Add(TimeSeries("w" + std::to_string(s), Walk(&mix, len)));
+      ds.Add(TimeSeries(StrFormat("w%d", s), Walk(&mix, len)));
     }
   } else if (kind == "sine") {
     const double cs[] = {0.98, 0.95, 0.9, 0.98, 0.95, 0.9};
     for (int s = 0; s < 6; ++s) {
-      ds.Add(TimeSeries("s" + std::to_string(s), Sine(&mix, len, cs[s])));
+      ds.Add(TimeSeries(StrFormat("s%d", s), Sine(&mix, len, cs[s])));
     }
   } else {
     // Three walks, each stored twice: every subsequence has a bit-equal
     // twin, so distances tie exactly and tie-breaks decide the answer.
     for (int s = 0; s < 3; ++s) {
       const std::vector<double> w = Walk(&mix, len);
-      ds.Add(TimeSeries("d" + std::to_string(s) + "a", w));
-      ds.Add(TimeSeries("d" + std::to_string(s) + "b", w));
+      ds.Add(TimeSeries(StrFormat("d%da", s), w));
+      ds.Add(TimeSeries(StrFormat("d%db", s), w));
     }
   }
   return ds;

@@ -200,10 +200,10 @@ TEST(EngineMaintenanceTest, DriftPolicySchedulesRegroupAboveThreshold) {
   std::vector<LengthClassDrift> calm{{6, 10, 2}};
   RegroupTicket none = registry.MaybeScheduleRegroup(kName, calm);
   EXPECT_FALSE(none.valid());
-  Result<MaintenanceStatus> status = registry.Maintenance(kName);
+  Result<DatasetSlotInfo> status = registry.Describe(kName);
   ASSERT_TRUE(status.ok());
   EXPECT_DOUBLE_EQ(status->last_max_drift, 0.2);
-  EXPECT_FALSE(status->regroup_in_flight);
+  EXPECT_FALSE(status->regrouping);
 
   // Above threshold: a background regroup of the offending class runs and
   // completes; the counters show it.
@@ -211,10 +211,10 @@ TEST(EngineMaintenanceTest, DriftPolicySchedulesRegroupAboveThreshold) {
   RegroupTicket job = registry.MaybeScheduleRegroup(kName, hot);
   ASSERT_TRUE(job.valid());
   ASSERT_TRUE(job.Wait().ok()) << job.Wait();
-  status = registry.Maintenance(kName);
+  status = registry.Describe(kName);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->regroups_completed, 1u);
-  EXPECT_FALSE(status->regroup_in_flight);
+  EXPECT_FALSE(status->regrouping);
 
   // The regrouped base still answers and keeps the membership partition.
   Result<std::shared_ptr<const PreparedDataset>> after = engine.Get(kName);

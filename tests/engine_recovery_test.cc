@@ -585,7 +585,7 @@ TEST(EngineRecovery, EnableDurabilityAfterALoadIsRefused) {
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
   EXPECT_FALSE(subject.registry().durable());
   EXPECT_TRUE(subject.registry().data_dir().empty());
-  Result<SlotDurability> d = subject.registry().Durability("A");
+  Result<DatasetSlotInfo> d = subject.registry().Describe("A");
   ASSERT_TRUE(d.ok());
   EXPECT_FALSE(d->durable);
   ExpectBatteryEq(before, Capture(subject, "A"), "after the refusal");
@@ -795,6 +795,35 @@ TEST(EngineRecovery, CheckpointsRaceQueriesWithoutTornState) {
   Engine recovered;
   ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
   ExpectBatteryEq(live, Capture(recovered, "A"), "post-race restart");
+  fs::remove_all(dir);
+}
+
+/// A checkpoint taken with no write since the last one, whose log rotation
+/// then fails, must leave the live log's replay floor in place: every
+/// acknowledged record, before and after the failure, survives a restart.
+TEST(EngineRecovery, RepeatedCheckpointWhoseRotationFailsKeepsTheFloor) {
+  const std::string dir = FreshDir("ckpt_twice");
+  const std::string slot_dir = dir + "/" + SlotDirName("A");
+  Battery live;
+  {
+    Engine subject;
+    ASSERT_TRUE(subject.EnableDurability(TestDurability(dir)).ok());
+    ASSERT_TRUE(
+        subject.LoadDataset("A", onex::testing::SmallDataset(4, 16, 9)).ok());
+    ASSERT_TRUE(subject.Prepare("A", SmallOptions()).ok());
+    ASSERT_TRUE(subject.ExtendSeries("A", 1, {0.2, 0.4}).ok());
+    ASSERT_TRUE(subject.registry().Checkpoint("A").ok());
+    // The rotation writes the fresh log through wal.tmp; a directory there
+    // makes that write fail after the new checkpoint file is in place.
+    fs::create_directory(slot_dir + "/wal.tmp");
+    EXPECT_FALSE(subject.registry().Checkpoint("A").ok());
+    fs::remove(slot_dir + "/wal.tmp");
+    ASSERT_TRUE(subject.ExtendSeries("A", 2, {0.6, 0.1}).ok());
+    live = Capture(subject, "A");
+  }
+  Engine recovered;
+  ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
+  ExpectBatteryEq(live, Capture(recovered, "A"), "after a failed rotation");
   fs::remove_all(dir);
 }
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "onex/common/string_utils.h"
 #include "onex/engine/dataset_registry.h"
 #include "onex/engine/engine.h"
 #include "onex/gen/generators.h"
@@ -296,7 +297,7 @@ TEST(EngineRegistryTest, MatchOnAIsNotBlockedByPrepareOfB) {
   int overlapped = 0;
   for (std::size_t weight = 16; weight <= 128 && overlapped == 0;
        weight *= 2) {
-    const std::string bname = "b" + std::to_string(weight);
+    const std::string bname = StrFormat("b%zu", weight);
     gen::RandomWalkOptions wopt;
     wopt.num_series = weight;
     wopt.length = 96;

@@ -639,9 +639,9 @@ TEST(ProtocolFuzzTest, ShippedWalFramesNeverInstallCorruptRecords) {
     }
     check_installed_only_genuine(c.what);
     // Nothing above ships seq 3, so the floor must still be exactly 2.
-    const Result<SlotDurability> d = replica.registry().Durability("s");
+    const Result<DatasetSlotInfo> d = replica.registry().Describe("s");
     ASSERT_TRUE(d.ok());
-    EXPECT_EQ(d->last_seq, 2u) << c.what;
+    EXPECT_EQ(d->wal_seq, 2u) << c.what;
   }
 
   // Random mutation storm over the genuine seq-3 frame. A mutation that

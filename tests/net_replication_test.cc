@@ -1,11 +1,14 @@
-/// WAL shipping (DESIGN.md §16): the AppendAt/ApplyReplicated contract that
-/// makes a replica bit-identical to its primary, the REPLAPPLY batch codec's
+/// WAL shipping (DESIGN.md §16): the ApplyReplicated contract that makes a
+/// replica bit-identical to its primary (gaps refused, duplicates skipped,
+/// a replica's own checkpoint refused), the REPLAPPLY batch codec's
 /// corruption rejection, end-to-end hub streaming (catch-up from the WAL
-/// file plus live tail) into a real reactor server, and the SendManyTracked
-/// per-request completion map a coordinator uses to survive a mid-stream
-/// transport death. Runs under ASan and TSan in CI.
+/// file plus live tail) into a real reactor server, a dead peer's link
+/// retired with its node, and the SendManyTracked per-request completion
+/// map a coordinator uses to survive a mid-stream transport death. Runs
+/// under ASan and TSan in CI.
 #include "onex/net/replication.h"
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +24,7 @@
 #include "onex/engine/wal.h"
 #include "onex/json/json.h"
 #include "onex/net/client.h"
+#include "onex/net/cluster.h"
 #include "onex/net/protocol.h"
 #include "onex/net/reactor.h"
 #include "onex/net/socket.h"
@@ -71,42 +75,81 @@ const std::vector<std::string>& PrimaryScript() {
   return script;
 }
 
-TEST(WalAppendAtTest, PreservesPrimarySeqAndRejectsGaps) {
-  const std::string dir = ::testing::TempDir() + "/onex_appendat";
+/// Durable engine on a fresh directory, fsync off (tests only).
+void EnableFreshDurability(Engine* engine, const std::string& dir) {
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/wal";
-  Result<WalWriter> writer = WalWriter::Create(path, "s", /*sync=*/false);
-  ASSERT_TRUE(writer.ok()) << writer.status();
+  DurabilityOptions options;
+  options.dir = dir;
+  options.fsync = false;
+  ASSERT_TRUE(engine->EnableDurability(options).ok());
+}
 
-  WalRecord r1 = WalRegroupRecord({4});
-  r1.seq = 1;
-  WalRecord r2 = WalRegroupRecord({6});
-  r2.seq = 2;
-  EXPECT_TRUE(writer->AppendAt(r1).ok());
-  EXPECT_TRUE(writer->AppendAt(r2).ok());
-  EXPECT_EQ(writer->next_seq(), 3u);
+/// Runs `lines` on a durable primary and returns what its WAL sink saw:
+/// the exact records a hub would ship, in order.
+std::vector<std::pair<std::string, WalRecord>> ShipScript(
+    Engine* primary, const std::vector<std::string>& lines) {
+  std::vector<std::pair<std::string, WalRecord>> shipped;
+  primary->registry().SetWalSink(
+      [&shipped](const std::string& dataset, const WalRecord& record,
+                 const std::string&) { shipped.emplace_back(dataset, record); });
+  Session session;
+  for (const std::string& line : lines) {
+    const json::Value v = Exec(primary, &session, line);
+    EXPECT_TRUE(v["ok"].as_bool()) << line << ": " << v.Dump();
+  }
+  primary->registry().SetWalSink(nullptr);
+  return shipped;
+}
 
-  // A gap means the stream skipped acknowledged history: refuse, do not
+/// The registry numbers a replica's records too: a shipped record must
+/// carry exactly the replica's next seq. A gap is refused and a duplicate
+/// is skipped, both without writing a byte, so the log scans clean with
+/// just the accepted records, each at the primary's seq.
+TEST(ApplyReplicatedTest, RefusesGapsAndSkipsDuplicatesWithoutWriting) {
+  const std::string dir_p = ::testing::TempDir() + "/onex_repl_gap_p";
+  const std::string dir_r = ::testing::TempDir() + "/onex_repl_gap_r";
+  Engine primary;
+  EnableFreshDurability(&primary, dir_p);
+  const auto shipped = ShipScript(&primary, PrimaryScript());
+  ASSERT_EQ(shipped.size(), 4u);
+  Engine replica;
+  EnableFreshDurability(&replica, dir_r);
+  DatasetRegistry& registry = replica.registry();
+
+  // A birth must be the log's first record: a load at seq 2 is a gap.
+  WalRecord late_birth = shipped[0].second;
+  late_birth.seq = 2;
+  Status s = registry.ApplyReplicated("t", late_birth);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
+  EXPECT_FALSE(std::filesystem::exists(dir_r + "/t"));
+
+  ASSERT_TRUE(registry.ApplyReplicated("s", shipped[0].second).ok());
+  ASSERT_TRUE(registry.ApplyReplicated("s", shipped[1].second).ok());
+  const std::string accepted = ReadFile(WalPath(dir_r, "s"));
+
+  // Seq 4 after 2: the stream skipped acknowledged history. Refuse, do not
   // paper over.
-  WalRecord gap = WalRegroupRecord({4});
-  gap.seq = 4;
-  const Status s = writer->AppendAt(gap);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  // A replayed duplicate is equally a caller bug at this layer (the
-  // duplicate filter lives in ApplyReplicated, above the writer).
-  WalRecord dup = WalRegroupRecord({4});
-  dup.seq = 2;
-  EXPECT_FALSE(writer->AppendAt(dup).ok());
+  s = registry.ApplyReplicated("s", shipped[3].second);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
+  // Redelivered records at or below the floor are acknowledged and skipped.
+  EXPECT_TRUE(registry.ApplyReplicated("s", shipped[0].second).ok());
+  EXPECT_TRUE(registry.ApplyReplicated("s", shipped[1].second).ok());
+  EXPECT_EQ(ReadFile(WalPath(dir_r, "s")), accepted);
 
-  // The rejects left no partial line behind: the file scans clean with
-  // exactly the two accepted records.
-  Result<WalScan> scan = ScanWalFile(path);
+  Result<WalScan> scan = ScanWalFile(WalPath(dir_r, "s"));
   ASSERT_TRUE(scan.ok()) << scan.status();
-  EXPECT_EQ(scan->records.size(), 2u);
   EXPECT_FALSE(scan->torn_tail);
-  std::filesystem::remove_all(dir);
+  ASSERT_EQ(scan->records.size(), 2u);
+  EXPECT_EQ(scan->records[0].seq, 1u);
+  EXPECT_EQ(scan->records[1].seq, 2u);
+  EXPECT_EQ(registry.Describe("s")->wal_seq, 2u);
+
+  // The stream resumes where it left off, and the logs agree byte for byte.
+  ASSERT_TRUE(registry.ApplyReplicated("s", shipped[2].second).ok());
+  ASSERT_TRUE(registry.ApplyReplicated("s", shipped[3].second).ok());
+  EXPECT_EQ(ReadFile(WalPath(dir_p, "s")), ReadFile(WalPath(dir_r, "s")));
+  std::filesystem::remove_all(dir_p);
+  std::filesystem::remove_all(dir_r);
 }
 
 TEST(ReplBatchCodecTest, RoundTripsTheExactWalLines) {
@@ -218,10 +261,10 @@ TEST(ApplyReplicatedTest, ReplicaIsBitIdenticalToPrimaryAtEveryAckedSeq) {
 
   // Byte-identical journals: the replica's WAL is the primary's WAL.
   EXPECT_EQ(ReadFile(WalPath(dir_p, "s")), ReadFile(WalPath(dir_r, "s")));
-  Result<SlotDurability> pd = primary.registry().Durability("s");
-  Result<SlotDurability> rd = replica.registry().Durability("s");
+  Result<DatasetSlotInfo> pd = primary.registry().Describe("s");
+  Result<DatasetSlotInfo> rd = replica.registry().Describe("s");
   ASSERT_TRUE(pd.ok() && rd.ok());
-  EXPECT_EQ(pd->last_seq, rd->last_seq);
+  EXPECT_EQ(pd->wal_seq, rd->wal_seq);
 
   // Same answers, down to the last %.17g digit.
   for (const std::string& query :
@@ -240,7 +283,7 @@ TEST(ApplyReplicatedTest, ReplicaIsBitIdenticalToPrimaryAtEveryAckedSeq) {
   EXPECT_EQ(ReadFile(WalPath(dir_r, "s")), before);
   // A gap is a resubscribe signal, never a silent skip.
   WalRecord future = WalRegroupRecord({4});
-  future.seq = rd->last_seq + 2;
+  future.seq = rd->wal_seq + 2;
   const Status gap = replica.registry().ApplyReplicated("s", future);
   EXPECT_FALSE(gap.ok());
   EXPECT_EQ(gap.code(), StatusCode::kFailedPrecondition);
@@ -299,13 +342,95 @@ TEST(ApplyReplicatedTest, ReplicaBudgetNeverSwallowsAShippedWrite) {
   for (std::size_t s = 0; s < praw.size(); ++s) {
     EXPECT_EQ(praw[s].values(), rraw[s].values()) << "series " << s;
   }
-  Result<SlotDurability> pd = primary.registry().Durability("D");
-  Result<SlotDurability> rd = replica.registry().Durability("D");
+  Result<DatasetSlotInfo> pd = primary.registry().Describe("D");
+  Result<DatasetSlotInfo> rd = replica.registry().Describe("D");
   ASSERT_TRUE(pd.ok() && rd.ok());
-  EXPECT_EQ(pd->last_seq, rd->last_seq);
+  EXPECT_EQ(pd->wal_seq, rd->wal_seq);
   Result<std::string> tier = replica.registry().Tier("D");
   ASSERT_TRUE(tier.ok());
   EXPECT_EQ(*tier, "resident");
+
+  std::filesystem::remove_all(dir_p);
+  std::filesystem::remove_all(dir_r);
+}
+
+/// A replica's seqs belong to its primary, and a checkpoint marker takes
+/// one. So a replica refuses to checkpoint between shipped records: were
+/// its marker to take the seq the primary ships next, that write would be
+/// skipped as a duplicate delivery and the replica would silently diverge.
+TEST(ApplyReplicatedTest, ReplicaRefusesToCheckpointAndStaysAligned) {
+  const std::string dir_p = ::testing::TempDir() + "/onex_repl_ckpt_p";
+  const std::string dir_r = ::testing::TempDir() + "/onex_repl_ckpt_r";
+  Engine primary;
+  Engine replica;
+  EnableFreshDurability(&primary, dir_p);
+  EnableFreshDurability(&replica, dir_r);
+  std::vector<Status> applied;
+  primary.registry().SetWalSink(
+      [&replica, &applied](const std::string& dataset, const WalRecord& record,
+                           const std::string&) {
+        applied.push_back(replica.registry().ApplyReplicated(dataset, record));
+      });
+
+  Session psession;
+  const auto write = [&](const std::string& line) {
+    const json::Value v = Exec(&primary, &psession, line);
+    ASSERT_TRUE(v["ok"].as_bool()) << line << ": " << v.Dump();
+  };
+  const auto replica_checkpoint_is_refused = [&] {
+    const Result<CheckpointInfo> ckpt = replica.registry().Checkpoint("D");
+    ASSERT_FALSE(ckpt.ok());
+    EXPECT_EQ(ckpt.status().code(), StatusCode::kFailedPrecondition)
+        << ckpt.status();
+  };
+  write("GEN D sine num=3 len=24 seed=5");
+  write("PREPARE D st=0.2 maxlen=12");
+  write("EXTEND D series=0 points=0.25,0.5");
+  replica_checkpoint_is_refused();
+  write("EXTEND D series=0 points=0.75,1.0");
+  write("APPEND D series=late v=0.4,0.3,0.2,0.1,0.0,0.1,0.2,0.3");
+  replica_checkpoint_is_refused();
+  write("EXTEND D series=1 points=0.1,0.2,0.3");
+  primary.registry().SetWalSink(nullptr);
+  ASSERT_EQ(applied.size(), 6u);
+  for (const Status& s : applied) EXPECT_TRUE(s.ok()) << s;
+
+  const Dataset& praw = *(*primary.registry().Get("D"))->raw;
+  const Dataset& rraw = *(*replica.registry().Get("D"))->raw;
+  ASSERT_EQ(praw.size(), rraw.size());
+  EXPECT_EQ(praw[0].length(), 28u);
+  for (std::size_t s = 0; s < praw.size(); ++s) {
+    EXPECT_EQ(praw[s].values(), rraw[s].values()) << "series " << s;
+  }
+  const std::vector<std::string> queries = {
+      "MATCH D q=0:2:10", "KNN D q=1:0:8 k=3", "CATALOG D points=6"};
+  const auto expect_same_answers = [&](Engine* subject, const char* what) {
+    Session session;
+    for (const std::string& query : queries) {
+      EXPECT_EQ(Scrubbed(Exec(&primary, &psession, query)),
+                Scrubbed(Exec(subject, &session, query)))
+          << what << ": " << query;
+    }
+  };
+  expect_same_answers(&replica, "replica");
+
+  // The same record stream at the same seqs: the logs are byte-identical.
+  EXPECT_EQ(ReadFile(WalPath(dir_p, "D")), ReadFile(WalPath(dir_r, "D")));
+  Result<DatasetSlotInfo> pd = primary.registry().Describe("D");
+  Result<DatasetSlotInfo> rd = replica.registry().Describe("D");
+  ASSERT_TRUE(pd.ok() && rd.ok());
+  EXPECT_EQ(pd->wal_seq, 6u);
+  EXPECT_EQ(rd->wal_seq, pd->wal_seq);
+  EXPECT_EQ(rd->checkpoints, 0u);
+
+  // The replica replays its own log to the same state.
+  Engine recovered;
+  DurabilityOptions ropt;
+  ropt.dir = dir_r;
+  ropt.fsync = false;
+  ASSERT_TRUE(recovered.EnableDurability(ropt).ok());
+  EXPECT_EQ(recovered.registry().Describe("D")->wal_seq, 6u);
+  expect_same_answers(&recovered, "recovered replica");
 
   std::filesystem::remove_all(dir_p);
   std::filesystem::remove_all(dir_r);
@@ -349,9 +474,9 @@ TEST(ReplicationHubTest, CatchesUpFromFileThenStreamsLiveTail) {
   const json::Value live =
       Exec(&primary, &psession, "EXTEND s series=1 points=0.6,0.7");
   ASSERT_TRUE(live["ok"].as_bool()) << live.Dump();
-  Result<SlotDurability> pd = primary.registry().Durability("s");
+  Result<DatasetSlotInfo> pd = primary.registry().Describe("s");
   ASSERT_TRUE(pd.ok());
-  EXPECT_EQ(hub.AwaitReplication("s", pd->last_seq), 1u);
+  EXPECT_EQ(hub.AwaitReplication("s", pd->wal_seq), 1u);
 
   // Acked ⇒ bit-identical: journal bytes and answers agree.
   EXPECT_EQ(ReadFile(WalPath(dir_p, "s")), ReadFile(WalPath(dir_r, "s")));
@@ -378,6 +503,49 @@ TEST(ReplicationHubTest, CatchesUpFromFileThenStreamsLiveTail) {
   server.Stop();
   std::filesystem::remove_all(dir_p);
   std::filesystem::remove_all(dir_r);
+}
+
+/// A node declared dead for routing is dead for replication too. A peer
+/// killed before it ever listened leaves a hub link that never connected;
+/// the first write after CLUSTER marks the node dead must not wait out the
+/// ack timeout on that link.
+TEST(ClusterNodeTest, DeadPeerDoesNotStallTheNextWrite) {
+  const std::string dir = ::testing::TempDir() + "/onex_dead_peer";
+  Engine engine;
+  EnableFreshDurability(&engine, dir);
+  std::uint16_t dead_port = 0;
+  {
+    Result<ServerSocket> listener = ServerSocket::Listen(0);
+    ASSERT_TRUE(listener.ok()) << listener.status();
+    dead_port = listener->port();
+  }  // closed: nothing listens there any more
+  ClusterNode::Options options;
+  options.nodes = {"127.0.0.1:1", "127.0.0.1:" + std::to_string(dead_port)};
+  options.self = 0;
+  options.ack_timeout = std::chrono::milliseconds(3000);
+  ClusterNode node(&engine, options);
+  ASSERT_TRUE(node.Start().ok());
+  Session session;
+  ExecContext ctx;
+  ctx.cluster = &node;
+  const auto run = [&](const std::string& line) {
+    return ExecuteCommand(&engine, &session, *ParseCommandLine(line), ctx);
+  };
+
+  const json::Value status = run("CLUSTER");
+  ASSERT_TRUE(status["ok"].as_bool()) << status.Dump();
+  EXPECT_FALSE(status["nodes"].as_array()[1]["alive"].as_bool())
+      << status.Dump();
+  EXPECT_FALSE(status["replication"].as_array()[0]["alive"].as_bool())
+      << status.Dump();
+
+  const auto start = std::chrono::steady_clock::now();
+  const json::Value gen = run("GEN demo sine num=4 len=32 seed=7");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(gen["ok"].as_bool()) << gen.Dump();
+  EXPECT_LT(elapsed, options.ack_timeout / 3);
+  node.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 /// Answers `answer` responses then drops the connection — the deterministic

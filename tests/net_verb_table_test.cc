@@ -33,9 +33,8 @@ json::Value RunLine(Engine* engine, Session* session,
 /// Journal position of every durable slot.
 std::map<std::string, std::uint64_t> WalSeqs(Engine* engine) {
   std::map<std::string, std::uint64_t> seqs;
-  for (const std::string& name : engine->ListDatasets()) {
-    const Result<SlotDurability> d = engine->registry().Durability(name);
-    if (d.ok() && d->durable) seqs[name] = d->last_seq;
+  for (const DatasetSlotInfo& row : engine->registry().Describe()) {
+    if (row.durable) seqs[row.name] = row.wal_seq;
   }
   return seqs;
 }

@@ -3,9 +3,10 @@
 /// rejected or cleanly replayed-to-prefix, random byte flips surfacing as
 /// checksum rejection or clean parse errors (never UB or a silently
 /// different record), duplicated tails rejected as non-monotone history,
-/// and decode-side caps — a record body can declare any count it likes,
-/// but allocation only ever follows bytes actually present. Mirrors
-/// core_arena_golden_test; run under ASan in CI.
+/// decode-side caps — a record body can declare any count it likes, but
+/// allocation only ever follows bytes actually present — and a LOADBASE
+/// birth's checkpoint marker replaying. Mirrors core_arena_golden_test; run
+/// under ASan in CI.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "onex/common/random.h"
 #include "onex/core/onex_base.h"
 #include "onex/engine/dataset_registry.h"
+#include "onex/engine/engine.h"
 #include "onex/engine/wal.h"
 #include "onex/ts/normalization.h"
 #include "test_util.h"
@@ -313,10 +315,9 @@ TEST(WalGolden, WriterAppendsScanBackIdentically) {
   {
     Result<WalWriter> writer = WalWriter::Create(path, "golden", false);
     ASSERT_TRUE(writer.ok()) << writer.status();
-    for (WalRecord& r : records) {
-      ASSERT_TRUE(writer->Append(&r).ok());
+    for (const WalRecord& r : records) {
+      ASSERT_TRUE(writer->Append(r).ok());
     }
-    EXPECT_EQ(writer->next_seq(), records.size() + 1);
     // Creating over an existing wal must fail, not clobber history.
     EXPECT_FALSE(WalWriter::Create(path, "golden", false).ok());
   }
@@ -394,6 +395,54 @@ TEST_F(WalCheckpointFileTest, RoundTripIsExact) {
       }
     }
   }
+}
+
+/// LOADBASE: the slot is born at its checkpoint, so its marker covers no
+/// record (ckpt-0) and takes seq 1. The next write is seq 2, and a recovery
+/// from the marker replays to the same state.
+TEST_F(WalCheckpointFileTest, LoadBaseBirthMarkerReplays) {
+  ASSERT_TRUE(WriteCheckpointFile(snapshot_, path_, false).ok());
+  const std::string dir = ::testing::TempDir() + "/onex_wal_loadbase_birth";
+  std::filesystem::remove_all(dir);
+  DurabilityOptions options;
+  options.dir = dir;
+  options.fsync = false;
+  std::vector<std::vector<double>> before;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.EnableDurability(options).ok());
+    ASSERT_TRUE(engine.LoadPrepared("B", path_).ok());
+    Result<WalScan> born = ScanWalFile(dir + "/B/wal");
+    ASSERT_TRUE(born.ok()) << born.status();
+    ASSERT_EQ(born->records.size(), 1u);
+    EXPECT_EQ(born->records[0].type, WalRecordType::kCheckpoint);
+    EXPECT_EQ(born->records[0].seq, 1u);
+    EXPECT_EQ(born->records[0].checkpoint_seq, 0u);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/B/ckpt-0"));
+
+    ASSERT_TRUE(engine.ExtendSeries("B", 1, {0.3, 0.6, 0.9}).ok());
+    Result<DatasetSlotInfo> row = engine.registry().Describe("B");
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->wal_seq, 2u);
+    EXPECT_EQ(row->wal_dirty, 1u);
+    EXPECT_EQ(row->last_checkpoint_seq, 0u);
+    for (const TimeSeries& ts : (*engine.Get("B"))->raw->series()) {
+      before.push_back(ts.values());
+    }
+  }
+  Engine recovered;
+  ASSERT_TRUE(recovered.EnableDurability(options).ok());
+  Result<DatasetSlotInfo> row = recovered.registry().Describe("B");
+  ASSERT_TRUE(row.ok()) << row.status();
+  EXPECT_EQ(row->wal_seq, 2u);
+  EXPECT_EQ(row->wal_dirty, 1u);
+  EXPECT_EQ(row->last_checkpoint_seq, 0u);
+  std::vector<std::vector<double>> after;
+  for (const TimeSeries& ts : (*recovered.Get("B"))->raw->series()) {
+    after.push_back(ts.values());
+  }
+  EXPECT_EQ(after, before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(WalCheckpointFileTest, FlippedBytesAreRejectedOrExact) {
