@@ -128,8 +128,7 @@ ScaleResult RunScale(std::size_t n, const std::string& root) {
       onex::Result<onex::CheckpointInfo> ckpt =
           builder.registry().Checkpoint(DatasetName(i));
       if (!ckpt.ok()) return;
-      checkpoint_files.push_back(dir + "/" + onex::SlotDirName(DatasetName(i)) +
-                                 "/ckpt-" + std::to_string(ckpt->state_seq));
+      checkpoint_files.push_back(ckpt->path);
     }
   });
   const std::string target = DatasetName(n - 1);

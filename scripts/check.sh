@@ -6,6 +6,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# One seam for a slot's files (DESIGN.md §13): the engine calls the kernel's
+# file API only from engine/posix_file_ops.cc, behind FileOps, and the net
+# layer reads a slot's log through the registry, never through its layout.
+if grep -nE 'std::rename|std::remove|fopen|::fsync|::truncate|std::filesystem::remove|create_director' \
+  src/onex/engine/* | grep -v '^src/onex/engine/posix_file_ops\.cc:'; then
+  echo "a file call in src/onex/engine/ bypasses FileOps"
+  exit 1
+fi
+if grep -nE 'SlotDirName|ScanWalFile' src/onex/net/*; then
+  echo "src/onex/net/ reaches into a slot's directory layout"
+  exit 1
+fi
+
 # Warnings are errors here: the tree builds clean (CMakeLists.txt), and CI
 # keeps it so.
 cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON

@@ -17,12 +17,13 @@
 #include "onex/common/task_pool.h"
 #include "onex/core/incremental.h"
 #include "onex/core/onex_base.h"
+#include "onex/engine/file_ops.h"
 #include "onex/ts/normalization.h"
 
 namespace onex {
 
 struct WalRecord;    // engine/wal.h
-struct SlotJournal;  // dataset_registry.cc
+class SlotJournal;   // engine/slot_journal.h
 class ArenaMapping;  // core/arena_layout.h
 
 /// A dataset registered with the engine: raw values, their normalized copy,
@@ -96,6 +97,9 @@ struct DurabilityOptions {
   /// data still reaches the file (flushed), so a process crash loses
   /// nothing either way.
   bool fsync = true;
+  /// Every file call of the slot journals. Tests substitute a recording or
+  /// faulting FileOps here; it must outlive the registry.
+  FileOps* files = &PosixFiles();
 };
 
 /// Outcome of a synchronous checkpoint.
@@ -103,7 +107,8 @@ struct CheckpointInfo {
   /// The log position the checkpoint captured: every record <= state_seq is
   /// folded into the snapshot file, the WAL restarts after it.
   std::uint64_t state_seq = 0;
-  std::size_t bytes = 0;  ///< Checkpoint file size.
+  std::size_t bytes = 0;  ///< Size of the encoded arena written.
+  std::string path;       ///< The checkpoint file, ckpt-<state_seq>.
 };
 
 /// Everything the registry reports about one slot: a row of Describe(),
@@ -342,6 +347,11 @@ class DatasetRegistry {
   /// unless the record is a duplicate.
   Status ApplyReplicated(const std::string& name, const WalRecord& record);
 
+  /// The records `name`'s journal holds above `seq`, in order: what a
+  /// replication link ships to a peer whose floor is `seq`.
+  Result<std::vector<WalRecord>> JournalRecordsAfter(const std::string& name,
+                                                     std::uint64_t seq) const;
+
  private:
   struct Slot {
     /// Shared by queries reading the snapshot pointer, exclusive for swaps
@@ -358,8 +368,12 @@ class DatasetRegistry {
     std::atomic<bool> regroup_inflight{false};
     std::atomic<double> last_max_drift{0.0};
     std::atomic<std::uint64_t> regroups_completed{0};
-    /// Write-ahead journal; null until durability is enabled.
+    /// Write-ahead journal; null on a memory-only registry. Set before the
+    /// slot is published and never changed after, so it is read without
+    /// the slot lock.
     std::shared_ptr<SlotJournal> journal;
+    /// One background checkpoint per slot at a time.
+    std::atomic<bool> ckpt_inflight{false};
     /// TIER pin: exempt from LRU eviction and mapped-tier downgrade.
     std::atomic<bool> pinned{false};
     /// Set once ApplyReplicated has installed into this slot. Exempt from
@@ -379,14 +393,16 @@ class DatasetRegistry {
   static DatasetSlotInfo DescribeLocked(const std::string& name,
                                         const Slot& slot);
 
-  /// Journals `record` at the slot's next seq (journal->last_seq + 1): the
-  /// registry is the one owner of a slot's log position. A local record is
-  /// numbered here and reaches the WAL sink; a replicated one must already
-  /// carry that seq (FailedPrecondition otherwise: the stream has a gap)
-  /// and stays silent, as replicas relay nothing. Caller holds the slot's
-  /// exclusive lock, or the slot is not yet published.
-  Status Journal(const std::string& name, SlotJournal* journal,
-                 WalRecord* record, bool replicated);
+  /// Publishes a new slot under `name` (AlreadyExists if taken). With
+  /// durability on, its journal and replay floor are written first, so a
+  /// published journaled slot always has one (SlotJournal::Create); a
+  /// replica's birth journals the primary's load record `replicated`.
+  Status Birth(const std::string& name, const std::shared_ptr<Slot>& slot,
+               const WalRecord* replicated);
+
+  /// Hands a record this registry journaled on its own behalf to the WAL
+  /// sink, if one is set.
+  void Ship(const std::string& name, const WalRecord& record) const;
 
   /// Update on a slot the caller already holds (a background job keeps the
   /// slot it was scheduled for, even if the name is dropped meanwhile).
@@ -401,7 +417,7 @@ class DatasetRegistry {
   /// dropped from the map while the snapshot built — and evicts LRU
   /// victims over budget. A journal failure is an error: nothing was
   /// installed and the slot's WAL is latched read-only. With `replicated`
-  /// the record keeps its primary-assigned seq (see Journal) and no
+  /// the record keeps its primary-assigned seq (SlotJournal::Append) and no
   /// background checkpoint is scheduled (a rotation would truncate the
   /// history a promoted replica re-ships).
   Result<bool> Install(const std::shared_ptr<Slot>& slot,
@@ -439,38 +455,26 @@ class DatasetRegistry {
   Status RunRegroup(const std::string& name, const std::shared_ptr<Slot>& slot,
                     const std::vector<std::size_t>& lengths);
 
-  /// Gives a slot that is not yet published its journal: creates `name`'s
-  /// journal directory and WAL and writes the replay floor before the
-  /// slot can be found, so a published journaled slot always has one. The
-  /// floor is a checkpoint for a prepared snapshot (LOADBASE), the
-  /// primary's load record at seq 1 for `replicated` (a replica's slot
-  /// birth), and otherwise a fresh load record of the raw dataset.
-  /// On failure the directory is removed and the slot stays unjournaled.
-  Status CreateSlotJournal(const std::string& name,
-                           const std::shared_ptr<Slot>& slot,
-                           const WalRecord* replicated);
-
   /// The checkpoint procedure (see Checkpoint); runs the conditional
   /// capture-adopt-rotate loop.
-  Status RunCheckpoint(const std::string& name,
-                       const std::shared_ptr<Slot>& slot,
-                       CheckpointInfo* info);
+  Result<CheckpointInfo> RunCheckpoint(const std::string& name,
+                                       const std::shared_ptr<Slot>& slot);
 
   /// Schedules a background checkpoint after an install pushed a slot past
   /// the checkpoint_every threshold.
   void MaybeScheduleCheckpoint(const std::string& name,
                                const std::shared_ptr<Slot>& slot);
 
+  /// Sets `slot`'s byte gauges, and the registry's totals, to what
+  /// `snapshot` costs (null: nothing) — the one rule for a slot's bytes.
+  /// Does nothing unless the map holds `slot` under `name`. Caller holds
+  /// map_mutex_.
+  void ChargeLocked(const std::string& name, Slot* slot,
+                    const PreparedDataset* snapshot);
+
   /// Registers an async job handle for the destructor's drain, retiring
   /// finished handles so long-lived registries don't accumulate.
   void TrackJob(TaskHandle handle);
-
-  /// Replays one slot directory into a ready-to-register slot (not yet in
-  /// the map): Recover registers all replayed slots only after every
-  /// directory replayed cleanly, so a failed recovery leaves the registry
-  /// exactly as it was and can simply be retried.
-  Result<std::pair<std::string, std::shared_ptr<Slot>>> RecoverSlotDir(
-      const std::string& dir_path);
 
   mutable std::mutex map_mutex_;  ///< Guards slots_, budget_, total_bytes_.
   std::map<std::string, std::shared_ptr<Slot>> slots_;
@@ -481,10 +485,6 @@ class DatasetRegistry {
   std::size_t total_mapped_bytes_ = 0;
   std::atomic<double> drift_threshold_{0.0};
   mutable std::atomic<std::uint64_t> clock_{0};
-
-  /// The sink currently observing journal appends (may be null). Read under
-  /// sink_mutex_ into a shared_ptr copy so firing it never blocks SetWalSink.
-  std::shared_ptr<const WalSink> CurrentSink() const;
 
   std::atomic<bool> durable_{false};
   DurabilityOptions durability_;  ///< Written once by Recover.

@@ -1,11 +1,5 @@
 #include "onex/engine/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
@@ -30,10 +24,6 @@ constexpr int kWalVersion = 1;
 /// Far above the largest legal record (a 2M-point GEN encodes to ~50 MB);
 /// a line past this is corruption, not data.
 constexpr std::size_t kMaxWalLineBytes = 512ull << 20;
-
-std::string ErrnoMessage(const std::string& what) {
-  return what + ": " + std::strerror(errno);
-}
 
 std::string Quoted(const std::string& s) {
   std::string out;
@@ -496,61 +486,34 @@ Result<WalScan> ScanWalFile(const std::string& path) {
   return ScanWal(in);
 }
 
-WalWriter::WalWriter(WalWriter&& other) noexcept
-    : file_(other.file_),
-      path_(std::move(other.path_)),
-      sync_(other.sync_),
-      failed_(other.failed_) {
-  other.file_ = nullptr;
-}
-
-WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = other.file_;
-    path_ = std::move(other.path_);
-    sync_ = other.sync_;
-    failed_ = other.failed_;
-    other.file_ = nullptr;
-  }
-  return *this;
-}
-
-WalWriter::~WalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 Result<WalWriter> WalWriter::Create(const std::string& path,
                                     const std::string& dataset_name,
-                                    bool sync) {
-  WalWriter writer;
-  writer.path_ = path;
-  writer.sync_ = sync;
-  writer.file_ = std::fopen(path.c_str(), "wbx");
-  if (writer.file_ == nullptr) {
-    return Status::IoError(ErrnoMessage("cannot create wal '" + path + "'"));
-  }
-  const std::string header = EncodeWalHeader(dataset_name);
-  if (std::fwrite(header.data(), 1, header.size(), writer.file_) !=
-          header.size() ||
-      std::fflush(writer.file_) != 0 ||
-      (sync && ::fsync(::fileno(writer.file_)) != 0)) {
-    return Status::IoError(ErrnoMessage("cannot write wal header to '" + path +
-                                        "'"));
-  }
+                                    bool sync, FileOps& files) {
+  WalWriter writer(path, sync);
+  ONEX_ASSIGN_OR_RETURN(writer.file_, files.OpenAppend(path, /*create=*/true));
+  ONEX_RETURN_IF_ERROR(writer.Write(EncodeWalHeader(dataset_name)));
   return writer;
 }
 
-Result<WalWriter> WalWriter::OpenExisting(const std::string& path,
-                                          bool sync) {
-  WalWriter writer;
-  writer.path_ = path;
-  writer.sync_ = sync;
-  writer.file_ = std::fopen(path.c_str(), "ab");
-  if (writer.file_ == nullptr) {
-    return Status::IoError(ErrnoMessage("cannot open wal '" + path + "'"));
-  }
+Result<WalWriter> WalWriter::OpenExisting(const std::string& path, bool sync,
+                                          FileOps& files) {
+  WalWriter writer(path, sync);
+  ONEX_ASSIGN_OR_RETURN(writer.file_,
+                        files.OpenAppend(path, /*create=*/false));
   return writer;
+}
+
+Status WalWriter::Write(std::string_view bytes) {
+  Status s = file_->Append(bytes);
+  if (s.ok() && sync_) s = file_->Sync();
+  if (!s.ok()) {
+    // Latch: the file may now hold a partial line; appending more would
+    // corrupt acknowledged history rather than extend it.
+    failed_ = true;
+    return Status::IoError("wal append to '" + path_ +
+                           "' failed: " + s.message());
+  }
+  return Status::OK();
 }
 
 Status WalWriter::Append(const WalRecord& record) {
@@ -567,27 +530,7 @@ Status WalWriter::Append(const WalRecord& record) {
         "wal record of %zu bytes exceeds the replayable line cap (%zu)",
         line.size(), kMaxWalLineBytes));
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0 ||
-      (sync_ && ::fsync(::fileno(file_)) != 0)) {
-    // Latch: the file may now hold a partial line; appending more would
-    // corrupt acknowledged history rather than extend it.
-    failed_ = true;
-    return Status::IoError(ErrnoMessage("wal append to '" + path_ +
-                                        "' failed"));
-  }
-  return Status::OK();
-}
-
-Status WalWriter::Reopen() {
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    failed_ = true;
-    return Status::IoError(ErrnoMessage("cannot reopen wal '" + path_ + "'"));
-  }
-  failed_ = false;
-  return Status::OK();
+  return Write(line);
 }
 
 /// Snapshot fields shared by the materialized and mapped arena load paths.
@@ -621,7 +564,7 @@ Result<std::string> EncodeCheckpoint(const PreparedDataset& ds) {
 Status WriteCheckpointFile(const PreparedDataset& ds, const std::string& path,
                            bool sync) {
   ONEX_ASSIGN_OR_RETURN(std::string bytes, EncodeCheckpoint(ds));
-  return AtomicWriteFile(path, bytes, sync);
+  return PosixFiles().WriteAtomically(path, bytes, sync);
 }
 
 Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
@@ -654,65 +597,16 @@ Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
   return AssembleArenaSnapshot(view, std::move(realized), name);
 }
 
-Result<PreparedDataset> MapCheckpointFile(const std::string& path,
+Result<PreparedDataset> MapCheckpointFile(FileOps& files,
+                                          const std::string& path,
                                           const std::string& name) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const ArenaMapping> mapping,
-                        ArenaMapping::Map(path));
+                        files.Map(path));
   ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(mapping->bytes()));
   ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, mapping));
   PreparedDataset ds = AssembleArenaSnapshot(view, std::move(realized), name);
   ds.arena = std::move(mapping);
   return ds;
-}
-
-Status WriteFileDurably(const std::string& path, std::string_view bytes,
-                        bool sync) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(ErrnoMessage("cannot create '" + path + "'"));
-  }
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-      std::fflush(f) == 0 && (!sync || ::fsync(::fileno(f)) == 0);
-  std::fclose(f);
-  if (!wrote) {
-    std::remove(path.c_str());
-    return Status::IoError(ErrnoMessage("cannot write '" + path + "'"));
-  }
-  return Status::OK();
-}
-
-Status RenameFile(const std::string& from, const std::string& to, bool sync) {
-  if (std::rename(from.c_str(), to.c_str()) != 0) {
-    std::remove(from.c_str());
-    return Status::IoError(ErrnoMessage("cannot rename '" + from + "'"));
-  }
-  if (sync) {
-    const std::size_t slash = to.find_last_of('/');
-    ONEX_RETURN_IF_ERROR(
-        SyncDir(slash == std::string::npos ? "." : to.substr(0, slash)));
-  }
-  return Status::OK();
-}
-
-Status AtomicWriteFile(const std::string& path, std::string_view bytes,
-                       bool sync) {
-  const std::string tmp = path + ".tmp";
-  ONEX_RETURN_IF_ERROR(WriteFileDurably(tmp, bytes, sync));
-  return RenameFile(tmp, path, sync);
-}
-
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError(ErrnoMessage("cannot open dir '" + dir + "'"));
-  }
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok) {
-    return Status::IoError(ErrnoMessage("cannot fsync dir '" + dir + "'"));
-  }
-  return Status::OK();
 }
 
 std::string SlotDirName(const std::string& dataset_name) {

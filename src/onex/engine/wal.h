@@ -3,10 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "onex/common/hash.h"
@@ -14,6 +15,7 @@
 #include "onex/core/incremental.h"
 #include "onex/core/onex_base.h"
 #include "onex/engine/dataset_registry.h"
+#include "onex/engine/file_ops.h"
 #include "onex/ts/dataset.h"
 #include "onex/ts/normalization.h"
 
@@ -35,10 +37,15 @@ namespace onex {
 ///   r <seq> regroup <k> <len...>                                 c=<fnv64>
 ///   r <seq> ckpt <state_seq>                                     c=<fnv64>
 ///
-/// The registry numbers every record, the marker included (DESIGN.md §13):
-/// `r S+1 ckpt S` says that ckpt-S holds the state after record S, and the
-/// marker itself takes seq S+1. A legal log carries it only as its first
-/// record.
+/// The slot journal numbers every record, the marker included (DESIGN.md
+/// §13): `r S+1 ckpt S` says that ckpt-S holds the state after record S,
+/// and the marker itself takes seq S+1. A legal log carries it only as its
+/// first record.
+///
+/// This file holds the log's codec, its scanner and its append handle. The
+/// files around it — a slot's directory, its checkpoints, the order of
+/// renames and fsyncs, recovery — belong to SlotJournal (slot_journal.h),
+/// and every file call goes through FileOps (file_ops.h).
 ///
 /// Tier moves are not journaled: a durable slot leaves memory only by
 /// swapping in the mapping of a checkpoint that covers every record, which
@@ -65,7 +72,7 @@ const char* WalRecordTypeToString(WalRecordType type);
 /// One journaled mutation. Only the fields of the record's type are
 /// meaningful; the factories below build well-formed records.
 struct WalRecord {
-  std::uint64_t seq = 0;  ///< Numbered by the registry (DatasetRegistry).
+  std::uint64_t seq = 0;  ///< Numbered by the slot journal (SlotJournal).
   WalRecordType type = WalRecordType::kLoad;
   Dataset dataset;                          // kLoad
   TimeSeries series;                        // kAppend
@@ -129,22 +136,18 @@ Result<WalScan> ScanWalFile(const std::string& path);
 /// fsync'd unless the registry's durability options disable it). Any
 /// failure latches: later appends fail fast rather than interleave with a
 /// half-written line. The writer keeps no log position: records arrive
-/// numbered by the registry and are written as given.
+/// numbered by the registry and are written as given. The file is opened
+/// through `files`.
 class WalWriter {
  public:
   /// Creates a fresh WAL (fails if the file exists) and writes the header.
   static Result<WalWriter> Create(const std::string& path,
-                                  const std::string& dataset_name,
-                                  bool sync);
+                                  const std::string& dataset_name, bool sync,
+                                  FileOps& files = PosixFiles());
 
   /// Opens an existing WAL for append.
-  static Result<WalWriter> OpenExisting(const std::string& path, bool sync);
-
-  WalWriter(WalWriter&& other) noexcept;
-  WalWriter& operator=(WalWriter&& other) noexcept;
-  WalWriter(const WalWriter&) = delete;
-  WalWriter& operator=(const WalWriter&) = delete;
-  ~WalWriter();
+  static Result<WalWriter> OpenExisting(const std::string& path, bool sync,
+                                        FileOps& files = PosixFiles());
 
   /// Encodes and appends `record`. A record that would encode past the
   /// scanner's line cap is rejected with InvalidArgument BEFORE anything is
@@ -153,24 +156,21 @@ class WalWriter {
   /// next recovery hostage.
   Status Append(const WalRecord& record);
 
-  /// Re-opens the handle after a rotation replaced the file on disk (the
-  /// checkpoint path).
-  Status Reopen();
-
   /// Latches the writer failed: every later Append errors out. The
   /// checkpoint path uses this when the on-disk state became ambiguous
   /// (e.g. a directory fsync failed after a rename) — fail-stop beats
   /// acknowledging writes whose durable home is unknown.
   void MarkFailed() { failed_ = true; }
 
-  const std::string& path() const { return path_; }
-
  private:
-  WalWriter() = default;
+  WalWriter(std::string path, bool sync)
+      : path_(std::move(path)), sync_(sync) {}
+  /// Appends `bytes` (fsync'd when sync_), latching on failure.
+  Status Write(std::string_view bytes);
 
-  std::FILE* file_ = nullptr;
+  std::unique_ptr<AppendFile> file_;
   std::string path_;
-  bool sync_ = true;
+  bool sync_;
   bool failed_ = false;
 };
 
@@ -189,28 +189,19 @@ Status WriteCheckpointFile(const PreparedDataset& ds, const std::string& path,
 Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
                                            const std::string& name);
 
-/// Maps an arena checkpoint read-only and assembles a snapshot whose base
-/// borrows the mapping (PreparedDataset::arena set, storage pinned via the
-/// base's keepalive). When the map or parse fails, recovery falls back to
-/// ReadCheckpointFile and a demote or eviction keeps the base resident.
-Result<PreparedDataset> MapCheckpointFile(const std::string& path,
+/// Maps an arena checkpoint read-only through `files` and assembles a
+/// snapshot whose base borrows the mapping (PreparedDataset::arena set,
+/// storage pinned via the base's keepalive). When the map or parse fails,
+/// recovery falls back to ReadCheckpointFile and a demote or eviction keeps
+/// the base resident.
+Result<PreparedDataset> MapCheckpointFile(FileOps& files,
+                                          const std::string& path,
                                           const std::string& name);
 
 /// The checkpoint file's bytes (the arena blob) without the file
 /// write — the registry serializes outside its slot lock and then only
 /// renames inside the critical section.
 Result<std::string> EncodeCheckpoint(const PreparedDataset& ds);
-
-/// Filesystem helpers shared by the durability layer: write-then-rename
-/// with optional fsync of file and parent directory, plus the two halves
-/// separately for callers that must split the expensive write from the
-/// atomic publish.
-Status AtomicWriteFile(const std::string& path, std::string_view bytes,
-                       bool sync);
-Status WriteFileDurably(const std::string& path, std::string_view bytes,
-                        bool sync);
-Status RenameFile(const std::string& from, const std::string& to, bool sync);
-Status SyncDir(const std::string& dir);
 
 /// Directory name for a slot: dataset names are client-controlled, so every
 /// byte outside [A-Za-z0-9_-] is %XX-encoded (no separators, no dots — a

@@ -9,18 +9,6 @@
 
 namespace onex::net {
 
-namespace {
-
-/// The WAL file backing one slot — valid while the cluster invariant holds
-/// (checkpointing disabled, so the log is never rotated and always reaches
-/// back to the slot's birth).
-std::string WalPathFor(const DatasetRegistry& registry,
-                       const std::string& dataset) {
-  return registry.data_dir() + "/" + SlotDirName(dataset) + "/wal";
-}
-
-}  // namespace
-
 Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
     const std::string& endpoint) {
   const std::size_t colon = endpoint.rfind(':');
@@ -312,17 +300,17 @@ Status ReplicationHub::ShipBatch(Link* link, OnexClient* client,
 
 Status ReplicationHub::CatchUpFromFile(Link* link, OnexClient* client,
                                        const std::string& dataset) {
-  ONEX_ASSIGN_OR_RETURN(
-      WalScan scan, ScanWalFile(WalPathFor(engine_->registry(), dataset)));
   std::uint64_t floor;
   {
     std::lock_guard<std::mutex> lock(link->mutex);
     floor = link->floors[dataset];
   }
+  ONEX_ASSIGN_OR_RETURN(
+      std::vector<WalRecord> records,
+      engine_->registry().JournalRecordsAfter(dataset, floor));
   std::vector<std::string> lines;
   std::uint64_t first = 0;
-  for (const WalRecord& record : scan.records) {
-    if (record.seq <= floor) continue;
+  for (const WalRecord& record : records) {
     if (record.type == WalRecordType::kCheckpoint) {
       return Status::FailedPrecondition(
           "dataset '" + dataset +

@@ -152,7 +152,8 @@ class ReplicationHub {
   Status ShipBatch(Link* link, OnexClient* client, const std::string& dataset,
                    std::uint64_t first_seq,
                    const std::vector<std::string>& lines);
-  /// Ships records (floor, tip] from the local WAL file for `dataset`.
+  /// Ships records (floor, tip] of `dataset`, read from the registry's
+  /// journal.
   Status CatchUpFromFile(Link* link, OnexClient* client,
                          const std::string& dataset);
   void MarkDead(Link* link, const std::string& why);
