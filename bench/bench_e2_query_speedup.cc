@@ -10,8 +10,19 @@
 /// any base member that the scanners cannot rely on a near-zero best-so-far,
 /// the regime interactive exploration actually operates in.
 ///
+/// A third table runs the explore shape in process: MATCH (k=1) and KNN
+/// (k=5) of in-dataset slices 16–64 points long over walk and sine bases of
+/// 100 series 128–256 points long, prepared with maxlen 64 — servebench's
+/// explore workload without the wire. It reports ms per query and the
+/// centroid and member DTWs per query, the layer the query cascade's
+/// horizons move (DESIGN.md §6), and checks the same queries run as a batch
+/// over the pool against the serial run.
+///
 /// With --json <path>, machine-readable results land in <path> (the repo's
-/// BENCH_query.json trajectory file; see scripts/bench.sh).
+/// BENCH_query.json trajectory file; see scripts/bench.sh). With --smoke only
+/// the explore table runs, on a small base, and the exit status is non-zero
+/// when a batch answer differs from the serial run or a DTW counter reads
+/// zero (scripts/check.sh runs this).
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -39,23 +50,27 @@ struct Workload {
   std::vector<std::vector<double>> queries;
 };
 
-Workload MakeWorkload(const char* kind, std::size_t n, std::size_t len,
-                      std::size_t qlen, std::uint64_t seed) {
-  onex::Dataset raw;
+/// `n` series of `len` points: random walks for "walk", else sine families.
+onex::Dataset Generate(const char* kind, std::size_t n, std::size_t len,
+                       std::uint64_t seed) {
   if (std::string(kind) == "walk") {
     onex::gen::RandomWalkOptions opt;
     opt.num_series = n;
     opt.length = len;
     opt.seed = seed;
-    raw = onex::gen::MakeRandomWalks(opt);
-  } else {
-    onex::gen::SineFamilyOptions opt;
-    opt.num_series = n;
-    opt.length = len;
-    opt.num_shapes = 6;
-    opt.seed = seed;
-    raw = onex::gen::MakeSineFamilies(opt);
+    return onex::gen::MakeRandomWalks(opt);
   }
+  onex::gen::SineFamilyOptions opt;
+  opt.num_series = n;
+  opt.length = len;
+  opt.num_shapes = 6;
+  opt.seed = seed;
+  return onex::gen::MakeSineFamilies(opt);
+}
+
+Workload MakeWorkload(const char* kind, std::size_t n, std::size_t len,
+                      std::size_t qlen, std::uint64_t seed) {
+  const onex::Dataset raw = Generate(kind, n, len, seed);
   auto norm = onex::Normalize(raw, onex::NormalizationKind::kMinMaxDataset);
   Workload w;
   w.data = std::make_shared<const onex::Dataset>(std::move(norm).value());
@@ -70,6 +85,148 @@ Workload MakeWorkload(const char* kind, std::size_t n, std::size_t len,
     w.queries.push_back(std::move(query));
   }
   return w;
+}
+
+/// The explore corpus: `n` series of `kind`, series i cut to a length
+/// spread evenly over [min_len, max_len], min-max normalized; and `nq`
+/// in-dataset query slices with lengths uniform in [min_q, max_q].
+Workload MakeExploreWorkload(const char* kind, std::size_t n,
+                             std::size_t min_len, std::size_t max_len,
+                             std::size_t nq, std::size_t min_q,
+                             std::size_t max_q, std::uint64_t seed) {
+  const onex::Dataset full = Generate(kind, n, max_len, seed);
+  onex::Dataset raw(kind);
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    const std::size_t len =
+        min_len + (n > 1 ? i * (max_len - min_len) / (n - 1) : 0);
+    const std::span<const double> v = full[i].Slice(0, len);
+    raw.Add(onex::TimeSeries(full[i].name(),
+                             std::vector<double>(v.begin(), v.end())));
+  }
+  auto norm = onex::Normalize(raw, onex::NormalizationKind::kMinMaxDataset);
+  Workload w;
+  w.data = std::make_shared<const onex::Dataset>(std::move(norm).value());
+  onex::Rng rng(seed + 7);
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::size_t series = rng.UniformIndex(w.data->size());
+    const std::size_t qlen = min_q + rng.UniformIndex(max_q - min_q + 1);
+    const std::size_t start =
+        rng.UniformIndex((*w.data)[series].length() - qlen + 1);
+    const std::span<const double> vals = (*w.data)[series].Slice(start, qlen);
+    w.queries.emplace_back(vals.begin(), vals.end());
+  }
+  return w;
+}
+
+/// True when two runs of the same query agree bit for bit: answers and
+/// work counters.
+bool SameOutcome(const std::vector<onex::BestMatch>& a,
+                 const onex::QueryStats& sa,
+                 const std::vector<onex::BestMatch>& b,
+                 const onex::QueryStats& sb) {
+  if (a.size() != b.size() || sa.dtw_evals != sb.dtw_evals ||
+      sa.rep_dtw_evaluations != sb.rep_dtw_evaluations ||
+      sa.member_dtw_evaluations != sb.member_dtw_evaluations ||
+      sa.pruned_kim != sb.pruned_kim || sa.pruned_keogh != sb.pruned_keogh) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].ref.series != b[i].ref.series ||
+        a[i].ref.start != b[i].ref.start ||
+        a[i].ref.length != b[i].ref.length || a[i].dtw != b[i].dtw ||
+        a[i].rep_dtw != b[i].rep_dtw) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One explore row per (kind, k): ms per query, centroid and member DTWs per
+/// query, and whether a pooled batch of the same queries matched the serial
+/// run. Returns false when a batch answer differs or a DTW counter is zero.
+bool RunExploreRows(bool smoke, onex::json::Value* rows_json) {
+  using onex::bench::Fmt;
+  const std::size_t n = smoke ? 12 : 100;
+  const std::size_t min_len = smoke ? 48 : 128;
+  const std::size_t max_len = smoke ? 96 : 256;
+  const std::size_t maxlen = smoke ? 24 : 64;
+  const std::size_t min_q = smoke ? 8 : 16;
+  const std::size_t max_q = smoke ? 24 : 64;
+  const std::size_t nq = smoke ? 8 : 40;
+  onex::bench::Table table({"dataset", "k", "groups", "ms/query",
+                            "centroid_dtw/q", "member_dtw/q", "batch"});
+  bool ok = true;
+  for (const auto& [kind, seed] : {std::pair{"walk", 21u}, {"sine", 22u}}) {
+    const Workload w = MakeExploreWorkload(kind, n, min_len, max_len, nq,
+                                           min_q, max_q, seed);
+    onex::BaseBuildOptions bopt;
+    bopt.st = 0.2;
+    bopt.max_length = maxlen;
+    bopt.threads = 0;
+    auto base = onex::OnexBase::Build(w.data, bopt);
+    if (!base.ok()) return false;
+    onex::QueryProcessor qp(&*base);
+    const std::string name = std::string(kind) + " N=" + std::to_string(n) +
+                             " L=" + std::to_string(min_len) + "-" +
+                             std::to_string(max_len) +
+                             " maxlen=" + std::to_string(maxlen);
+    for (const std::size_t k : {1u, 5u}) {
+      onex::QueryOptions qo;
+      qo.compute_path = false;
+      std::vector<std::vector<onex::BestMatch>> serial(w.queries.size());
+      std::vector<onex::QueryStats> serial_stats(w.queries.size());
+      const double ms = onex::bench::MedianMs(
+          [&] {
+            for (std::size_t qi = 0; qi < w.queries.size(); ++qi) {
+              serial_stats[qi] = {};
+              serial[qi] =
+                  *qp.KnnQuery(w.queries[qi], k, qo, &serial_stats[qi]);
+            }
+          },
+          smoke ? 1 : 3);
+      double centroid_dtws = 0.0, member_dtws = 0.0;
+      for (const onex::QueryStats& st : serial_stats) {
+        centroid_dtws += static_cast<double>(st.rep_dtw_evaluations);
+        member_dtws += static_cast<double>(st.member_dtw_evaluations);
+      }
+      std::vector<std::vector<onex::BestMatch>> batch(w.queries.size());
+      std::vector<onex::QueryStats> batch_stats(w.queries.size());
+      onex::TaskPool::Shared().ParallelFor(
+          w.queries.size(),
+          [&](std::size_t qi) {
+            batch[qi] = *qp.KnnQuery(w.queries[qi], k, qo, &batch_stats[qi]);
+          },
+          4);
+      bool identical = true;
+      for (std::size_t qi = 0; qi < w.queries.size(); ++qi) {
+        identical = identical && SameOutcome(serial[qi], serial_stats[qi],
+                                             batch[qi], batch_stats[qi]);
+      }
+      const double nqd = static_cast<double>(w.queries.size());
+      const bool counted = centroid_dtws > 0.0 && member_dtws > 0.0;
+      ok = ok && identical && counted;
+      table.AddRow({name, std::to_string(k),
+                    onex::bench::FmtZu(base->TotalGroups()),
+                    Fmt("%.3f", ms / nqd), Fmt("%.1f", centroid_dtws / nqd),
+                    Fmt("%.1f", member_dtws / nqd),
+                    identical ? "identical" : "DIFFERS"});
+      onex::json::Value row = onex::json::Value::MakeObject();
+      row.Set("name", name);
+      row.Set("k", k);
+      row.Set("groups", base->TotalGroups());
+      row.Set("queries", w.queries.size());
+      row.Set("ms_per_query", ms / nqd);
+      row.Set("centroid_dtw_per_query", centroid_dtws / nqd);
+      row.Set("member_dtw_per_query", member_dtws / nqd);
+      row.Set("batch_identical_to_serial", identical);
+      rows_json->Append(std::move(row));
+    }
+  }
+  std::printf("\n-- explore shape (MATCH k=1 / KNN k=5, in-dataset slices "
+              "%zu-%zu points, %zu queries) --\n",
+              min_q, max_q, nq);
+  table.Print();
+  return ok;
 }
 
 /// Thread counts for the scaling sweep: 1/2/4 plus the machine width.
@@ -87,11 +244,20 @@ int main(int argc, char** argv) {
   using onex::bench::FmtZu;
 
   std::string json_path;
+  bool smoke = false;
   for (int a = 1; a < argc; ++a) {
     if (std::string(argv[a]) == "--json" && a + 1 < argc) {
       json_path = argv[a + 1];
       ++a;
+    } else if (std::string(argv[a]) == "--smoke") {
+      smoke = true;
     }
+  }
+  onex::json::Value explore_json = onex::json::Value::MakeArray();
+  if (smoke) {
+    const bool ok = RunExploreRows(/*smoke=*/true, &explore_json);
+    std::printf("explore smoke: %s\n", ok ? "OK" : "FAILED");
+    return ok ? 0 : 1;
   }
 
   onex::bench::Banner(
@@ -245,6 +411,7 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\n-- batch scaling (exhaustive mode, 8 queries) --\n");
   scale_table.Print();
+  const bool explore_ok = RunExploreRows(/*smoke=*/false, &explore_json);
   std::printf(
       "\nshape check: ONEX examines groups (<< subseq), so onex_ms beats "
       "ucr_ms by a multiple and brute force by orders of magnitude — the "
@@ -265,6 +432,7 @@ int main(int argc, char** argv) {
     }
     root.Set("thread_sweep", std::move(sweep_arr));
     root.Set("datasets", std::move(datasets_json));
+    root.Set("explore", std::move(explore_json));
     std::ofstream out(json_path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -273,5 +441,5 @@ int main(int argc, char** argv) {
     out << root.Dump() << "\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  return explore_ok ? 0 : 1;
 }

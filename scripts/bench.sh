@@ -7,7 +7,9 @@
 #                           headline comparison plus the batch scaling
 #                           sweep: 8 queries fanned over 1/2/4/N threads,
 #                           one thread per query, answers checked against
-#                           the serial run
+#                           the serial run; and the explore shape (MATCH
+#                           k=1 / KNN k=5 over walk and sine, maxlen 64):
+#                           ms, centroid and member DTWs per query
 #   BENCH_maintenance.json  bench_e10_maintenance — streaming maintenance:
 #                           extend throughput, extend cost against history,
 #                           drift-regroup latency and query latency during

@@ -41,6 +41,11 @@ ctest --output-on-failure -j"$(nproc)"
 # identical to resident and to an explicit re-preparation.
 ./bench_e13_coldstart --smoke
 
+# Explore-shape smoke (DESIGN.md §6): MATCH/KNN on small walk and sine
+# bases; exits nonzero if a pooled batch answer differs from the serial run
+# or a centroid or member DTW counter reads zero.
+./bench_e2_query_speedup --smoke
+
 # Option smoke (DESIGN.md §9): a verb uses an option as given or refuses it.
 # A misspelt window= must answer InvalidArgument, not run unconstrained.
 ./onexd 7740 >/dev/null 2>&1 &

@@ -80,7 +80,7 @@ class GroupBuilder {
 ///
 /// The query processor's group scan walks the centroid matrix linearly —
 /// one allocation, no pointer chasing, hardware-prefetcher friendly — which
-/// is what makes the parallel RankGroups pass memory-bandwidth-bound rather
+/// is what makes RankGroups' bound pass memory-bandwidth-bound rather
 /// than latency-bound. Immutable after Pack; safe to share across threads.
 ///
 /// Storage comes in two flavors (DESIGN.md §17). An OWNED store (Pack,

@@ -72,7 +72,7 @@ double DiagonalPathCostSq(std::span<const double> a,
 }  // namespace
 
 std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
-    std::span<const double> query, const Envelope& query_env,
+    std::span<const double> query, const Envelope& query_env, std::size_t keep,
     const QueryOptions& options, QueryStats* stats) const {
   const std::size_t qn = query.size();
   // Admissible (class, group) pairs, in deterministic class-major order.
@@ -134,41 +134,72 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
     }
   }
 
-  // Stage 2: seed the pruning horizon with the exact representative DTW of
-  // the most promising group (smallest normalized lower bound; lowest index
-  // on ties). One group, computed once, deterministically.
-  std::size_t seed = 0;
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (lb_raw[i] / entries[i].nf < lb_raw[seed] / entries[seed].nf) seed = i;
+  // Groups are visited best-first: ascending normalized lower bound, lowest
+  // index on ties, popped from a heap built in O(G).
+  std::vector<double> lb_norm(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    lb_norm[i] = lb_raw[i] / entries[i].nf;
   }
+  std::vector<std::size_t> order(entries.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  auto visited_later = [&](std::size_t a, std::size_t b) {
+    return lb_norm[a] != lb_norm[b] ? lb_norm[a] > lb_norm[b] : a > b;
+  };
+  std::make_heap(order.begin(), order.end(), visited_later);
+  auto next_group = [&]() {
+    std::pop_heap(order.begin(), order.end(), visited_later);
+    const std::size_t i = order.back();
+    order.pop_back();
+    return i;
+  };
+
+  // Stage 2: seed the pruning horizon with the exact representative DTW of
+  // the most promising group, the first one visited.
+  const std::size_t seed = next_group();
   ++acc.rep_dtw_evaluations;
   const double seed_raw = DtwDistanceEarlyAbandon(
       query, centroid_of(entries[seed]), /*cutoff=*/-1.0, options.window);
-  const double horizon = seed_raw / entries[seed].nf;
+  double horizon = seed_raw / entries[seed].nf;
   ranked[seed] = {horizon, seed_raw, entries[seed].class_index,
                   entries[seed].group_index, /*exact=*/true, /*pruned=*/false};
 
-  // Stage 3: score every other group against the fixed horizon. Because the
-  // horizon never moves, each group's prune/evaluate/abandon outcome depends
-  // only on the group itself, not on the groups scored before it.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (i == seed) continue;
-    const Entry& e = entries[i];
-    if (options.use_lower_bounds && lb_raw[i] / e.nf >= horizon) {
-      ++acc.groups_pruned_lb;
-      if (lb_kim_raw[i] / e.nf >= horizon) {
-        ++acc.pruned_kim;
-      } else {
-        ++acc.pruned_keogh;
+  // The `keep` smallest exact keys so far, as a max-heap. Once it is full
+  // its top, the keep-th smallest, tightens the horizon (DESIGN.md §6): no
+  // group above it can reach the first `keep` places.
+  std::vector<double> kept{horizon};
+  bool tightened = false;
+
+  // Stage 3: score the other groups in visiting order. Against the seed's
+  // horizon a bound at the horizon prunes, as it always has; against a
+  // tightened one every prune and abandon must prove its group strictly
+  // worse (StrictCutoffSq), so a group tied with the keep-th key stays
+  // exact and keeps its tie-break.
+  while (!order.empty()) {
+    const double bar =
+        tightened ? std::sqrt(StrictCutoffSq(horizon * horizon)) : horizon;
+    auto beyond = [&](double bound) {
+      return tightened ? bound > bar : bound >= bar;
+    };
+    const std::size_t i = next_group();
+    if (options.use_lower_bounds && beyond(lb_norm[i])) {
+      // Every group left bounds at least as high: all are pruned, ranked
+      // by their lower bound so top-K exploration can come back to them.
+      order.push_back(i);
+      for (const std::size_t j : order) {
+        const Entry& e = entries[j];
+        ++acc.groups_pruned_lb;
+        if (beyond(lb_kim_raw[j] / e.nf)) {
+          ++acc.pruned_kim;
+        } else {
+          ++acc.pruned_keogh;
+        }
+        ranked[j] = {lb_norm[j], lb_raw[j], e.class_index, e.group_index,
+                     /*exact=*/false, /*pruned=*/true};
       }
-      // Still rank it by its lower bound so top-K exploration can come
-      // back to it if everything else is worse.
-      ranked[i] = {lb_raw[i] / e.nf, lb_raw[i], e.class_index, e.group_index,
-                   /*exact=*/false, /*pruned=*/true};
-      continue;
+      break;
     }
-    const double cutoff =
-        options.use_early_abandon ? horizon * e.nf : -1.0;
+    const Entry& e = entries[i];
+    const double cutoff = options.use_early_abandon ? bar * e.nf : -1.0;
     const std::span<const double> cent = centroid_of(e);
     const GroupStore& store = *base_->length_classes()[e.class_index].store;
     if (options.use_lower_bounds && options.use_early_abandon &&
@@ -189,31 +220,46 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       }
     }
     ++acc.rep_dtw_evaluations;
-    double raw = DtwDistanceEarlyAbandon(query, cent, cutoff, options.window);
-    double norm = std::isinf(raw) ? kInf : raw / e.nf;
-    bool exact = true;
+    const double raw =
+        DtwDistanceEarlyAbandon(query, cent, cutoff, options.window);
     if (std::isinf(raw)) {
       // Abandoned: true distance exceeds the horizon; rank with that floor.
-      raw = cutoff;
-      norm = horizon;
-      exact = false;
+      ranked[i] = {horizon, cutoff, e.class_index, e.group_index,
+                   /*exact=*/false, /*pruned=*/false};
+      continue;
     }
-    ranked[i] = {norm, raw, e.class_index, e.group_index, exact,
+    const double norm = raw / e.nf;
+    ranked[i] = {norm, raw, e.class_index, e.group_index, /*exact=*/true,
                  /*pruned=*/false};
+    if (kept.size() < keep) {
+      kept.push_back(norm);
+      std::push_heap(kept.begin(), kept.end());
+    } else if (norm < kept.front()) {
+      std::pop_heap(kept.begin(), kept.end());
+      kept.back() = norm;
+      std::push_heap(kept.begin(), kept.end());
+    }
+    if (kept.size() == keep && kept.front() < horizon) {
+      horizon = kept.front();
+      tightened = true;
+    }
   }
   FlushInto(acc, stats);
 
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedGroup& a, const RankedGroup& b) {
-              if (a.normalized_rep_dtw != b.normalized_rep_dtw) {
-                return a.normalized_rep_dtw < b.normalized_rep_dtw;
-              }
-              if (a.exact != b.exact) return a.exact;  // exact values win ties
-              if (a.class_index != b.class_index) {
-                return a.class_index < b.class_index;
-              }
-              return a.group_index < b.group_index;
-            });
+  // Only the first `keep` places are ever refined, so only they are sorted.
+  const std::size_t head = std::min(keep, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + head, ranked.end(),
+                    [](const RankedGroup& a, const RankedGroup& b) {
+                      if (a.normalized_rep_dtw != b.normalized_rep_dtw) {
+                        return a.normalized_rep_dtw < b.normalized_rep_dtw;
+                      }
+                      if (a.exact != b.exact) return a.exact;  // exact wins
+                      if (a.class_index != b.class_index) {
+                        return a.class_index < b.class_index;
+                      }
+                      return a.group_index < b.group_index;
+                    });
+  ranked.resize(head);
   return ranked;
 }
 
@@ -253,8 +299,17 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
   // The query's [min, max]: the full-band envelope the cross-length member
   // bound measures candidate points against, whatever the window.
   const auto [q_min, q_max] = std::minmax_element(query.begin(), query.end());
-  const std::vector<RankedGroup> ranked =
-      RankGroups(query, query_env, options, stats);
+  // How many groups must be refined: at least explore_top_groups (>=1 for
+  // best-match, >=k for knn so k answers can come from k distinct groups),
+  // and with options.exhaustive every group whose representative is close
+  // enough that it could still hold a better member — so ranking keeps all.
+  const std::size_t must_explore = std::max(
+      std::max<std::size_t>(1, options.explore_top_groups), k);
+  const std::vector<RankedGroup> ranked = RankGroups(
+      query, query_env,
+      options.exhaustive ? std::numeric_limits<std::size_t>::max()
+                         : must_explore,
+      options, stats);
   if (ranked.empty()) {
     return Status::NotFound(
         "no groups to search (length restrictions exclude every class)");
@@ -274,13 +329,6 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     return best.size() < k ? kInf : best.back().normalized_dtw;
   };
 
-  // How many groups must be refined: at least explore_top_groups (>=1 for
-  // best-match, >=k for knn so k answers can come from k distinct groups),
-  // and keep going while a group's representative is close enough that it
-  // could still hold a better member.
-  const std::size_t must_explore =
-      std::max<std::size_t>(std::max<std::size_t>(1, options.explore_top_groups), k);
-
   QueryStats acc;
   // Per-member scratch, reused across groups: seed flags and the seeds'
   // exact DTWs, diagonal-path costs, seed indices, and the candidate values
@@ -292,9 +340,8 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
   std::vector<double> kth;
   for (std::size_t r = 0; r < ranked.size(); ++r) {
     const RankedGroup& rg = ranked[r];
-    if (r >= must_explore &&
-        (!options.exhaustive || rg.normalized_rep_dtw > worst_kth() + st)) {
-      break;
+    if (r >= must_explore && rg.normalized_rep_dtw > worst_kth() + st) {
+      break;  // only exhaustive ranking returns more than must_explore
     }
     // Stage boundary 3: between refined groups — the granularity that bounds
     // how stale a doomed query can run.
@@ -322,8 +369,8 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     }
 
     // Refine this group in one pass in member order. The prune/abandon
-    // horizon is fixed when the group is entered (DESIGN.md §6): it does not
-    // tighten as members merge into the top-k below.
+    // horizon is set when the group is entered and tightens to the k-th
+    // answer as members merge into a full top-k below (DESIGN.md §6).
     const std::span<const SubseqRef> members = store.members(rg.group_index);
     is_seed.assign(members.size(), 0);
     double horizon = worst_kth();
@@ -369,9 +416,16 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     // than the horizon (StrictCutoffSq): a member tied with it — an earlier
     // answer, or a seed later in this group — still reaches the merge, so
     // the answers and tie-breaks are those of a full scan.
-    const double cutoff_sq = StrictCutoffSq((horizon * nf) * (horizon * nf));
-    const double cutoff = std::sqrt(cutoff_sq);
-    const double abandon_at = options.use_early_abandon ? cutoff : -1.0;
+    double cutoff_sq = 0.0;
+    double cutoff = 0.0;
+    double abandon_at = 0.0;
+    auto set_horizon = [&](double h) {
+      horizon = h;
+      cutoff_sq = StrictCutoffSq((horizon * nf) * (horizon * nf));
+      cutoff = std::sqrt(cutoff_sq);
+      abandon_at = options.use_early_abandon ? cutoff : -1.0;
+    };
+    set_horizon(horizon);
     for (std::size_t i = 0; i < members.size(); ++i) {
       double raw;
       if (is_seed[i]) {
@@ -425,6 +479,7 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
                                    }),
                   std::move(m));
       if (best.size() > k) best.pop_back();
+      if (best.size() == k && worst_kth() < horizon) set_horizon(worst_kth());
     }
   }
   FlushInto(acc, stats);

@@ -127,14 +127,20 @@ class QueryProcessor {
     bool pruned;
   };
 
-  /// Pass 1: every group scored by DTW between query and representative,
-  /// ascending. Pruning runs against a fixed horizon — the exact
-  /// representative DTW of the group with the smallest lower bound — so
-  /// each group's score depends on that group alone (DESIGN.md §6).
-  /// `query_env` is the query's Keogh envelope under options.window, built
-  /// once per query and shared with refinement.
+  /// Pass 1: the `keep` best groups by DTW between query and
+  /// representative, ascending (every group when `keep` covers them all).
+  /// Groups are visited in order of normalized lower bound and pruned
+  /// against a horizon that tightens as exact values arrive: the exact
+  /// representative DTW of the first group visited, then the keep-th
+  /// smallest exact value once `keep` exist. The first group whose bound
+  /// passes the horizon ends the scan. Prunes against a tightened horizon
+  /// are strict-with-slack and exact values win ties, so the `keep` groups
+  /// and their keys are those of a scan against the first horizon alone
+  /// (DESIGN.md §6). `query_env` is the query's Keogh envelope under
+  /// options.window, built once per query and shared with refinement.
   std::vector<RankedGroup> RankGroups(std::span<const double> query,
                                       const Envelope& query_env,
+                                      std::size_t keep,
                                       const QueryOptions& options,
                                       QueryStats* stats) const;
 

@@ -166,6 +166,7 @@ Status DatasetRegistry::Drop(const std::string& name) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<Slot> slot, FindSlot(name));
   SlotJournal* journal = slot->journal.get();
   {
+    std::unique_lock<std::shared_mutex> slot_lock(slot->mutex);
     std::lock_guard<std::mutex> lock(map_mutex_);
     const auto it = slots_.find(name);
     if (it == slots_.end() || it->second != slot) {
@@ -173,11 +174,13 @@ Status DatasetRegistry::Drop(const std::string& name) {
                               "' was concurrently dropped");
     }
     if (journal != nullptr) {
-      // Retire the journal under the map lock, with the identity check:
-      // renaming (not deleting) makes the step cheap and atomic, and a
-      // stale Drop can never destroy a freshly re-adopted slot's journal —
-      // by the time a new slot with this name can exist, this entry is
-      // gone.
+      // Retire the journal under both locks, with the identity check. The
+      // slot lock puts each rotation step of a checkpoint in flight wholly
+      // before the retirement, or refused after it, so none touches a new
+      // slot's directory of the same name. Renaming (not deleting) makes
+      // the step cheap and atomic, and a stale Drop can never destroy a
+      // freshly re-adopted slot's journal — by the time a new slot with
+      // this name can exist, this entry is gone.
       ONEX_RETURN_IF_ERROR(journal->Retire(clock_.fetch_add(1) + 1));
     }
     ChargeLocked(name, slot.get(), nullptr);
@@ -589,6 +592,7 @@ Result<CheckpointInfo> DatasetRegistry::RunCheckpoint(
     }
     ONEX_ASSIGN_OR_RETURN(CheckpointInfo info, journal->Rotate(staged));
     lock.unlock();
+    std::shared_lock<std::shared_mutex> sweep_lock(slot->mutex);
     journal->RemoveCheckpointsBefore(info.state_seq);
     return info;
   }

@@ -268,6 +268,11 @@ Result<CheckpointInfo> SlotJournal::Rotate(const Staged& staged) {
   // file); once the rotation rename has happened, the checkpoint is the
   // log's replay floor and must never be deleted — an ambiguous outcome
   // (rename done, directory fsync failed) latches the writer fail-stop.
+  if (retired_) {
+    Unstage(staged);
+    return Status::FailedPrecondition("dataset '" + name_ +
+                                      "' was dropped during its checkpoint");
+  }
   CheckpointInfo info;
   info.state_seq = last_seq_.load();
   info.bytes = staged.bytes;
@@ -319,6 +324,7 @@ Result<CheckpointInfo> SlotJournal::Rotate(const Staged& staged) {
 }
 
 void SlotJournal::RemoveCheckpointsBefore(std::uint64_t state_seq) {
+  if (retired_) return;
   Result<std::vector<DirEntry>> entries = files_.List(dir_);
   if (!entries.ok()) return;
   for (const DirEntry& entry : *entries) {
@@ -347,7 +353,9 @@ Result<std::vector<WalRecord>> SlotJournal::RecordsAfter(
 
 Status SlotJournal::Retire(std::uint64_t tag) {
   tombstone_ = dir_ + ".dropped-" + std::to_string(tag);
-  return files_.Rename(dir_, tombstone_);
+  ONEX_RETURN_IF_ERROR(files_.Rename(dir_, tombstone_));
+  retired_ = true;
+  return Status::OK();
 }
 
 Status SlotJournal::Sweep() {

@@ -75,12 +75,15 @@ class SlotJournal {
   /// file to ckpt-L (L = last_seq()), restarts the WAL at header +
   /// `r L+1 ckpt L` through wal.tmp, and reopens it. Before the WAL rename
   /// a failure removes ckpt-L and leaves the old log intact; a failed
-  /// directory fsync after it latches the writer fail-stop.
+  /// directory fsync after it latches the writer fail-stop. A retired
+  /// journal's directory may already belong to a new slot of the same
+  /// name: it removes the staged file and answers FailedPrecondition.
   Result<CheckpointInfo> Rotate(const Staged& staged);
-  /// Rotation step 3, with no lock held: removes checkpoint files older
-  /// than `state_seq` (best-effort). Only-older keeps a concurrent newer
-  /// rotation's file safe; a newer file left by a crash between the two
-  /// renames is unreferenced, and the next rotation at its seq replaces it.
+  /// Rotation step 3, under the slot's shared lock: removes checkpoint
+  /// files older than `state_seq` (best-effort); a retired journal removes
+  /// nothing. Only-older keeps a concurrent newer rotation's file safe; a
+  /// newer file left by a crash between the two renames is unreferenced,
+  /// and the next rotation at its seq replaces it.
   void RemoveCheckpointsBefore(std::uint64_t state_seq);
 
   /// Maps the checkpoint the log's marker names (the mapped tier).
@@ -89,9 +92,12 @@ class SlotJournal {
   /// Every record in the log with a seq above `seq`, in order.
   Result<std::vector<WalRecord>> RecordsAfter(std::uint64_t seq) const;
 
-  /// Drop, step 1: renames the directory to a tombstone, the commit point.
-  /// Caller holds the registry's map lock, so no new slot of this name can
-  /// create its directory meanwhile.
+  /// Drop, step 1: renames the directory to a tombstone, the commit point,
+  /// and retires the journal: no later rotation touches the directory
+  /// name, which a new slot of this name may reuse. Caller holds the
+  /// slot's exclusive lock, so no rotation step runs meanwhile, and the
+  /// registry's map lock, so no new slot of this name can create its
+  /// directory meanwhile.
   Status Retire(std::uint64_t tag);
   /// Drop, step 2, with no lock held: with fsync on, makes the rename
   /// durable (fsync of the data directory); then removes the tombstone. A
@@ -120,6 +126,9 @@ class SlotJournal {
   const std::string dir_;
   const std::string wal_path_;
   std::string tombstone_;  ///< Set by Retire, read by Sweep (one thread).
+  /// Set by Retire; guarded by the slot lock, like the rotation steps that
+  /// read it.
+  bool retired_ = false;
   /// Guarded by the slot's exclusive lock (appends are bound to installs);
   /// the counters are atomics so DESCRIBE/STATS read them without locking.
   WalWriter writer_;

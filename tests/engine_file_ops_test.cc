@@ -6,6 +6,7 @@
 /// rotation, which no real disk fails on demand. Run under every sanitizer
 /// in CI.
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,23 @@ class ScriptedFileOps final : public FileOps {
     fail_ = std::move(op);
     after_ = std::move(after);
     after_seen_ = after_.empty();
+  }
+
+  /// Holds the first call logged as starting with `prefix`, before it
+  /// touches anything, until Release().
+  void Hold(std::string prefix) {
+    std::lock_guard<std::mutex> lock(hold_mutex_);
+    hold_ = std::move(prefix);
+  }
+  /// Waits until a call is held.
+  void AwaitHeld() {
+    std::unique_lock<std::mutex> lock(hold_mutex_);
+    hold_cv_.wait(lock, [&] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(hold_mutex_);
+    released_ = true;
+    hold_cv_.notify_all();
   }
 
   /// Marks an acknowledgement in the log.
@@ -116,13 +135,22 @@ class ScriptedFileOps final : public FileOps {
   };
 
   Status Log(const std::string& op) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    log_.push_back(op);
-    if (after_seen_ && !fail_.empty() && op == fail_) {
-      fail_.clear();
-      return Status::IoError("injected fault: " + op);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      log_.push_back(op);
+      if (after_seen_ && !fail_.empty() && op == fail_) {
+        fail_.clear();
+        return Status::IoError("injected fault: " + op);
+      }
+      if (op == after_) after_seen_ = true;
     }
-    if (op == after_) after_seen_ = true;
+    std::unique_lock<std::mutex> lock(hold_mutex_);
+    if (!hold_.empty() && op.starts_with(hold_)) {
+      hold_.clear();
+      held_ = true;
+      hold_cv_.notify_all();
+      hold_cv_.wait(lock, [&] { return released_; });
+    }
     return Status::OK();
   }
 
@@ -131,6 +159,12 @@ class ScriptedFileOps final : public FileOps {
   std::string fail_;
   std::string after_;
   bool after_seen_ = true;
+
+  std::mutex hold_mutex_;
+  std::condition_variable hold_cv_;
+  std::string hold_;
+  bool held_ = false;
+  bool released_ = false;
 };
 
 std::string FreshDir(const std::string& tag) {
@@ -321,6 +355,36 @@ TEST(EngineFileOps, RotationWhoseDirectorySyncFailsLatchesFailStop) {
   EXPECT_FALSE(rig.engine->ExtendSeries("A", 2, {0.6, 0.1}).ok());
   EXPECT_EQ(Answers(rig.engine.get()), acked);
   EXPECT_EQ(rig.AnswersAfterRestart(), acked);
+}
+
+/// A checkpoint of A is still writing its arena when A is dropped and a
+/// new A is born, loaded, prepared and extended. The old checkpoint must
+/// not rotate the new A's directory: its rotation is refused, and after a
+/// restart the new A answers with its own LOAD, PREPARE and EXTEND.
+TEST(EngineFileOps, CheckpointOutlivedByItsSlotLeavesTheNewSlotAlone) {
+  RotationRig rig("drop_race");
+  rig.files.Hold("write " + rig.slot + "/ckpt.partial-");
+  Status checkpointed;
+  std::thread checkpoint(
+      [&] { checkpointed = rig.engine->registry().Checkpoint("A").status(); });
+  rig.files.AwaitHeld();
+
+  // EXPECT, not ASSERT, up to the release: the held thread must be let go.
+  EXPECT_TRUE(rig.engine->DropDataset("A").ok());
+  EXPECT_TRUE(
+      rig.engine->LoadDataset("A", onex::testing::SmallDataset(5, 20, 3)).ok());
+  BaseBuildOptions build;
+  build.st = 0.3;
+  build.max_length = 10;
+  EXPECT_TRUE(rig.engine->Prepare("A", build).ok());
+  EXPECT_TRUE(rig.engine->ExtendSeries("A", 2, {0.7, 0.3, 0.5}).ok());
+  const std::string answers = Answers(rig.engine.get());
+
+  rig.files.Release();
+  checkpoint.join();
+  EXPECT_EQ(checkpointed.code(), StatusCode::kFailedPrecondition)
+      << checkpointed;
+  EXPECT_EQ(rig.AnswersAfterRestart(), answers);
 }
 
 }  // namespace
