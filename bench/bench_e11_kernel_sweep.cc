@@ -93,7 +93,7 @@ CellResult RunCell(const onex::QueryProcessor& qp, const Workload& w,
   const double nq = static_cast<double>(w.queries.size());
   r.ms_per_query /= nq;
   r.mean_dist /= nq;
-  onex::SetKernelMode(onex::KernelMode::kAuto);
+  onex::SetKernelMode(onex::KernelMode::kSimd);
   return r;
 }
 

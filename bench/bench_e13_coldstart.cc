@@ -11,10 +11,14 @@
 ///                     per-fleet recovery time and the first-query latency
 ///                     on a mapped slot.
 ///   rebuild           the cost the mapped tier avoids, on a memory-only
-///                     engine: every checkpoint file is read back
-///                     materialized (LoadPrepared), then the target is
+///                     engine: every checkpoint file is read back into
+///                     memory (LoadPrepared), then the target is
 ///                     re-prepared explicitly (same build options and
 ///                     normalization) and queried once.
+///
+/// recover_materialize_ms times LoadPrepared of every file: one read of the
+/// file into a heap buffer and a borrow of its columns (the stores pin the
+/// buffer), not a column copy.
 ///
 /// The headline claim scripts/bench.sh records into BENCH_tier.json: first
 /// query served off the arena is >= 10x faster than re-preparing the base
@@ -51,7 +55,7 @@ struct ScaleResult {
   std::size_t datasets = 0;
   double build_corpus_ms = 0.0;
   double recover_mapped_ms = 0.0;       ///< Durable restart, mapped.
-  double recover_materialize_ms = 0.0;  ///< LoadPrepared of every file.
+  double recover_materialize_ms = 0.0;  ///< LoadPrepared (read + borrow).
   double resident_query_ms = 0.0;
   double mapped_first_query_ms = 0.0;
   double rebuild_first_query_ms = 0.0;
@@ -242,7 +246,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading the table: recover_mmap is the whole-fleet durable restart "
       "(mmap + checksum walk, no materialization); recover_mat reads every "
-      "checkpoint file back materialized (LoadPrepared). mapped_first is the "
+      "checkpoint file into memory (LoadPrepared: read + borrow, no column "
+      "copy). mapped_first is the "
       "first MATCH on a mapped slot (page-in + query), rebuild_first the "
       "same MATCH after an explicit Prepare (full re-preparation + query). "
       "The identical column is the point of the differential battery: all "

@@ -753,10 +753,10 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
 // ---------------------------------------------------------------------------
 
 Result<RealizedArena> RealizeArena(const ArenaView& view,
-                                   std::shared_ptr<const void> keepalive) {
-  // Series values are always materialized: Dataset owns vectors, and the
+                                   std::shared_ptr<const void> pin) {
+  // Series values are always copied: Dataset owns vectors, and the
   // streaming extend path mutates them copy-on-write anyway. The big wins —
-  // centroid/envelope matrices and the member arena — stay borrowed.
+  // centroid/envelope matrices and the member arena — serve in place.
   Dataset raw(view.dataset_name);
   Dataset norm(view.dataset_name);
   std::size_t at = 0;
@@ -773,26 +773,14 @@ Result<RealizedArena> RealizeArena(const ArenaView& view,
   std::vector<std::shared_ptr<const GroupStore>> stores;
   stores.reserve(view.classes.size());
   for (const ArenaClassView& cls : view.classes) {
-    GroupStore::Columns cols;
-    cols.length = cls.length;
-    cols.num_groups = cls.num_groups;
-    cols.cent_env_window = cls.cent_env_window;
-    cols.centroids = cls.centroids;
-    cols.env_lower = cls.env_lower;
-    cols.env_upper = cls.env_upper;
-    cols.cent_env_lower = cls.cent_env_lower;
-    cols.cent_env_upper = cls.cent_env_upper;
-    cols.members = cls.members;
-    cols.member_offsets = cls.member_offsets;
-    stores.push_back(std::make_shared<const GroupStore>(
-        keepalive != nullptr ? GroupStore::Borrow(cols)
-                             : GroupStore::CopyFrom(cols)));
+    stores.push_back(
+        std::make_shared<const GroupStore>(GroupStore::Borrow(cls, pin)));
   }
 
   ONEX_ASSIGN_OR_RETURN(
       OnexBase base,
       OnexBase::FromStores(norm_ptr, view.build_options, std::move(stores),
-                           view.repaired_members, std::move(keepalive)));
+                           view.repaired_members));
   RealizedArena out;
   out.raw = std::move(raw_ptr);
   out.normalized = norm_ptr;

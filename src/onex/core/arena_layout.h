@@ -34,9 +34,9 @@ namespace onex {
 /// tables monotone) — a hostile or truncated file is a structured error,
 /// never UB and never a silently different base.
 
-/// Read-only mmap of an arena file. Realized bases borrow spans into the
-/// mapping and keep it alive via shared_ptr, so the mapping can never
-/// outlive its last reader. Non-copyable; always heap-held.
+/// Read-only mmap of an arena file. Each store of a realized base serves
+/// spans into the mapping and pins it by shared_ptr, so the mapping lives
+/// exactly as long as its last reader. Non-copyable; always heap-held.
 class ArenaMapping {
  public:
   /// Maps `path` read-only (MAP_PRIVATE). IoError when the file cannot be
@@ -68,20 +68,9 @@ class ArenaMapping {
   std::string path_;
 };
 
-/// Parsed, validated view of one length class inside an arena. All spans
-/// point into the parsed buffer.
-struct ArenaClassView {
-  std::size_t length = 0;
-  std::size_t num_groups = 0;
-  int cent_env_window = -1;
-  std::span<const double> centroids;
-  std::span<const double> env_lower;
-  std::span<const double> env_upper;
-  std::span<const double> cent_env_lower;
-  std::span<const double> cent_env_upper;
-  std::span<const SubseqRef> members;
-  std::span<const std::size_t> member_offsets;  ///< num_groups + 1 entries.
-};
+/// Parsed, validated view of one length class inside an arena: the columns
+/// a GroupStore serves, as spans into the parsed buffer.
+using ArenaClassView = GroupStore::Columns;
 
 /// Name/label/length of one series (values live in the bulk sections).
 struct ArenaSeriesMeta {
@@ -91,8 +80,8 @@ struct ArenaSeriesMeta {
 };
 
 /// Fully validated view of an arena buffer. Spans reference the buffer
-/// passed to ParseArena; the caller keeps that buffer alive (RealizeArena
-/// takes an explicit keepalive for exactly this).
+/// passed to ParseArena, which the view does not own: RealizeArena takes
+/// the pin that owns it and hands it to every store.
 struct ArenaView {
   std::string dataset_name;
   NormalizationKind norm_kind = NormalizationKind::kMinMaxDataset;
@@ -132,14 +121,15 @@ Result<std::string> EncodeArena(const Dataset& raw, NormalizationKind kind,
 /// drives any allocation or loop.
 Result<ArenaView> ParseArena(std::span<const std::byte> bytes);
 
-/// Assembles datasets and an OnexBase from a parsed view. With `keepalive`
-/// non-null the group stores BORROW the view's spans (zero-copy serving off
-/// a mapping) and the base holds `keepalive` so the buffer outlives every
-/// reader; with null they deep-copy into owned storage (the materialized
-/// load path). Series values are always materialized owned — Dataset owns
-/// its vectors — so only the group structures page in lazily.
+/// Assembles datasets and an OnexBase from a parsed view. `pin` must own
+/// the buffer the view was parsed from — an ArenaMapping, or a checkpoint
+/// file read into memory. Every group store serves the view's spans in
+/// place and holds `pin`, so the buffer lives as long as any store does.
+/// Series values are always copied — Dataset owns its vectors — so only
+/// the group structures serve out of the buffer (and, off a mapping, page
+/// in lazily).
 Result<RealizedArena> RealizeArena(const ArenaView& view,
-                                   std::shared_ptr<const void> keepalive);
+                                   std::shared_ptr<const void> pin);
 
 }  // namespace onex
 

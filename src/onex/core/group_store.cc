@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <utility>
 
 #include "onex/distance/kernels.h"
 
@@ -44,37 +46,19 @@ void GroupBuilder::RecomputeFromMembers(const Dataset& dataset,
 
 std::size_t GroupStore::MemoryUsage() const {
   return sizeof(GroupStore) +
-         (centroids_span().size() + env_lower_span().size() +
-          env_upper_span().size() + cent_env_lower_span().size() +
-          cent_env_upper_span().size()) *
+         (cols_.centroids.size() + cols_.env_lower.size() +
+          cols_.env_upper.size() + cols_.cent_env_lower.size() +
+          cols_.cent_env_upper.size()) *
              sizeof(double) +
-         members_span().size() * sizeof(SubseqRef) +
-         offsets_span().size() * sizeof(std::size_t);
+         cols_.members.size() * sizeof(SubseqRef) +
+         cols_.member_offsets.size() * sizeof(std::size_t);
 }
 
-GroupStore GroupStore::Borrow(const Columns& cols) {
+GroupStore GroupStore::Borrow(const Columns& cols,
+                              std::shared_ptr<const void> pin) {
   GroupStore store;
-  store.length_ = cols.length;
-  store.cent_env_window_ = cols.cent_env_window;
-  store.borrowed_ = true;
   store.cols_ = cols;
-  return store;
-}
-
-GroupStore GroupStore::CopyFrom(const Columns& cols) {
-  GroupStore store;
-  store.length_ = cols.length;
-  store.cent_env_window_ = cols.cent_env_window;
-  store.centroids_.assign(cols.centroids.begin(), cols.centroids.end());
-  store.env_lower_.assign(cols.env_lower.begin(), cols.env_lower.end());
-  store.env_upper_.assign(cols.env_upper.begin(), cols.env_upper.end());
-  store.cent_env_lower_.assign(cols.cent_env_lower.begin(),
-                               cols.cent_env_lower.end());
-  store.cent_env_upper_.assign(cols.cent_env_upper.begin(),
-                               cols.cent_env_upper.end());
-  store.member_arena_.assign(cols.members.begin(), cols.members.end());
-  store.member_offsets_.assign(cols.member_offsets.begin(),
-                               cols.member_offsets.end());
+  store.pin_ = std::move(pin);
   return store;
 }
 
@@ -88,64 +72,80 @@ GroupStore GroupStore::Pack(std::size_t length,
 
 GroupStore GroupStore::Merge(std::size_t length, const GroupStore* prev,
                              std::span<const GroupBuilder* const> fresh) {
-  GroupStore store;
-  store.length_ = length;
   const std::size_t n = fresh.size();
-  store.centroids_.reserve(n * length);
-  store.env_lower_.reserve(n * length);
-  store.env_upper_.reserve(n * length);
-  store.cent_env_lower_.resize(n * length);
-  store.cent_env_upper_.resize(n * length);
-  store.member_offsets_.reserve(n + 1);
   std::size_t total = 0;
   for (std::size_t g = 0; g < n; ++g) {
     total += fresh[g] != nullptr ? fresh[g]->size() : prev->group_size(g);
   }
-  store.member_arena_.reserve(total);
 
+  // One heap block holds every column: the five matrices, the offset
+  // table, then the member arena. A new'd byte array is aligned for all
+  // three element types, and each column's size keeps the next aligned.
+  const std::size_t cells = n * length;
+  static_assert(alignof(SubseqRef) <= alignof(std::size_t));
+  std::shared_ptr<std::byte[]> block(
+      new std::byte[5 * cells * sizeof(double) +
+                    (n + 1) * sizeof(std::size_t) +
+                    total * sizeof(SubseqRef)]);
+  double* const centroids = reinterpret_cast<double*>(block.get());
+  double* const env_lower = centroids + cells;
+  double* const env_upper = env_lower + cells;
+  double* const cent_env_lower = env_upper + cells;
+  double* const cent_env_upper = cent_env_lower + cells;
+  auto* const offsets =
+      reinterpret_cast<std::size_t*>(cent_env_upper + cells);
+  auto* const members = reinterpret_cast<SubseqRef*>(offsets + n + 1);
+
+  Columns cols;
   // Min/max envelopes are exact (no FP reassociation), so a centroid
   // envelope is the same under every kernel table: a copied row equals a
   // recomputed one whenever both use the same window.
   const bool copy_cent_env =
-      prev != nullptr && prev->cent_env_window_ == store.cent_env_window_;
+      prev != nullptr &&
+      prev->centroid_envelope_window() == cols.cent_env_window;
   const DistanceKernel& kernel = ActiveKernel();
-  const auto append = [](std::vector<double>* col,
-                          std::span<const double> row) {
-    col->insert(col->end(), row.begin(), row.end());
-  };
-  store.member_offsets_.push_back(0);
+  offsets[0] = 0;
   for (std::size_t g = 0; g < n; ++g) {
     const GroupBuilder* b = fresh[g];
-    if (b != nullptr) {
-      append(&store.centroids_, b->centroid());
-      append(&store.env_lower_, b->envelope().lower);
-      append(&store.env_upper_, b->envelope().upper);
-      store.member_arena_.insert(store.member_arena_.end(),
-                                 b->members().begin(), b->members().end());
-    } else {
-      append(&store.centroids_, prev->centroid(g));
-      append(&store.env_lower_, prev->envelope(g).lower);
-      append(&store.env_upper_, prev->envelope(g).upper);
-      const std::span<const SubseqRef> members = prev->members(g);
-      store.member_arena_.insert(store.member_arena_.end(), members.begin(),
-                                 members.end());
-    }
-    store.member_offsets_.push_back(store.member_arena_.size());
+    const std::size_t row = g * length;
+    const std::span<const double> centroid =
+        b != nullptr ? b->centroid_span() : prev->centroid(g);
+    const EnvelopeView env =
+        b != nullptr ? EnvelopeView{b->envelope().lower, b->envelope().upper}
+                     : prev->envelope(g);
+    const std::span<const SubseqRef> refs =
+        b != nullptr ? std::span<const SubseqRef>(b->members())
+                     : prev->members(g);
+    std::copy(centroid.begin(), centroid.end(), centroids + row);
+    std::copy(env.lower.begin(), env.lower.end(), env_lower + row);
+    std::copy(env.upper.begin(), env.upper.end(), env_upper + row);
+    std::copy(refs.begin(), refs.end(), members + offsets[g]);
+    offsets[g + 1] = offsets[g] + refs.size();
 
     // Each centroid's Keogh envelope, unconstrained so it stays admissible
     // for every query window.
-    double* lower = store.cent_env_lower_.data() + g * length;
-    double* upper = store.cent_env_upper_.data() + g * length;
     if (b == nullptr && copy_cent_env) {
-      const EnvelopeView env = prev->centroid_envelope(g);
-      std::copy(env.lower.begin(), env.lower.end(), lower);
-      std::copy(env.upper.begin(), env.upper.end(), upper);
+      const EnvelopeView cent_env = prev->centroid_envelope(g);
+      std::copy(cent_env.lower.begin(), cent_env.lower.end(),
+                cent_env_lower + row);
+      std::copy(cent_env.upper.begin(), cent_env.upper.end(),
+                cent_env_upper + row);
     } else if (length > 0) {
-      kernel.keogh_envelope(store.centroids_.data() + g * length, length,
-                            store.cent_env_window_, lower, upper);
+      kernel.keogh_envelope(centroids + row, length, cols.cent_env_window,
+                            cent_env_lower + row, cent_env_upper + row);
     }
   }
-  return store;
+
+  cols.length = length;
+  cols.num_groups = n;
+  cols.centroids = {centroids, cells};
+  cols.env_lower = {env_lower, cells};
+  cols.env_upper = {env_upper, cells};
+  cols.cent_env_lower = {cent_env_lower, cells};
+  cols.cent_env_upper = {cent_env_upper, cells};
+  cols.member_offsets = {offsets, n + 1};
+  cols.members = {members, total};
+  return Borrow(cols, std::move(block));
 }
 
 }  // namespace onex

@@ -2,6 +2,7 @@
 #define ONEX_CORE_GROUP_STORE_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -68,7 +69,7 @@ class GroupBuilder {
 
 /// Columnar storage for every similarity group of one length class
 /// (DESIGN.md §4). Instead of per-group heap vectors scattered across the
-/// allocator, the store keeps four flat arrays:
+/// allocator, the store keeps flat columns:
 ///
 ///   centroids       num_groups x length  row-major centroid matrix
 ///   env_lower       num_groups x length  pointwise member minima
@@ -81,16 +82,16 @@ class GroupBuilder {
 /// The query processor's group scan walks the centroid matrix linearly —
 /// one allocation, no pointer chasing, hardware-prefetcher friendly — which
 /// is what makes RankGroups' bound pass memory-bandwidth-bound rather
-/// than latency-bound. Immutable after Pack; safe to share across threads.
+/// than latency-bound. Immutable after construction; safe to share across
+/// threads.
 ///
-/// Storage comes in two flavors (DESIGN.md §17). An OWNED store (Pack,
-/// CopyFrom) holds its matrices in vectors, like always. A BORROWED store
-/// (Borrow) holds only spans over columns that live elsewhere — an mmap'd
-/// ONEXARENA checkpoint — so a cold dataset serves queries straight off the
-/// page cache. Borrowed stores never own or free anything; whoever creates
-/// them (OnexBase keeps a keepalive handle) guarantees the backing bytes
-/// outlive the store. Every accessor reads through the same span-returning
-/// switch, so query code cannot tell the flavors apart.
+/// One representation (DESIGN.md §4, §17): the columns are spans, and the
+/// store holds a pin — a shared_ptr that owns the bytes they point into.
+/// Merge (and so Pack) lays every column out in one heap block and pins
+/// it; Borrow pins a buffer someone else filled, such as an mmap'd
+/// ONEXARENA checkpoint or a checkpoint file read into memory. A store, or
+/// any copy of it, keeps its bytes alive on its own, however long it
+/// outlives the base it came from.
 class GroupStore {
  public:
   GroupStore() = default;
@@ -108,15 +109,14 @@ class GroupStore {
   static GroupStore Merge(std::size_t length, const GroupStore* prev,
                           std::span<const GroupBuilder* const> fresh);
 
-  /// Raw columns of one length class as they sit in an ONEXARENA section
-  /// set (arena_layout.h). Shapes must be consistent — num_groups*length
-  /// entries per matrix, member_offsets carrying num_groups+1 entries that
-  /// end at members.size() — which the arena parser enforces before any
-  /// store is constructed.
+  /// The columns of one length class. Shapes must be consistent —
+  /// num_groups*length entries per matrix, member_offsets carrying
+  /// num_groups+1 entries that end at members.size() — which Merge and the
+  /// arena parser (arena_layout.h) guarantee.
   struct Columns {
     std::size_t length = 0;
     std::size_t num_groups = 0;
-    int cent_env_window = -1;
+    int cent_env_window = -1;  ///< Unconstrained: admissible for any window.
     std::span<const double> centroids;
     std::span<const double> env_lower;
     std::span<const double> env_upper;
@@ -126,30 +126,22 @@ class GroupStore {
     std::span<const std::size_t> member_offsets;
   };
 
-  /// A store serving directly out of `cols` — zero copies, zero ownership.
-  static GroupStore Borrow(const Columns& cols);
+  /// A store serving `cols` in place, with no copy; `pin` must own the
+  /// bytes every span of `cols` points into.
+  static GroupStore Borrow(const Columns& cols,
+                           std::shared_ptr<const void> pin);
 
-  /// An owned store holding a deep copy of `cols` — the materialized load
-  /// path. (A write onto a borrowed class recomputes it into an owned store
-  /// instead; see OnexBase::centroids_exact.)
-  static GroupStore CopyFrom(const Columns& cols);
-
-  /// True when this store borrows external storage instead of owning it.
-  bool borrowed() const { return borrowed_; }
-
-  std::size_t length() const { return length_; }
-  std::size_t num_groups() const {
-    const std::span<const std::size_t> offs = offsets_span();
-    return offs.empty() ? 0 : offs.size() - 1;
-  }
-  std::size_t total_members() const { return members_span().size(); }
+  std::size_t length() const { return cols_.length; }
+  std::size_t num_groups() const { return cols_.num_groups; }
+  std::size_t total_members() const { return cols_.members.size(); }
 
   std::span<const double> centroid(std::size_t g) const {
-    return centroids_span().subspan(g * length_, length_);
+    return cols_.centroids.subspan(g * cols_.length, cols_.length);
   }
   EnvelopeView envelope(std::size_t g) const {
-    return EnvelopeView{env_lower_span().subspan(g * length_, length_),
-                        env_upper_span().subspan(g * length_, length_)};
+    return EnvelopeView{
+        cols_.env_lower.subspan(g * cols_.length, cols_.length),
+        cols_.env_upper.subspan(g * cols_.length, cols_.length)};
   }
   /// Keogh envelope of group g's centroid, precomputed at Pack time with
   /// band half-width centroid_envelope_window(). Backs the reversed
@@ -158,74 +150,37 @@ class GroupStore {
   /// construction. Stored unconstrained (window < 0), it stays admissible
   /// for every query window (see EnvelopeWindowCovers in kernels.h).
   EnvelopeView centroid_envelope(std::size_t g) const {
-    return EnvelopeView{cent_env_lower_span().subspan(g * length_, length_),
-                        cent_env_upper_span().subspan(g * length_, length_)};
+    return EnvelopeView{
+        cols_.cent_env_lower.subspan(g * cols_.length, cols_.length),
+        cols_.cent_env_upper.subspan(g * cols_.length, cols_.length)};
   }
   /// Band half-width the centroid envelopes were computed with (negative =
   /// unconstrained). Callers must check EnvelopeWindowCovers against their
   /// query window before using centroid_envelope() as a bound.
-  int centroid_envelope_window() const { return cent_env_window_; }
+  int centroid_envelope_window() const { return cols_.cent_env_window; }
 
   std::span<const SubseqRef> members(std::size_t g) const {
-    const std::span<const std::size_t> offs = offsets_span();
-    return members_span().subspan(offs[g], offs[g + 1] - offs[g]);
+    return cols_.members.subspan(cols_.member_offsets[g], group_size(g));
   }
   std::size_t group_size(std::size_t g) const {
-    const std::span<const std::size_t> offs = offsets_span();
-    return offs[g + 1] - offs[g];
+    return cols_.member_offsets[g + 1] - cols_.member_offsets[g];
   }
 
   /// The whole centroid matrix (num_groups x length, row-major); benches
   /// and kernels that want one linear pass read it directly.
-  std::span<const double> centroid_matrix() const { return centroids_span(); }
+  std::span<const double> centroid_matrix() const { return cols_.centroids; }
 
   /// Payload bytes of this store: centroid + envelope matrices, member
-  /// arena and offset table. Deterministic for a given base (element counts,
-  /// not allocator capacities — identical for owned and borrowed flavors),
+  /// arena and offset table. Deterministic for a given base (element
+  /// counts, not allocator capacities — the same whatever the pin holds),
   /// so the engine's LRU cache can budget prepared bases reproducibly
-  /// (DESIGN.md §11); the registry accounts a borrowed store's bytes as
+  /// (DESIGN.md §11); the registry accounts a mapped base's bytes as
   /// mapped, not resident.
   std::size_t MemoryUsage() const;
 
  private:
-  std::span<const double> centroids_span() const {
-    return borrowed_ ? cols_.centroids : std::span<const double>(centroids_);
-  }
-  std::span<const double> env_lower_span() const {
-    return borrowed_ ? cols_.env_lower : std::span<const double>(env_lower_);
-  }
-  std::span<const double> env_upper_span() const {
-    return borrowed_ ? cols_.env_upper : std::span<const double>(env_upper_);
-  }
-  std::span<const double> cent_env_lower_span() const {
-    return borrowed_ ? cols_.cent_env_lower
-                     : std::span<const double>(cent_env_lower_);
-  }
-  std::span<const double> cent_env_upper_span() const {
-    return borrowed_ ? cols_.cent_env_upper
-                     : std::span<const double>(cent_env_upper_);
-  }
-  std::span<const SubseqRef> members_span() const {
-    return borrowed_ ? cols_.members
-                     : std::span<const SubseqRef>(member_arena_);
-  }
-  std::span<const std::size_t> offsets_span() const {
-    return borrowed_ ? cols_.member_offsets
-                     : std::span<const std::size_t>(member_offsets_);
-  }
-
-  std::size_t length_ = 0;
-  std::vector<double> centroids_;
-  std::vector<double> env_lower_;
-  std::vector<double> env_upper_;
-  std::vector<double> cent_env_lower_;
-  std::vector<double> cent_env_upper_;
-  int cent_env_window_ = -1;  ///< Unconstrained: admissible for any window.
-  std::vector<SubseqRef> member_arena_;
-  std::vector<std::size_t> member_offsets_;  ///< num_groups + 1 entries.
-  /// Borrowed flavor: spans over external storage; the vectors stay empty.
-  bool borrowed_ = false;
   Columns cols_;
+  std::shared_ptr<const void> pin_;  ///< Owns the bytes cols_ points into.
 };
 
 }  // namespace onex

@@ -250,7 +250,7 @@ Result<OnexBase> OnexBase::Assemble(std::shared_ptr<const Dataset> dataset,
 Result<OnexBase> OnexBase::FromStores(
     std::shared_ptr<const Dataset> dataset, const BaseBuildOptions& options,
     std::vector<std::shared_ptr<const GroupStore>> stores,
-    std::size_t repaired_members, std::shared_ptr<const void> storage) {
+    std::size_t repaired_members) {
   std::vector<LengthClass> classes;
   classes.reserve(stores.size());
   for (std::shared_ptr<const GroupStore>& store : stores) {
@@ -267,13 +267,9 @@ Result<OnexBase> OnexBase::FromStores(
     cls.total_members = cls.store->total_members();
     classes.push_back(std::move(cls));
   }
-  ONEX_ASSIGN_OR_RETURN(
-      OnexBase base,
-      Assemble(std::move(dataset), options, std::move(classes),
-               repaired_members, /*centroids_exact=*/false,
-               /*build_seconds=*/0.0));
-  base.storage_ = std::move(storage);
-  return base;
+  return Assemble(std::move(dataset), options, std::move(classes),
+                  repaired_members, /*centroids_exact=*/false,
+                  /*build_seconds=*/0.0);
 }
 
 std::size_t OnexBase::MemoryUsage() const {

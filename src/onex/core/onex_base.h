@@ -138,13 +138,12 @@ class OnexBase {
   /// load path (arena_layout.h), which carries centroids and envelopes
   /// verbatim and so must NOT go through Restore's recompute. Stores must be
   /// non-null, non-empty, strictly increasing in length, with members the
-  /// caller has validated against `dataset` (the arena parser does). When
-  /// the stores borrow external bytes (an mmap'd arena), `storage` keeps
-  /// those bytes alive for the base's whole lifetime.
+  /// caller has validated against `dataset` (the arena parser does). Each
+  /// store pins its own bytes, so the base holds nothing else to keep them.
   static Result<OnexBase> FromStores(
       std::shared_ptr<const Dataset> dataset, const BaseBuildOptions& options,
       std::vector<std::shared_ptr<const GroupStore>> stores,
-      std::size_t repaired_members, std::shared_ptr<const void> storage);
+      std::size_t repaired_members);
 
   const Dataset& dataset() const { return *dataset_; }
   std::shared_ptr<const Dataset> shared_dataset() const { return dataset_; }
@@ -166,10 +165,6 @@ class OnexBase {
   /// the shared dataset is excluded — the budget bounds what grouping adds.
   std::size_t MemoryUsage() const;
 
-  /// Non-null when this base serves out of borrowed storage (FromStores
-  /// over an mmap'd arena): the handle pinning the mapped bytes.
-  const std::shared_ptr<const void>& storage() const { return storage_; }
-
   /// True when every group is exactly what Restore would recompute from its
   /// members (the member mean, or the leader under kFixedLeader) and every
   /// class carries its group_outliers. Writes produce such bases, so the
@@ -186,10 +181,6 @@ class OnexBase {
   BaseBuildOptions options_;
   BaseStats stats_;
   std::vector<LengthClass> classes_;  ///< Sorted by length ascending.
-  /// Keepalive for borrowed group-store columns (null for owned bases).
-  /// Destruction order vs classes_ is irrelevant: stores never dereference
-  /// their borrowed spans while being destroyed.
-  std::shared_ptr<const void> storage_;
   bool centroids_exact_ = false;
 };
 

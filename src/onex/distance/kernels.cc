@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -591,23 +589,10 @@ const DistanceKernel& BestSimdTable() {
 }
 
 const DistanceKernel* ResolveTable(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kScalar:
-      return &kScalarTable;
-    case KernelMode::kSimd:
-      return &BestSimdTable();
-    case KernelMode::kAuto:
-    default:
-      break;
-  }
-  if (const char* env = std::getenv("ONEX_KERNELS"); env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) return &kScalarTable;
-    if (std::strcmp(env, "simd") == 0) return &BestSimdTable();
-  }
-  return &BestSimdTable();
+  return mode == KernelMode::kScalar ? &kScalarTable : &BestSimdTable();
 }
 
-std::atomic<int> g_mode{static_cast<int>(KernelMode::kAuto)};
+std::atomic<int> g_mode{static_cast<int>(KernelMode::kSimd)};
 std::atomic<const DistanceKernel*> g_active{nullptr};
 
 }  // namespace
@@ -635,8 +620,8 @@ const DistanceKernel& PortableSimdKernel() { return kSimdTable; }
 const DistanceKernel& ActiveKernel() {
   const DistanceKernel* k = g_active.load(std::memory_order_acquire);
   if (k == nullptr) {
-    // First use: resolve from the mode (and environment). Racing threads
-    // compute the same pointer, so the double store is benign.
+    // First use: resolve from the mode. Racing threads compute the same
+    // pointer, so the double store is benign.
     k = ResolveTable(GetKernelMode());
     g_active.store(k, std::memory_order_release);
   }

@@ -109,12 +109,11 @@ struct DistanceKernel {
                       DtwWorkspace* ws);
 };
 
-/// Which kernel table the process uses. kAuto picks the widest variant the
-/// CPU supports (AVX2+FMA where available, the portable vectorized build
-/// otherwise); kScalar / kSimd force a table, which is how the kernel
-/// sweep bench and the crosscheck tests compare variants. The environment
-/// variable ONEX_KERNELS=scalar|simd overrides the initial mode.
-enum class KernelMode { kAuto = 0, kScalar = 1, kSimd = 2 };
+/// Which kernel table the process uses. kSimd, the default, picks the
+/// widest variant the CPU supports (AVX2+FMA where available, the portable
+/// vectorized build otherwise); kScalar forces the reference table, which
+/// is how the kernel sweep bench and the crosscheck tests compare variants.
+enum class KernelMode { kScalar = 1, kSimd = 2 };
 
 /// Process-wide mode switch; safe to call at any time (atomic pointer
 /// swap), though mixing modes mid-query is only something tests do.

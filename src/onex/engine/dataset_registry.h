@@ -39,10 +39,11 @@ struct PreparedDataset {
   std::shared_ptr<const OnexBase> base;
   BaseBuildOptions build_options;
   /// Non-null when `base` serves out of an mmap'd ONEXARENA checkpoint (the
-  /// mapped tier, DESIGN.md §17). The base itself also pins the mapping, so
-  /// this handle is tier bookkeeping, not a lifetime requirement. Every
-  /// mutation writer (snapshot_ops) clears it: a mutated snapshot owns its
-  /// storage again — copy-on-write promotion back to the resident tier.
+  /// mapped tier, DESIGN.md §17). Each of the base's stores pins the
+  /// mapping itself, so this handle is tier bookkeeping, not a lifetime
+  /// requirement. Every mutation writer (snapshot_ops) clears it: the first
+  /// write recomputes every class into heap stores — copy-on-write
+  /// promotion back to the resident tier.
   std::shared_ptr<const ArenaMapping> arena;
 
   bool prepared() const { return base != nullptr; }
@@ -436,8 +437,8 @@ class DatasetRegistry {
 
   /// The mapped-tier downgrade (DESIGN.md §17) shared by Demote and
   /// EvictOverBudget: maps the slot's newest arena checkpoint and swaps in
-  /// a snapshot whose base borrows the mapping, moving the slot's bytes
-  /// from the resident to the mapped gauge. Caller holds the slot's
+  /// a snapshot whose stores serve out of the mapping, moving the slot's
+  /// bytes from the resident to the mapped gauge. Caller holds the slot's
   /// exclusive lock (NOT map_mutex_ — the map+parse does file I/O). Returns
   /// false, leaving the slot untouched, when it is pinned, not resident,
   /// has no journal or a dirty WAL, or the map/parse failed.

@@ -112,8 +112,9 @@ Status Engine::SavePrepared(const std::string& name,
 }
 
 Status Engine::LoadPrepared(const std::string& name, const std::string& path) {
-  // Materialized, never mapped: LOADBASE adopts a foreign file, which must
-  // not stay mapped after its path changes or disappears.
+  // Read into memory, never mapped: LOADBASE adopts a foreign file, which
+  // may change or disappear once the read returns. The stores pin the
+  // buffer they were read into, not the file.
   ONEX_ASSIGN_OR_RETURN(PreparedDataset loaded,
                         ReadCheckpointFile(path, name));
   return registry_.Adopt(

@@ -150,7 +150,9 @@ class Engine {
   /// Loads a dataset persisted by SavePrepared (or any checkpoint file) and
   /// registers it as `name` (AlreadyExists on collision). The dataset
   /// arrives prepared and bit-identical to the one saved, raw values
-  /// included.
+  /// included. The file is read into one heap buffer that its stores pin,
+  /// so it serves from the resident tier and the file may change or go
+  /// once this returns.
   Status LoadPrepared(const std::string& name, const std::string& path);
 
   /// Best match for the query across the prepared base (Similarity View).

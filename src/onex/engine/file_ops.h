@@ -36,9 +36,10 @@ struct DirEntry {
 /// Every call the durability layer makes that changes the disk or maps it
 /// (DESIGN.md §13), so a test can record their order or make one fail.
 /// PosixFiles() is the production implementation; a test passes its own
-/// through DurabilityOptions::files. Reads (a WAL scan, a materialized
-/// checkpoint read) call the kernel directly: they change nothing a crash
-/// could lose.
+/// through DurabilityOptions::files. Reads (a WAL scan, a checkpoint read
+/// into memory) call the kernel directly: they change nothing a crash
+/// could lose. A mapping goes through Map, because the stores it serves
+/// pin it past the call.
 class FileOps {
  public:
   FileOps() = default;

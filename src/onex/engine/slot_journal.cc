@@ -199,22 +199,19 @@ Status SlotJournal::Replay(const WalScan& scan,
     start = 1;
     last_ckpt_seq_.store(floor.checkpoint_seq);
     last_seq_.store(floor.seq);
-    if (scan.records.size() == 1) {
-      // The log is just the rotation marker: the checkpoint IS the state,
-      // so serve it from the mapping — cold start pays a page-in per
-      // touched page instead of materializing every dataset up front. An
-      // unmappable checkpoint falls back to the materialized read below;
-      // corruption surfaces there as usual.
-      if (Result<PreparedDataset> mapped = MapCheckpoint(); mapped.ok()) {
-        snap = std::make_shared<const PreparedDataset>(*std::move(mapped));
-      }
+    // Serve the checkpoint from its mapping: cold start pays a page-in per
+    // touched page instead of reading every dataset up front. Records after
+    // the marker replay on top, and the first of them recomputes every
+    // class into heap stores, as a live write onto a mapped slot does. An
+    // unmappable checkpoint falls back to the heap read; corruption
+    // surfaces there as usual.
+    Result<PreparedDataset> floor_state = MapCheckpoint();
+    if (!floor_state.ok()) {
+      floor_state =
+          ReadCheckpointFile(CheckpointPath(floor.checkpoint_seq), name_);
     }
-    if (snap == nullptr) {
-      ONEX_ASSIGN_OR_RETURN(
-          PreparedDataset from_ckpt,
-          ReadCheckpointFile(CheckpointPath(floor.checkpoint_seq), name_));
-      snap = std::make_shared<const PreparedDataset>(std::move(from_ckpt));
-    }
+    if (!floor_state.ok()) return floor_state.status();
+    snap = std::make_shared<const PreparedDataset>(*std::move(floor_state));
   }
   for (std::size_t i = start; i < scan.records.size(); ++i) {
     const WalRecord& rec = scan.records[i];

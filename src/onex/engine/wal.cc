@@ -533,12 +533,16 @@ Status WalWriter::Append(const WalRecord& record) {
   return Write(line);
 }
 
-/// Snapshot fields shared by the materialized and mapped arena load paths.
-/// The authoritative dataset name is the caller's (WAL header / slot), not
-/// the one stored in the arena.
-static PreparedDataset AssembleArenaSnapshot(const ArenaView& view,
-                                             RealizedArena realized,
-                                             const std::string& name) {
+/// A snapshot realized from an arena buffer, shared by the mapped and
+/// heap read paths: every store serves its columns out of `bytes` and
+/// holds `pin`, their owner. The authoritative dataset name is the
+/// caller's (WAL header / slot), not the one stored in the arena.
+static Result<PreparedDataset> RealizeCheckpoint(
+    std::span<const std::byte> bytes, std::shared_ptr<const void> pin,
+    const std::string& name) {
+  ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(bytes));
+  ONEX_ASSIGN_OR_RETURN(RealizedArena realized,
+                        RealizeArena(view, std::move(pin)));
   PreparedDataset ds;
   ds.name = name;
   ds.raw = std::move(realized.raw);
@@ -569,7 +573,7 @@ Status WriteCheckpointFile(const PreparedDataset& ds, const std::string& path,
 
 Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
                                            const std::string& name) {
-  std::string content;
+  auto content = std::make_shared<std::string>();
   {
     // A directory opens as a stream whose end lies at INT64_MAX; only a
     // regular file may size the buffer.
@@ -583,18 +587,14 @@ Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
     }
     const std::streamsize size = in.tellg();
     in.seekg(0);
-    content.resize(static_cast<std::size_t>(size));
-    if (!in.read(content.data(), size)) {
+    content->resize(static_cast<std::size_t>(size));
+    if (!in.read(content->data(), size)) {
       return Status::IoError("cannot read checkpoint '" + path + "'");
     }
   }
-  // Parse + deep-copy into owned storage (the materialized path;
-  // MapCheckpointFile is the zero-copy sibling).
   const auto bytes =
-      std::as_bytes(std::span<const char>(content.data(), content.size()));
-  ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(bytes));
-  ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, nullptr));
-  return AssembleArenaSnapshot(view, std::move(realized), name);
+      std::as_bytes(std::span<const char>(content->data(), content->size()));
+  return RealizeCheckpoint(bytes, std::move(content), name);
 }
 
 Result<PreparedDataset> MapCheckpointFile(FileOps& files,
@@ -602,9 +602,8 @@ Result<PreparedDataset> MapCheckpointFile(FileOps& files,
                                           const std::string& name) {
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const ArenaMapping> mapping,
                         files.Map(path));
-  ONEX_ASSIGN_OR_RETURN(ArenaView view, ParseArena(mapping->bytes()));
-  ONEX_ASSIGN_OR_RETURN(RealizedArena realized, RealizeArena(view, mapping));
-  PreparedDataset ds = AssembleArenaSnapshot(view, std::move(realized), name);
+  ONEX_ASSIGN_OR_RETURN(PreparedDataset ds,
+                        RealizeCheckpoint(mapping->bytes(), mapping, name));
   ds.arena = std::move(mapping);
   return ds;
 }

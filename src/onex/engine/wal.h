@@ -182,18 +182,20 @@ class WalWriter {
 /// (the mapped tier, DESIGN.md §17), not just replayed. Encode → read is
 /// exact: the file decodes to the bits it was written from.
 /// WriteCheckpointFile writes a temp file and renames it over `path`, so a
-/// failed write never leaves a torn file behind. ReadCheckpointFile
-/// deep-copies into owned storage; nothing stays mapped.
+/// failed write never leaves a torn file behind. ReadCheckpointFile reads
+/// the file into one heap buffer and realizes it as a mapping is realized:
+/// the stores serve their columns out of that buffer and pin it, so the
+/// file itself can change or go once the read returns.
 Status WriteCheckpointFile(const PreparedDataset& ds, const std::string& path,
                            bool sync);
 Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
                                            const std::string& name);
 
 /// Maps an arena checkpoint read-only through `files` and assembles a
-/// snapshot whose base borrows the mapping (PreparedDataset::arena set,
-/// storage pinned via the base's keepalive). When the map or parse fails,
-/// recovery falls back to ReadCheckpointFile and a demote or eviction keeps
-/// the base resident.
+/// snapshot whose stores serve out of the mapping and pin it
+/// (PreparedDataset::arena set: the mapped tier). When the map or parse
+/// fails, recovery falls back to ReadCheckpointFile and a demote or
+/// eviction keeps the base resident.
 Result<PreparedDataset> MapCheckpointFile(FileOps& files,
                                           const std::string& path,
                                           const std::string& name);

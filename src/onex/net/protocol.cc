@@ -886,16 +886,14 @@ Result<json::Value> DoTier(Engine* engine, Session* session,
   if (ctx.opt.Flag("demote")) {
     ONEX_RETURN_IF_ERROR(engine->registry().Demote(name));
   }
-  ONEX_ASSIGN_OR_RETURN(std::string tier, engine->registry().Tier(name));
+  // One row, read under one lock: tier, pin and mapped bytes agree.
+  ONEX_ASSIGN_OR_RETURN(DatasetSlotInfo info,
+                        engine->registry().Describe(name));
   json::Value v = Ok();
   v.Set("dataset", name);
-  v.Set("tier", tier);
-  for (const DatasetSlotInfo& info : engine->registry().Describe()) {
-    if (info.name != name) continue;
-    v.Set("pinned", info.pinned);
-    v.Set("mapped_bytes", info.mapped_bytes);
-    break;
-  }
+  v.Set("tier", info.tier);
+  v.Set("pinned", info.pinned);
+  v.Set("mapped_bytes", info.mapped_bytes);
   return v;
 }
 

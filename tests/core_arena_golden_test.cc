@@ -2,11 +2,12 @@
 /// (core/arena_layout.h): byte-stable encoding (same inputs -> same bytes,
 /// across independent builds and across an encode/parse/realize/encode round
 /// trip), exact value round trips (the realized base serves the very same
-/// bits, borrowed off a mapping or deep-copied), and corruption robustness —
-/// every truncation prefix and 400 rounds of random byte flips must surface
-/// as clean structured errors or realize into a base that still satisfies
-/// its invariants, never UB. ONEXARENA is the one on-disk form of a prepared
-/// dataset (checkpoints, SAVEBASE, LOADBASE); runs under ASan in CI.
+/// bits, in place out of the buffer its stores pin), and corruption
+/// robustness — every truncation prefix and 400 rounds of random byte flips
+/// must surface as clean structured errors or realize into a base that
+/// still satisfies its invariants, never UB. ONEXARENA is the one on-disk
+/// form of a prepared dataset (checkpoints, SAVEBASE, LOADBASE); runs under
+/// ASan in CI.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -84,13 +85,12 @@ std::span<const std::byte> AsBytes(const std::string& s) {
   return std::as_bytes(std::span<const char>(s.data(), s.size()));
 }
 
-/// Parse + realize in one step; materialized (owned storage) unless a
-/// keepalive is given, in which case the stores borrow the buffer.
-Result<RealizedArena> Realize(const std::string& bytes,
-                              std::shared_ptr<const void> keepalive) {
-  Result<ArenaView> view = ParseArena(AsBytes(bytes));
+/// Parse + realize in one step. The stores serve out of `buffer` and pin
+/// it, as they pin a mapping or a checkpoint file read into memory.
+Result<RealizedArena> Realize(std::shared_ptr<const std::string> buffer) {
+  Result<ArenaView> view = ParseArena(AsBytes(*buffer));
   if (!view.ok()) return view.status();
-  return RealizeArena(*view, std::move(keepalive));
+  return RealizeArena(*view, std::move(buffer));
 }
 
 /// Structural invariants any successfully realized base must satisfy no
@@ -177,7 +177,8 @@ TEST(ArenaGoldenTest, EncodeParseRealizeReencodeIsByteStable) {
   for (const GoldenPrepared& golden : {BuildGolden(), BuildQuotedNames()}) {
     SCOPED_TRACE(golden.raw.name());
     const std::string bytes = Encode(golden);
-    Result<RealizedArena> realized = Realize(bytes, nullptr);
+    Result<RealizedArena> realized =
+        Realize(std::make_shared<const std::string>(bytes));
     ASSERT_TRUE(realized.ok()) << realized.status().ToString();
     CheckInvariants(*realized);
     ExpectBitIdentical(*realized->base, *golden.base);
@@ -203,11 +204,10 @@ TEST(ArenaGoldenTest, EncodeParseRealizeReencodeIsByteStable) {
 TEST(ArenaGoldenTest, BorrowedRealizeServesTheBufferAndPinsIt) {
   const GoldenPrepared golden = BuildGolden();
   auto buffer = std::make_shared<std::string>(Encode(golden));
-  Result<RealizedArena> realized = Realize(*buffer, buffer);
+  Result<RealizedArena> realized = Realize(buffer);
   ASSERT_TRUE(realized.ok()) << realized.status().ToString();
   for (const LengthClass& cls : realized->base->length_classes()) {
-    EXPECT_TRUE(cls.store->borrowed());
-    // Borrowed spans point into the buffer, not at copies.
+    // The spans point into the buffer, not at copies.
     const double* centroid_data = cls.store->centroid(0).data();
     const char* begin = buffer->data();
     const char* end = begin + buffer->size();
@@ -215,8 +215,8 @@ TEST(ArenaGoldenTest, BorrowedRealizeServesTheBufferAndPinsIt) {
     EXPECT_LT(reinterpret_cast<const char*>(centroid_data), end);
   }
   ExpectBitIdentical(*realized->base, *golden.base);
-  // The base holds the keepalive: dropping our reference must not free the
-  // bytes the stores borrow (ASan proves the negative).
+  // Every store holds the pin: dropping our reference must not free the
+  // bytes the stores serve (ASan proves the negative).
   std::shared_ptr<const OnexBase> base = realized->base;
   realized = Status::Internal("released");
   buffer.reset();
@@ -225,17 +225,6 @@ TEST(ArenaGoldenTest, BorrowedRealizeServesTheBufferAndPinsIt) {
     for (const double v : cls.store->centroid(0)) sum += v;
   }
   EXPECT_TRUE(sum == sum);  // touched every borrowed byte; no report = pass
-}
-
-TEST(ArenaGoldenTest, MaterializedRealizeOwnsItsStorage) {
-  const std::string bytes = Encode(BuildGolden());
-  Result<RealizedArena> realized = Realize(bytes, nullptr);
-  ASSERT_TRUE(realized.ok()) << realized.status().ToString();
-  for (const LengthClass& cls : realized->base->length_classes()) {
-    EXPECT_FALSE(cls.store->borrowed());
-    const char* p = reinterpret_cast<const char*>(cls.store->centroid(0).data());
-    EXPECT_TRUE(p < bytes.data() || p >= bytes.data() + bytes.size());
-  }
 }
 
 TEST(ArenaGoldenTest, EveryTruncationPrefixIsRejected) {
@@ -268,7 +257,8 @@ TEST(ArenaGoldenTest, RandomByteFlipsAreRejectedOrInvariantChecked) {
         corrupt[off] = next;
       }
     }
-    Result<RealizedArena> realized = Realize(corrupt, nullptr);
+    Result<RealizedArena> realized =
+        Realize(std::make_shared<const std::string>(corrupt));
     if (realized.ok()) {
       CheckInvariants(*realized);
       ++still_valid;

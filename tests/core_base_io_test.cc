@@ -10,18 +10,25 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "onex/common/string_utils.h"
 #include "onex/core/arena_layout.h"
 #include "onex/core/onex_base.h"
 #include "onex/core/query_processor.h"
 #include "onex/distance/euclidean.h"
 #include "onex/engine/dataset_registry.h"
+#include "onex/engine/engine.h"
+#include "onex/engine/file_ops.h"
+#include "onex/engine/snapshot_ops.h"
 #include "onex/engine/wal.h"
 #include "onex/gen/generators.h"
 #include "onex/ts/normalization.h"
@@ -72,11 +79,13 @@ std::string Save(const Prepared& p) {
   return *std::move(bytes);
 }
 
+/// Parses a copy of `bytes` and realizes it; the stores pin the copy.
 Result<RealizedArena> Load(const std::string& bytes) {
+  auto buffer = std::make_shared<const std::string>(bytes);
   Result<ArenaView> view = ParseArena(
-      std::as_bytes(std::span<const char>(bytes.data(), bytes.size())));
+      std::as_bytes(std::span<const char>(buffer->data(), buffer->size())));
   if (!view.ok()) return view.status();
-  return RealizeArena(*view, nullptr);
+  return RealizeArena(*view, std::move(buffer));
 }
 
 void ExpectBasesEquivalent(const OnexBase& a, const OnexBase& b) {
@@ -205,6 +214,107 @@ TEST(BaseIoTest, FileRoundTrip) {
     EXPECT_EQ(p.raw[s].values(), (*back->raw)[s].values()) << "series " << s;
   }
   std::remove(path.c_str());
+}
+
+/// Every column of `store` — matrices, members and group sizes — in one
+/// vector, so two reads can be compared.
+std::vector<double> ReadColumns(const GroupStore& store) {
+  std::vector<double> out;
+  const auto append = [&out](std::span<const double> row) {
+    out.insert(out.end(), row.begin(), row.end());
+  };
+  for (std::size_t g = 0; g < store.num_groups(); ++g) {
+    append(store.centroid(g));
+    append(store.envelope(g).lower);
+    append(store.envelope(g).upper);
+    append(store.centroid_envelope(g).lower);
+    append(store.centroid_envelope(g).upper);
+    out.push_back(static_cast<double>(store.group_size(g)));
+    for (const SubseqRef& ref : store.members(g)) {
+      out.push_back(static_cast<double>(ref.series));
+      out.push_back(static_cast<double>(ref.start));
+      out.push_back(static_cast<double>(ref.length));
+    }
+  }
+  append(store.centroid_matrix());
+  return out;
+}
+
+/// A store pins the bytes it reads. Stores copied out of a mapped, a read
+/// and a written snapshot serve every column after the snapshot, its base
+/// and the file are gone.
+TEST(BaseIoTest, AStoreOutlivesItsBase) {
+  const std::string path =
+      ::testing::TempDir() + "/onex_store_outlives.onexarena";
+  ASSERT_TRUE(
+      WriteCheckpointFile(AsPrepared(MakeSines()), path, /*sync=*/false).ok());
+  const auto written = [&]() -> Result<PreparedDataset> {
+    ONEX_ASSIGN_OR_RETURN(PreparedDataset read, ReadCheckpointFile(path, "w"));
+    const std::vector<SeriesExtension> ext = {{0, {0.3, 0.6}}, {2, {0.1}}};
+    ONEX_ASSIGN_OR_RETURN(ExtendOutcome outcome, ApplyExtend(read, ext));
+    return *outcome.snapshot;
+  };
+  const std::vector<
+      std::pair<std::string, std::function<Result<PreparedDataset>()>>>
+      sources = {
+          {"mapped",
+           [&] { return MapCheckpointFile(PosixFiles(), path, "m"); }},
+          {"read", [&] { return ReadCheckpointFile(path, "r"); }},
+          {"written", written}};
+  std::vector<std::shared_ptr<const GroupStore>> stores;
+  std::vector<std::vector<double>> want;
+  for (const auto& [kind, load] : sources) {
+    Result<PreparedDataset> snapshot = load();
+    ASSERT_TRUE(snapshot.ok()) << kind << ": " << snapshot.status();
+    EXPECT_EQ(snapshot->mapped(), kind == "mapped");
+    for (const LengthClass& cls : snapshot->base->length_classes()) {
+      stores.push_back(cls.store);
+      want.push_back(ReadColumns(*cls.store));
+    }
+  }  // every snapshot, base and mapping handle but the stores' is gone
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  for (std::size_t i = 0; i < stores.size(); ++i) {
+    EXPECT_EQ(ReadColumns(*stores[i]), want[i]) << "store " << i;
+  }
+}
+
+/// LOADBASE reads the file into memory: once it returns, the file can be
+/// overwritten and deleted, and the loaded slot answers as before.
+TEST(BaseIoTest, LoadedBaseOutlivesItsFile) {
+  const std::string path =
+      ::testing::TempDir() + "/onex_loadbase_outlives.onexarena";
+  Engine engine;
+  ASSERT_TRUE(engine.LoadDataset("s", MakeSines().raw).ok());
+  ASSERT_TRUE(engine.Prepare("s", BaseBuildOptions{}).ok());
+  ASSERT_TRUE(engine.SavePrepared("s", path).ok());
+  ASSERT_TRUE(engine.LoadPrepared("b", path).ok());
+  const auto answers = [&engine] {
+    std::string out;
+    for (std::size_t series = 0; series < 4; ++series) {
+      QuerySpec q;
+      q.series = series;
+      q.start = 1 + series;
+      q.length = 6 + series;
+      Result<std::vector<MatchResult>> knn = engine.Knn("b", q, 3);
+      EXPECT_TRUE(knn.ok()) << knn.status();
+      if (!knn.ok()) continue;
+      for (const MatchResult& m : *knn) {
+        out += StrFormat("%s %zu %a %a\n", m.match.ref.ToString().c_str(),
+                         m.match.group_index, m.match.dtw,
+                         m.match.rep_dtw);
+      }
+    }
+    return out;
+  };
+  const std::string before = answers();
+  ASSERT_FALSE(before.empty());
+  {
+    std::ofstream clobber(path, std::ios::binary | std::ios::trunc);
+    clobber << std::string(4096, 'x');
+  }
+  EXPECT_EQ(answers(), before) << "the loaded slot read its file again";
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  EXPECT_EQ(answers(), before) << "the loaded slot read its file again";
 }
 
 TEST(BaseIoTest, MissingFileFails) {

@@ -310,20 +310,29 @@ TEST(IncrementalDeltaTest, FirstWriteAfterArenaLoadRecomputesEveryGroup) {
   Result<ArenaView> view = ParseArena(
       std::as_bytes(std::span<const char>(bytes->data(), bytes->size())));
   ASSERT_TRUE(view.ok()) << view.status();
-  for (const bool mapped : {false, true}) {
-    Result<RealizedArena> loaded =
-        RealizeArena(*view, mapped ? bytes : nullptr);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    const OnexBase& base = *loaded->base;
-    EXPECT_FALSE(base.centroids_exact());
-    const std::vector<double> points = {0.5};
-    Result<ExtendResult> next = ExtendSeries(base, 6, points);
-    ASSERT_TRUE(next.ok()) << next.status();
-    EXPECT_EQ(next->groups_recomputed, next->base.TotalGroups())
-        << (mapped ? "mapped" : "materialized");
-    EXPECT_TRUE(SharedClasses(base, next->base).empty());
-    for (const LengthClass& cls : next->base.length_classes()) {
-      EXPECT_FALSE(cls.store->borrowed());
+  Result<RealizedArena> loaded = RealizeArena(*view, bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const OnexBase& base = *loaded->base;
+  EXPECT_FALSE(base.centroids_exact());
+  const std::vector<double> points = {0.5};
+  Result<ExtendResult> next = ExtendSeries(base, 6, points);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->groups_recomputed, next->base.TotalGroups());
+  EXPECT_TRUE(SharedClasses(base, next->base).empty());
+  // No span of the written base points into the arena.
+  const auto in_arena = [&](const void* p) {
+    const char* c = static_cast<const char*>(p);
+    return c >= bytes->data() && c < bytes->data() + bytes->size();
+  };
+  for (const LengthClass& cls : next->base.length_classes()) {
+    const GroupStore& store = *cls.store;
+    for (std::size_t g = 0; g < store.num_groups(); ++g) {
+      EXPECT_FALSE(in_arena(store.centroid(g).data()));
+      EXPECT_FALSE(in_arena(store.envelope(g).lower.data()));
+      EXPECT_FALSE(in_arena(store.envelope(g).upper.data()));
+      EXPECT_FALSE(in_arena(store.centroid_envelope(g).lower.data()));
+      EXPECT_FALSE(in_arena(store.centroid_envelope(g).upper.data()));
+      EXPECT_FALSE(in_arena(store.members(g).data()));
     }
   }
 }

@@ -348,10 +348,7 @@ TEST(KernelDispatchTest, ModeSwitchSelectsTheRequestedTable) {
   EXPECT_STREQ(ActiveKernel().name, ScalarKernel().name);
   SetKernelMode(KernelMode::kSimd);
   EXPECT_EQ(GetKernelMode(), KernelMode::kSimd);
-  EXPECT_STREQ(ActiveKernel().name, SimdKernel().name);
-  SetKernelMode(KernelMode::kAuto);
-  EXPECT_EQ(GetKernelMode(), KernelMode::kAuto);
-  // Auto picks the widest table, which is exactly SimdKernel().
+  // kSimd picks the widest table, which is exactly SimdKernel().
   EXPECT_STREQ(ActiveKernel().name, SimdKernel().name);
   SetKernelMode(before);
 }

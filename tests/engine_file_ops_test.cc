@@ -357,6 +357,29 @@ TEST(EngineFileOps, RotationWhoseDirectorySyncFailsLatchesFailStop) {
   EXPECT_EQ(rig.AnswersAfterRestart(), acked);
 }
 
+/// Records follow the checkpoint marker: recovery still maps the
+/// checkpoint the marker names and replays the records on top of it. The
+/// first replayed write recomputes every class into heap stores, so the
+/// slot comes back resident with the live answers.
+TEST(EngineFileOps, RecoveryMapsTheCheckpointUnderARecordTail) {
+  RotationRig rig("map_tail");
+  Result<CheckpointInfo> ckpt = rig.engine->registry().Checkpoint("A");
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status();
+  ASSERT_TRUE(rig.engine->ExtendSeries("A", 0, {0.3, -0.1}).ok());
+  ASSERT_TRUE(rig.engine->ExtendSeries("A", 2, {0.5}).ok());
+  const std::string live = Answers(rig.engine.get());
+  const std::size_t from = rig.files.log().size();
+
+  EXPECT_EQ(rig.AnswersAfterRestart(), live);
+  const std::vector<std::string> log = rig.files.log();
+  EXPECT_LT(Find(log, from, "map " + ckpt->path), log.size())
+      << "recovery did not map " << ckpt->path;
+  Result<DatasetSlotInfo> row = rig.engine->registry().Describe("A");
+  ASSERT_TRUE(row.ok()) << row.status();
+  EXPECT_EQ(row->tier, "resident");
+  EXPECT_EQ(row->wal_dirty, 2u);
+}
+
 /// A checkpoint of A is still writing its arena when A is dropped and a
 /// new A is born, loaded, prepared and extended. The old checkpoint must
 /// not rotate the new A's directory: its rotation is refused, and after a
