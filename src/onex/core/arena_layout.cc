@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -20,16 +21,18 @@
 namespace onex {
 namespace {
 
-// The arena stores SubseqRef arrays and size_t offset tables verbatim; the
+// The arena stores MemberRef arrays and size_t offset tables verbatim; the
 // format is only defined for the layout every supported target actually has.
 static_assert(sizeof(double) == 8, "arena format assumes 8-byte doubles");
 static_assert(sizeof(std::size_t) == 8, "arena format assumes 64-bit size_t");
-static_assert(sizeof(SubseqRef) == 24 && alignof(SubseqRef) == 8 &&
-                  std::is_trivially_copyable_v<SubseqRef>,
-              "arena format assumes the packed three-word SubseqRef");
+static_assert(sizeof(MemberRef) == 8 && alignof(MemberRef) == 4 &&
+                  std::is_trivially_copyable_v<MemberRef>,
+              "arena format assumes the packed two-field MemberRef");
 
 constexpr char kArenaMagic[8] = {'O', 'N', 'E', 'X', 'A', 'R', 'N', 'A'};
-constexpr std::uint32_t kArenaVersion = 1;
+/// Version 2: each member is an eight-byte (series, start) row whose length
+/// the class line gives. Any other version, 1 included, is refused.
+constexpr std::uint32_t kArenaVersion = 2;
 /// Written on encode, compared on parse: a file produced on a foreign byte
 /// order reads back as 0x04030201 and is rejected instead of misdecoded.
 constexpr std::uint32_t kEndianTag = 0x01020304;
@@ -310,9 +313,8 @@ Result<std::string> EncodeArena(const Dataset& raw, NormalizationKind kind,
   }
   meta += StrFormat("classes %zu\n", base.length_classes().size());
   for (const LengthClass& cls : base.length_classes()) {
-    meta += StrFormat("class %zu %zu %zu %d\n", cls.length,
-                      cls.store->num_groups(), cls.store->total_members(),
-                      cls.store->centroid_envelope_window());
+    meta += StrFormat("class %zu %zu %zu\n", cls.length,
+                      cls.store->num_groups(), cls.store->total_members());
   }
   meta += "end\n";
 
@@ -351,9 +353,9 @@ Result<std::string> EncodeArena(const Dataset& raw, NormalizationKind kind,
       AppendDoubles(&env_hi.bytes, store.envelope(g).upper);
       AppendDoubles(&ce_lo.bytes, store.centroid_envelope(g).lower);
       AppendDoubles(&ce_hi.bytes, store.centroid_envelope(g).upper);
-      const std::span<const SubseqRef> refs = store.members(g);
+      const std::span<const MemberRef> refs = store.members(g).rows();
       members.bytes.append(reinterpret_cast<const char*>(refs.data()),
-                           refs.size() * sizeof(SubseqRef));
+                           refs.size() * sizeof(MemberRef));
       running += refs.size();
       AppendPod64(&offsets.bytes, running);
     }
@@ -575,6 +577,7 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
     view.repaired_members = static_cast<std::size_t>(n);
   }
   std::size_t total_points = 0;
+  std::size_t longest_series = 0;
   {
     ONEX_ASSIGN_OR_RETURN(std::string line, NextLine(meta, "series count"));
     ONEX_ASSIGN_OR_RETURN(std::string rest, ExpectPrefix(line, "series"));
@@ -601,15 +604,17 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
         return Status::ParseError("arena series lengths exceed the file");
       }
       total_points += sm.length;
+      longest_series = std::max(longest_series, sm.length);
       view.series.push_back(std::move(sm));
     }
+    ONEX_RETURN_IF_ERROR(
+        CheckMemberLimits(view.series.size(), longest_series));
   }
 
   struct ClassMeta {
     std::size_t length = 0;
     std::size_t num_groups = 0;
     std::size_t num_members = 0;
-    int cent_env_window = -1;
   };
   std::vector<ClassMeta> class_metas;
   {
@@ -624,13 +629,12 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
       ONEX_ASSIGN_OR_RETURN(std::string cline, NextLine(meta, "class"));
       ONEX_ASSIGN_OR_RETURN(std::string crest, ExpectPrefix(cline, "class"));
       const std::vector<std::string> f = SplitString(crest);
-      if (f.size() != 4) {
-        return Status::ParseError("arena class line needs 4 fields");
+      if (f.size() != 3) {
+        return Status::ParseError("arena class line needs 3 fields");
       }
       ONEX_ASSIGN_OR_RETURN(long long length, ParseInt(f[0]));
       ONEX_ASSIGN_OR_RETURN(long long groups, ParseInt(f[1]));
       ONEX_ASSIGN_OR_RETURN(long long members, ParseInt(f[2]));
-      ONEX_ASSIGN_OR_RETURN(long long window, ParseInt(f[3]));
       if (length < 2 || groups < 1 || members < static_cast<long long>(groups)) {
         return Status::ParseError("invalid arena class header");
       }
@@ -649,8 +653,7 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
       prev_length = static_cast<std::size_t>(length);
       class_metas.push_back({static_cast<std::size_t>(length),
                              static_cast<std::size_t>(groups),
-                             static_cast<std::size_t>(members),
-                             static_cast<int>(window)});
+                             static_cast<std::size_t>(members)});
     }
     ONEX_ASSIGN_OR_RETURN(std::string end_line, NextLine(meta, "end"));
     if (TrimString(end_line) != "end") {
@@ -687,7 +690,6 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
     ArenaClassView cls;
     cls.length = cm.length;
     cls.num_groups = cm.num_groups;
-    cls.cent_env_window = cm.cent_env_window;
 
     std::span<const std::byte> sec;
     ONEX_ASSIGN_OR_RETURN(sec, table.Find(kSecCentroids, index));
@@ -712,7 +714,7 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
         MatrixSection(sec, cm.num_groups, cm.length, "cent_env_upper"));
     ONEX_ASSIGN_OR_RETURN(sec, table.Find(kSecMembers, index));
     ONEX_ASSIGN_OR_RETURN(
-        cls.members, TypedSection<SubseqRef>(sec, cm.num_members, "members"));
+        cls.members, TypedSection<MemberRef>(sec, cm.num_members, "members"));
     ONEX_ASSIGN_OR_RETURN(sec, table.Find(kSecMemberOffsets, index));
     ONEX_ASSIGN_OR_RETURN(cls.member_offsets,
                           TypedSection<std::size_t>(sec, cm.num_groups + 1,
@@ -731,14 +733,14 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
             "arena class %zu offset table is not strictly increasing", c));
       }
     }
-    // Member refs: exact class length, valid series, in-range window.
-    for (const SubseqRef& ref : cls.members) {
-      if (ref.length != cm.length || ref.series >= view.series.size()) {
+    // Member rows: valid series, a class-length window inside it.
+    for (const MemberRef& ref : cls.members) {
+      if (ref.series >= view.series.size()) {
         return Status::ParseError(
             StrFormat("arena class %zu has an out-of-domain member ref", c));
       }
       const std::size_t slen = view.series[ref.series].length;
-      if (ref.start > slen || ref.length > slen - ref.start) {
+      if (ref.start > slen || cm.length > slen - ref.start) {
         return Status::ParseError(
             StrFormat("arena class %zu member ref exceeds its series", c));
       }

@@ -20,8 +20,9 @@ namespace onex {
 /// whose on-disk bytes ARE the in-memory columnar layout. A 64-byte header,
 /// a table of 32-byte section descriptors, then 64-byte-aligned sections
 /// holding exactly what GroupStore/OnexBase hold in RAM — the centroid
-/// matrix, the member-envelope and centroid-envelope matrices, the SubseqRef
-/// arena and its offset table, the raw and normalized series values, and the
+/// matrix, the member-envelope and centroid-envelope matrices, the member
+/// arena (eight-byte MemberRef rows; the class line supplies their length)
+/// and its offset table, the raw and normalized series values, and the
 /// frozen normalization parameters. Everything is addressed by offset, never
 /// by pointer, so an arena can be mmap'd read-only and served in place: a
 /// cold dataset's first query is a page-in, not a rebuild.
@@ -30,7 +31,7 @@ namespace onex {
 /// each section descriptor carries its own FNV over the section's bytes.
 /// ParseArena validates both, plus every structural invariant (counts
 /// cross-checked against section byte sizes before anything is allocated,
-/// member refs bounds-checked against the declared series lengths, offset
+/// member rows bounds-checked against the declared series lengths, offset
 /// tables monotone) — a hostile or truncated file is a structured error,
 /// never UB and never a silently different base.
 

@@ -12,7 +12,7 @@ namespace onex {
 
 void GroupBuilder::Add(const SubseqRef& ref, std::span<const double> values,
                        bool update_centroid) {
-  members_.push_back(ref);
+  members_.push_back(MemberRef::Of(ref));
   if (centroid_.empty()) {
     centroid_.assign(values.begin(), values.end());
   } else if (update_centroid) {
@@ -30,13 +30,13 @@ void GroupBuilder::RecomputeFromMembers(const Dataset& dataset,
   centroid_.assign(length_, 0.0);
   envelope_ = Envelope();
   if (members_.empty()) return;
-  for (const SubseqRef& ref : members_) {
+  for (const SubseqRef& ref : members()) {
     const std::span<const double> vals = ref.Resolve(dataset);
     for (std::size_t i = 0; i < length_; ++i) centroid_[i] += vals[i];
     AccumulateEnvelope(&envelope_, vals);
   }
   if (leader_centroid) {
-    const std::span<const double> leader = members_.front().Resolve(dataset);
+    const std::span<const double> leader = members().front().Resolve(dataset);
     centroid_.assign(leader.begin(), leader.end());
     return;
   }
@@ -50,7 +50,7 @@ std::size_t GroupStore::MemoryUsage() const {
           cols_.env_upper.size() + cols_.cent_env_lower.size() +
           cols_.cent_env_upper.size()) *
              sizeof(double) +
-         cols_.members.size() * sizeof(SubseqRef) +
+         cols_.members.size() * sizeof(MemberRef) +
          cols_.member_offsets.size() * sizeof(std::size_t);
 }
 
@@ -82,11 +82,11 @@ GroupStore GroupStore::Merge(std::size_t length, const GroupStore* prev,
   // table, then the member arena. A new'd byte array is aligned for all
   // three element types, and each column's size keeps the next aligned.
   const std::size_t cells = n * length;
-  static_assert(alignof(SubseqRef) <= alignof(std::size_t));
+  static_assert(alignof(MemberRef) <= alignof(std::size_t));
   std::shared_ptr<std::byte[]> block(
       new std::byte[5 * cells * sizeof(double) +
                     (n + 1) * sizeof(std::size_t) +
-                    total * sizeof(SubseqRef)]);
+                    total * sizeof(MemberRef)]);
   double* const centroids = reinterpret_cast<double*>(block.get());
   double* const env_lower = centroids + cells;
   double* const env_upper = env_lower + cells;
@@ -94,15 +94,11 @@ GroupStore GroupStore::Merge(std::size_t length, const GroupStore* prev,
   double* const cent_env_upper = cent_env_lower + cells;
   auto* const offsets =
       reinterpret_cast<std::size_t*>(cent_env_upper + cells);
-  auto* const members = reinterpret_cast<SubseqRef*>(offsets + n + 1);
+  auto* const members = reinterpret_cast<MemberRef*>(offsets + n + 1);
 
-  Columns cols;
   // Min/max envelopes are exact (no FP reassociation), so a centroid
   // envelope is the same under every kernel table: a copied row equals a
-  // recomputed one whenever both use the same window.
-  const bool copy_cent_env =
-      prev != nullptr &&
-      prev->centroid_envelope_window() == cols.cent_env_window;
+  // recomputed one.
   const DistanceKernel& kernel = ActiveKernel();
   offsets[0] = 0;
   for (std::size_t g = 0; g < n; ++g) {
@@ -113,9 +109,8 @@ GroupStore GroupStore::Merge(std::size_t length, const GroupStore* prev,
     const EnvelopeView env =
         b != nullptr ? EnvelopeView{b->envelope().lower, b->envelope().upper}
                      : prev->envelope(g);
-    const std::span<const SubseqRef> refs =
-        b != nullptr ? std::span<const SubseqRef>(b->members())
-                     : prev->members(g);
+    const std::span<const MemberRef> refs =
+        b != nullptr ? b->members().rows() : prev->members(g).rows();
     std::copy(centroid.begin(), centroid.end(), centroids + row);
     std::copy(env.lower.begin(), env.lower.end(), env_lower + row);
     std::copy(env.upper.begin(), env.upper.end(), env_upper + row);
@@ -124,18 +119,19 @@ GroupStore GroupStore::Merge(std::size_t length, const GroupStore* prev,
 
     // Each centroid's Keogh envelope, unconstrained so it stays admissible
     // for every query window.
-    if (b == nullptr && copy_cent_env) {
+    if (b == nullptr) {
       const EnvelopeView cent_env = prev->centroid_envelope(g);
       std::copy(cent_env.lower.begin(), cent_env.lower.end(),
                 cent_env_lower + row);
       std::copy(cent_env.upper.begin(), cent_env.upper.end(),
                 cent_env_upper + row);
     } else if (length > 0) {
-      kernel.keogh_envelope(centroids + row, length, cols.cent_env_window,
+      kernel.keogh_envelope(centroids + row, length, /*window=*/-1,
                             cent_env_lower + row, cent_env_upper + row);
     }
   }
 
+  Columns cols;
   cols.length = length;
   cols.num_groups = n;
   cols.centroids = {centroids, cells};

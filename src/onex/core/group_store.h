@@ -25,7 +25,7 @@ class GroupBuilder {
   std::size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
 
-  const std::vector<SubseqRef>& members() const { return members_; }
+  MemberView members() const { return MemberView(members_, length_); }
 
   /// The representative: running mean of member values (or the first member
   /// under the fixed-leader policy; see CentroidPolicy).
@@ -37,14 +37,15 @@ class GroupBuilder {
   /// Pointwise min/max over all member values, for group-level LB pruning.
   const Envelope& envelope() const { return envelope_; }
 
-  /// Adds a member. `values` must resolve `ref` against the base's dataset.
-  /// When `update_centroid` is set the centroid moves to the running mean.
+  /// Adds a member. `values` must resolve `ref` against the base's dataset,
+  /// and `ref` must be of this group's length. When `update_centroid` is set
+  /// the centroid moves to the running mean.
   void Add(const SubseqRef& ref, std::span<const double> values,
            bool update_centroid);
 
   /// Replaces the member list (used by the repair pass). Does not touch the
   /// centroid; callers decide whether to recompute.
-  void SetMembers(std::vector<SubseqRef> members) {
+  void SetMembers(std::vector<MemberRef> members) {
     members_ = std::move(members);
   }
 
@@ -62,7 +63,7 @@ class GroupBuilder {
 
  private:
   std::size_t length_;
-  std::vector<SubseqRef> members_;
+  std::vector<MemberRef> members_;
   std::vector<double> centroid_;
   Envelope envelope_;
 };
@@ -76,8 +77,9 @@ class GroupBuilder {
 ///   env_upper       num_groups x length  pointwise member maxima
 ///   cent_env_lower  num_groups x length  Keogh envelope of each centroid
 ///   cent_env_upper  num_groups x length  (precomputed at Pack time)
-///   member arena                         all SubseqRefs back to back, with
-///                                        a num_groups+1 offset table
+///   member arena                         every member's (series, start)
+///                                        MemberRef back to back, with a
+///                                        num_groups+1 offset table
 ///
 /// The query processor's group scan walks the centroid matrix linearly —
 /// one allocation, no pointer chasing, hardware-prefetcher friendly — which
@@ -116,13 +118,12 @@ class GroupStore {
   struct Columns {
     std::size_t length = 0;
     std::size_t num_groups = 0;
-    int cent_env_window = -1;  ///< Unconstrained: admissible for any window.
     std::span<const double> centroids;
     std::span<const double> env_lower;
     std::span<const double> env_upper;
     std::span<const double> cent_env_lower;
     std::span<const double> cent_env_upper;
-    std::span<const SubseqRef> members;
+    std::span<const MemberRef> members;
     std::span<const std::size_t> member_offsets;
   };
 
@@ -143,24 +144,21 @@ class GroupStore {
         cols_.env_lower.subspan(g * cols_.length, cols_.length),
         cols_.env_upper.subspan(g * cols_.length, cols_.length)};
   }
-  /// Keogh envelope of group g's centroid, precomputed at Pack time with
-  /// band half-width centroid_envelope_window(). Backs the reversed
-  /// LB_Keogh stage of the query cascade: the query is scored against the
-  /// candidate-side envelope, so ranking needs no per-group envelope
-  /// construction. Stored unconstrained (window < 0), it stays admissible
-  /// for every query window (see EnvelopeWindowCovers in kernels.h).
+  /// Keogh envelope of group g's centroid, precomputed at Pack time. Backs
+  /// the reversed LB_Keogh stage of the query cascade: the query is scored
+  /// against the candidate-side envelope, so ranking needs no per-group
+  /// envelope construction. Always unconstrained (each column is the
+  /// centroid's [min, max]), so it stays admissible for every query window.
   EnvelopeView centroid_envelope(std::size_t g) const {
     return EnvelopeView{
         cols_.cent_env_lower.subspan(g * cols_.length, cols_.length),
         cols_.cent_env_upper.subspan(g * cols_.length, cols_.length)};
   }
-  /// Band half-width the centroid envelopes were computed with (negative =
-  /// unconstrained). Callers must check EnvelopeWindowCovers against their
-  /// query window before using centroid_envelope() as a bound.
-  int centroid_envelope_window() const { return cols_.cent_env_window; }
-
-  std::span<const SubseqRef> members(std::size_t g) const {
-    return cols_.members.subspan(cols_.member_offsets[g], group_size(g));
+  /// Group g's members, read back as SubseqRefs of the class length.
+  MemberView members(std::size_t g) const {
+    return MemberView(
+        cols_.members.subspan(cols_.member_offsets[g], group_size(g)),
+        cols_.length);
   }
   std::size_t group_size(std::size_t g) const {
     return cols_.member_offsets[g + 1] - cols_.member_offsets[g];

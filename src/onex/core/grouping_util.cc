@@ -49,13 +49,13 @@ std::vector<GroupBuilder> BuildGroupsForLength(const Dataset& ds,
       const bool final_round = round == kRepairRounds - 1;
       std::vector<SubseqRef> evicted;
       for (GroupBuilder& g : groups) {
-        std::vector<SubseqRef> keep;
+        std::vector<MemberRef> keep;
         keep.reserve(g.size());
         for (const SubseqRef& ref : g.members()) {
           const double d =
               NormalizedEuclidean(g.centroid_span(), ref.Resolve(ds));
           if (d <= radius) {
-            keep.push_back(ref);
+            keep.push_back(MemberRef::Of(ref));
           } else {
             evicted.push_back(ref);
           }

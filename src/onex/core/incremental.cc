@@ -19,7 +19,7 @@ namespace onex {
 namespace {
 
 std::size_t CountOutliers(std::span<const double> centroid,
-                          std::span<const SubseqRef> members,
+                          MemberView members,
                           const Dataset& ds, double radius) {
   std::size_t outliers = 0;
   for (const SubseqRef& ref : members) {
@@ -135,7 +135,8 @@ class ClassWrite {
   void Reopen(std::size_t g) {
     const GroupStore& store = *prev_->store;
     GroupBuilder& b = groups_[g].emplace(length_);
-    b.SetMembers({store.members(g).begin(), store.members(g).end()});
+    const std::span<const MemberRef> rows = store.members(g).rows();
+    b.SetMembers({rows.begin(), rows.end()});
     b.SetCentroid(store.centroid(g));
   }
 
@@ -215,6 +216,7 @@ Result<OnexBase> AppendSeries(const OnexBase& base, TimeSeries series) {
   extended.Add(std::move(series));
   auto dataset = std::make_shared<const Dataset>(std::move(extended));
   const Dataset& ds = *dataset;
+  ONEX_RETURN_IF_ERROR(CheckMemberLimits(ds));
 
   // Only classes no longer than the new series gain members.
   const std::size_t max_len =
@@ -291,6 +293,7 @@ Result<ExtendResult> ExtendSeries(
   auto dataset =
       std::make_shared<const Dataset>(ExtendTails(old_ds, pending));
   const Dataset& ds = *dataset;
+  ONEX_RETURN_IF_ERROR(CheckMemberLimits(ds));
 
   // Only classes no longer than the longest extended series gain members.
   const std::size_t max_len =

@@ -96,6 +96,7 @@ Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
     return Status::InvalidArgument("cannot build a base over an empty dataset");
   }
   ONEX_RETURN_IF_ERROR(options.Validate());
+  ONEX_RETURN_IF_ERROR(CheckMemberLimits(*dataset));
 
   const auto t0 = std::chrono::steady_clock::now();
   OnexBase base;
@@ -171,6 +172,7 @@ Result<OnexBase> OnexBase::Restore(std::shared_ptr<const Dataset> dataset,
     return Status::InvalidArgument("cannot restore a base without a dataset");
   }
   ONEX_RETURN_IF_ERROR(options.Validate());
+  ONEX_RETURN_IF_ERROR(CheckMemberLimits(*dataset));
 
   const auto t0 = std::chrono::steady_clock::now();
   const Dataset& ds = *dataset;

@@ -121,13 +121,12 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
       double lb = kim;
       if (e.same_length) {
         lb = std::max(lb, LbKeogh(query_env, cent));
+        // The centroid envelope is unconstrained, so admissible for every
+        // query window.
         const GroupStore& store =
             *base_->length_classes()[e.class_index].store;
-        if (EnvelopeWindowCovers(store.centroid_envelope_window(),
-                                 options.window)) {
-          lb = std::max(
-              lb, LbKeogh(store.centroid_envelope(e.group_index), query));
-        }
+        lb = std::max(lb,
+                      LbKeogh(store.centroid_envelope(e.group_index), query));
       }
       lb_kim_raw[i] = kim;
       lb_raw[i] = lb;
@@ -202,8 +201,7 @@ std::vector<QueryProcessor::RankedGroup> QueryProcessor::RankGroups(
     const double cutoff = options.use_early_abandon ? bar * e.nf : -1.0;
     const std::span<const double> cent = centroid_of(e);
     const GroupStore& store = *base_->length_classes()[e.class_index].store;
-    if (options.use_lower_bounds && options.use_early_abandon &&
-        store.centroid_envelope_window() < 0) {
+    if (options.use_lower_bounds && options.use_early_abandon) {
       // Row-prefix bound at any length (DESIGN.md §7.7), against the
       // centroid's [min, max] — any column of its unconstrained envelope.
       // It floors every cell of the DP's last row, so above the strict
@@ -371,7 +369,7 @@ Result<std::vector<BestMatch>> QueryProcessor::KnnQuery(
     // Refine this group in one pass in member order. The prune/abandon
     // horizon is set when the group is entered and tightens to the k-th
     // answer as members merge into a full top-k below (DESIGN.md §6).
-    const std::span<const SubseqRef> members = store.members(rg.group_index);
+    const MemberView members = store.members(rg.group_index);
     is_seed.assign(members.size(), 0);
     double horizon = worst_kth();
     if (best.size() < k) {

@@ -34,9 +34,8 @@ class SimilarityGroup {
   /// This group's index inside its length class (and store).
   std::size_t index() const { return index_; }
 
-  std::span<const SubseqRef> members() const {
-    return store_->members(index_);
-  }
+  /// The members, read back as SubseqRefs of this group's length.
+  MemberView members() const { return store_->members(index_); }
 
   /// The representative: running mean of member values (or the first member
   /// under the fixed-leader policy; see CentroidPolicy). A row of the

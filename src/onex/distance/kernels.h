@@ -210,16 +210,6 @@ inline double StrictCutoffSq(double cutoff_sq) {
   return cutoff_sq * (1.0 + 1e-9) + 1e-12;
 }
 
-/// True when an envelope precomputed with band half-width `stored_window`
-/// may lower-bound DTW at `query_window` (both already effective; negative
-/// means unconstrained): the stored band must contain the query band, so a
-/// wider (or unconstrained) stored envelope stays admissible for any
-/// narrower query window.
-inline bool EnvelopeWindowCovers(int stored_window, int query_window) {
-  if (stored_window < 0) return true;
-  return query_window >= 0 && query_window <= stored_window;
-}
-
 }  // namespace onex
 
 #endif  // ONEX_DISTANCE_KERNELS_H_

@@ -10,6 +10,7 @@
 /// ASan in CI.
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -271,6 +272,19 @@ TEST(ArenaGoldenTest, RandomByteFlipsAreRejectedOrInvariantChecked) {
   // header is field-validated, so essentially every flip must be caught.
   EXPECT_EQ(still_valid, 0) << still_valid << " corrupted arenas accepted";
   EXPECT_EQ(clean_errors, 400);
+}
+
+TEST(ArenaGoldenTest, VersionOneArenaIsRefusedByName) {
+  // Version 1 stored 24-byte members; its rows cannot be served as the
+  // eight-byte MemberRefs a store reads, so the parser names it.
+  std::string bytes = Encode(BuildGolden());
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
+  const Result<ArenaView> view = ParseArena(AsBytes(bytes));
+  ASSERT_FALSE(view.ok());
+  EXPECT_NE(view.status().message().find("unsupported arena version 1"),
+            std::string::npos)
+      << view.status();
 }
 
 TEST(ArenaGoldenTest, ForeignAndGarbageBytesAreRejected) {

@@ -1,11 +1,13 @@
 #include "onex/core/onex_base.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <span>
 #include <utility>
 #include <vector>
@@ -310,18 +312,18 @@ TEST(OnexBaseTest, RestoreValidatesArguments) {
     classes[0].length = 8;
     classes[1].length = 4;
     GroupBuilder g8(8), g4(4);
-    g8.SetMembers({{0, 0, 8}});
-    g4.SetMembers({{0, 0, 4}});
+    g8.SetMembers({{0, 0}});
+    g4.SetMembers({{0, 0}});
     classes[0].groups.push_back(g8);
     classes[1].groups.push_back(g4);
     EXPECT_FALSE(OnexBase::Restore(ds, opt, std::move(classes), 0).ok());
   }
-  // Member length disagrees with its class.
+  // A group's (so its members') length disagrees with its class.
   {
     std::vector<LengthClassDraft> classes(1);
     classes[0].length = 6;
-    GroupBuilder g(6);
-    g.SetMembers({{0, 0, 4}});
+    GroupBuilder g(4);
+    g.SetMembers({{0, 0}});
     classes[0].groups.push_back(g);
     EXPECT_FALSE(OnexBase::Restore(ds, opt, std::move(classes), 0).ok());
   }
@@ -338,8 +340,8 @@ TEST(OnexBaseTest, RestoreValidatesArguments) {
     classes[1].length = 5;
     classes[2].length = 6;
     GroupBuilder g4(4), g6(6);
-    g4.SetMembers({{0, 0, 4}});
-    g6.SetMembers({{1, 2, 6}});
+    g4.SetMembers({{0, 0}});
+    g6.SetMembers({{1, 2}});
     classes[0].groups.push_back(g4);
     classes[2].groups.push_back(g6);
     Result<OnexBase> base =
@@ -368,6 +370,91 @@ TEST(CentroidPolicyTest, Names) {
   for (const char* other : {"", "unknown", "Running-Mean", "running-mean "}) {
     EXPECT_FALSE(CentroidPolicyFromString(other).has_value()) << other;
   }
+}
+
+TEST(MemberRefTest, LimitCheckRefusesIndicesAndStartsPast32Bits) {
+  // Sizes only: nothing of this size is ever allocated.
+  constexpr std::size_t kFieldValues = std::size_t{1} << 32;
+  EXPECT_TRUE(CheckMemberLimits(1, 2).ok());
+  // 2^32 series index up to 2^32 - 1; a 2^32-point series starts below it.
+  EXPECT_TRUE(CheckMemberLimits(kFieldValues, kFieldValues).ok());
+  const Status many = CheckMemberLimits(kFieldValues + 1, 16);
+  EXPECT_EQ(many.code(), StatusCode::kInvalidArgument) << many;
+  EXPECT_NE(many.message().find("series"), std::string::npos) << many;
+  const Status longest = CheckMemberLimits(4, kFieldValues + 1);
+  EXPECT_EQ(longest.code(), StatusCode::kInvalidArgument) << longest;
+  EXPECT_NE(longest.message().find("points"), std::string::npos) << longest;
+  EXPECT_EQ(
+      CheckMemberLimits(std::numeric_limits<std::size_t>::max(), 2).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      CheckMemberLimits(2, std::numeric_limits<std::size_t>::max()).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(CheckMemberLimits(*NormalizedWalks()).ok());
+}
+
+TEST(MemberRefTest, MemoryUsageCountsEightBytesPerMember) {
+  static_assert(sizeof(MemberRef) == 8);
+  Result<OnexBase> base = OnexBase::Build(NormalizedWalks(), SmallOptions());
+  ASSERT_TRUE(base.ok()) << base.status();
+  for (const LengthClass& cls : base->length_classes()) {
+    const GroupStore& store = *cls.store;
+    const std::size_t cells = store.num_groups() * store.length();
+    EXPECT_EQ(store.MemoryUsage(),
+              sizeof(GroupStore) + 5 * cells * sizeof(double) +
+                  (store.num_groups() + 1) * sizeof(std::size_t) +
+                  store.total_members() * 8)
+        << "length " << cls.length;
+  }
+}
+
+TEST(MemberRefTest, MemberViewReadsBackTheBuildsSubseqRefs) {
+  const auto ds = NormalizedWalks(6, 24);
+  BaseBuildOptions opt = SmallOptions();
+  opt.stride = 2;
+  Result<OnexBase> base = OnexBase::Build(ds, opt);
+  ASSERT_TRUE(base.ok()) << base.status();
+
+  // Every subsequence the build enumerates, as the three-word refs groups
+  // used to store.
+  std::set<SubseqRef> want;
+  for (const LengthClass& cls : base->length_classes()) {
+    for (std::size_t s = 0; s < ds->size(); ++s) {
+      for (std::size_t start = 0; start + cls.length <= (*ds)[s].length();
+           start += opt.stride) {
+        want.insert(SubseqRef{s, start, cls.length});
+      }
+    }
+  }
+
+  std::set<SubseqRef> got;
+  for (const LengthClass& cls : base->length_classes()) {
+    const GroupStore& store = *cls.store;
+    for (std::size_t g = 0; g < store.num_groups(); ++g) {
+      const MemberView view = store.members(g);
+      ASSERT_EQ(view.size(), store.group_size(g));
+      ASSERT_EQ(static_cast<std::size_t>(view.end() - view.begin()),
+                view.size());
+      EXPECT_TRUE(std::ranges::equal(view, cls.groups[g].members()));
+      // Running-mean builds append members in enumeration order.
+      EXPECT_TRUE(std::ranges::is_sorted(view));
+      const std::vector<SubseqRef> by_iterator(view.begin(), view.end());
+      ASSERT_EQ(by_iterator.size(), view.size());
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        const SubseqRef ref = view[i];
+        EXPECT_EQ(ref, by_iterator[i]);
+        EXPECT_EQ(ref, view.begin()[static_cast<std::ptrdiff_t>(i)]);
+        EXPECT_EQ(ref, *(view.end() - static_cast<std::ptrdiff_t>(
+                                          view.size() - i)));
+        EXPECT_EQ(ref.length, cls.length);
+        EXPECT_EQ(ref.series, view.rows()[i].series);
+        EXPECT_EQ(ref.start, view.rows()[i].start);
+        EXPECT_TRUE(got.insert(ref).second) << ref.ToString() << " twice";
+      }
+      EXPECT_EQ(view.front(), view[0]);
+    }
+  }
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -326,6 +326,55 @@ TEST(CascadeDegenerateTest, MemberTiedWithTheSeedKeepsItsTieBreak) {
   }
 }
 
+TEST(CascadeDegenerateTest, MemberNearTiedWithTheSeedKeepsItsTieBreak) {
+  // As above, but tied at a nonzero DTW e, with the seed's horizon read
+  // back through the length normalization: at these lengths and offsets
+  // (e / nf) * nf rounds one ulp below e, so without the strict-with-slack
+  // cutoff (StrictCutoffSq) LB_Kim — exactly e here — would prune `warped`
+  // against a cutoff a hair under its own distance. Dyadic values keep
+  // every distance exact under both kernel tables; lengths from 19 up run
+  // the AVX2 DTW's wide-row scan.
+  const KernelMode before = GetKernelMode();
+  for (const std::size_t len : {15u, 19u, 23u, 29u, 30u}) {
+    for (const double e : {0.5, 0.625, 0.75, 0.875}) {
+      // query 0, 1, 1, 2, ...; `exact` is the query with its last point
+      // moved by e (lock-step cost e^2); `warped` moves the repeated 1 one
+      // step later as well (lock-step cost 1 + e^2, DTW still e^2).
+      std::vector<double> query(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        query[i] = i < 2 ? static_cast<double>(i) : static_cast<double>(i - 1);
+      }
+      std::vector<double> exact = query;
+      exact.back() += e;
+      std::vector<double> warped = exact;
+      warped[2] = 2.0;
+      Dataset raw;
+      raw.Add(TimeSeries("warped", warped));
+      raw.Add(TimeSeries("exact", exact));
+      auto ds = std::make_shared<const Dataset>(std::move(raw));
+      BaseBuildOptions bopt;
+      bopt.st = 10.0;  // one group
+      bopt.min_length = len;
+      bopt.max_length = len;
+      Result<OnexBase> base = OnexBase::Build(ds, bopt);
+      ASSERT_TRUE(base.ok()) << base.status();
+      ASSERT_EQ(base->length_classes().at(0).store->num_groups(), 1u);
+      QueryProcessor qp(&*base);
+      for (const KernelMode mode : {KernelMode::kScalar, KernelMode::kSimd}) {
+        SetKernelMode(mode);
+        QueryStats stats;
+        Result<BestMatch> got = qp.BestMatchQuery(query, QueryOptions{}, &stats);
+        ASSERT_TRUE(got.ok()) << got.status();
+        CheckStatsInvariants(stats, QueryOptions{});
+        EXPECT_EQ(got->ref.series, 0u)
+            << "len=" << len << " e=" << e << " table=" << ActiveKernel().name;
+        EXPECT_EQ(got->dtw, e);
+      }
+    }
+  }
+  SetKernelMode(before);
+}
+
 TEST(CascadeDegenerateTest, ConstantSeriesFindExactZeroUnderBothTables) {
   // A dataset of constant series: every subsequence is identical after
   // grouping, all distances are exactly zero, and nothing the cascade or

@@ -135,11 +135,8 @@ std::vector<TwinRanked> TwinRankGroups(const OnexBase& base,
       if (e.same_length) {
         lb = std::max(lb, LbKeogh(query_env, cent));
         const GroupStore& store = *base.length_classes()[e.class_index].store;
-        if (EnvelopeWindowCovers(store.centroid_envelope_window(),
-                                 options.window)) {
-          lb = std::max(
-              lb, LbKeogh(store.centroid_envelope(e.group_index), query));
-        }
+        lb = std::max(lb,
+                      LbKeogh(store.centroid_envelope(e.group_index), query));
       }
       lb_kim_raw[i] = kim;
       lb_raw[i] = lb;
@@ -174,8 +171,7 @@ std::vector<TwinRanked> TwinRankGroups(const OnexBase& base,
     const double cutoff = options.use_early_abandon ? horizon * e.nf : -1.0;
     const std::span<const double> cent = centroid_of(e);
     const GroupStore& store = *base.length_classes()[e.class_index].store;
-    if (options.use_lower_bounds && options.use_early_abandon &&
-        store.centroid_envelope_window() < 0) {
+    if (options.use_lower_bounds && options.use_early_abandon) {
       const EnvelopeView cent_env = store.centroid_envelope(e.group_index);
       if (LbRowPrefixSq(query, cent, cent_env.lower[0], cent_env.upper[0]) >
           StrictCutoffSq(cutoff * cutoff)) {
@@ -260,7 +256,7 @@ std::vector<BestMatch> TwinKnn(const OnexBase& base,
         continue;
       }
     }
-    const std::span<const SubseqRef> members = store.members(rg.group_index);
+    const MemberView members = store.members(rg.group_index);
     is_seed.assign(members.size(), 0);
     double horizon = worst_kth();
     if (best.size() < k) {

@@ -332,7 +332,7 @@ TEST(IncrementalDeltaTest, FirstWriteAfterArenaLoadRecomputesEveryGroup) {
       EXPECT_FALSE(in_arena(store.envelope(g).upper.data()));
       EXPECT_FALSE(in_arena(store.centroid_envelope(g).lower.data()));
       EXPECT_FALSE(in_arena(store.centroid_envelope(g).upper.data()));
-      EXPECT_FALSE(in_arena(store.members(g).data()));
+      EXPECT_FALSE(in_arena(store.members(g).rows().data()));
     }
   }
 }

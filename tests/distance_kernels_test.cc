@@ -386,17 +386,5 @@ TEST(KernelDispatchTest, SpanWrappersRouteThroughActiveTable) {
   EXPECT_NEAR(keogh_s, keogh_v, 1e-9 * (1.0 + keogh_s));
 }
 
-TEST(KernelDispatchTest, EnvelopeWindowCoversSemantics) {
-  EXPECT_TRUE(EnvelopeWindowCovers(-1, -1));
-  EXPECT_TRUE(EnvelopeWindowCovers(-1, 0));
-  EXPECT_TRUE(EnvelopeWindowCovers(-1, 100));
-  EXPECT_TRUE(EnvelopeWindowCovers(5, 5));
-  EXPECT_TRUE(EnvelopeWindowCovers(5, 3));
-  EXPECT_TRUE(EnvelopeWindowCovers(5, 0));
-  EXPECT_FALSE(EnvelopeWindowCovers(5, 6));
-  EXPECT_FALSE(EnvelopeWindowCovers(5, -1));  // unconstrained query needs -1
-  EXPECT_FALSE(EnvelopeWindowCovers(0, -1));
-}
-
 }  // namespace
 }  // namespace onex

@@ -482,7 +482,8 @@ TEST(EngineTierDiff, CrashBetweenArenaWriteAndWalRotationIsInert) {
   Engine recovered;
   ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
   EXPECT_EQ(TierOf(recovered, "A"), "resident")
-      << "a dirty WAL tail must materialize, not map";
+      << "recovery maps the checkpoint and replays the dirty WAL tail on "
+         "it, so the slot must come up resident";
   EXPECT_EQ(QueryTranscript(recovered, "A"), live_transcript)
       << "dangling arena files changed recovered answers";
   fs::remove_all(dir);
